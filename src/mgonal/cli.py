@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .density import eta, psi, psi_values_desc
 from .localrep import represents_over_zp, shifted_represents_over_zp
+from .numth import is_prime
 from .pipeline import CASES, ReplayMismatch, replay_all, replay_case
 from .polygonal import MGonalForm, ShiftedForm
 from .prodineq import CLAUSES, certify_all_t, verify_induction_step, verify_inequality
@@ -80,6 +81,16 @@ def _parse_ints(text: str) -> tuple:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
+
+
+def _prime(text: str) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"expected a prime, got {text!r}")
+    return p
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -271,7 +282,7 @@ def _cmd_regcheck(args) -> int:
     if args.action != "scan":
         raise VerificationFailure(f"unknown regcheck action {args.action!r}")
     form = MGonalForm(args.m, tuple(sorted(args.coeffs)))
-    report = regularity_scan(form, args.bound, chunks=max(1, args.jobs))
+    report = regularity_scan(form, args.bound)
     body = report.as_dict()
     note = candidate_note(args.m)
     if note is not None:
@@ -436,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localrep", help="exact representation test over Z_p")
     p.add_argument("--coeffs", type=_parse_ints, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--conductor", type=int)
     p.add_argument("--shifts", type=_parse_ints)
     common(p)
@@ -448,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", type=_parse_ints, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="partition the scan range; merge is deterministic")
     common(p)
     p.set_defaults(func=_cmd_regcheck)
 

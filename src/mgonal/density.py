@@ -23,7 +23,9 @@ import math
 from fractions import Fraction
 from typing import List, Tuple
 
-from .localrep import DiagonalLattice, is_stable, represents_over_zp
+import numpy as np
+
+from .localrep import DiagonalLattice, is_stable, represents_over_zp_many
 from .numth import is_prime, primes
 
 
@@ -109,8 +111,10 @@ def exception_count_check(p: int, s: int, L, u: int, v: int
     entries = tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
     if not is_stable(entries, p):
         raise ValueError(f"<{','.join(map(str, entries))}> is not {p}-stable")
-    count = sum(1 for n in range(1, p ** s + 1)
-                if not represents_over_zp(entries, u * n + v, p))
+    if abs(u) * p ** s + abs(v) >= 2 ** 63:
+        raise ValueError("targets u n + v overflow int64")
+    targets = u * np.arange(1, p ** s + 1, dtype=np.int64) + v
+    count = int(np.count_nonzero(~represents_over_zp_many(entries, targets, p)))
     if s % 2 == 1:
         bound = Fraction(p ** s + p + 2, 2 * p + 2)
     else:

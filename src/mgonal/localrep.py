@@ -29,6 +29,17 @@ class of Z_p-units (Legendre symbol for odd p, the residue mod 8 for p = 2).
 Scaling a coefficient or the target by the square of a unit gives a
 bijection of solutions, so the fingerprint determines the verdict.
 
+Scans ask the same question for many targets at once, and the array
+primitives answer them without a Python call per target.
+`represents_over_zp_many` computes every target's fingerprint
+(ord_p N, unit class) with numpy, decides each distinct fingerprint once
+and scatters the answers back; since the verdict cache is keyed on exactly
+this fingerprint, the grouping is exact, not a heuristic.  For shifted
+forms at p | c the residues attained mod a Hensel modulus are kept as a
+boolean table, so a verdict is one lookup `table[N % mod]`.
+`locally_represented_many` combines the two over the relevant primes, and
+the scalar `locally_represented` is its one-element case.
+
 A literal reference procedure (`represents_mod_search`: grid search mod p^K
 plus the lifting criterion (*), following the count of the search space) and
 a single-shot FFT reference (`represents_reference_fft`: plain witness
@@ -189,15 +200,17 @@ def _pivot_query(coeffs: Sequence[int], n: int, p: int, pivot: int) -> bool:
 
 _verdict_cache: Dict[Tuple, bool] = {}
 
-def _decide(coeffs: Tuple[int, ...], n: int, p: int) -> bool:
+def _decide(coeffs: Tuple[int, ...], n: int, p: int, lattice_key=None) -> bool:
     if n == 0:
         return True
-    key = (p, _lattice_key(coeffs, p), _target_key(n, p))
+    if lattice_key is None:
+        lattice_key = _lattice_key(coeffs, p)
+    key = (p, lattice_key, _target_key(n, p))
     if key in _verdict_cache:
         return _verdict_cache[key]
     ans = any(_pivot_query(coeffs, n, p, i) for i in range(len(coeffs)))
     if not ans and n % (p * p) == 0:
-        ans = _decide(coeffs, n // (p * p), p)
+        ans = _decide(coeffs, n // (p * p), p, lattice_key)
     _verdict_cache[key] = ans
     return ans
 
@@ -500,10 +513,11 @@ def _shift_indicator(a: int, c: int, alpha: int, p: int, M: int) -> np.ndarray:
     return ind
 
 
-_shifted_cache: Dict[Tuple, Tuple[int, frozenset]] = {}
+_shifted_cache: Dict[Tuple, Tuple[int, np.ndarray]] = {}
 
-def _shifted_residues(g, p: int) -> Tuple[int, frozenset]:
-    """(modulus, attainable residues) of the shifted form g over Z_p, p | c.
+def _shifted_residues(g, p: int) -> Tuple[int, np.ndarray]:
+    """(modulus, table) for the shifted form g over Z_p, p | c: table[r] is
+    True iff the residue r mod the modulus is attained.
 
     The modulus p^{2 ord_p(2c) + 1} is a Hensel exponent for every point:
     each coordinate map x -> a_i (c x + alpha_i)^2 has derivative of constant
@@ -517,13 +531,11 @@ def _shifted_residues(g, p: int) -> Tuple[int, frozenset]:
         return _shifted_cache[key]
     assert math.gcd(*g.coeffs) % p != 0, "shifted form must be primitive at p"
     K = 2 * ord_p(2 * g.conductor, p) + 1
-    mod = p ** K
     acc = _shift_indicator(g.coeffs[0], g.conductor, g.shifts[0], p, K)
     for a, al in zip(g.coeffs[1:], g.shifts[1:]):
         acc = _convolve_presence(acc, _shift_indicator(a, g.conductor, al, p, K))
-    residues = frozenset(int(r) for r in np.nonzero(acc > 0.5)[0])
-    _shifted_cache[key] = (mod, residues)
-    return mod, residues
+    _shifted_cache[key] = (p ** K, acc > 0.5)
+    return _shifted_cache[key]
 
 
 def shifted_represents_over_zp(g, N: int, p: int) -> bool:
@@ -531,28 +543,92 @@ def shifted_represents_over_zp(g, N: int, p: int) -> bool:
 
     For p not dividing c the substitution z = c x + alpha is a bijection of
     Z_p, so this delegates to the plain lattice engine; for p | c the
-    congruence constraint is kept and decided by the bounded residue search
-    above.
+    congruence constraint is kept and decided by the residue table above.
     """
     if g.conductor % p != 0:
         return represents_over_zp(g.coeffs, N, p).represented
-    mod, residues = _shifted_residues(g, p)
-    return N % mod in residues
+    mod, table = _shifted_residues(g, p)
+    return bool(table[N % mod])
 
 
-def locally_represented(f, n: int) -> bool:
-    """Is n represented by the m-gonal form f over R and over every Z_p?
+# --------------------------------------------------------------------------
+# array verdicts
+
+def _fingerprints(Ns: np.ndarray, p: int) -> np.ndarray:
+    """One integer per nonzero N encoding _target_key(N, p): 8 ord_p(N) plus
+    the unit class of the unit part (its residue mod 8 at p = 2, whether it
+    is a square mod p at odd p)."""
+    units = Ns.copy()
+    ords = np.zeros(len(Ns), dtype=np.int64)
+    deep = units % p == 0
+    while deep.any():
+        units[deep] //= p
+        ords[deep] += 1
+        deep = units % p == 0
+    if p == 2:
+        return 8 * ords + units % 8
+    squares = np.zeros(p, dtype=np.int64)
+    squares[np.arange(p) ** 2 % p] = 1
+    return 8 * ords + squares[units % p]
+
+
+def represents_over_zp_many(coeffs: Sequence[int], Ns, p: int) -> np.ndarray:
+    """Boolean array: does <a_1,...,a_k> represent N over Z_p, per N in Ns?
+
+    The verdict depends on N only through its fingerprint (see the module
+    docstring), so each distinct fingerprint is decided once, by `_decide`
+    on a representative, and the answer is scattered back; the verdicts are
+    those of `represents_over_zp` by construction.
+    """
+    coeffs = tuple(coeffs)
+    Ns = np.asarray(Ns, dtype=np.int64)
+    out = Ns == 0
+    nonzero = np.flatnonzero(~out)
+    if nonzero.size:
+        _, first, back = np.unique(_fingerprints(Ns[nonzero], p),
+                                   return_index=True, return_inverse=True)
+        lattice_key = _lattice_key(coeffs, p)
+        answers = np.array([_decide(coeffs, int(N), p, lattice_key)
+                            for N in Ns[nonzero[first]]], dtype=bool)
+        out[nonzero] = answers[back]
+    return out
+
+
+def locally_represented_many(f, ns) -> np.ndarray:
+    """Boolean array: is n represented by the m-gonal form f over R and over
+    every Z_p, per n in ns?
 
     Via the coset translation this is: N = mu n + d^2 sum a_i >= 0 (which is
     exactly representability over R) and N is represented by the shifted
     form at every prime p | 2*3*c*prod(a_i) (at all other primes the lattice
-    has unimodular rank >= 3, hence is universal over Z_p).
+    has unimodular rank >= 3, hence is universal over Z_p).  Primes p | c
+    read the residue table of `_shifted_residues` at N; the others go
+    through `represents_over_zp_many`.  Raises ValueError when some N does
+    not fit in int64.
     """
-    from .polygonal import form_to_shifted, shifted_target
+    from .polygonal import constants, form_to_shifted
 
     g = form_to_shifted(f)
-    N = shifted_target(f, n)
-    if N < 0:
-        return False
-    relevant = prime_divisors(2 * 3 * g.conductor * math.prod(f.coeffs))
-    return all(shifted_represents_over_zp(g, N, p) for p in relevant)
+    k = constants(f.m)
+    offset = k.d * k.d * sum(f.coeffs)
+    try:
+        ns = np.asarray(ns, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError("n does not fit in int64") from exc
+    if ns.size and k.mu * max(-int(ns.min()), int(ns.max())) + offset >= 2 ** 63:
+        raise ValueError("shifted target mu n + d^2 sum a_i overflows int64")
+    Ns = k.mu * ns + offset
+    ok = Ns >= 0
+    for p in prime_divisors(2 * 3 * g.conductor * math.prod(f.coeffs)):
+        live = np.flatnonzero(ok)
+        if g.conductor % p == 0:
+            mod, table = _shifted_residues(g, p)
+            ok[live] = table[Ns[live] % mod]
+        else:
+            ok[live] = represents_over_zp_many(g.coeffs, Ns[live], p)
+    return ok
+
+
+def locally_represented(f, n: int) -> bool:
+    """Scalar form of `locally_represented_many`."""
+    return bool(locally_represented_many(f, [n])[0])

@@ -99,6 +99,8 @@ def nth_prime_ge5(i: int) -> int:
 
 def ord_p(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
+    if p < 2:
+        raise ValueError(f"ord_p needs p >= 2, got {p}")
     if n == 0:
         raise ValueError("ord_p(0) is infinite")
     n = abs(n)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .localrep import locally_represented, shifted_represents_over_zp
+from .localrep import locally_represented_many, shifted_represents_over_zp
 from .numth import ord_p, prime_divisors
 from .polygonal import (
     MGonalForm,
@@ -113,30 +113,22 @@ def represented_set(f: MGonalForm, N: int) -> np.ndarray:
     return reached
 
 
-def regularity_scan(f: MGonalForm, N: int, chunks: int = 1) -> RegularityReport:
-    """Compare locally_represented with the global sumset on [0, N].
+def regularity_scan(f: MGonalForm, N: int) -> RegularityReport:
+    """Compare the local verdicts with the global sumset on [0, N].
 
-    `chunks` partitions the n-range (the merge is by n, so any partition
-    yields the identical report); soundness -- everything globally
-    represented must be locally represented -- is asserted on every n.
+    Soundness -- everything globally represented must be locally
+    represented -- is asserted on every n.
     """
-    assert N >= 1 and chunks >= 1
+    assert N >= 1
     glob = represented_set(f, N)
-    edges = [(k * (N + 1)) // chunks for k in range(chunks + 1)]
-    local_flags = np.zeros(N + 1, dtype=bool)
-    for lo, hi in zip(edges, edges[1:]):
-        for n in range(lo, hi):
-            local_flags[n] = locally_represented(f, n)
-    counterexamples = []
-    locally_count = int(local_flags.sum())
-    for n in range(N + 1):
-        if glob[n] and not local_flags[n]:
-            raise AssertionError(
-                f"soundness violation: {f} represents {n} globally but "
-                "fails a local test"
-            )
-        if local_flags[n] and not glob[n]:
-            counterexamples.append(n)
+    local_flags = locally_represented_many(f, np.arange(N + 1))
+    unsound = np.flatnonzero(glob & ~local_flags)
+    if unsound.size:
+        raise AssertionError(
+            f"soundness violation: {f} represents {int(unsound[0])} globally "
+            "but fails a local test"
+        )
+    counterexamples = tuple(np.flatnonzero(local_flags & ~glob).tolist())
     if counterexamples:
         verdict = f"not-regular(witness n={counterexamples[0]})"
     else:
@@ -144,8 +136,8 @@ def regularity_scan(f: MGonalForm, N: int, chunks: int = 1) -> RegularityReport:
     return RegularityReport(
         form=f,
         bound=N,
-        locally_count=locally_count,
-        counterexamples=tuple(counterexamples),
+        locally_count=int(local_flags.sum()),
+        counterexamples=counterexamples,
         verdict=verdict,
     )
 

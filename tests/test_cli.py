@@ -150,6 +150,19 @@ def test_localrep_excluded_class(capsys):
     assert "witness" not in out
 
 
+@pytest.mark.parametrize("p", ["1", "4"])
+def test_localrep_rejects_non_prime_p(p):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mgonal.cli", "localrep", "--coeffs", "1,1,1",
+         "--n", "3", "--p", p],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].endswith(
+        f"argument --p: expected a prime, got '{p}'")
+
+
 def test_localrep_shifted_mode(capsys):
     code, out, _ = run(capsys, "localrep", "--coeffs", "1,1,1", "--n", "3",
                        "--p", "2", "--conductor", "6")
@@ -172,7 +185,7 @@ def test_regcheck_scan_out_file(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     code, out, _ = run(capsys, "regcheck", "scan", "--m", "3",
                        "--coeffs", "1,1,1", "--bound", "300",
-                       "--out", str(out_file), "--jobs", "2")
+                       "--out", str(out_file))
     assert code == 0
     payload = json.loads(out_file.read_text())
     assert payload["verdict"] == "regular-up-to-300"

@@ -118,3 +118,5 @@ def test_exception_count_check_small():
     assert ok and bound == Fraction(5**2 + 2 * 5 + 1, 12) == 3
     with pytest.raises(ValueError):
         exception_count_check(5, 1, (1, 2, 25), 1, 0)  # unstable lattice
+    with pytest.raises(ValueError):
+        exception_count_check(5, 1, (1, 2, 5), 2**62, 0)  # targets overflow int64

@@ -3,7 +3,9 @@ the structural predicates (Jordan shapes, stability, anisotropy, Hilbert
 symbols) against classical identities."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,16 +18,19 @@ from mgonal.localrep import (
     is_anisotropic_ternary,
     is_p_stable,
     is_stable,
+    _shifted_residues,
     jordan_split,
     locally_represented,
+    locally_represented_many,
     progression_exponent,
     represents_mod_search,
     represents_over_zp,
+    represents_over_zp_many,
     represents_reference_fft,
     shifted_represents_over_zp,
     stable_value_set_check,
 )
-from mgonal.numth import ord_p, unit_part
+from mgonal.numth import ord_p, prime_divisors, unit_part
 from mgonal.polygonal import MGonalForm, ShiftedForm, form_to_shifted, shifted_target
 
 # a corpus mixing unit, once-divisible and deeply divisible entries
@@ -321,3 +326,79 @@ def test_modulus_too_large_paths():
         represents_mod_search((1, 1, 1), 5, 2, K=10)  # grid 2^30 cells
     with pytest.raises(ModulusTooLarge):
         represents_reference_fft((2**10, 2**10, 2**11), 7, 2)  # K past 2^22
+
+
+# primitive ascending triples with a_3 <= 5, as in a census
+CENSUS_TRIPLES = [(a, b, c) for a in range(1, 6) for b in range(a, 6)
+                  for c in range(b, 6) if math.gcd(math.gcd(a, b), c) == 1]
+
+
+def _local_oracle(f, n):
+    """The local verdict written out prime by prime, one target at a time."""
+    g = form_to_shifted(f)
+    N = shifted_target(f, n)
+    if N < 0:
+        return False
+    relevant = prime_divisors(2 * 3 * g.conductor * math.prod(f.coeffs))
+    return all(shifted_represents_over_zp(g, N, p) for p in relevant)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 13, 29])
+def test_locally_represented_many_matches_per_prime_oracle(m):
+    ns = range(-10, 601)
+    for coeffs in CENSUS_TRIPLES:
+        f = MGonalForm(m, coeffs)
+        got = locally_represented_many(f, ns)
+        assert got.dtype == np.bool_
+        assert got.tolist() == [_local_oracle(f, n) for n in ns], coeffs
+
+
+def test_locally_represented_many_edges():
+    f = MGonalForm(5, (1, 2, 3))
+    empty = locally_represented_many(f, [])
+    assert empty.dtype == np.bool_ and empty.shape == (0,)
+    # negative shifted targets fail over R; (1,3,27) at -3 has target 7
+    assert locally_represented_many(MGonalForm(3, (1, 1, 1)),
+                                    [-3, -1, 0]).tolist() == [False, False, True]
+    assert locally_represented_many(MGonalForm(3, (1, 3, 27)), [-3]).tolist() == [True]
+    # m = 4: the shifted target is n itself, and 0 is represented
+    assert locally_represented_many(MGonalForm(4, (1, 1, 1)),
+                                    [0, 7, 28, 29]).tolist() == [True, False, False, True]
+    assert locally_represented(MGonalForm(4, (1, 1, 1)), 0)
+    for ns in ([2**62], [-2**62], [2**70]):
+        with pytest.raises(ValueError):
+            locally_represented_many(f, ns)
+
+
+def test_represents_over_zp_many_matches_scalar():
+    """Fingerprint grouping gives the scalar verdicts, zero and negative
+    targets included."""
+    for p, triples in CORPUS.items():
+        for coeffs in triples:
+            Ns = range(-60, 200)
+            got = represents_over_zp_many(coeffs, Ns, p)
+            assert got.tolist() == [bool(represents_over_zp(coeffs, N, p))
+                                    for N in Ns], (coeffs, p)
+
+
+def test_shifted_residue_tables_match_enumeration():
+    """Each residue table at p | c (up to 10^4 entries) is the set of values
+    of sum a_i (c x_i + alpha_i)^2 mod p^K, enumerated directly."""
+    checked = 0
+    for m in (3, 5, 8, 13, 29):
+        for coeffs in CENSUS_TRIPLES:
+            g = form_to_shifted(MGonalForm(m, coeffs))
+            for p in prime_divisors(g.conductor):
+                mod, table = _shifted_residues(g, p)
+                if mod > 10**4:
+                    continue
+                xs = np.arange(mod, dtype=np.int64)
+                reach = np.zeros(1, dtype=np.int64)
+                for a, al in zip(g.coeffs, g.shifts):
+                    vals = np.unique(a * (g.conductor * xs + al) ** 2 % mod)
+                    reach = np.unique(np.add.outer(reach, vals) % mod)
+                want = np.zeros(mod, dtype=bool)
+                want[reach] = True
+                assert table.dtype == np.bool_ and np.array_equal(table, want), (g, p)
+                checked += 1
+    assert checked > 0

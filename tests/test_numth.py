@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 import sympy
 from hypothesis import given, strategies as st
 
@@ -49,6 +50,12 @@ def test_prime_seq_indexing():
 def test_ord_unit_decomposition(n, p):
     e, u = ord_p(n, p), unit_part(n, p)
     assert n == p**e * u and u % p != 0
+
+
+def test_ord_p_rejects_p_below_two():
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            ord_p(12, p)
 
 
 @given(st.integers(min_value=-200, max_value=200),

@@ -61,11 +61,24 @@ def test_represented_set_matches_pointwise_search(m, coeffs):
         assert bool(flags[n]) == (represents_globally(f, n) is not None)
 
 
-def test_scan_chunking_is_invisible():
-    f = MGonalForm(7, (1, 2, 5))
-    one = regularity_scan(f, 120, chunks=1)
-    three = regularity_scan(f, 120, chunks=3)
-    assert one.as_dict() == three.as_dict()
+def test_scan_matches_pointwise_verdicts():
+    for m, coeffs in [(7, (1, 2, 5)), (4, (1, 1, 1)), (8, (1, 2, 3))]:
+        f = MGonalForm(m, coeffs)
+        report = regularity_scan(f, 120)
+        local = [n for n in range(121) if locally_represented(f, n)]
+        assert report.locally_count == len(local)
+        assert report.counterexamples == tuple(
+            n for n in local if represents_globally(f, n) is None)
+
+
+def test_scan_reports_first_soundness_violation(monkeypatch):
+    import mgonal.regcheck as regcheck
+
+    monkeypatch.setattr(regcheck, "locally_represented_many",
+                        lambda f, ns: np.asarray(ns) < 5)
+    with pytest.raises(AssertionError,
+                       match="represents 5 globally but fails a local test"):
+        regcheck.regularity_scan(MGonalForm(3, (1, 1, 1)), 20)
 
 
 def test_scan_flags_failures_of_regularity():
