@@ -5,7 +5,8 @@ emits text (default), canonical JSON (sorted keys, compact separators, one
 trailing newline -- re-encoding the parsed output reproduces the bytes), or
 CSV for the tabular commands.  `--verify` diffs the computed values against
 the golden files shipped under data/ and exits 1 on any mismatch; usage
-errors exit 2 (argparse's convention).
+errors exit 2 (argparse's convention), and so do inputs the computation
+rejects (`ValueError`, `ModulusTooLarge`), with a one-line message.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .density import eta, psi, psi_values_desc
-from .localrep import represents_over_zp, shifted_represents_over_zp
+from .localrep import (_FFT_LIMIT, ModulusTooLarge, represents_over_zp,
+                       shifted_represents_over_zp)
 from .numth import is_prime
 from .pipeline import CASES, ReplayMismatch, replay_all, replay_case
 from .polygonal import MGonalForm, ShiftedForm
@@ -88,6 +90,12 @@ def _prime(text: str) -> int:
         p = int(text)
     except ValueError:
         p = 0
+    # checked before primality: trial division up to sqrt(p) takes minutes for
+    # large p, and every pivot query at such a p needs a p-entry residue array
+    # beyond the engine's limit anyway
+    if p > _FFT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"primes above 2^22 = {_FFT_LIMIT} are not supported, got {text!r}")
     if not is_prime(p):
         raise argparse.ArgumentTypeError(f"expected a prime, got {text!r}")
     return p
@@ -159,19 +167,13 @@ def _cmd_ineq(args) -> int:
     if args.clause is None:
         raise VerificationFailure("ineq needs --clause")
     spec = CLAUSES[args.clause]
-    t = args.t if args.t is not None else spec.t0
-    lhs, rhs, holds = verify_inequality(args.clause, t)
-    rows = [[args.clause, t, lhs, rhs, holds]]
-    lines = [f"clause {args.clause} at t={t}: lhs = {lhs}, rhs = {rhs}, holds = {holds}"]
     if args.t_max is not None:
-        rows = []
-        lines = []
-        for u in range(spec.t0, args.t_max + 1):
-            lhs, rhs, holds = verify_inequality(args.clause, u)
-            rows.append([args.clause, u, lhs, rhs, holds])
-            lines.append(
-                f"clause {args.clause} at t={u}: lhs = {lhs}, rhs = {rhs}, holds = {holds}"
-            )
+        ts = range(spec.t0, args.t_max + 1)
+    else:
+        ts = [args.t if args.t is not None else spec.t0]
+    rows = [[args.clause, t, *verify_inequality(args.clause, t)] for t in ts]
+    lines = [f"clause {c} at t={t}: lhs = {lhs}, rhs = {rhs}, holds = {holds}"
+             for c, t, lhs, rhs, holds in rows]
     if args.verify:
         golden = _golden("ineq_base.json")
         diffs = []
@@ -279,8 +281,6 @@ def _cmd_localrep(args) -> int:
 
 
 def _cmd_regcheck(args) -> int:
-    if args.action != "scan":
-        raise VerificationFailure(f"unknown regcheck action {args.action!r}")
     form = MGonalForm(args.m, tuple(sorted(args.coeffs)))
     report = regularity_scan(form, args.bound)
     body = report.as_dict()
@@ -483,6 +483,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (VerificationFailure, ReplayMismatch) as exc:
         print(f"verification failed:\n{exc}", file=sys.stderr)
         return 1
+    except (ValueError, ModulusTooLarge) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,14 +25,20 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .localrep import DiagonalLattice, is_stable, represents_over_zp_many
-from .numth import is_prime, primes
+from .localrep import _entries, is_stable, represents_over_zp_many
+from .numth import RS, is_prime
+
+
+def _check_prime(p: int) -> None:
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"need a prime >= 5, got {p}")
 
 
 def psi_prime_power(p: int, s: int) -> Fraction:
     """The exception-count bound for the window [1, p^s]."""
-    assert p >= 5 and is_prime(p), f"need a prime >= 5, got {p}"
-    assert s >= 1
+    _check_prime(p)
+    if s < 1:
+        raise ValueError(f"need s >= 1, got {s}")
     if s % 2 == 1:
         return Fraction(p ** s + p + 2, 2 * p + 2)
     return Fraction(p ** s + 2 * p + 1, 2 * p + 2)
@@ -44,8 +50,9 @@ def psi(p: int, n: int) -> Fraction:
     With n = b_e ... b_1 b_0 in base p:  sum_s b_s psi_p(p^s), plus 1 when
     b_0 != 0.  For n < p this is 1.
     """
-    assert n >= 1
-    assert p >= 5 and is_prime(p), f"need a prime >= 5, got {p}"
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    _check_prime(p)
     digits = []
     t = n
     while t:
@@ -65,21 +72,11 @@ def psi_values_desc(n: int, count: int) -> List[Fraction]:
     enumeration stops at n and pads with 1s — the result is independent of
     any larger cutoff.
     """
-    vals = [psi(p, n) for p in _primes_in_range(5, n)]
+    vals = [psi(p, n) for p in RS.upto(n)]
     vals.sort(reverse=True)
     if len(vals) < count:
         vals += [Fraction(1)] * (count - len(vals))
     return vals[:count]
-
-
-def _primes_in_range(lo: int, hi: int) -> List[int]:
-    out = []
-    for p in primes():
-        if p > hi:
-            break
-        if p >= lo:
-            out.append(p)
-    return out
 
 
 def eta(n: int, s: int) -> int:
@@ -90,7 +87,8 @@ def eta(n: int, s: int) -> int:
     the tests re-check this against literal subset enumeration on small
     inputs.  The result is integral on every input we touch; asserted.
     """
-    assert n >= 1 and s >= 1
+    if n < 1 or s < 1:
+        raise ValueError(f"need n >= 1 and s >= 1, got n = {n}, s = {s}")
     total = sum(psi_values_desc(n, s), Fraction(0))
     out = n - total
     assert out.denominator == 1, f"eta({n},{s}) = {out} is not integral"
@@ -108,7 +106,7 @@ def exception_count_check(p: int, s: int, L, u: int, v: int
     assert p >= 3 and p % 2 == 1 and is_prime(p)
     assert s >= 1
     assert math.gcd(u, p) == 1
-    entries = tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
+    entries = _entries(L)
     if not is_stable(entries, p):
         raise ValueError(f"<{','.join(map(str, entries))}> is not {p}-stable")
     if abs(u) * p ** s + abs(v) >= 2 ** 63:

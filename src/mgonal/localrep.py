@@ -50,7 +50,7 @@ independent oracles for the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,15 +71,9 @@ class ModulusTooLarge(Exception):
 
 @dataclass(frozen=True)
 class DiagonalLattice:
-    """Diagonal Z-lattice <a_1, ..., a_k> plus a record of lambda-rescalings.
-
-    `scale_exp` maps primes to the accumulated rescaling exponents applied by
-    Watson transformations (kept as a sorted tuple of (p, s) pairs so the
-    dataclass stays hashable).
-    """
+    """Diagonal Z-lattice <a_1, ..., a_k>."""
 
     entries: Tuple[int, ...]
-    scale_exp: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
         assert 2 <= len(self.entries) <= 4, "rank 2..4 supported"
@@ -88,11 +82,6 @@ class DiagonalLattice:
     @property
     def rank(self) -> int:
         return len(self.entries)
-
-    def scaled(self, p: int, s: int) -> "DiagonalLattice":
-        d = dict(self.scale_exp)
-        d[p] = d.get(p, 0) + s
-        return DiagonalLattice(self.entries, tuple(sorted(d.items())))
 
     def __str__(self):
         return "<" + ",".join(map(str, self.entries)) + ">"
@@ -136,13 +125,9 @@ class LocalVerdict:
         return self.represented
 
 
-class ExceptionalEvenBlock:
-    """The one non-diagonal 2-adic shape in the value-set statements:
-    the even binary block [2,1;1,2] orthogonal to <eps>."""
-
-    def __init__(self, eps: int):
-        assert eps % 2 == 1
-        self.eps = eps
+def _entries(L) -> Tuple[int, ...]:
+    """The diagonal entries of a DiagonalLattice or of a plain sequence."""
+    return tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +225,7 @@ def represents_over_zp(L, n: int, p: int, want_witness: bool = False) -> LocalVe
     The witness, when requested and the search box is feasible, is a vector
     mod p^conservative_exponent passing the lifting criterion.
     """
-    coeffs = tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
+    coeffs = _entries(L)
     assert coeffs and all(a != 0 for a in coeffs)
     rep = _decide(coeffs, n, p)
     witness = None
@@ -321,7 +306,7 @@ def represents_reference_fft(coeffs: Sequence[int], n: int, p: int,
 
 def jordan_split(L, p: int) -> JordanSplit:
     """Group the diagonal entries by p-valuation."""
-    coeffs = tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
+    coeffs = _entries(L)
     by_ord: Dict[int, List[int]] = {}
     for a in coeffs:
         by_ord.setdefault(ord_p(a, p), []).append(unit_part(a, p))
@@ -346,7 +331,7 @@ def is_p_stable(L, p: int) -> bool:
     """
     if p == 2:
         raise ValueError("use is_2_stable at p = 2")
-    coeffs = tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
+    coeffs = _entries(L)
     assert len(coeffs) == 3
     ou = _ords_units(coeffs, p)
     r0 = sum(1 for e, _ in ou if e == 0)
@@ -373,7 +358,7 @@ def is_2_stable(L) -> bool:
       - s2 >= 1: the unimodular Jordan rank is <= 1, which cannot contain
         the unimodular binary <1,w>: not stable.
     """
-    coeffs = tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
+    coeffs = _entries(L)
     assert len(coeffs) == 3
     ou = _ords_units(coeffs, 2)
     r0 = sum(1 for e, _ in ou if e == 0)
@@ -407,16 +392,9 @@ def stable_value_set_check(L, p: int, gamma: int) -> bool:
     its missing 4^a(8b+7) is the familiar instance.  In the remaining
     2-stable shapes (a non-unimodular Jordan piece is present) only the
     one-sided guarantee "every gamma of even order is represented" is
-    available, so a False there means "no claim", not "excluded".  Passing
-    an ExceptionalEvenBlock names the A perp <eps> case directly.
+    available, so a False there means "no claim", not "excluded".
     """
-    if isinstance(L, ExceptionalEvenBlock):
-        assert p == 2
-        if gamma == 0:
-            return True
-        return not (ord_p(gamma, 2) % 2 == 0
-                    and unit_part(gamma, 2) % 8 == (L.eps + 4) % 8)
-    coeffs = tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
+    coeffs = _entries(L)
     if gamma == 0:
         return True
     if p == 2:
@@ -470,7 +448,7 @@ def is_anisotropic_ternary(L, p: int) -> bool:
     form is isotropic iff for some i the complementary binary form
     represents -a_i over Z_p.
     """
-    coeffs = tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
+    coeffs = _entries(L)
     assert len(coeffs) == 3 and all(a != 0 for a in coeffs)
     d = coeffs[0] * coeffs[1] * coeffs[2]
     closed = hasse_invariant(coeffs, p) != hilbert_symbol(-1, -d, p)

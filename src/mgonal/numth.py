@@ -67,12 +67,6 @@ class PrimeSeq:
             _extend_primes()
         return _PRIMES[i + 1]  # skip 2 and 3
 
-    __call__ = r
-
-    def first(self, t: int) -> List[int]:
-        """[r_1, ..., r_t]."""
-        return [self.r(i) for i in range(1, t + 1)]
-
     def upto(self, bound: int) -> List[int]:
         """All primes p with 5 <= p <= bound."""
         out = []
@@ -82,19 +76,8 @@ class PrimeSeq:
             if p >= 5:
                 out.append(p)
 
-    def __iter__(self) -> Iterator[int]:
-        i = 1
-        while True:
-            yield self.r(i)
-            i += 1
-
 
 RS = PrimeSeq()
-
-
-def nth_prime_ge5(i: int) -> int:
-    """The i-th prime >= 5 (1-based): 1 -> 5, 3 -> 11, 7 -> 23."""
-    return RS.r(i)
 
 
 def ord_p(n: int, p: int) -> int:
@@ -134,11 +117,6 @@ def smallest_nonresidue(p: int) -> int:
     return a
 
 
-def big_product(xs) -> int:
-    """Exact product of an iterable of integers."""
-    return math.prod(xs)
-
-
 def prime_divisors(n: int) -> List[int]:
     """Sorted prime divisors of n != 0, by trial division."""
     if n == 0:
@@ -155,55 +133,6 @@ def prime_divisors(n: int) -> List[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def factorize(n: int) -> List[tuple]:
-    """[(p, e), ...] for n >= 1, ascending p."""
-    assert n >= 1
-    out = []
-    for p in prime_divisors(n) if n > 1 else []:
-        out.append((p, ord_p(n, p)))
-    return out
-
-
-class UnitClass:
-    """Square class of a p-adic unit.
-
-    For odd p the class is the Legendre symbol (+1/-1); for p = 2 it is the
-    residue mod 8 (one of 1, 3, 5, 7).  Two units u, v satisfy u = v * s^2
-    for some unit s iff they have the same UnitClass.
-    """
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, u: int, p: int):
-        assert u % p != 0, f"{u} is not a unit at {p}"
-        self.p = p
-        self.value = u % 8 if p == 2 else legendre(u, p)
-
-    def representative(self) -> int:
-        """Smallest positive unit in the class."""
-        if self.p == 2:
-            return self.value
-        return 1 if self.value == 1 else smallest_nonresidue(self.p)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UnitClass)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __repr__(self):
-        return f"UnitClass(p={self.p}, value={self.value})"
-
-
-def unit_class_rep(u: int, p: int) -> int:
-    """Canonical representative of the square class of the unit u at p."""
-    return UnitClass(u, p).representative()
 
 
 def multiplicative_order(a: int, m: int) -> int:

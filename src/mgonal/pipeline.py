@@ -45,7 +45,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .density import eta
-from .localrep import is_2_stable, is_stable, jordan_split, represents_over_zp
+from .localrep import _entries, is_2_stable, is_stable, jordan_split, represents_over_zp
 from .numth import is_prime, legendre, ord_p
 from .prodineq import CLAUSES, certify_all_t, verify_inequality, w_factor
 
@@ -60,10 +60,6 @@ class LemmaViolation(Exception):
 
 class ReplayMismatch(Exception):
     """The recomputed derivation differs from the recorded one."""
-
-
-def _entries(L) -> Tuple[int, ...]:
-    return tuple(L.entries) if hasattr(L, "entries") else tuple(L)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +568,6 @@ class BoundState:
     t_bound: Optional[int] = None
     a1_bound: Optional[int] = None
     a2_bound: Optional[int] = None
-    a3_cofactor: Optional[int] = None
     k_cofactor: Optional[int] = None
     c_bounds: Dict[int, int] = field(default_factory=dict)
     m_bounds: Dict[str, int] = field(default_factory=dict)
@@ -611,7 +606,6 @@ def _set_t(state: BoundState, case: CaseParams, t: int, clause: int, cap) -> Non
     )
     cof = k_bound(case, t, 1)
     state.tighten("k_cofactor", cof)
-    state.tighten("a3_cofactor", cof)
     state.record("k", "k-closed-form", {"t": t}, cof)
 
 

@@ -23,15 +23,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .localrep import locally_represented_many, shifted_represents_over_zp
+from .localrep import locally_represented, locally_represented_many
 from .numth import ord_p, prime_divisors
-from .polygonal import (
-    MGonalForm,
-    constants,
-    form_to_shifted,
-    polygonal_number,
-    shifted_target,
-)
+from .polygonal import MGonalForm, constants, polygonal_number, shifted_target
 
 
 @dataclass(frozen=True)
@@ -177,11 +171,9 @@ def first_sense_examples() -> dict:
     assert all(_fraction_is_unit_outside(x, (3,)) for x in wp)  # 3 a unit, p != 3
 
     tern = MGonalForm(3, (1, 3, 27))
-    g = form_to_shifted(tern)
     target = shifted_target(tern, -3)
     assert target == 7
-    relevant = prime_divisors(2 * 3 * g.conductor * prod(tern.coeffs))
-    locally = all(shifted_represents_over_zp(g, target, p) for p in relevant)
+    locally = locally_represented(tern, -3)
     assert locally
     # global impossibility is structural: every value of the form is >= 0
 

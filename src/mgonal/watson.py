@@ -43,8 +43,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .localrep import DiagonalLattice, is_stable, jordan_split
-from .numth import big_product, multiplicative_order, ord_p, prime_divisors
+from .localrep import DiagonalLattice, _entries, is_stable, jordan_split
+from .numth import multiplicative_order, ord_p, prime_divisors
 from .polygonal import ShiftedForm
 
 
@@ -63,10 +63,6 @@ class WatsonStep:
         assert self.q == self.p or (self.q == 4 and self.p == 2)
 
 
-def _entries(L) -> Tuple[int, ...]:
-    return tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
-
-
 def _lambda_core(coeffs: Tuple[int, ...], p: int):
     """Rescale every unit coordinate by p, then divide out the common p^s.
 
@@ -82,12 +78,6 @@ def _lambda_core(coeffs: Tuple[int, ...], p: int):
     return new, s, moved
 
 
-def _bump_scale(L, p: int, s: int, new_entries) -> DiagonalLattice:
-    old = dict(L.scale_exp) if isinstance(L, DiagonalLattice) else {}
-    old[p] = old.get(p, 0) + s
-    return DiagonalLattice(tuple(new_entries), tuple(sorted(old.items())))
-
-
 def lambda_p(L, p: int) -> Tuple[DiagonalLattice, int]:
     """One descent step at an odd prime on a p-unstable ternary lattice.
 
@@ -101,7 +91,7 @@ def lambda_p(L, p: int) -> Tuple[DiagonalLattice, int]:
     if is_stable(coeffs, p):
         raise ValueError(f"<{','.join(map(str, coeffs))}> is already {p}-stable")
     new, s, _ = _lambda_core(coeffs, p)
-    return _bump_scale(L, p, s, new), s
+    return DiagonalLattice(new), s
 
 
 def lambda_4(L) -> Tuple[DiagonalLattice, int]:
@@ -128,7 +118,7 @@ def lambda_4(L) -> Tuple[DiagonalLattice, int]:
         raise ValueError(f"deep entry {deep} has ord_2 = {ord_p(deep, 2)}, need >= 2")
     new, s, _ = _lambda_core(coeffs, 2)
     assert s == 2
-    return _bump_scale(L, 2, s, new), s
+    return DiagonalLattice(new), s
 
 
 def lambda_step(L, p: int) -> Tuple[DiagonalLattice, int, int]:
@@ -145,7 +135,7 @@ def lambda_step(L, p: int) -> Tuple[DiagonalLattice, int, int]:
             out, s = lambda_4(L)
             return out, s, 4
         new, s, _ = _lambda_core(coeffs, 2)
-        return _bump_scale(L, 2, s, new), s, 2
+        return DiagonalLattice(new), s, 2
     out, s = lambda_p(L, p)
     return out, s, p
 
@@ -222,11 +212,11 @@ def stabilize(g: ShiftedForm, log: Optional[List[WatsonStep]] = None,
     assert g.rank == 3
     cur = normalize_shifts(g)
     budget = sum(ord_p(a, p)
-                 for p in prime_divisors(big_product(cur.coeffs))
-                 for a in cur.coeffs) if big_product(cur.coeffs) > 1 else 0
+                 for p in prime_divisors(math.prod(cur.coeffs))
+                 for a in cur.coeffs) if math.prod(cur.coeffs) > 1 else 0
     steps = 0
     while True:
-        disc = big_product(cur.coeffs)
+        disc = math.prod(cur.coeffs)
         unstable = [p for p in prime_divisors(disc)
                     if disc > 1 and cur.conductor % p != 0
                     and not is_stable(cur.coeffs, p)]

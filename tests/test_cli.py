@@ -163,6 +163,39 @@ def test_localrep_rejects_non_prime_p(p):
         f"argument --p: expected a prime, got '{p}'")
 
 
+@pytest.mark.parametrize("p", ["4194319", "1000000000000000003"])
+def test_localrep_rejects_primes_above_the_array_limit(p):
+    # both are primes; the second would take trial division up to 10^9
+    proc = subprocess.run(
+        [sys.executable, "-m", "mgonal.cli", "localrep", "--coeffs", "1,1,1",
+         "--n", "3", "--p", p],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "Traceback" not in proc.stderr
+    assert errors[0] == proc.stderr.strip().splitlines()[-1]
+    assert "2^22" in errors[0] and p in errors[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta", "--n", "0", "--s", "3"],
+    ["psi", "--n", "0", "--p", "5"],
+    ["watson", "--conductor", "5", "--coeffs", "1,1,3", "--p", "5"],
+    ["localrep", "--coeffs", "1,1,1073741824", "--n", "7", "--p", "2"],
+], ids=["eta-n0", "psi-n0", "watson-p-divides-c", "localrep-deep-coeff"])
+def test_rejected_input_is_one_error_line_under_optimize(argv):
+    # -O strips asserts, so these must fail through raised errors
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mgonal.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_localrep_shifted_mode(capsys):
     code, out, _ = run(capsys, "localrep", "--coeffs", "1,1,1", "--n", "3",
                        "--p", "2", "--conductor", "6")

@@ -103,10 +103,14 @@ def test_eta_table_entries():
 
 
 def test_psi_rejects_bad_primes():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         psi(4, 10)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         psi(3, 10)  # the bound is stated for p >= 5 only
+    for bad in (lambda: psi(5, 0), lambda: psi_prime_power(5, 0),
+                lambda: eta(0, 3), lambda: eta(10, 0)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_exception_count_check_small():

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mgonal.density import exception_count_check
 from mgonal.localrep import (
     DiagonalLattice,
     ModulusTooLarge,
+    _fingerprints,
+    _target_key,
     hensel_exponent,
     hilbert_symbol,
     is_2_stable,
@@ -30,8 +33,10 @@ from mgonal.localrep import (
     shifted_represents_over_zp,
     stable_value_set_check,
 )
-from mgonal.numth import ord_p, prime_divisors, unit_part
+from mgonal.numth import ord_p, prime_divisors
+from mgonal.pipeline import find_nu
 from mgonal.polygonal import MGonalForm, ShiftedForm, form_to_shifted, shifted_target
+from mgonal.watson import lambda_step
 
 # a corpus mixing unit, once-divisible and deeply divisible entries
 CORPUS = {
@@ -402,3 +407,42 @@ def test_shifted_residue_tables_match_enumeration():
                 assert table.dtype == np.bool_ and np.array_equal(table, want), (g, p)
                 checked += 1
     assert checked > 0
+
+
+def test_lattice_and_tuple_inputs_agree():
+    """Every public function that takes a lattice reads a DiagonalLattice
+    and the plain tuple of its entries alike."""
+    branches = set()
+    for t in [(1, 1, 1), (5, 2, 1), (4, 1, 1), (1, 9, 1), (2, 49, 3)]:
+        L = DiagonalLattice(t)
+        for p in (2, 3, 5, 7):
+            for n in range(1, 30):
+                assert represents_over_zp(L, n, p) == represents_over_zp(t, n, p)
+            assert jordan_split(L, p) == jordan_split(t, p)
+            assert is_stable(L, p) == is_stable(t, p)
+            assert is_anisotropic_ternary(L, p) == is_anisotropic_ternary(t, p)
+            if is_stable(t, p):
+                branches.add("stable")
+                for gamma in range(30):
+                    assert (stable_value_set_check(L, p, gamma)
+                            == stable_value_set_check(t, p, gamma))
+                if p > 2:
+                    assert (exception_count_check(p, 1, L, 1, 0)
+                            == exception_count_check(p, 1, t, 1, 0))
+            else:
+                branches.add("unstable")
+                assert lambda_step(L, p) == lambda_step(t, p), (t, p)
+        if is_stable(t, 2):
+            branches.add("nu")
+            assert find_nu(L, 1, 0) == find_nu(t, 1, 0)
+    assert branches == {"stable", "unstable", "nu"}
+
+
+def test_fingerprints_partition_like_target_key():
+    """The array fingerprint and the scalar verdict-cache key group the
+    targets alike, which is what makes represents_over_zp_many exact."""
+    Ns = np.arange(1, 5001, dtype=np.int64)
+    for p in (2, 3, 5, 7):
+        fps = _fingerprints(Ns, p).tolist()
+        keys = [_target_key(int(N), p) for N in Ns]
+        assert len(set(zip(fps, keys))) == len(set(fps)) == len(set(keys)), p

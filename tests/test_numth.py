@@ -1,4 +1,5 @@
-"""numth against sympy oracles and arithmetic identities."""
+"""numth against sympy oracles and arithmetic identities, plus the
+unit-class labels that the local engine builds on them."""
 
 import math
 
@@ -6,19 +7,16 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from mgonal.localrep import _unit_class
 from mgonal.numth import (
     RS,
-    big_product,
-    factorize,
     is_prime,
     legendre,
     multiplicative_order,
-    nth_prime_ge5,
     ord_p,
     prime_divisors,
     primes,
     smallest_nonresidue,
-    unit_class_rep,
     unit_part,
 )
 
@@ -42,7 +40,6 @@ def test_prime_seq_indexing():
     # r_i is the i-th prime >= 5: r_1 = 5, r_2 = 7, ...
     for i in range(1, 60):
         assert RS.r(i) == sympy.prime(i + 2)
-        assert nth_prime_ge5(i) == RS.r(i)
 
 
 @given(st.integers(min_value=1, max_value=10**9),
@@ -80,15 +77,7 @@ def test_smallest_nonresidue():
 
 @given(st.integers(min_value=1, max_value=10**6))
 def test_factorization_matches_sympy(n):
-    assert dict(factorize(n)) == sympy.factorint(n)
     assert prime_divisors(n) == sorted(sympy.factorint(n))
-
-
-def test_big_product():
-    assert big_product([]) == 1
-    assert big_product([3, 5, 7]) == 105
-    xs = list(range(1, 60))
-    assert big_product(xs) == math.prod(xs)
 
 
 @given(st.integers(min_value=1, max_value=300),
@@ -98,16 +87,16 @@ def test_unit_class_rep_squares(u, p):
     if u % p == 0:
         return
     for w in range(1, p):
-        assert unit_class_rep(u, p) == unit_class_rep(u * w * w, p)
+        assert _unit_class(u, p) == _unit_class(u * w * w, p)
 
 
 def test_unit_class_rep_distinguishes():
     # at an odd prime there are exactly two unit square classes
     for p in [3, 5, 7, 11, 13]:
-        reps = {unit_class_rep(u, p) for u in range(1, p)}
+        reps = {_unit_class(u, p) for u in range(1, p)}
         assert len(reps) == 2
     # at 2 the classes are the odd residues mod 8
-    reps2 = {unit_class_rep(u, 2) for u in range(1, 32, 2)}
+    reps2 = {_unit_class(u, 2) for u in range(1, 32, 2)}
     assert len(reps2) == 4
 
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from mgonal.localrep import DiagonalLattice, is_stable
-from mgonal.numth import big_product, multiplicative_order, prime_divisors
+from mgonal.numth import multiplicative_order, prime_divisors
 from mgonal.polygonal import ShiftedForm
 from mgonal.watson import (
     WatsonStep,
@@ -37,10 +37,10 @@ def test_lambda_p_rescales_units():
     # scaling the two unit coordinates by 3 gives <9,9,9>, so the whole
     # 3^2 divides out
     lat, s = lambda_p(DiagonalLattice((1, 1, 9)), 3)
-    assert lat.entries == (1, 1, 1) and s == 2
+    assert lat == DiagonalLattice((1, 1, 1)) and s == 2
     # units 1,2 move to 25,50; the common factor 25 comes back out
     lat, s = lambda_p(DiagonalLattice((1, 2, 25)), 5)
-    assert lat.entries == (1, 2, 1) and s == 2
+    assert lat == DiagonalLattice((1, 2, 1)) and s == 2
 
 
 def test_lambda_p_rejects_stable_input():
@@ -53,9 +53,11 @@ def test_lambda_p_rejects_stable_input():
 
 
 def test_lambda_step_divides_valuation():
-    for entries, p in [((1, 1, 4), 2), ((1, 1, 9), 3), ((1, 2, 25), 5),
-                       ((1, 4, 8), 2), ((9, 9, 2), 3)]:
+    for entries, p, want in [((1, 1, 4), 2, (1, 1, 1)), ((1, 1, 9), 3, (1, 1, 1)),
+                             ((1, 2, 25), 5, (1, 2, 1)), ((1, 4, 8), 2, (1, 1, 2)),
+                             ((9, 9, 2), 3, (1, 1, 2))]:
         lat, s, q = lambda_step(DiagonalLattice(entries), p)
+        assert lat == DiagonalLattice(want), (entries, p)
         assert s in (1, 2)
         assert q in (p, 4) and (q == 4) <= (p == 2)
         before = sum(e for e in _ords(entries, p))
@@ -133,7 +135,7 @@ def test_stabilize_reaches_stability():
         ShiftedForm(conductor=6, coeffs=(1, 25, 35), shifts=(1, 1, 1)),
     ]:
         out = stabilize(g)
-        disc = big_product(out.coeffs)
+        disc = math.prod(out.coeffs)
         for p in prime_divisors(disc):
             if out.conductor % p:
                 assert is_stable(out.coeffs, p), (g, out, p)
@@ -160,7 +162,7 @@ def test_stabilize_keeps_local_solubility_of_targets():
 
 def test_lambda_4_preconditions_and_result():
     lat, s = lambda_4(DiagonalLattice((1, 1, 4)))
-    assert lat.entries == (1, 1, 1) and s == 2
+    assert lat == DiagonalLattice((1, 1, 1)) and s == 2
     with pytest.raises(ValueError):
         lambda_4(DiagonalLattice((1, 3, 4)))  # u1 u2 = 3 (mod 4)
     with pytest.raises(ValueError):
