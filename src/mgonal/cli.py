@@ -31,9 +31,6 @@ from .prodineq import CLAUSES, certify_all_t, verify_induction_step, verify_ineq
 from .regcheck import candidate_note, regularity_scan
 from .watson import coset_watson_step, stabilize
 
-TABLE_FORMATS = {"table1", "psi", "ineq"}
-
-
 class VerificationFailure(Exception):
     """Computed values disagree with a golden file."""
 
@@ -62,10 +59,6 @@ def _emit(args, payload: dict, text_lines: Sequence[str], rows=None, header=None
         sys.stdout.write(_canonical(body))
         return
     if fmt == "csv":
-        if rows is None:
-            raise VerificationFailure(
-                f"--format csv is only available for {sorted(TABLE_FORMATS)}"
-            )
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
@@ -91,8 +84,8 @@ def _prime(text: str) -> int:
     except ValueError:
         p = 0
     # checked before primality: trial division up to sqrt(p) takes minutes for
-    # large p, and every pivot query at such a p needs a p-entry residue array
-    # beyond the engine's limit anyway
+    # large p.  The cap is the local engine's: every pivot query at such a p
+    # needs a p-entry residue array beyond its limit.
     if p > _FFT_LIMIT:
         raise argparse.ArgumentTypeError(
             f"primes above 2^22 = {_FFT_LIMIT} are not supported, got {text!r}")
@@ -110,8 +103,6 @@ def _fraction_str(x: Fraction) -> str:
 
 
 def _cmd_psi(args) -> int:
-    if args.p is None and args.count is None:
-        raise VerificationFailure("psi needs --p (single value) or --count (top list)")
     if args.p is not None:
         value = psi(args.p, args.n)
         payload = {"p": args.p, "n": args.n, "psi": _fraction_str(value)}
@@ -164,8 +155,6 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_ineq(args) -> int:
-    if args.clause is None:
-        raise VerificationFailure("ineq needs --clause")
     spec = CLAUSES[args.clause]
     if args.t_max is not None:
         ts = range(spec.t0, args.t_max + 1)
@@ -398,33 +387,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mgonal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--verify", action="store_true",
-                       help="diff against the in-repo golden values; exit 1 on mismatch")
+    def common(p, tabular=False, verify=False):
+        formats = ("text", "json", "csv") if tabular else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
+        if verify:
+            p.add_argument("--verify", action="store_true",
+                           help="diff against the in-repo golden values; exit 1 on mismatch")
 
     p = sub.add_parser("psi", help="local exception-count bound psi_p(n)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int)
-    p.add_argument("--count", type=int, help="emit the largest `count` psi values")
-    common(p)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--p", type=_prime)
+    which.add_argument("--count", type=int, help="emit the largest `count` psi values")
+    common(p, tabular=True, verify=True)
     p.set_defaults(func=_cmd_psi)
 
     p = sub.add_parser("eta", help="guaranteed represented count eta(n, s)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    common(p)
+    common(p, tabular=True)
     p.set_defaults(func=_cmd_eta)
 
     p = sub.add_parser("table1", help="the full eta table used by the derivation")
-    common(p)
+    common(p, tabular=True, verify=True)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("ineq", help="prime-product inequality clauses")
-    p.add_argument("--clause", type=int, choices=sorted(CLAUSES))
+    p.add_argument("--clause", type=int, choices=sorted(CLAUSES), required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--t-max", type=int, dest="t_max")
-    common(p)
+    common(p, tabular=True, verify=True)
     p.set_defaults(func=_cmd_ineq)
 
     def shifted_args(p, need_p=False):
@@ -432,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coeffs", type=_parse_ints, required=True)
         p.add_argument("--shifts", type=_parse_ints)
         if need_p:
-            p.add_argument("--p", type=int, required=True)
+            p.add_argument("--p", type=_prime, required=True)
 
     p = sub.add_parser("watson", help="one conductor-preserving descent step")
     shifted_args(p, need_p=True)
@@ -464,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem", help="replay the four-case bound derivation")
     p.add_argument("--case", type=int, choices=(1, 2, 3, 4))
-    common(p)
+    common(p, verify=True)
     p.set_defaults(func=_cmd_theorem)
 
     p = sub.add_parser("examples", help="the motivating local/global examples")

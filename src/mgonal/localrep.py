@@ -20,23 +20,24 @@ where the pivot query at i asks for a witness mod p^{M_i},
 M_i = 2 sigma_i + 1, having x_i a unit.  This recursion (`represents_over_zp`)
 terminates because ord_p(n) drops by 2 at each deep step.
 
-Pivot queries are answered by circular convolution of value-set indicator
-arrays mod p^{M_i} (numpy real FFT; the arrays are small because M_i only
-depends on ord_p(2 a_i)).  Verdicts are memoised on a fingerprint that is a
-complete invariant for the question: the multiset {(e_i, unit class of a_i)}
-together with (ord_p(n), unit class of n), where a unit class is a square
-class of Z_p-units (Legendre symbol for odd p, the residue mod 8 for p = 2).
-Scaling a coefficient or the target by the square of a unit gives a
-bijection of solutions, so the fingerprint determines the verdict.
+Pivot queries are answered by residue tables.  The table of pivot i
+records, for every residue r mod p^{M_i}, whether Q(x) = r has a solution
+with x_i a unit; it is built once by circular convolution of value-set
+indicator arrays (numpy real FFT; the arrays are small because M_i only
+depends on ord_p(2 a_i)).  Scaling a coefficient by the square of a unit
+permutes the solutions and keeps the units, so a table depends on the
+lattice only through its key, the sorted multiset {(e_i, unit class of
+a_i)}, where a unit class is a square class of Z_p-units (Legendre symbol
+for odd p, the residue mod 8 for p = 2).  `_pivot_table` builds each table
+from the canonical lattice of its key and caches it, bit-packed, per
+(p, key, pivot).  A verdict is then a few lookups `table[n % p^M]`: the
+distinct pivots shallowest first, then n / p^2 when p^2 | n.
 
-Scans ask the same question for many targets at once, and the array
-primitives answer them without a Python call per target.
-`represents_over_zp_many` computes every target's fingerprint
-(ord_p N, unit class) with numpy, decides each distinct fingerprint once
-and scatters the answers back; since the verdict cache is keyed on exactly
-this fingerprint, the grouping is exact, not a heuristic.  For shifted
-forms at p | c the residues attained mod a Hensel modulus are kept as a
-boolean table, so a verdict is one lookup `table[N % mod]`.
+Scans ask the same question for many targets at once.
+`represents_over_zp_many` runs the same loop with numpy over an array of
+targets, without a Python call per target.  For shifted forms at p | c the
+residues attained mod a Hensel modulus are kept in a table of the same
+format (`_shifted_residues`), so a verdict is one lookup.
 `locally_represented_many` combines the two over the relevant primes, and
 the scalar `locally_represented` is its one-element case.
 
@@ -49,6 +50,7 @@ independent oracles for the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,8 +78,10 @@ class DiagonalLattice:
     entries: Tuple[int, ...]
 
     def __post_init__(self):
-        assert 2 <= len(self.entries) <= 4, "rank 2..4 supported"
-        assert all(a >= 1 for a in self.entries)
+        if not 2 <= len(self.entries) <= 4:
+            raise ValueError(f"rank 2..4 supported, got {self.entries}")
+        if any(a < 1 for a in self.entries):
+            raise ValueError(f"entries must be positive, got {self.entries}")
 
     @property
     def rank(self) -> int:
@@ -131,7 +135,7 @@ def _entries(L) -> Tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# fingerprints and the FFT pivot machinery
+# lattice keys and residue tables
 
 def _unit_class(u: int, p: int) -> int:
     """Canonical label of the square class of the unit u in Z_p."""
@@ -144,22 +148,19 @@ def _lattice_key(coeffs: Sequence[int], p: int) -> Tuple:
     return tuple(sorted((ord_p(a, p), _unit_class(unit_part(a, p), p))
                         for a in coeffs))
 
-def _target_key(n: int, p: int):
-    if n == 0:
-        return None
-    return (ord_p(n, p), _unit_class(unit_part(n, p), p))
 
-
-def _coord_indicator(a: int, p: int, M: int, unit_only: bool) -> np.ndarray:
-    """0/1 array ind[r] = 1 iff r = a x^2 (mod p^M) for some x in Z_p
-    (restricted to unit x when unit_only)."""
+def _coord_indicator(a: int, p: int, M: int, unit_only: bool,
+                     c: int = 1, alpha: int = 0) -> np.ndarray:
+    """0/1 array ind[r] = 1 iff r = a (c x + alpha)^2 (mod p^M) for some x
+    in Z_p (restricted to unit x when unit_only)."""
     mod = p ** M
     if mod > _FFT_LIMIT:
         raise ModulusTooLarge(f"p^M = {p}^{M} exceeds the FFT limit")
     xs = np.arange(mod, dtype=np.int64)
     if unit_only:
         xs = xs[xs % p != 0]
-    vals = (int(a) % mod) * (xs * xs % mod) % mod  # < mod^2 <= 2^44, no overflow
+    t = ((int(c) % mod) * xs + int(alpha) % mod) % mod  # < mod^2 <= 2^44
+    vals = (int(a) % mod) * (t * t % mod) % mod
     ind = np.zeros(mod, dtype=np.float64)
     ind[vals] = 1.0
     return ind
@@ -172,32 +173,54 @@ def _convolve_presence(ind1: np.ndarray, ind2: np.ndarray) -> np.ndarray:
     assert np.max(np.abs(raw - counts)) < 0.25, "FFT roundoff out of tolerance"
     return (counts > 0.5).astype(np.float64)
 
-def _pivot_query(coeffs: Sequence[int], n: int, p: int, pivot: int) -> bool:
-    """Is there x with Q(x) = n (mod p^{M_pivot}) and x_pivot a unit?"""
-    sigma = ord_p(2 * coeffs[pivot], p)
-    M = 2 * sigma + 1
+
+def _pack(present: np.ndarray) -> np.ndarray:
+    """The table format: bit r set iff present[r] > 1/2, read-only since the
+    caches hand the same array to every caller."""
+    table = np.packbits(present > 0.5, bitorder="little")
+    table.flags.writeable = False
+    return table
+
+def _attained(table: np.ndarray, r):
+    """Bit r of a packed table; r is an int or an int64 array of residues."""
+    return (table[r >> 3] >> (r & 7)) & 1 != 0
+
+
+@functools.lru_cache(maxsize=None)
+def _pivot_table(p: int, lattice_key: Tuple, pivot: int) -> Tuple[int, np.ndarray]:
+    """(mod, table) of the pivot query at lattice_key[pivot], M =
+    2 ord_p(2 a_pivot) + 1, built from the canonical lattice of the key
+    (entries p^e times the class representative; see the module docstring).
+    Unbounded: packed tables are small, and a bounded cache kept missing
+    on workloads that return to lattices seen long before."""
+    coeffs = [p ** e * u for e, u in lattice_key]
+    M = 2 * ord_p(2 * coeffs[pivot], p) + 1
     acc = _coord_indicator(coeffs[pivot], p, M, unit_only=True)
     for j, a in enumerate(coeffs):
         if j != pivot:
             acc = _convolve_presence(acc, _coord_indicator(a, p, M, False))
-    return bool(acc[n % (p ** M)] > 0.5)
+    return p ** M, _pack(acc)
 
 
-_verdict_cache: Dict[Tuple, bool] = {}
+def _pivots(lattice_key: Tuple) -> List[int]:
+    """One index per distinct key entry (equal entries have equal tables),
+    shallowest first since the key is sorted: a deep pivot's table is the
+    largest, so it is only built when every shallower pivot misses."""
+    return [i for i, entry in enumerate(lattice_key)
+            if i == 0 or entry != lattice_key[i - 1]]
 
-def _decide(coeffs: Tuple[int, ...], n: int, p: int, lattice_key=None) -> bool:
-    if n == 0:
-        return True
-    if lattice_key is None:
-        lattice_key = _lattice_key(coeffs, p)
-    key = (p, lattice_key, _target_key(n, p))
-    if key in _verdict_cache:
-        return _verdict_cache[key]
-    ans = any(_pivot_query(coeffs, n, p, i) for i in range(len(coeffs)))
-    if not ans and n % (p * p) == 0:
-        ans = _decide(coeffs, n // (p * p), p, lattice_key)
-    _verdict_cache[key] = ans
-    return ans
+
+def _decide(lattice_key: Tuple, n: int, p: int) -> bool:
+    pivots = _pivots(lattice_key)
+    while n != 0:
+        for i in pivots:
+            mod, table = _pivot_table(p, lattice_key, i)
+            if _attained(table, n % mod):
+                return True
+        if n % (p * p):
+            return False
+        n //= p * p
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +250,7 @@ def represents_over_zp(L, n: int, p: int, want_witness: bool = False) -> LocalVe
     """
     coeffs = _entries(L)
     assert coeffs and all(a != 0 for a in coeffs)
-    rep = _decide(coeffs, n, p)
+    rep = _decide(_lattice_key(coeffs, p), n, p)
     witness = None
     K = conservative_exponent(coeffs, n, p)
     if rep and want_witness:
@@ -477,25 +500,11 @@ def progression_exponent(c: int, p: int) -> int:
     return w + 2 if w == 1 else w + 1
 
 
-def _shift_indicator(a: int, c: int, alpha: int, p: int, M: int) -> np.ndarray:
-    """Indicator of { a (c x + alpha)^2 mod p^M : x in Z_p }."""
-    mod = p ** M
-    if mod > _FFT_LIMIT:
-        raise ModulusTooLarge(f"p^M = {p}^{M} exceeds the FFT limit")
-    xs = np.arange(mod, dtype=np.int64)
-    t = (int(c) % mod) * xs % mod
-    t = (t + alpha) % mod
-    vals = (int(a) % mod) * (t * t % mod) % mod
-    ind = np.zeros(mod, dtype=np.float64)
-    ind[vals] = 1.0
-    return ind
-
-
-_shifted_cache: Dict[Tuple, Tuple[int, np.ndarray]] = {}
-
+@functools.lru_cache(maxsize=None)
 def _shifted_residues(g, p: int) -> Tuple[int, np.ndarray]:
-    """(modulus, table) for the shifted form g over Z_p, p | c: table[r] is
-    True iff the residue r mod the modulus is attained.
+    """(modulus, table) for the shifted form g over Z_p, p | c: bit r of the
+    table (see `_attained`) is set iff the residue r mod the modulus is
+    attained.
 
     The modulus p^{2 ord_p(2c) + 1} is a Hensel exponent for every point:
     each coordinate map x -> a_i (c x + alpha_i)^2 has derivative of constant
@@ -504,16 +513,14 @@ def _shifted_residues(g, p: int) -> Tuple[int, np.ndarray]:
     sum a_i alpha_i^2 + p^{progression_exponent} Z_p is a union of classes
     at this modulus, so the residue test is complete as well.
     """
-    key = (p, g.conductor, g.coeffs, g.shifts)
-    if key in _shifted_cache:
-        return _shifted_cache[key]
-    assert math.gcd(*g.coeffs) % p != 0, "shifted form must be primitive at p"
+    if math.gcd(*g.coeffs) % p == 0:
+        raise ValueError(f"shifted form must be primitive at {p}")
     K = 2 * ord_p(2 * g.conductor, p) + 1
-    acc = _shift_indicator(g.coeffs[0], g.conductor, g.shifts[0], p, K)
+    acc = _coord_indicator(g.coeffs[0], p, K, False, g.conductor, g.shifts[0])
     for a, al in zip(g.coeffs[1:], g.shifts[1:]):
-        acc = _convolve_presence(acc, _shift_indicator(a, g.conductor, al, p, K))
-    _shifted_cache[key] = (p ** K, acc > 0.5)
-    return _shifted_cache[key]
+        acc = _convolve_presence(
+            acc, _coord_indicator(a, p, K, False, g.conductor, al))
+    return p ** K, _pack(acc)
 
 
 def shifted_represents_over_zp(g, N: int, p: int) -> bool:
@@ -526,49 +533,37 @@ def shifted_represents_over_zp(g, N: int, p: int) -> bool:
     if g.conductor % p != 0:
         return represents_over_zp(g.coeffs, N, p).represented
     mod, table = _shifted_residues(g, p)
-    return bool(table[N % mod])
+    return bool(_attained(table, N % mod))
 
 
 # --------------------------------------------------------------------------
 # array verdicts
 
-def _fingerprints(Ns: np.ndarray, p: int) -> np.ndarray:
-    """One integer per nonzero N encoding _target_key(N, p): 8 ord_p(N) plus
-    the unit class of the unit part (its residue mod 8 at p = 2, whether it
-    is a square mod p at odd p)."""
-    units = Ns.copy()
-    ords = np.zeros(len(Ns), dtype=np.int64)
-    deep = units % p == 0
-    while deep.any():
-        units[deep] //= p
-        ords[deep] += 1
-        deep = units % p == 0
-    if p == 2:
-        return 8 * ords + units % 8
-    squares = np.zeros(p, dtype=np.int64)
-    squares[np.arange(p) ** 2 % p] = 1
-    return 8 * ords + squares[units % p]
-
-
 def represents_over_zp_many(coeffs: Sequence[int], Ns, p: int) -> np.ndarray:
     """Boolean array: does <a_1,...,a_k> represent N over Z_p, per N in Ns?
 
-    The verdict depends on N only through its fingerprint (see the module
-    docstring), so each distinct fingerprint is decided once, by `_decide`
-    on a representative, and the answer is scattered back; the verdicts are
-    those of `represents_over_zp` by construction.
+    The loop of `_decide` over all targets at once: each pivot table is read
+    at every undecided N, then the undecided N divisible by p^2 go round
+    again as N / p^2.  A table is built only while some N is undecided, so
+    the verdicts, and the `ModulusTooLarge` refusals, are those of
+    `represents_over_zp`.
     """
-    coeffs = tuple(coeffs)
+    key = _lattice_key(coeffs, p)
+    pivots = _pivots(key)
     Ns = np.asarray(Ns, dtype=np.int64)
     out = Ns == 0
-    nonzero = np.flatnonzero(~out)
-    if nonzero.size:
-        _, first, back = np.unique(_fingerprints(Ns[nonzero], p),
-                                   return_index=True, return_inverse=True)
-        lattice_key = _lattice_key(coeffs, p)
-        answers = np.array([_decide(coeffs, int(N), p, lattice_key)
-                            for N in Ns[nonzero[first]]], dtype=bool)
-        out[nonzero] = answers[back]
+    todo = np.flatnonzero(~out)
+    N = Ns[todo]
+    while todo.size:
+        for i in pivots:
+            if not todo.size:
+                break
+            mod, table = _pivot_table(p, key, i)
+            hit = _attained(table, N % mod)
+            out[todo[hit]] = True
+            todo, N = todo[~hit], N[~hit]
+        deep = N % (p * p) == 0
+        todo, N = todo[deep], N[deep] // (p * p)
     return out
 
 
@@ -601,7 +596,7 @@ def locally_represented_many(f, ns) -> np.ndarray:
         live = np.flatnonzero(ok)
         if g.conductor % p == 0:
             mod, table = _shifted_residues(g, p)
-            ok[live] = table[Ns[live] % mod]
+            ok[live] = _attained(table, Ns[live] % mod)
         else:
             ok[live] = represents_over_zp_many(g.coeffs, Ns[live], p)
     return ok

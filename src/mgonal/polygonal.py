@@ -75,12 +75,12 @@ class MGonalForm:
     coeffs: Tuple[int, ...]
 
     def __post_init__(self):
-        assert self.m >= 3, "polygonal index must be >= 3"
-        assert len(self.coeffs) >= 1
-        assert all(a >= 1 for a in self.coeffs), "coefficients must be positive"
-        assert tuple(sorted(self.coeffs)) == tuple(self.coeffs), (
-            "coefficients must be ascending"
-        )
+        if self.m < 3:
+            raise ValueError(f"polygonal index must be >= 3, got {self.m}")
+        if not self.coeffs or any(a < 1 for a in self.coeffs):
+            raise ValueError(f"coefficients must be positive, got {self.coeffs}")
+        if tuple(sorted(self.coeffs)) != tuple(self.coeffs):
+            raise ValueError(f"coefficients must be ascending, got {self.coeffs}")
 
     @property
     def rank(self) -> int:
@@ -110,12 +110,16 @@ class ShiftedForm:
     shifts: Tuple[int, ...]
 
     def __post_init__(self):
-        assert self.conductor >= 1
-        assert len(self.coeffs) == len(self.shifts) >= 1
-        assert all(a >= 1 for a in self.coeffs)
-        if self.conductor > 1:
-            assert all(math.gcd(al % self.conductor, self.conductor) == 1
-                       for al in self.shifts), "shifts must be coprime to the conductor"
+        if self.conductor < 1:
+            raise ValueError(f"conductor must be >= 1, got {self.conductor}")
+        if not self.coeffs or any(a < 1 for a in self.coeffs):
+            raise ValueError(f"coefficients must be positive, got {self.coeffs}")
+        if len(self.shifts) != len(self.coeffs):
+            raise ValueError(f"need one shift per coefficient, got {self.shifts}")
+        if self.conductor > 1 and any(math.gcd(al, self.conductor) != 1
+                                      for al in self.shifts):
+            raise ValueError(f"shifts {self.shifts} must be coprime to the "
+                             f"conductor {self.conductor}")
 
     @property
     def rank(self) -> int:

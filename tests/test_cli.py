@@ -56,9 +56,25 @@ def test_table1_csv(capsys):
 
 
 def test_csv_rejected_for_non_tabular(capsys):
-    code, _, err = run(capsys, "theorem", "--case", "1", "--format", "csv")
-    assert code == 1
-    assert "csv" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["theorem", "--case", "1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta", "--n", "48", "--s", "8", "--verify"],
+    ["stabilize", "--conductor", "5", "--coeffs", "1,9,27", "--format", "csv"],
+    ["ineq", "--verify"],
+    ["psi", "--n", "48"],
+    ["psi", "--n", "48", "--p", "5", "--count", "8"],
+], ids=["eta-verify", "stabilize-csv", "ineq-no-clause", "psi-neither",
+        "psi-both"])
+def test_options_only_where_they_act(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_ineq_verify(capsys):
@@ -183,7 +199,9 @@ def test_localrep_rejects_primes_above_the_array_limit(p):
     ["psi", "--n", "0", "--p", "5"],
     ["watson", "--conductor", "5", "--coeffs", "1,1,3", "--p", "5"],
     ["localrep", "--coeffs", "1,1,1073741824", "--n", "7", "--p", "2"],
-], ids=["eta-n0", "psi-n0", "watson-p-divides-c", "localrep-deep-coeff"])
+    ["regcheck", "scan", "--m", "3", "--coeffs", "0,1,1", "--bound", "10"],
+], ids=["eta-n0", "psi-n0", "watson-p-divides-c", "localrep-deep-coeff",
+        "regcheck-zero-coeff"])
 def test_rejected_input_is_one_error_line_under_optimize(argv):
     # -O strips asserts, so these must fail through raised errors
     proc = subprocess.run(
@@ -194,6 +212,23 @@ def test_rejected_input_is_one_error_line_under_optimize(argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("p", ["4", "1000000000000000003"])
+@pytest.mark.parametrize("argv", [
+    ["psi", "--n", "48"],
+    ["watson", "--conductor", "5", "--coeffs", "1,1,3"],
+], ids=["psi", "watson"])
+def test_every_p_option_takes_a_prime(argv, p):
+    # the large prime took trial division up to 10^9; under -O, --p 4 made
+    # watson report <1,1,3> as "already 4-stable"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mgonal.cli", *argv, "--p", p],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "argument --p: " in proc.stderr.strip().splitlines()[-1]
 
 
 def test_localrep_shifted_mode(capsys):

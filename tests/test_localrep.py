@@ -4,6 +4,7 @@ symbols) against classical identities."""
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from mgonal.density import exception_count_check
 from mgonal.localrep import (
     DiagonalLattice,
     ModulusTooLarge,
-    _fingerprints,
-    _target_key,
+    _convolve_presence,
+    _coord_indicator,
+    _lattice_key,
+    _pivot_table,
     hensel_exponent,
     hilbert_symbol,
     is_2_stable,
@@ -326,6 +329,43 @@ def test_form_to_shifted_roundtrip_values():
         assert targets <= vals_g
 
 
+def test_pivot_tables_match_real_entries():
+    """A pivot table built from the real entries equals the cached one built
+    from the canonical lattice of their key: unit-square scaling, negative
+    entries and all four odd classes mod 8 at p = 2 included."""
+    rng = random.Random(4)
+    checked, classes_at_2 = 0, set()
+    for p in (2, 3, 5, 7):
+        units = [u for u in range(1, 8 * p) if u % p]
+        top = 4 if p < 7 else 3  # 7^7-entry tables would take most of the time
+        for _ in range(10):
+            coeffs = [rng.choice((1, -1)) * p ** depth * rng.choice(units)
+                      for depth in (0, rng.randrange(top), rng.randrange(top))]
+            if p == 2:
+                classes_at_2 |= {a // 2 ** ord_p(a, 2) % 8 for a in coeffs}
+            key = _lattice_key(coeffs, p)
+            real = sorted(coeffs, key=lambda a: _lattice_key([a], p))
+            for i, a in enumerate(real):
+                M = 2 * ord_p(2 * a, p) + 1
+                acc = _coord_indicator(a, p, M, unit_only=True)
+                for j, b in enumerate(real):
+                    if j != i:
+                        acc = _convolve_presence(acc, _coord_indicator(b, p, M, False))
+                mod, table = _pivot_table(p, key, i)
+                assert mod == p ** M
+                got = np.unpackbits(table, count=mod, bitorder="little")
+                assert np.array_equal(got, acc > 0.5), (coeffs, p, i)
+            checked += 1
+    assert checked == 40 and classes_at_2 == {1, 3, 5, 7}
+
+
+def test_verdict_does_not_depend_on_coefficient_order():
+    # the deep coefficient's pivot table is past the array limit, but a
+    # unit pivot already decides the target
+    assert represents_over_zp((5**10, 1, 1), 1, 5).represented
+    assert represents_over_zp((1, 1, 5**10), 1, 5).represented
+
+
 def test_modulus_too_large_paths():
     with pytest.raises(ModulusTooLarge):
         represents_mod_search((1, 1, 1), 5, 2, K=10)  # grid 2^30 cells
@@ -402,9 +442,10 @@ def test_shifted_residue_tables_match_enumeration():
                 for a, al in zip(g.coeffs, g.shifts):
                     vals = np.unique(a * (g.conductor * xs + al) ** 2 % mod)
                     reach = np.unique(np.add.outer(reach, vals) % mod)
-                want = np.zeros(mod, dtype=bool)
-                want[reach] = True
-                assert table.dtype == np.bool_ and np.array_equal(table, want), (g, p)
+                want = np.zeros(mod, dtype=np.uint8)
+                want[reach] = 1
+                got = np.unpackbits(table, count=mod, bitorder="little")
+                assert np.array_equal(got, want), (g, p)
                 checked += 1
     assert checked > 0
 
@@ -436,13 +477,3 @@ def test_lattice_and_tuple_inputs_agree():
             branches.add("nu")
             assert find_nu(L, 1, 0) == find_nu(t, 1, 0)
     assert branches == {"stable", "unstable", "nu"}
-
-
-def test_fingerprints_partition_like_target_key():
-    """The array fingerprint and the scalar verdict-cache key group the
-    targets alike, which is what makes represents_over_zp_many exact."""
-    Ns = np.arange(1, 5001, dtype=np.int64)
-    for p in (2, 3, 5, 7):
-        fps = _fingerprints(Ns, p).tolist()
-        keys = [_target_key(int(N), p) for N in Ns]
-        assert len(set(zip(fps, keys))) == len(set(fps)) == len(set(keys)), p

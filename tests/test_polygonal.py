@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from mgonal.localrep import DiagonalLattice
 from mgonal.polygonal import (
     MGonalForm,
     ShiftedForm,
@@ -92,12 +93,24 @@ def test_form_to_shifted_shapes():
 
 
 def test_mgonal_form_validation():
-    with pytest.raises(AssertionError):
-        MGonalForm(3, (2, 1, 1))  # not ascending
-    with pytest.raises(AssertionError):
-        MGonalForm(2, (1, 1, 1))  # degenerate m
-    with pytest.raises(AssertionError):
-        ShiftedForm(conductor=6, coeffs=(1, 2), shifts=(2, 1))  # gcd(2,6)>1
+    # ValueError, not assert: under python -O a zero coefficient made a
+    # regularity scan loop forever
+    bad = [
+        lambda: MGonalForm(3, (2, 1, 1)),  # not ascending
+        lambda: MGonalForm(2, (1, 1, 1)),  # degenerate m
+        lambda: MGonalForm(3, (0, 1, 1)),  # sign
+        lambda: MGonalForm(3, ()),  # rank
+        lambda: ShiftedForm(conductor=6, coeffs=(1, 2), shifts=(2, 1)),  # gcd(2,6)>1
+        lambda: ShiftedForm(conductor=0, coeffs=(1, 2), shifts=(1, 1)),
+        lambda: ShiftedForm(conductor=6, coeffs=(1, -2), shifts=(1, 1)),
+        lambda: ShiftedForm(conductor=6, coeffs=(1, 2), shifts=(1,)),
+        lambda: DiagonalLattice((1,)),
+        lambda: DiagonalLattice((1, 1, 1, 1, 1)),
+        lambda: DiagonalLattice((1, 0, 1)),
+    ]
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_values_upto_brute_force():
