@@ -103,9 +103,12 @@ def exception_count_check(p: int, s: int, L, u: int, v: int
     compares with the parity-dependent bound.  L must be p-stable (the
     bound says nothing about unstable lattices) and u coprime to p.
     """
-    assert p >= 3 and p % 2 == 1 and is_prime(p)
-    assert s >= 1
-    assert math.gcd(u, p) == 1
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"need an odd prime, got {p}")
+    if s < 1:
+        raise ValueError(f"need s >= 1, got {s}")
+    if math.gcd(u, p) != 1:
+        raise ValueError(f"u = {u} must be coprime to p = {p}")
     entries = _entries(L)
     if not is_stable(entries, p):
         raise ValueError(f"<{','.join(map(str, entries))}> is not {p}-stable")

@@ -35,11 +35,18 @@ distinct pivots shallowest first, then n / p^2 when p^2 | n.
 
 Scans ask the same question for many targets at once.
 `represents_over_zp_many` runs the same loop with numpy over an array of
-targets, without a Python call per target.  For shifted forms at p | c the
-residues attained mod a Hensel modulus are kept in a table of the same
-format (`_shifted_residues`), so a verdict is one lookup.
-`locally_represented_many` combines the two over the relevant primes, and
-the scalar `locally_represented` is its one-element case.
+targets, without a Python call per target.
+
+A shifted form sum a_i (c x_i + alpha_i)^2 needs no table at a prime
+p | c: each alpha_i is a p-unit (the shifts are coprime to c), so
+(c x + alpha_i)^2 sweeps alpha_i^2 + p^e Z_p, e = `progression_exponent`,
+and the sum of the coordinates' balls gives the exact congruence
+
+    N is represented  <=>  N = sum a_i alpha_i^2 (mod p^(e + min ord_p a_i))
+
+(`_shifted_congruence`).  `locally_represented_many` combines the two over
+the relevant primes, and the scalar `locally_represented` is its
+one-element case.
 
 A literal reference procedure (`represents_mod_search`: grid search mod p^K
 plus the lifting criterion (*), following the count of the search space) and
@@ -57,7 +64,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numth import legendre, ord_p, prime_divisors, smallest_nonresidue, unit_part
+from .numth import (is_prime, legendre, ord_p, prime_divisors,
+                    smallest_nonresidue, unit_part)
 
 # Largest indicator array we are willing to build for a single FFT; all the
 # workloads in this project stay far below (p^{2 ord_p(2 a_i) + 1}).
@@ -138,29 +146,38 @@ def _entries(L) -> Tuple[int, ...]:
 # lattice keys and residue tables
 
 def _unit_class(u: int, p: int) -> int:
-    """Canonical label of the square class of the unit u in Z_p."""
+    """Canonical label of the square class of the unit u in Z_p: u mod 8
+    at p = 2; at an odd prime p, 1 for a square and the least nonresidue
+    otherwise, read by Euler's criterion (the public entry points check
+    once that p is prime)."""
     assert u % p != 0
     if p == 2:
         return u % 8
-    return 1 if legendre(u, p) == 1 else smallest_nonresidue(p)
+    return 1 if pow(u, (p - 1) // 2, p) == 1 else smallest_nonresidue(p)
 
 def _lattice_key(coeffs: Sequence[int], p: int) -> Tuple:
-    return tuple(sorted((ord_p(a, p), _unit_class(unit_part(a, p), p))
-                        for a in coeffs))
+    key = []
+    for a in coeffs:
+        e = ord_p(a, p)
+        key.append((e, _unit_class(a // p ** e, p)))
+    return tuple(sorted(key))
 
 
-def _coord_indicator(a: int, p: int, M: int, unit_only: bool,
-                     c: int = 1, alpha: int = 0) -> np.ndarray:
-    """0/1 array ind[r] = 1 iff r = a (c x + alpha)^2 (mod p^M) for some x
-    in Z_p (restricted to unit x when unit_only)."""
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+
+
+def _coord_indicator(a: int, p: int, M: int, unit_only: bool) -> np.ndarray:
+    """0/1 array ind[r] = 1 iff r = a x^2 (mod p^M) for some x in Z_p
+    (restricted to unit x when unit_only)."""
     mod = p ** M
     if mod > _FFT_LIMIT:
         raise ModulusTooLarge(f"p^M = {p}^{M} exceeds the FFT limit")
     xs = np.arange(mod, dtype=np.int64)
     if unit_only:
         xs = xs[xs % p != 0]
-    t = ((int(c) % mod) * xs + int(alpha) % mod) % mod  # < mod^2 <= 2^44
-    vals = (int(a) % mod) * (t * t % mod) % mod
+    vals = (int(a) % mod) * (xs * xs % mod) % mod  # < mod^2 <= 2^44
     ind = np.zeros(mod, dtype=np.float64)
     ind[vals] = 1.0
     return ind
@@ -248,6 +265,7 @@ def represents_over_zp(L, n: int, p: int, want_witness: bool = False) -> LocalVe
     The witness, when requested and the search box is feasible, is a vector
     mod p^conservative_exponent passing the lifting criterion.
     """
+    _check_prime(p)
     coeffs = _entries(L)
     assert coeffs and all(a != 0 for a in coeffs)
     rep = _decide(_lattice_key(coeffs, p), n, p)
@@ -500,27 +518,20 @@ def progression_exponent(c: int, p: int) -> int:
     return w + 2 if w == 1 else w + 1
 
 
-@functools.lru_cache(maxsize=None)
-def _shifted_residues(g, p: int) -> Tuple[int, np.ndarray]:
-    """(modulus, table) for the shifted form g over Z_p, p | c: bit r of the
-    table (see `_attained`) is set iff the residue r mod the modulus is
-    attained.
+def _shifted_congruence(g, p: int) -> Tuple[int, int]:
+    """(mod, base) with: sum a_i (c x_i + alpha_i)^2 = N is solvable over
+    Z_p iff N = base (mod mod), for a prime p | c.
 
-    The modulus p^{2 ord_p(2c) + 1} is a Hensel exponent for every point:
-    each coordinate map x -> a_i (c x + alpha_i)^2 has derivative of constant
-    order ord_p(2 c a_i), and some a_i is a unit at p by primitivity, so a
-    witness at this modulus always lifts; and the exact value set
-    sum a_i alpha_i^2 + p^{progression_exponent} Z_p is a union of classes
-    at this modulus, so the residue test is complete as well.
+    Each alpha_i is a p-unit (`ShiftedForm` requires gcd(alpha_i, c) = 1),
+    so {(c x + alpha_i)^2 : x in Z_p} = alpha_i^2 + p^e Z_p with
+    e = `progression_exponent(c, p)`, and coordinate i sweeps
+    a_i alpha_i^2 + p^(e + ord_p a_i) Z_p.  The sum of these balls is
+    base + p^(e + min ord_p a_i) Z_p with base = sum a_i alpha_i^2.
     """
-    if math.gcd(*g.coeffs) % p == 0:
-        raise ValueError(f"shifted form must be primitive at {p}")
-    K = 2 * ord_p(2 * g.conductor, p) + 1
-    acc = _coord_indicator(g.coeffs[0], p, K, False, g.conductor, g.shifts[0])
-    for a, al in zip(g.coeffs[1:], g.shifts[1:]):
-        acc = _convolve_presence(
-            acc, _coord_indicator(a, p, K, False, g.conductor, al))
-    return p ** K, _pack(acc)
+    mod = p ** (progression_exponent(g.conductor, p)
+                + min(ord_p(a, p) for a in g.coeffs))
+    base = sum(a * al * al for a, al in zip(g.coeffs, g.shifts)) % mod
+    return mod, base
 
 
 def shifted_represents_over_zp(g, N: int, p: int) -> bool:
@@ -528,12 +539,13 @@ def shifted_represents_over_zp(g, N: int, p: int) -> bool:
 
     For p not dividing c the substitution z = c x + alpha is a bijection of
     Z_p, so this delegates to the plain lattice engine; for p | c the
-    congruence constraint is kept and decided by the residue table above.
+    congruence constraint is kept and decided by `_shifted_congruence`.
     """
     if g.conductor % p != 0:
         return represents_over_zp(g.coeffs, N, p).represented
-    mod, table = _shifted_residues(g, p)
-    return bool(_attained(table, N % mod))
+    _check_prime(p)
+    mod, base = _shifted_congruence(g, p)
+    return (N - base) % mod == 0
 
 
 # --------------------------------------------------------------------------
@@ -548,6 +560,7 @@ def represents_over_zp_many(coeffs: Sequence[int], Ns, p: int) -> np.ndarray:
     the verdicts, and the `ModulusTooLarge` refusals, are those of
     `represents_over_zp`.
     """
+    _check_prime(p)
     key = _lattice_key(coeffs, p)
     pivots = _pivots(key)
     Ns = np.asarray(Ns, dtype=np.int64)
@@ -575,9 +588,9 @@ def locally_represented_many(f, ns) -> np.ndarray:
     exactly representability over R) and N is represented by the shifted
     form at every prime p | 2*3*c*prod(a_i) (at all other primes the lattice
     has unimodular rank >= 3, hence is universal over Z_p).  Primes p | c
-    read the residue table of `_shifted_residues` at N; the others go
-    through `represents_over_zp_many`.  Raises ValueError when some N does
-    not fit in int64.
+    test the congruence of `_shifted_congruence`; the others go through
+    `represents_over_zp_many`.  Raises ValueError when some N does not fit
+    in int64.
     """
     from .polygonal import constants, form_to_shifted
 
@@ -595,8 +608,9 @@ def locally_represented_many(f, ns) -> np.ndarray:
     for p in prime_divisors(2 * 3 * g.conductor * math.prod(f.coeffs)):
         live = np.flatnonzero(ok)
         if g.conductor % p == 0:
-            mod, table = _shifted_residues(g, p)
-            ok[live] = _attained(table, Ns[live] % mod)
+            mod, base = _shifted_congruence(g, p)
+            # 0 <= N < 2^63 <= mod leaves N = base as the only solution
+            ok[live] = (Ns[live] % mod == base) if mod < 2 ** 63 else Ns[live] == base
         else:
             ok[live] = represents_over_zp_many(g.coeffs, Ns[live], p)
     return ok

@@ -110,11 +110,12 @@ def legendre(a: int, p: int) -> int:
 
 
 def smallest_nonresidue(p: int) -> int:
-    """Least positive quadratic nonresidue mod an odd prime."""
-    a = 2
-    while legendre(a, p) != -1:
-        a += 1
-    return a
+    """Least positive quadratic nonresidue mod an odd prime (Euler's
+    criterion after one primality check)."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"smallest_nonresidue needs an odd prime, got {p}")
+    half = (p - 1) // 2
+    return next(a for a in range(2, p) if pow(a, half, p) != 1)
 
 
 def prime_divisors(n: int) -> List[int]:

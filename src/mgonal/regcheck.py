@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .localrep import locally_represented, locally_represented_many
-from .numth import ord_p, prime_divisors
-from .polygonal import MGonalForm, constants, polygonal_number, shifted_target
+from .numth import prime_divisors
+from .polygonal import MGonalForm, polygonal_number, shifted_target
 
 
 @dataclass(frozen=True)
@@ -240,26 +240,3 @@ def candidate_note(m: int) -> Optional[str]:
         )
     return None
 
-
-def local_period_modulus(f: MGonalForm, bound: int) -> int:
-    """Modulus M with: for 0 <= n, n' <= bound and n = n' (mod M), the
-    local verdicts at n and n' agree.
-
-    The verdict inspects N = mu n + d^2 sum a_i only through, per relevant
-    prime p, the pair (ord_p N, unit class) at precision bounded by
-    2 ord_p(2 c prod a) + 3 beyond ord_p N, and ord_p N never exceeds
-    log_p(N_max) on the scanned range.  Taking p^{E_p} with E_p summing
-    those caps makes n mod M determine every inspected quantity.  (m = 4
-    is excluded: there N = n can vanish, making ord_p unbounded.)
-    """
-    k = constants(f.m)
-    assert k.d != 0, "period statement needs m != 4 (so that N > 0)"
-    n_max = shifted_target(f, bound)
-    M = 1
-    for p in prime_divisors(2 * 3 * k.c * prod(f.coeffs)):
-        cap = 0
-        while p**cap <= n_max:
-            cap += 1
-        E = cap + 2 * ord_p(2 * k.c * prod(f.coeffs), p) + 3
-        M *= p**E
-    return M

@@ -237,6 +237,14 @@ def test_localrep_shifted_mode(capsys):
     assert code == 0
 
 
+def test_regcheck_scan_beyond_the_fft_limit(capsys):
+    # the local test at 709 | c is a congruence, not a 709^3-entry table
+    code, out, _ = run(capsys, "regcheck", "scan", "--m", "711",
+                       "--coeffs", "1,2,3", "--bound", "300")
+    assert code == 0
+    assert out.splitlines()[0].endswith(": not-regular(witness n=7)")
+
+
 def test_stabilize_logs_steps(capsys):
     code, out, _ = run(capsys, "stabilize", "--conductor", "5",
                        "--coeffs", "1,9,27", "--shifts", "1,1,1",

@@ -3,6 +3,8 @@ window count eta -- checked against brute-force counting and literal subset
 enumeration."""
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -124,3 +126,19 @@ def test_exception_count_check_small():
         exception_count_check(5, 1, (1, 2, 25), 1, 0)  # unstable lattice
     with pytest.raises(ValueError):
         exception_count_check(5, 1, (1, 2, 5), 2**62, 0)  # targets overflow int64
+
+
+def test_exception_count_check_rejects_bad_input_under_optimize():
+    # -O strips asserts: p, s and u must be checked by raised errors
+    calls = ["(9, 1, (1, 2, 5), 1, 0)", "(2, 1, (1, 1, 1), 1, 0)",
+             "(5, 0, (1, 2, 5), 1, 0)", "(5, 1, (1, 2, 5), 10, 0)"]
+    script = ("from mgonal.density import exception_count_check as f\n"
+              f"for args in [{', '.join(calls)}]:\n"
+              "    try:\n"
+              "        f(*args)\n"
+              "    except ValueError:\n"
+              "        print('ValueError')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 4

@@ -1,5 +1,6 @@
 """Static checks over the package's modules: every name a module imports
-is used in it, and no module keeps a hand-rolled cache."""
+is used in it, no module keeps a hand-rolled cache, and the package keeps
+exactly one lru_cache."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,35 @@ def test_dict_cache_is_reported():
     source = ("_verdict_cache: Dict[Tuple, bool] = {}\n"
               "_shifted_cache = dict()\n_primes = {2, 3}\n")
     assert _dict_caches(source) == ["_verdict_cache", "_shifted_cache"]
+
+
+def _lru_cached(source: str, module: str):
+    """`module.name` of every function decorated with functools.lru_cache
+    or functools.cache, called or bare, however the decorator is imported."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = (target.attr if isinstance(target, ast.Attribute)
+                    else getattr(target, "id", None))
+            if name in ("lru_cache", "cache"):
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_one_cache_in_the_package():
+    found = [name for path in MODULES
+             for name in _lru_cached(path.read_text(), path.stem)]
+    assert found == ["localrep._pivot_table"]
+
+
+def test_second_lru_cache_is_reported():
+    source = ("import functools\nfrom functools import lru_cache, cache\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef _pivot_table(p): pass\n\n"
+              "@lru_cache\ndef _shifted_residues(g, p): pass\n\n"
+              "class A:\n    @cache\n    def method(self): pass\n\n"
+              "@staticmethod\ndef plain(): pass\n")
+    assert _lru_cached(source, "localrep") == [
+        "localrep._pivot_table", "localrep._shifted_residues", "localrep.method"]

@@ -24,7 +24,6 @@ from mgonal.localrep import (
     is_anisotropic_ternary,
     is_p_stable,
     is_stable,
-    _shifted_residues,
     jordan_split,
     locally_represented,
     locally_represented_many,
@@ -366,6 +365,19 @@ def test_verdict_does_not_depend_on_coefficient_order():
     assert represents_over_zp((1, 1, 5**10), 1, 5).represented
 
 
+def test_composite_p_is_rejected_by_name():
+    # the square-class arithmetic is only meaningful at a prime, and a
+    # raised error (not an assert) survives python -O
+    g = ShiftedForm(conductor=6, coeffs=(1, 1, 1), shifts=(1, 1, 1))
+    for call in (lambda: represents_over_zp((1, 1, 1), 3, 9),
+                 lambda: represents_over_zp_many((1, 1, 1), [3], 9),
+                 lambda: shifted_represents_over_zp(g, 3, 6),
+                 lambda: shifted_represents_over_zp(g, 3, 1),
+                 lambda: represents_over_zp((1, 1, 1), 3, 1)):
+        with pytest.raises(ValueError, match="must be a prime"):
+            call()
+
+
 def test_modulus_too_large_paths():
     with pytest.raises(ModulusTooLarge):
         represents_mod_search((1, 1, 1), 5, 2, K=10)  # grid 2^30 cells
@@ -413,6 +425,10 @@ def test_locally_represented_many_edges():
     for ns in ([2**62], [-2**62], [2**70]):
         with pytest.raises(ValueError):
             locally_represented_many(f, ns)
+    # at p = 2 the congruence modulus 2^(3 + 61) is past int64: only
+    # N = base = 3 * 2^61 (n = 0) solves it among int64 targets
+    deep = MGonalForm(3, (2**61,) * 3)
+    assert locally_represented_many(deep, [0, 1, 2**40]).tolist() == [True, False, False]
 
 
 def test_represents_over_zp_many_matches_scalar():
@@ -426,28 +442,62 @@ def test_represents_over_zp_many_matches_scalar():
                                     for N in Ns], (coeffs, p)
 
 
+def _enumerated_residues(g, mod):
+    """Residues mod `mod` of sum a_i (c x_i + alpha_i)^2, by enumerating
+    every x_i mod `mod` (a value mod `mod` depends only on x mod `mod`)."""
+    xs = np.arange(mod, dtype=np.int64)
+    reach = np.zeros(1, dtype=np.int64)
+    for a, al in zip(g.coeffs, g.shifts):
+        vals = np.unique(a * ((g.conductor * xs + al) % mod) ** 2 % mod)
+        reach = np.unique(np.add.outer(reach, vals) % mod)
+    want = np.zeros(mod, dtype=bool)
+    want[reach] = True
+    return want
+
+
 def test_shifted_residue_tables_match_enumeration():
-    """Each residue table at p | c (up to 10^4 entries) is the set of values
-    of sum a_i (c x_i + alpha_i)^2 mod p^K, enumerated directly."""
-    checked = 0
-    for m in (3, 5, 8, 13, 29):
+    """At p | c the verdict at every residue mod the Hensel modulus
+    p^(2 ord_p(2c) + 1) (up to 10^4 entries) equals the set of values of
+    sum a_i (c x_i + alpha_i)^2 mod that modulus, enumerated directly.
+    With w = ord_p(c), {c x + alpha : x mod p^K} = alpha + p^w Z mod p^K,
+    so both sides see the form only through p, w, the coefficients and the
+    shifts mod p^w; each distinct such case is checked once.
+    """
+    seen, primes = set(), set()
+    for m in range(3, 47):
         for coeffs in CENSUS_TRIPLES:
             g = form_to_shifted(MGonalForm(m, coeffs))
             for p in prime_divisors(g.conductor):
-                mod, table = _shifted_residues(g, p)
-                if mod > 10**4:
+                w = ord_p(g.conductor, p)
+                mod = p ** (2 * ord_p(2 * g.conductor, p) + 1)
+                case = (p, w, coeffs, tuple(al % p ** w for al in g.shifts))
+                if mod > 10**4 or case in seen:
                     continue
-                xs = np.arange(mod, dtype=np.int64)
-                reach = np.zeros(1, dtype=np.int64)
-                for a, al in zip(g.coeffs, g.shifts):
-                    vals = np.unique(a * (g.conductor * xs + al) ** 2 % mod)
-                    reach = np.unique(np.add.outer(reach, vals) % mod)
-                want = np.zeros(mod, dtype=np.uint8)
-                want[reach] = 1
-                got = np.unpackbits(table, count=mod, bitorder="little")
-                assert np.array_equal(got, want), (g, p)
-                checked += 1
-    assert checked > 0
+                seen.add(case)
+                got = [shifted_represents_over_zp(g, N, p) for N in range(mod)]
+                assert got == _enumerated_residues(g, mod).tolist(), (g, p)
+                primes.add(p)
+    assert primes == {2, 3, 5, 7, 11, 13, 17, 19} and len(seen) > 300
+
+
+def test_shifted_rep_of_non_primitive_forms():
+    """A form whose coefficients all share the prime p | c gets an exact
+    verdict: at targets of either sign it matches the values mod
+    p^(e + min ord_p a_i + 1), enumerated directly."""
+    cases = [
+        (ShiftedForm(conductor=6, coeffs=(3, 6, 9), shifts=(1, 1, 5)), 3),
+        (ShiftedForm(conductor=2, coeffs=(2, 4, 6), shifts=(1, 1, 1)), 2),
+        (ShiftedForm(conductor=4, coeffs=(4, 8, 12), shifts=(1, 3, 1)), 2),
+        (ShiftedForm(conductor=10, coeffs=(25, 50, 125), shifts=(1, 3, 3)), 5),
+    ]
+    for g, p in cases:
+        depth = min(ord_p(a, p) for a in g.coeffs)
+        assert depth >= 1
+        mod = p ** (progression_exponent(g.conductor, p) + depth + 1)
+        want = _enumerated_residues(g, mod)
+        assert 0 < want.sum() < mod
+        for N in range(-mod, 2 * mod):
+            assert shifted_represents_over_zp(g, N, p) == want[N % mod], (g, p, N)
 
 
 def test_lattice_and_tuple_inputs_agree():
