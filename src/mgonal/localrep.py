@@ -33,6 +33,21 @@ from the canonical lattice of its key and caches it, bit-packed, per
 (p, key, pivot).  A verdict is then a few lookups `table[n % p^M]`: the
 distinct pivots shallowest first, then n / p^2 when p^2 | n.
 
+Pivots deeper than the target are never read.  Write t = 2 ord_p(2) and
+call entry i deep at n when e_i > ord_p(n) + t.  If Q(x) = n, the deep
+terms sum to some s with ord_p(s / n) >= t + 1, so n - s = n (1 - s/n)
+and 1 - s/n = u^2 is a unit square (1 mod p at odd p, 1 mod 8 at p = 2).
+Dividing the shallow coordinates by u and zeroing the deep ones solves
+Q = n with the shallow entries alone.  So if Q represents n, the recursion
+above succeeds at a shallow pivot (its table, built with every entry,
+holds this solution) or at n / p^2.  A pivot is therefore read at n only
+when p^(e_i - t) | n; keys are sorted, so the first pivot that fails this
+test ends the pivot loop, and deep tables, the largest ones, are never
+built for shallow targets.  A table past `_FFT_LIMIT` that a target does
+need raises `ModulusTooLarge`, but only after n / p^2 has been tried: the
+two branches are disjoint ways to find a solution (a unit coordinate, or
+every coordinate divisible by p), so trying one first changes no verdict.
+
 Scans ask the same question for many targets at once.
 `represents_over_zp_many` runs the same loop with numpy over an array of
 targets, without a Python call per target.
@@ -67,8 +82,10 @@ import numpy as np
 from .numth import (is_prime, legendre, ord_p, prime_divisors,
                     smallest_nonresidue, unit_part)
 
-# Largest indicator array we are willing to build for a single FFT; all the
-# workloads in this project stay far below (p^{2 ord_p(2 a_i) + 1}).
+# Largest indicator array we are willing to build for a single FFT
+# (p^{2 ord_p(2 a_i) + 1} for a pivot table).  A pivot is read only at
+# targets at least as deep as it, so this limit refuses only deep targets
+# that truly need a deep pivot.
 _FFT_LIMIT = 2 ** 22
 
 
@@ -156,6 +173,9 @@ def _unit_class(u: int, p: int) -> int:
     return 1 if pow(u, (p - 1) // 2, p) == 1 else smallest_nonresidue(p)
 
 def _lattice_key(coeffs: Sequence[int], p: int) -> Tuple:
+    if not coeffs or 0 in coeffs:
+        raise ValueError(f"coefficients must be a nonempty list of nonzero "
+                         f"integers, got {tuple(coeffs)}")
     key = []
     for a in coeffs:
         e = ord_p(a, p)
@@ -219,25 +239,39 @@ def _pivot_table(p: int, lattice_key: Tuple, pivot: int) -> Tuple[int, np.ndarra
     return p ** M, _pack(acc)
 
 
-def _pivots(lattice_key: Tuple) -> List[int]:
-    """One index per distinct key entry (equal entries have equal tables),
-    shallowest first since the key is sorted: a deep pivot's table is the
-    largest, so it is only built when every shallower pivot misses."""
-    return [i for i, entry in enumerate(lattice_key)
+def _pivots(lattice_key: Tuple, p: int) -> List[Tuple[int, int]]:
+    """(index, p^(e - 2 ord_p 2)) per distinct key entry (equal entries
+    have equal tables), shallowest first since the key is sorted; the
+    pivot is read at n only when the second number divides n (see the
+    module docstring)."""
+    t = 2 if p == 2 else 0
+    return [(i, p ** max(entry[0] - t, 0))
+            for i, entry in enumerate(lattice_key)
             if i == 0 or entry != lattice_key[i - 1]]
 
 
 def _decide(lattice_key: Tuple, n: int, p: int) -> bool:
-    pivots = _pivots(lattice_key)
-    while n != 0:
-        for i in pivots:
-            mod, table = _pivot_table(p, lattice_key, i)
+    if n == 0:
+        return True
+    pivots = _pivots(lattice_key, p)
+    refusal = None
+    while True:
+        for i, depth in pivots:
+            if n % depth:
+                break
+            try:
+                mod, table = _pivot_table(p, lattice_key, i)
+            except ModulusTooLarge as exc:
+                refusal = refusal or exc  # later pivots are no smaller
+                break
             if _attained(table, n % mod):
                 return True
         if n % (p * p):
-            return False
+            break
         n //= p * p
-    return True
+    if refusal is not None:
+        raise refusal
+    return False
 
 
 # --------------------------------------------------------------------------
@@ -267,7 +301,6 @@ def represents_over_zp(L, n: int, p: int, want_witness: bool = False) -> LocalVe
     """
     _check_prime(p)
     coeffs = _entries(L)
-    assert coeffs and all(a != 0 for a in coeffs)
     rep = _decide(_lattice_key(coeffs, p), n, p)
     witness = None
     K = conservative_exponent(coeffs, n, p)
@@ -555,28 +588,46 @@ def represents_over_zp_many(coeffs: Sequence[int], Ns, p: int) -> np.ndarray:
     """Boolean array: does <a_1,...,a_k> represent N over Z_p, per N in Ns?
 
     The loop of `_decide` over all targets at once: each pivot table is read
-    at every undecided N, then the undecided N divisible by p^2 go round
-    again as N / p^2.  A table is built only while some N is undecided, so
-    the verdicts, and the `ModulusTooLarge` refusals, are those of
+    at every undecided N deep enough for it, then the undecided N divisible
+    by p^2 go round again as N / p^2.  A table is built only while some
+    undecided N is deep enough for its pivot, and an N that needs a table
+    past `_FFT_LIMIT` raises only once its N / p^2 rounds have missed too,
+    so the verdicts, and the `ModulusTooLarge` refusals, are those of
     `represents_over_zp`.
     """
     _check_prime(p)
     key = _lattice_key(coeffs, p)
-    pivots = _pivots(key)
+    pivots = _pivots(key, p)
     Ns = np.asarray(Ns, dtype=np.int64)
     out = Ns == 0
+    refused, refusal = [], None
     todo = np.flatnonzero(~out)
     N = Ns[todo]
     while todo.size:
-        for i in pivots:
-            if not todo.size:
+        for i, depth in pivots:
+            # no nonzero int64 is divisible by 2^63 or more
+            if not todo.size or depth >= 2 ** 63:
                 break
-            mod, table = _pivot_table(p, key, i)
+            read = slice(None)  # every N reads a pivot of depth 1
+            if depth > 1:
+                read = N % depth == 0
+                if not read.any():
+                    break  # the later pivots are no shallower
+            try:
+                mod, table = _pivot_table(p, key, i)
+            except ModulusTooLarge as exc:
+                refused.append(todo[read])
+                refusal = refusal or exc
+                break
             hit = _attained(table, N % mod)
+            if depth > 1:
+                hit &= read
             out[todo[hit]] = True
             todo, N = todo[~hit], N[~hit]
         deep = N % (p * p) == 0
         todo, N = todo[deep], N[deep] // (p * p)
+    if refusal is not None and not out[np.concatenate(refused)].all():
+        raise refusal
     return out
 
 

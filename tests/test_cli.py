@@ -198,9 +198,9 @@ def test_localrep_rejects_primes_above_the_array_limit(p):
     ["eta", "--n", "0", "--s", "3"],
     ["psi", "--n", "0", "--p", "5"],
     ["watson", "--conductor", "5", "--coeffs", "1,1,3", "--p", "5"],
-    ["localrep", "--coeffs", "1,1,1073741824", "--n", "7", "--p", "2"],
+    ["localrep", "--coeffs", "1,0,1", "--n", "7", "--p", "2"],
     ["regcheck", "scan", "--m", "3", "--coeffs", "0,1,1", "--bound", "10"],
-], ids=["eta-n0", "psi-n0", "watson-p-divides-c", "localrep-deep-coeff",
+], ids=["eta-n0", "psi-n0", "watson-p-divides-c", "localrep-zero-coeff",
         "regcheck-zero-coeff"])
 def test_rejected_input_is_one_error_line_under_optimize(argv):
     # -O strips asserts, so these must fail through raised errors
@@ -212,6 +212,18 @@ def test_rejected_input_is_one_error_line_under_optimize(argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_localrep_deep_coefficient_is_answered_under_optimize():
+    # the 2^30 entry is too deep to matter at n = 7 (x^2 + y^2 misses 7
+    # mod 8), so no 2^63-entry table is needed and no refusal is made
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mgonal.cli", "localrep", "--coeffs",
+         "1,1,1073741824", "--n", "7", "--p", "2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "7 over Z_2: False"
 
 
 @pytest.mark.parametrize("p", ["4", "1000000000000000003"])

@@ -5,6 +5,8 @@ symbols) against classical identities."""
 import itertools
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -383,6 +385,134 @@ def test_modulus_too_large_paths():
         represents_mod_search((1, 1, 1), 5, 2, K=10)  # grid 2^30 cells
     with pytest.raises(ModulusTooLarge):
         represents_reference_fft((2**10, 2**10, 2**11), 7, 2)  # K past 2^22
+
+
+def test_pivots_deeper_than_the_target_build_no_table():
+    """A pivot is read at n only when p^(e - 2 ord_p 2) | n, so the 3^5
+    pivot of <1,1,3^5> (a 3^11-entry table) is never built at targets of
+    3-order below 5, and a 2^30 entry needs no table past the limit."""
+    _pivot_table.cache_clear()
+    assert represents_over_zp((1, 1, 3**5), 2, 3).represented
+    # <1,1> is anisotropic at 3: the unit pivot misses at 3, and n / 9 is
+    # not integral, so only the unit pivot's table was built
+    assert not represents_over_zp((1, 1, 3**5), 3, 3).represented
+    assert _pivot_table.cache_info().misses == 1
+    assert not represents_over_zp((1, 1, 2**30), 7, 2).represented
+    assert represents_over_zp_many((1, 1, 2**30), [7, 5, 2**40], 2).tolist() == [
+        False, True, True]
+
+
+# the first p-depth of an entry whose pivot table, p^(2 ord_p(2a) + 1)
+# entries, is past the 2^22 array limit
+PAST_LIMIT = {2: 10, 3: 7, 5: 5, 7: 4}
+
+
+def _deep_lattices(count, seed):
+    """Random (p, coeffs, draw) with two entries at most 2 deep and one
+    entry whose pivot table is past the array limit (2^30 deep at the
+    most); draw() gives a target up to 3 deeper than that entry, and
+    within int64."""
+    rng = random.Random(seed)
+
+    def signed(p, depth, units):
+        return rng.choice((1, -1)) * p ** depth * rng.choice(units)
+
+    def drawer(p, deep, units):
+        return lambda: signed(p, rng.randrange(min(deep + 4, 18)), units)
+
+    out = []
+    for _ in range(count):
+        p = rng.choice((2, 3, 5, 7))
+        units = [u for u in range(1, 4 * p) if u % p]
+        deep = rng.choice((PAST_LIMIT[p], PAST_LIMIT[p] + 1, 30))
+        coeffs = [signed(p, e, units)
+                  for e in (rng.randrange(3), rng.randrange(3), deep)]
+        rng.shuffle(coeffs)
+        out.append((p, tuple(coeffs), drawer(p, deep, units)))
+    return out
+
+
+def test_deep_verdicts_match_fft_reference():
+    """On lattices with a pivot past the array limit (targets the engine
+    refused before the depth rule unless a shallow pivot hit at once) the
+    verdicts equal plain witness existence mod p^K at the Hensel exponent
+    wherever p^K <= 2^18, which keeps each reference FFT quick; refusals
+    are left only where the deep pivot is read."""
+    checked = refused = 0
+    for p, coeffs, target in _deep_lattices(1000, 17):
+        n = target()
+        try:
+            got = represents_over_zp(coeffs, n, p).represented
+        except ModulusTooLarge:
+            refused += 1
+            depth = max(ord_p(a, p) for a in coeffs)
+            assert depth - 2 * ord_p(2, p) <= ord_p(n, p), (p, coeffs, n)
+            continue
+        K = hensel_exponent(coeffs, n, p)
+        if p**K <= 2**18:
+            assert got == represents_reference_fft(coeffs, n, p, K), (p, coeffs, n)
+            checked += 1
+    assert checked > 150 and 0 < refused < 200
+
+
+def test_array_and_scalar_paths_agree_on_refusals():
+    """`represents_over_zp_many` gives the scalar verdicts, and raises
+    exactly when some scalar query raises, n / p^2 tried first on both."""
+    # <1,1> is anisotropic at 7, so at n = 7^4 the unit pivot misses, the
+    # 7^4 pivot (a 7^9-entry table) is read, and n / 49^2 = 1 answers;
+    # at 7^5 the deep pivot is truly needed
+    assert represents_over_zp((1, 1, 7**4), 7**4, 7).represented
+    with pytest.raises(ModulusTooLarge):
+        represents_over_zp((1, 1, 7**4), 7**5, 7)
+    assert represents_over_zp_many((1, 1, 7**4), [7**4, 1, 7], 7).tolist() == [
+        True, True, False]
+    with pytest.raises(ModulusTooLarge):
+        represents_over_zp_many((1, 1, 7**4), [7**4, 7**5], 7)
+    batches = {"raised": 0, "answered": 0}
+    for p, coeffs, target in _deep_lattices(60, 18):
+        ns = [target() for _ in range(20)]
+        scalar = []
+        for n in ns:
+            try:
+                scalar.append(represents_over_zp(coeffs, n, p).represented)
+            except ModulusTooLarge:
+                scalar.append(None)
+            try:
+                alone = represents_over_zp_many(coeffs, [n], p).tolist()[0]
+            except ModulusTooLarge:
+                alone = None
+            assert alone == scalar[-1], (p, coeffs, n)
+        if None in scalar:
+            batches["raised"] += 1
+            with pytest.raises(ModulusTooLarge):
+                represents_over_zp_many(coeffs, ns, p)
+        else:
+            batches["answered"] += 1
+            assert represents_over_zp_many(coeffs, ns, p).tolist() == scalar
+    assert min(batches.values()) > 10
+
+
+def test_coefficients_are_rejected_by_name_under_optimize():
+    """Empty and zero coefficients raise ValueError naming them, on both
+    paths, also when asserts are stripped."""
+    script = (
+        "from mgonal.localrep import represents_over_zp, represents_over_zp_many\n"
+        "for call in (lambda: represents_over_zp((), 5, 2),\n"
+        "             lambda: represents_over_zp((1, 0, 3), 5, 2),\n"
+        "             lambda: represents_over_zp_many((), [5], 2),\n"
+        "             lambda: represents_over_zp_many((1, 0, 3), [5], 2)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    assert lines[0].endswith("got ()") and lines[2].endswith("got ()")
+    assert lines[1].endswith("got (1, 0, 3)") and lines[3].endswith("got (1, 0, 3)")
 
 
 # primitive ascending triples with a_3 <= 5, as in a census
