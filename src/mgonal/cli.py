@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 from typing import List, Optional, Sequence
 
@@ -94,26 +93,22 @@ def _prime(text: str) -> int:
     return p
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_psi(args) -> int:
     if args.p is not None:
-        value = psi(args.p, args.n)
-        payload = {"p": args.p, "n": args.n, "psi": _fraction_str(value)}
-        _emit(args, payload, [_fraction_str(value)],
-              rows=[[args.p, args.n, _fraction_str(value)]], header=["p", "n", "psi"])
+        value = str(psi(args.p, args.n))
+        payload = {"p": args.p, "n": args.n, "psi": value}
+        _emit(args, payload, [value],
+              rows=[[args.p, args.n, value]], header=["p", "n", "psi"])
         return 0
     values = psi_values_desc(args.n, args.count)
-    strs = [_fraction_str(v) for v in values]
+    strs = [str(v) for v in values]
     if args.verify:
         golden = _golden("psi48.json")
-        got = [_fraction_str(v) for v in psi_values_desc(golden["n"], golden["count"])]
+        got = [str(v) for v in psi_values_desc(golden["n"], golden["count"])]
         want = [str(x) for x in golden["values"]]
         if got != want:
             raise VerificationFailure(
@@ -157,6 +152,9 @@ def _cmd_table1(args) -> int:
 def _cmd_ineq(args) -> int:
     spec = CLAUSES[args.clause]
     if args.t_max is not None:
+        if args.t_max < spec.t0:
+            raise ValueError(f"clause {args.clause}: --t-max {args.t_max} is below "
+                             f"the threshold t0 = {spec.t0}")
         ts = range(spec.t0, args.t_max + 1)
     else:
         ts = [args.t if args.t is not None else spec.t0]
@@ -468,8 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (VerificationFailure, ReplayMismatch) as exc:

@@ -14,13 +14,17 @@ base-p digits, and eta(n, s) aggregates the worst s primes >= 5:
 
 i.e. a guaranteed count of represented values in any window of length n of
 an arithmetic progression, no matter which s primes act as obstructions.
-Everything is computed in exact rational arithmetic; the encountered
-values all happen to be integers, but integrality is asserted rather than
-assumed.
+
+Both bounds are integers, so everything here is computed in exact integer
+arithmetic.  Proof: p is odd, so p - 1 is even and p^2 - 1 = (p - 1)(p + 1)
+is a multiple of 2(p + 1) = 2p + 2, i.e. p^2 = 1 (mod 2p + 2).  Hence
+p^s = p for odd s and p^s = 1 for even s (mod 2p + 2), so the numerators
+p^s + p + 2 (s odd) and p^s + 2p + 1 (s even) are both = 2p + 2 = 0
+(mod 2p + 2).  psi and eta are sums and differences of these quotients
+and integers.
 """
 
 import math
-from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
@@ -34,17 +38,21 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"need a prime >= 5, got {p}")
 
 
-def psi_prime_power(p: int, s: int) -> Fraction:
+def _prime_power_bound(p: int, s: int) -> int:
+    """psi_p(p^s) for an odd prime p and s >= 1, unchecked; exact by the
+    integrality proof in the module docstring."""
+    return (p ** s + (p + 2 if s % 2 else 2 * p + 1)) // (2 * p + 2)
+
+
+def psi_prime_power(p: int, s: int) -> int:
     """The exception-count bound for the window [1, p^s]."""
     _check_prime(p)
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    if s % 2 == 1:
-        return Fraction(p ** s + p + 2, 2 * p + 2)
-    return Fraction(p ** s + 2 * p + 1, 2 * p + 2)
+    return _prime_power_bound(p, s)
 
 
-def psi(p: int, n: int) -> Fraction:
+def psi(p: int, n: int) -> int:
     """Exception-count bound for the window [1, n], via base-p digits.
 
     With n = b_e ... b_1 b_0 in base p:  sum_s b_s psi_p(p^s), plus 1 when
@@ -53,30 +61,32 @@ def psi(p: int, n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_prime(p)
-    digits = []
-    t = n
-    while t:
-        digits.append(t % p)
-        t //= p
-    total = Fraction(1 if digits[0] else 0)
-    for s in range(1, len(digits)):
-        if digits[s]:
-            total += digits[s] * psi_prime_power(p, s)
+    q, b = divmod(n, p)
+    total, s = (1 if b else 0), 1
+    while q:
+        q, b = divmod(q, p)
+        if b:
+            total += b * _prime_power_bound(p, s)
+        s += 1
     return total
 
 
-def psi_values_desc(n: int, count: int) -> List[Fraction]:
+def _psi_desc(n: int) -> List[int]:
+    """psi_p(n) for every prime 5 <= p <= n, largest first."""
+    return sorted((psi(p, n) for p in RS.upto(n)), reverse=True)
+
+
+def psi_values_desc(n: int, count: int) -> List[int]:
     """The `count` largest values of psi_p(n) over primes p >= 5.
 
     Primes p > n all give psi_p(n) = 1 (single base-p digit), so the
     enumeration stops at n and pads with 1s — the result is independent of
     any larger cutoff.
     """
-    vals = [psi(p, n) for p in RS.upto(n)]
-    vals.sort(reverse=True)
-    if len(vals) < count:
-        vals += [Fraction(1)] * (count - len(vals))
-    return vals[:count]
+    if n < 1 or count < 1:
+        raise ValueError(f"need n >= 1 and count >= 1, got n = {n}, count = {count}")
+    vals = _psi_desc(n)[:count]
+    return vals + [1] * (count - len(vals))
 
 
 def eta(n: int, s: int) -> int:
@@ -85,18 +95,17 @@ def eta(n: int, s: int) -> int:
     Minimizing n - sum_{p in P'} psi_p(n) over all s-element prime sets P'
     is the same as picking the s largest psi values (the sum is separable);
     the tests re-check this against literal subset enumeration on small
-    inputs.  The result is integral on every input we touch; asserted.
+    inputs.  Each of the s - #{5 <= p <= n} primes beyond n contributes
+    psi = 1, so the cost does not grow with s.
     """
     if n < 1 or s < 1:
         raise ValueError(f"need n >= 1 and s >= 1, got n = {n}, s = {s}")
-    total = sum(psi_values_desc(n, s), Fraction(0))
-    out = n - total
-    assert out.denominator == 1, f"eta({n},{s}) = {out} is not integral"
-    return int(out)
+    vals = _psi_desc(n)
+    return n - sum(vals[:s]) - max(0, s - len(vals))
 
 
 def exception_count_check(p: int, s: int, L, u: int, v: int
-                          ) -> Tuple[int, Fraction, bool]:
+                          ) -> Tuple[int, int, bool]:
     """Brute-force the exception count against its psi bound.
 
     Counts n in [1, p^s] with u n + v not represented by L over Z_p and
@@ -116,8 +125,5 @@ def exception_count_check(p: int, s: int, L, u: int, v: int
         raise ValueError("targets u n + v overflow int64")
     targets = u * np.arange(1, p ** s + 1, dtype=np.int64) + v
     count = int(np.count_nonzero(~represents_over_zp_many(entries, targets, p)))
-    if s % 2 == 1:
-        bound = Fraction(p ** s + p + 2, 2 * p + 2)
-    else:
-        bound = Fraction(p ** s + 2 * p + 1, 2 * p + 2)
+    bound = _prime_power_bound(p, s)
     return count, bound, count <= bound

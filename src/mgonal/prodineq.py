@@ -65,7 +65,8 @@ IMPLICATIONS: List[Tuple[int, int]] = [(7, 2), (7, 11), (10, 6), (9, 5), (8, 4)]
 
 def w_factor(t: int) -> int:
     """W(t) = (t+3) 2^(t-3)."""
-    assert t >= 3
+    if t < 3:
+        raise ValueError(f"W(t) needs t >= 3, got t = {t}")
     return (t + 3) << (t - 3)
 
 
@@ -78,7 +79,9 @@ def rhs(index: int, t: int) -> int:
 
 def lhs(index: int, t: int) -> int:
     spec = CLAUSES[index]
-    assert t >= spec.lower, "empty prime product"
+    if t < spec.lower:
+        raise ValueError(f"clause {index}: t = {t} is below the product's "
+                         f"lower index {spec.lower} (empty prime product)")
     out = 1
     for i in range(spec.lower, t + 1):
         out *= RS.r(i)
@@ -96,11 +99,20 @@ def verify_inequality(index: int, t: int) -> Tuple[int, int, bool]:
 
 
 def verify_induction_step(index: int, t_max: int) -> bool:
-    """RHS(u+1)/RHS(u) < r_{u+1} for every u in [t0, t_max], exactly."""
+    """RHS(u+1)/RHS(u) < r_{u+1} for every u in [t0, t_max], exactly.
+
+    RHS > 0, so each ratio check is the integer comparison
+    RHS(u+1) < r_{u+1} RHS(u).
+    """
     spec = CLAUSES[index]
     assert t_max >= spec.t0
-    return all(Fraction(rhs(index, u + 1), rhs(index, u)) < RS.r(u + 1)
-               for u in range(spec.t0, t_max))
+    prev = rhs(index, spec.t0)
+    for u in range(spec.t0, t_max):
+        nxt = rhs(index, u + 1)
+        if nxt >= RS.r(u + 1) * prev:
+            return False
+        prev = nxt
+    return True
 
 
 def certify_all_t(index: int) -> Tuple[Fraction, int, bool]:

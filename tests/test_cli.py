@@ -143,6 +143,30 @@ def test_replay_mismatch_exits_one(capsys, monkeypatch):
     assert "divergence" in err
 
 
+def test_main_reuses_the_parser_built_at_import(capsys, monkeypatch):
+    def boom():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", boom)
+    code, out, _ = run(capsys, "eta", "--n", "48", "--s", "8")
+    assert code == 0 and out.splitlines()[0] == "13"
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    argvs = (
+        [["theorem", "--verify"], ["table1", "--verify"],
+         ["psi", "--n", "48", "--count", "8", "--verify"]]
+        + [["ineq", "--clause", str(k), "--verify"] for k in range(1, 14)]
+        + [["stabilize", "--conductor", "5", "--coeffs", "1,9,25",
+            "--format", "json"],
+           ["psi", "--n", "48", "--p", "7"],
+           ["eta", "--n", "60", "--s", "9", "--format", "csv"]]
+    )
+    passes = [[run(capsys, *argv) for argv in argvs] for _ in range(2)]
+    assert passes[0] == passes[1]
+    assert all(code == 0 for code, _, _ in passes[0])
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -200,8 +224,14 @@ def test_localrep_rejects_primes_above_the_array_limit(p):
     ["watson", "--conductor", "5", "--coeffs", "1,1,3", "--p", "5"],
     ["localrep", "--coeffs", "1,0,1", "--n", "7", "--p", "2"],
     ["regcheck", "scan", "--m", "3", "--coeffs", "0,1,1", "--bound", "10"],
+    ["ineq", "--clause", "1", "--t", "3"],
+    ["ineq", "--clause", "2", "--t", "1"],
+    ["ineq", "--clause", "1", "--t-max", "3"],
+    ["psi", "--n", "48", "--count", "-2"],
+    ["psi", "--n", "48", "--count", "0"],
 ], ids=["eta-n0", "psi-n0", "watson-p-divides-c", "localrep-zero-coeff",
-        "regcheck-zero-coeff"])
+        "regcheck-zero-coeff", "ineq-t-below-lower", "ineq-t-below-three",
+        "ineq-t-max-below-t0", "psi-count-negative", "psi-count-zero"])
 def test_rejected_input_is_one_error_line_under_optimize(argv):
     # -O strips asserts, so these must fail through raised errors
     proc = subprocess.run(

@@ -29,19 +29,19 @@ def test_psi_prime_power_formulas():
     assert psi_prime_power(5, 3) == Fraction(132, 12) == 11
 
 
-@given(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29]),
-       st.integers(min_value=1, max_value=3000))
-def test_psi_digit_recomposition(p, n):
-    """psi(p, n) re-derived from the base-p digits of n, independently."""
-    digits = []
-    t = n
-    while t:
-        digits.append(t % p)
-        t //= p
-    want = Fraction(1 if digits[0] else 0)
-    for s, b in enumerate(digits[1:], start=1):
-        want += b * psi_prime_power(p, s)
-    assert psi(p, n) == want
+def test_psi_digit_recomposition():
+    """Integer psi against the rational digit formula, written out here
+    (not through psi_prime_power) so no integrality is assumed: with
+    n = b_e ... b_1 b_0 in base p, psi = [b_0 != 0] + sum_s b_s N_s / (2p + 2)
+    with N_s = p^s + p + 2 (s odd), p^s + 2p + 1 (s even)."""
+    for p in sympy.primerange(5, 98):
+        for n in range(1, 10**4 + 1):
+            num, t, s = 0, n // p, 1
+            while t:
+                num += (t % p) * (p ** s + (p + 2 if s % 2 else 2 * p + 1))
+                t //= p
+                s += 1
+            assert psi(p, n) == Fraction(num, 2 * p + 2) + (1 if n % p else 0)
 
 
 @given(st.sampled_from([5, 7, 11, 13]), st.integers(min_value=1, max_value=2000))
@@ -85,6 +85,12 @@ def test_eta_matches_subset_enumeration(n, s):
     assert got == n - best
 
 
+def test_eta_pads_primes_beyond_n_without_listing_them():
+    # psi = 1 for each of the s - 1 primes past the single prime 5 <= 5;
+    # a padding list of 10^12 entries would not fit in memory
+    assert eta(5, 10**12) == 5 - 10**12
+
+
 @given(st.integers(min_value=20, max_value=200),
        st.integers(min_value=1, max_value=8))
 @settings(max_examples=60)
@@ -110,7 +116,9 @@ def test_psi_rejects_bad_primes():
     with pytest.raises(ValueError):
         psi(3, 10)  # the bound is stated for p >= 5 only
     for bad in (lambda: psi(5, 0), lambda: psi_prime_power(5, 0),
-                lambda: eta(0, 3), lambda: eta(10, 0)):
+                lambda: eta(0, 3), lambda: eta(10, 0),
+                lambda: psi_values_desc(48, 0), lambda: psi_values_desc(48, -2),
+                lambda: psi_values_desc(0, 3)):
         with pytest.raises(ValueError):
             bad()
 

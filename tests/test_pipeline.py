@@ -183,12 +183,15 @@ def test_t_bound_step_rejects_shape_mismatch():
 
 
 def test_case4_conductor_ray():
-    assert not case4_step3_check(355)
-    assert case4_step3_check(356)
-    assert case4_step3_check(10**6)
-    first = next(c for c in range(1, 400) if case4_step3_check(c))
+    e = eta(60, 9)
+    assert not case4_step3_check(355, e)
+    assert case4_step3_check(356, e)
+    assert case4_step3_check(10**6, e)
+    first = next(c for c in range(1, 400) if case4_step3_check(c, e))
     assert first == 356
-    assert all(case4_step3_check(c) for c in range(356, 500))
+    assert all(case4_step3_check(c, e) for c in range(356, 500))
+    # 18 represented values fit the 3*3*2 slots: no contradiction at any c
+    assert not case4_step3_check(10**6, 2 * 3 * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +230,23 @@ def test_replay_matches_recorded_logs():
     for state in states.values():
         merged.update(state.m_bounds)
     assert merged == BOUNDS == golden["bounds"]
+
+
+def test_replay_evaluates_each_scheduled_eta_once(monkeypatch):
+    # case 4's conductor search reuses the eta(60, 9) of its schedule step
+    # instead of recomputing it for each of the ~320 candidate c
+    import mgonal.pipeline as pipeline
+
+    calls = []
+
+    def counted(n, s):
+        calls.append((n, s))
+        return eta(n, s)
+
+    monkeypatch.setattr(pipeline, "eta", counted)
+    replay_all(expected=_golden()["cases"])
+    assert len(calls) == 34
+    assert calls.count((60, 9)) == 1
 
 
 def test_theorem_bounds():

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from importlib import resources
 
+import pytest
 import sympy
 from hypothesis import given, strategies as st
 
@@ -69,6 +70,15 @@ def test_induction_steps():
         assert verify_induction_step(index, CLAUSES[index].t0 + 30)
 
 
+def test_integer_induction_step_matches_rational_ratio():
+    # RHS(u+1) < r_{u+1} RHS(u) in integers against the ratio as a Fraction
+    for index, spec in CLAUSES.items():
+        for u in range(spec.t0, spec.t0 + 41):
+            want = all(Fraction(rhs(index, v + 1), rhs(index, v)) < RS.r(v + 1)
+                       for v in range(spec.t0, u + 1))
+            assert verify_induction_step(index, u + 1) == want, (index, u)
+
+
 def test_single_certificate_covers_all_t():
     for index in CLAUSES:
         bound, r_next, ok = certify_all_t(index)
@@ -99,11 +109,10 @@ def test_implications_dominate_and_propagate():
 
 
 def test_rejects_empty_product():
-    try:
+    with pytest.raises(ValueError, match=r"clause 1: t = 5 .* lower index 7"):
         lhs(1, 5)  # clause 1 starts at r_7
-    except AssertionError:
-        return
-    raise AssertionError("expected an empty-product rejection")
+    with pytest.raises(ValueError, match=r"t = 2"):
+        w_factor(2)
 
 
 def test_prime_table_agrees_with_sympy():
