@@ -412,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ineq", help="prime-product inequality clauses")
     p.add_argument("--clause", type=int, choices=sorted(CLAUSES), required=True)
-    p.add_argument("--t", type=int)
-    p.add_argument("--t-max", type=int, dest="t_max")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--t", type=int)
+    which.add_argument("--t-max", type=int, dest="t_max")
     common(p, tabular=True, verify=True)
     p.set_defaults(func=_cmd_ineq)
 

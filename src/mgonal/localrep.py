@@ -59,9 +59,20 @@ and the sum of the coordinates' balls gives the exact congruence
 
     N is represented  <=>  N = sum a_i alpha_i^2 (mod p^(e + min ord_p a_i))
 
-(`_shifted_congruence`).  `locally_represented_many` combines the two over
-the relevant primes, and the scalar `locally_represented` is its
-one-element case.
+(`_shifted_congruence`).
+
+`locally_represented_rows` combines the two for a batch of m-gonal forms
+of one m (a census decides all its coefficient triples at once), over the
+primes p | 2 c prod(a_i).  No other prime needs a test when the rank is at
+least 3: at an odd p not dividing c prod(a_i), z = c x + alpha is a
+bijection of Z_p, every entry is a p-unit, and a unimodular lattice of
+rank >= 3 at odd p is isotropic (Chevalley-Warning), hence splits a
+hyperbolic plane and represents all of Z_p.  Below rank 3 this fails
+(<1,1> misses 77 over Z_7), so lower ranks raise ValueError.  At p | c
+every row's congruence is tested in one 2-D expression; at p not dividing
+c the rows are grouped by lattice key and each group makes one
+`represents_over_zp_many` call.  `locally_represented_many` is the
+one-row case, and the scalar `locally_represented` its one-element case.
 
 A literal reference procedure (`represents_mod_search`: grid search mod p^K
 plus the lifting criterion (*), following the count of the search space) and
@@ -631,40 +642,70 @@ def represents_over_zp_many(coeffs: Sequence[int], Ns, p: int) -> np.ndarray:
     return out
 
 
-def locally_represented_many(f, ns) -> np.ndarray:
-    """Boolean array: is n represented by the m-gonal form f over R and over
-    every Z_p, per n in ns?
+def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
+                             ns) -> np.ndarray:
+    """Boolean array ok[i, j]: is ns[j] represented by the m-gonal form with
+    coefficients coeff_rows[i] over R and over every Z_p?
 
     Via the coset translation this is: N = mu n + d^2 sum a_i >= 0 (which is
     exactly representability over R) and N is represented by the shifted
-    form at every prime p | 2*3*c*prod(a_i) (at all other primes the lattice
-    has unimodular rank >= 3, hence is universal over Z_p).  Primes p | c
-    test the congruence of `_shifted_congruence`; the others go through
-    `represents_over_zp_many`.  Raises ValueError when some N does not fit
-    in int64.
+    form at every prime p | 2 c prod(a_i).  No other prime can exclude N
+    at rank >= 3 (proof in the module docstring), so a row of lower rank
+    raises ValueError.  At p | c all rows test their `_shifted_congruence`
+    at once; at other p the rows that need p are grouped by `_lattice_key`,
+    and each group makes one `represents_over_zp_many` call over its
+    undecided targets.  Raises ValueError when some N does not fit in int64.
     """
-    from .polygonal import constants, form_to_shifted
+    from .polygonal import MGonalForm, constants, form_to_shifted
 
-    g = form_to_shifted(f)
-    k = constants(f.m)
-    offset = k.d * k.d * sum(f.coeffs)
+    gs = [form_to_shifted(MGonalForm(m, tuple(row))) for row in coeff_rows]
+    for g in gs:
+        if g.rank < 3:
+            raise ValueError(f"local verdicts need rank >= 3, got rank "
+                             f"{g.rank} in {g.coeffs}")
+    k = constants(m)
+    offsets = [k.d * k.d * sum(g.coeffs) for g in gs]
     try:
         ns = np.asarray(ns, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError("n does not fit in int64") from exc
-    if ns.size and k.mu * max(-int(ns.min()), int(ns.max())) + offset >= 2 ** 63:
+    if (gs and ns.size
+            and k.mu * max(-int(ns.min()), int(ns.max())) + max(offsets) >= 2 ** 63):
         raise ValueError("shifted target mu n + d^2 sum a_i overflows int64")
-    Ns = k.mu * ns + offset
+    Ns = k.mu * ns + np.array(offsets, dtype=np.int64).reshape(-1, 1)
     ok = Ns >= 0
-    for p in prime_divisors(2 * 3 * g.conductor * math.prod(f.coeffs)):
-        live = np.flatnonzero(ok)
-        if g.conductor % p == 0:
-            mod, base = _shifted_congruence(g, p)
+    if not gs:
+        return ok
+    c = gs[0].conductor
+    lcm = math.lcm(*(a for g in gs for a in g.coeffs))
+    for p in prime_divisors(2 * c * lcm):
+        if c % p == 0:
+            mods, bases = zip(*(_shifted_congruence(g, p) for g in gs))
             # 0 <= N < 2^63 <= mod leaves N = base as the only solution
-            ok[live] = (Ns[live] % mod == base) if mod < 2 ** 63 else Ns[live] == base
-        else:
-            ok[live] = represents_over_zp_many(g.coeffs, Ns[live], p)
+            small = np.array([mod < 2 ** 63 for mod in mods]).reshape(-1, 1)
+            mod = np.array([mod if mod < 2 ** 63 else 1 for mod in mods],
+                           dtype=np.int64).reshape(-1, 1)
+            base = np.array([b if b < 2 ** 63 else -1 for b in bases],
+                            dtype=np.int64).reshape(-1, 1)
+            ok &= np.where(small, Ns % mod, Ns) == base
+            continue
+        groups: Dict[Tuple, List[int]] = {}
+        for i, g in enumerate(gs):
+            key = _lattice_key(g.coeffs, p)
+            if p == 2 or key[-1][0] > 0:  # else universal at p (see above)
+                groups.setdefault(key, []).append(i)
+        for rows in groups.values():
+            live = ok[rows]
+            live[live] = represents_over_zp_many(gs[rows[0]].coeffs,
+                                                 Ns[rows][live], p)
+            ok[rows] = live
     return ok
+
+
+def locally_represented_many(f, ns) -> np.ndarray:
+    """Boolean array: is n represented by the m-gonal form f over R and over
+    every Z_p, per n in ns?  The one-row case of `locally_represented_rows`."""
+    return locally_represented_rows(f.m, [f.coeffs], ns)[0]
 
 
 def locally_represented(f, n: int) -> bool:

@@ -6,6 +6,13 @@ represented over Z.  A genuine counterexample (locally represented, globally
 missed) proves non-regularity with a concrete witness n; the converse claim,
 true regularity, is never asserted by a finite scan.
 
+Scans are batched: `candidate_scan` decides every coefficient triple of
+one m together (`_scan_rows`), and `regularity_scan` is the one-row case.
+The global side computes the generalized m-gonal numbers <= N once and
+shares each (a_1, a_2) pair sumset across every a_3; the local side makes
+one `locally_represented_rows` call per block of at most `_BLOCK_TARGETS`
+targets.  Every n of every row is still scanned and checked for soundness.
+
 The module also packages the two small motivating examples: the quaternary
 triangular form with coefficients (1,1,3,6), which represents -1 over every
 Z_p (checked via the two exact rational witness vectors, whose denominators
@@ -19,13 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .localrep import locally_represented, locally_represented_many
+from .localrep import locally_represented, locally_represented_rows
 from .numth import prime_divisors
 from .polygonal import MGonalForm, polygonal_number, shifted_target
+
+# Most targets (rows times n) one block of a batched scan holds: its local
+# verdicts take several int64 arrays of this size.
+_BLOCK_TARGETS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -66,7 +77,9 @@ def _coordinate_values(m: int, a: int, bound: int) -> List[Tuple[int, int]]:
 def represents_globally(f: MGonalForm, n: int) -> Optional[Tuple[int, ...]]:
     """Witness x with f(x) = n, or None.  Exhaustive over the finite box
     {x : a_i P_m(x_i) <= n for every i}."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"n must be >= 0 (every value of an m-gonal form "
+                         f"is), got {n}")
     coords = [_coordinate_values(f.m, a, n) for a in f.coeffs]
     first: Dict[int, int] = {}
     for v, x in coords[0]:
@@ -89,51 +102,107 @@ def represents_globally(f: MGonalForm, n: int) -> Optional[Tuple[int, ...]]:
     return witness
 
 
-def represented_set(f: MGonalForm, N: int) -> np.ndarray:
-    """Boolean array r with r[n] = (f represents n), 0 <= n <= N.
+def _sumset_builder(m: int, N: int):
+    """represented(coeffs) -> bool[N + 1] with r[n] = (sum a_i P_m(x_i) = n
+    has a solution over Z), for any coefficient row at this m.
 
-    Built coefficient by coefficient as a shifted-OR sumset, which keeps
-    the Eureka-scale scans (N = 10^4) well under a second.
+    The generalized m-gonal numbers <= N are computed once.  The sumset of
+    each proper prefix of a row is kept, as its sorted array of reached n,
+    until a row with another prefix of that length comes; so consecutive
+    rows sharing (a_1, a_2), as `candidate_scan` lists them, build that
+    pair sumset once, and memory stays linear in N.  Each step adds the
+    values a P_m(x) <= N to the reached n by numpy index arithmetic, in
+    chunks of at most `_BLOCK_TARGETS` sums.
     """
-    assert N >= 0
-    reached = np.zeros(N + 1, dtype=bool)
-    reached[0] = True
-    for a in f.coeffs:
-        vals = sorted({v for v, _ in _coordinate_values(f.m, a, N)})
-        nxt = np.zeros(N + 1, dtype=bool)
-        for v in vals:
-            nxt[v:] |= reached[: N + 1 - v]
-        reached = nxt
-    return reached
+    top = 1
+    while polygonal_number(m, -top) <= N or polygonal_number(m, top) <= N:
+        top += 1
+    gen = np.unique([polygonal_number(m, x) for x in range(-top, top + 1)])
+    gen = gen[gen <= N]
+    # prefix length -> (prefix, its reached n)
+    last: Dict[int, Tuple[Tuple[int, ...], np.ndarray]] = {
+        0: ((), np.zeros(1, dtype=np.int64))}
+
+    def add(reached: np.ndarray, a: int) -> np.ndarray:
+        # a > N leaves only the value 0, and such an a may not fit in int64
+        vals = gen[gen <= N // a] * min(a, N + 1)
+        out = np.zeros(N + 1 + int(vals[-1]), dtype=bool)
+        step = max(1, _BLOCK_TARGETS // len(vals))
+        for lo in range(0, len(reached), step):
+            out[reached[lo:lo + step, None] + vals] = True
+        return out[:N + 1]
+
+    def reached(prefix: Tuple[int, ...]) -> np.ndarray:
+        k = len(prefix)
+        if last.get(k, (None,))[0] != prefix:
+            last[k] = (prefix, np.flatnonzero(add(reached(prefix[:-1]), prefix[-1])))
+        return last[k][1]
+
+    def represented(coeffs: Tuple[int, ...]) -> np.ndarray:
+        return add(reached(tuple(coeffs[:-1])), coeffs[-1])
+
+    return represented
+
+
+def represented_set(f: MGonalForm, N: int) -> np.ndarray:
+    """Boolean array r with r[n] = (f represents n), 0 <= n <= N: the
+    one-row case of the sumsets built by `_sumset_builder`."""
+    if N < 0:
+        raise ValueError(f"bound N must be >= 0, got {N}")
+    return _sumset_builder(f.m, N)(f.coeffs)
+
+
+def _scan_rows(m: int, coeff_rows: Sequence[Sequence[int]],
+               N: int) -> Iterator[RegularityReport]:
+    """One `RegularityReport` per coefficient row at this m, on [0, N],
+    yielded in row order.
+
+    The rows are scanned in blocks of at most `_BLOCK_TARGETS` targets
+    (rows times N + 1, at least one row per block): each block builds its
+    global sumsets (sharing pair sumsets across the whole call) and makes
+    one `locally_represented_rows` call.  Soundness -- everything globally
+    represented must be locally represented -- is asserted on every row
+    and every n; the error names the first violating row in row order and
+    its first n.  Reports are yielded, not listed: a caller that keeps only
+    survivors then holds no counterexample tuples of the others.
+    """
+    if N < 1:
+        raise ValueError(f"scan bound N must be >= 1, got {N}")
+    forms = [MGonalForm(m, tuple(row)) for row in coeff_rows]
+    represented = _sumset_builder(m, N)
+    ns = np.arange(N + 1)
+    step = max(1, _BLOCK_TARGETS // (N + 1))
+    for lo in range(0, len(forms), step):
+        block = forms[lo:lo + step]
+        local = locally_represented_rows(m, [f.coeffs for f in block], ns)
+        glob = np.array([represented(f.coeffs) for f in block])
+        unsound = np.argwhere(glob & ~local)
+        if unsound.size:
+            i, n = unsound[0]
+            raise AssertionError(
+                f"soundness violation: {block[i]} represents {int(n)} globally "
+                "but fails a local test"
+            )
+        missed = local & ~glob
+        for f, flags, miss in zip(block, local, missed):
+            counterexamples = tuple(np.flatnonzero(miss).tolist())
+            if counterexamples:
+                verdict = f"not-regular(witness n={counterexamples[0]})"
+            else:
+                verdict = f"regular-up-to-{N}"
+            yield RegularityReport(
+                form=f,
+                bound=N,
+                locally_count=int(flags.sum()),
+                counterexamples=counterexamples,
+                verdict=verdict,
+            )
 
 
 def regularity_scan(f: MGonalForm, N: int) -> RegularityReport:
-    """Compare the local verdicts with the global sumset on [0, N].
-
-    Soundness -- everything globally represented must be locally
-    represented -- is asserted on every n.
-    """
-    assert N >= 1
-    glob = represented_set(f, N)
-    local_flags = locally_represented_many(f, np.arange(N + 1))
-    unsound = np.flatnonzero(glob & ~local_flags)
-    if unsound.size:
-        raise AssertionError(
-            f"soundness violation: {f} represents {int(unsound[0])} globally "
-            "but fails a local test"
-        )
-    counterexamples = tuple(np.flatnonzero(local_flags & ~glob).tolist())
-    if counterexamples:
-        verdict = f"not-regular(witness n={counterexamples[0]})"
-    else:
-        verdict = f"regular-up-to-{N}"
-    return RegularityReport(
-        form=f,
-        bound=N,
-        locally_count=int(local_flags.sum()),
-        counterexamples=counterexamples,
-        verdict=verdict,
-    )
+    """Compare the local verdicts with the global sumset on [0, N]: the
+    one-row case of `_scan_rows`."""
+    return next(_scan_rows(f.m, [f.coeffs], N))
 
 
 def eureka_check(N: int = 10**4) -> bool:
@@ -201,18 +270,16 @@ def first_sense_examples() -> dict:
 
 def candidate_scan(m: int, coeff_bound: int, N: int) -> List[RegularityReport]:
     """Reports for every primitive ascending ternary coefficient triple with
-    a_3 <= coeff_bound that survives the scan (verdict regular-up-to-N)."""
-    assert coeff_bound >= 1 and N >= 1
-    out = []
-    for a1 in range(1, coeff_bound + 1):
-        for a2 in range(a1, coeff_bound + 1):
-            for a3 in range(a2, coeff_bound + 1):
-                if gcd(gcd(a1, a2), a3) != 1:
-                    continue
-                report = regularity_scan(MGonalForm(m, (a1, a2, a3)), N)
-                if not report.counterexamples:
-                    out.append(report)
-    return out
+    a_3 <= coeff_bound that survives the scan (verdict regular-up-to-N).
+    All triples are scanned as one batch by `_scan_rows`."""
+    if coeff_bound < 1:
+        raise ValueError(f"coefficient bound must be >= 1, got {coeff_bound}")
+    rows = [(a1, a2, a3)
+            for a1 in range(1, coeff_bound + 1)
+            for a2 in range(a1, coeff_bound + 1)
+            for a3 in range(a2, coeff_bound + 1)
+            if gcd(gcd(a1, a2), a3) == 1]
+    return [r for r in _scan_rows(m, rows, N) if not r.counterexamples]
 
 
 def case_bound_for(m: int):

@@ -68,8 +68,9 @@ def test_csv_rejected_for_non_tabular(capsys):
     ["ineq", "--verify"],
     ["psi", "--n", "48"],
     ["psi", "--n", "48", "--p", "5", "--count", "8"],
+    ["ineq", "--clause", "1", "--t", "30", "--t-max", "17"],
 ], ids=["eta-verify", "stabilize-csv", "ineq-no-clause", "psi-neither",
-        "psi-both"])
+        "psi-both", "ineq-t-and-t-max"])
 def test_options_only_where_they_act(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -229,9 +230,13 @@ def test_localrep_rejects_primes_above_the_array_limit(p):
     ["ineq", "--clause", "1", "--t-max", "3"],
     ["psi", "--n", "48", "--count", "-2"],
     ["psi", "--n", "48", "--count", "0"],
+    ["regcheck", "scan", "--m", "4", "--coeffs", "1,1", "--bound", "100"],
+    ["regcheck", "scan", "--m", "3", "--coeffs", "1,1,1", "--bound", "-1"],
+    ["regcheck", "scan", "--m", "3", "--coeffs", "1,1,1", "--bound", "0"],
 ], ids=["eta-n0", "psi-n0", "watson-p-divides-c", "localrep-zero-coeff",
         "regcheck-zero-coeff", "ineq-t-below-lower", "ineq-t-below-three",
-        "ineq-t-max-below-t0", "psi-count-negative", "psi-count-zero"])
+        "ineq-t-max-below-t0", "psi-count-negative", "psi-count-zero",
+        "regcheck-rank-2", "regcheck-bound-negative", "regcheck-bound-zero"])
 def test_rejected_input_is_one_error_line_under_optimize(argv):
     # -O strips asserts, so these must fail through raised errors
     proc = subprocess.run(

@@ -29,6 +29,7 @@ from mgonal.localrep import (
     jordan_split,
     locally_represented,
     locally_represented_many,
+    locally_represented_rows,
     progression_exponent,
     represents_mod_search,
     represents_over_zp,
@@ -559,6 +560,43 @@ def test_locally_represented_many_edges():
     # N = base = 3 * 2^61 (n = 0) solves it among int64 targets
     deep = MGonalForm(3, (2**61,) * 3)
     assert locally_represented_many(deep, [0, 1, 2**40]).tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 13, 29, 711])
+def test_locally_represented_rows_match_one_row_calls(m):
+    """A batch of all census rows, grouped by lattice class at each prime,
+    gives each row's own verdicts, negative n included."""
+    ns = np.arange(-10, 601)
+    got = locally_represented_rows(m, CENSUS_TRIPLES, ns)
+    assert got.dtype == np.bool_ and got.shape == (len(CENSUS_TRIPLES), len(ns))
+    for row, flags in zip(CENSUS_TRIPLES, got):
+        assert flags.tolist() == locally_represented_many(
+            MGonalForm(m, row), ns).tolist(), row
+    assert locally_represented_rows(m, [], ns).shape == (0, len(ns))
+
+
+def test_low_rank_forms_are_rejected_under_optimize():
+    """Below rank 3 a form with p-unit entries need not be universal at p:
+    <1,1> misses 77 over Z_7, a prime that 2 c prod(a_i) does not hold.
+    So rank 1 and 2 raise ValueError naming the rank, on both entry points
+    and with asserts stripped."""
+    assert not represents_over_zp((1, 1), 77, 7)
+    script = (
+        "from mgonal.localrep import locally_represented_many, locally_represented_rows\n"
+        "from mgonal.polygonal import MGonalForm\n"
+        "for call in (lambda: locally_represented_many(MGonalForm(4, (1, 1)), [77]),\n"
+        "             lambda: locally_represented_rows(4, [(1, 1, 1), (2,)], [5])):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "local verdicts need rank >= 3, got rank 2 in (1, 1)",
+        "local verdicts need rank >= 3, got rank 1 in (2,)"]
 
 
 def test_represents_over_zp_many_matches_scalar():

@@ -3,6 +3,7 @@ bookkeeping around candidate regularity verdicts."""
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ import pytest
 from mgonal.localrep import locally_represented
 from mgonal.polygonal import MGonalForm, polygonal_number
 from mgonal.regcheck import (
+    _BLOCK_TARGETS,
+    _scan_rows,
+    _sumset_builder,
     candidate_note,
     candidate_scan,
     case_bound_for,
@@ -58,6 +62,7 @@ def test_represented_set_matches_pointwise_search(m, coeffs):
     f = MGonalForm(m, coeffs)
     flags = represented_set(f, 80)
     assert flags.dtype == np.bool_ and flags.shape == (81,)
+    assert represented_set(f, 0).tolist() == [True]
     for n in range(81):
         assert bool(flags[n]) == (represents_globally(f, n) is not None)
 
@@ -72,14 +77,89 @@ def test_scan_matches_pointwise_verdicts():
             n for n in local if represents_globally(f, n) is None)
 
 
+def _primitive_triples(cap):
+    return [(a, b, c) for a in range(1, cap + 1) for b in range(a, cap + 1)
+            for c in range(b, cap + 1) if math.gcd(math.gcd(a, b), c) == 1]
+
+
 def test_scan_reports_first_soundness_violation(monkeypatch):
     import mgonal.regcheck as regcheck
 
-    monkeypatch.setattr(regcheck, "locally_represented_many",
-                        lambda f, ns: np.asarray(ns) < 5)
+    monkeypatch.setattr(regcheck, "locally_represented_rows",
+                        lambda m, rows, ns: np.tile(np.asarray(ns) < 5,
+                                                    (len(rows), 1)))
     with pytest.raises(AssertionError,
                        match="represents 5 globally but fails a local test"):
         regcheck.regularity_scan(MGonalForm(3, (1, 1, 1)), 20)
+
+
+def test_batch_names_the_first_violating_form(monkeypatch):
+    """Rows 3 and 7 of the batch fail a (faked) local test from n = 5 on:
+    the error names row 3 and its first globally represented n >= 5, as a
+    form-by-form loop would."""
+    import mgonal.regcheck as regcheck
+
+    rows = _primitive_triples(4)
+
+    def fake(m, block, ns):
+        flags = np.ones((len(block), len(ns)), dtype=bool)
+        for i, row in enumerate(block):
+            if row in (rows[3], rows[7]):
+                flags[i] = np.asarray(ns) < 5
+        return flags
+
+    monkeypatch.setattr(regcheck, "locally_represented_rows", fake)
+    form = MGonalForm(5, rows[3])
+    n = 5 + int(np.flatnonzero(represented_set(form, 40)[5:])[0])
+    with pytest.raises(AssertionError) as exc:
+        regcheck.candidate_scan(5, 4, 40)
+    assert str(exc.value) == (f"soundness violation: {form} represents {n} "
+                              "globally but fails a local test")
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_batched_scan_matches_form_by_form_loop(m):
+    """cap 12 and N = 2000 make 3 blocks of at most _BLOCK_TARGETS targets."""
+    rows = _primitive_triples(12)
+    assert len(rows) * 2001 > 2 * _BLOCK_TARGETS
+    loop = [regularity_scan(MGonalForm(m, row), 2000) for row in rows]
+    assert list(_scan_rows(m, rows, 2000)) == loop
+    assert candidate_scan(m, 12, 2000) == [r for r in loop
+                                           if not r.counterexamples]
+
+
+def test_batched_sumsets_match_pointwise_search():
+    """Rows in candidate_scan order share pair sumsets; a row whose a_1 or
+    a_2 changes must not reuse its neighbour's."""
+    for m in (3, 5, 8):
+        represented = _sumset_builder(m, 40)
+        rows = [(1, 2, 3), (2, 2, 3), (1, 2, 2), (1, 3, 2), (1, 1), (3,),
+                (1, 1, 1, 2), (1, 2, 1, 2), (1, 2, 2**70)]
+        for row in rows + _primitive_triples(3):
+            flags = represented(row)
+            f = MGonalForm(m, tuple(sorted(row)))
+            assert flags.tolist() == [represents_globally(f, n) is not None
+                                      for n in range(41)], (m, row)
+
+
+def test_coefficient_past_int64_is_a_named_error():
+    # the local side names the overflow before the sumset is built
+    with pytest.raises(ValueError, match="overflows int64"):
+        regularity_scan(MGonalForm(3, (1, 1, 2**70)), 10)
+
+
+@pytest.mark.parametrize("call,arg", [
+    (lambda v: regularity_scan(MGonalForm(3, (1, 1, 1)), v), 0),
+    (lambda v: regularity_scan(MGonalForm(3, (1, 1, 1)), v), -1),
+    (lambda v: represented_set(MGonalForm(3, (1, 1, 1)), v), -1),
+    (lambda v: candidate_scan(3, v, 10), 0),
+    (lambda v: candidate_scan(3, 2, v), 0),
+    (lambda v: represents_globally(MGonalForm(3, (1, 1, 1)), v), -1),
+], ids=["scan-N0", "scan-N-1", "set-N-1", "cap0", "candidate-N0",
+        "global-n-1"])
+def test_bad_bounds_raise_named_errors(call, arg):
+    with pytest.raises(ValueError, match=f"got {arg}$"):
+        call(arg)
 
 
 def test_scan_flags_failures_of_regularity():
