@@ -162,26 +162,24 @@ def _cmd_ineq(args) -> int:
     lines = [f"clause {c} at t={t}: lhs = {lhs}, rhs = {rhs}, holds = {holds}"
              for c, t, lhs, rhs, holds in rows]
     if args.verify:
-        golden = _golden("ineq_base.json")
+        # this clause's golden row only; one command per clause checks
+        # the whole file
+        idx = args.clause
+        (rec,) = [r for r in _golden("ineq_base.json")["base_cases"]
+                  if r["clause"] == idx]
+        t0 = rec["t0"]
+        lhs, rhs, holds = verify_inequality(idx, t0)
         diffs = []
-        for rec in golden["base_cases"]:
-            idx, t0 = rec["clause"], rec["t0"]
-            lhs, rhs, holds = verify_inequality(idx, t0)
-            if (
-                t0 != CLAUSES[idx].t0
-                or lhs != rec["lhs"]
-                or rhs != rec["rhs"]
-                or not holds
-            ):
-                diffs.append(
-                    f"clause {idx}: computed (t0={CLAUSES[idx].t0}, lhs={lhs}, "
-                    f"rhs={rhs}, holds={holds}), golden {rec}"
-                )
-            if not verify_induction_step(idx, t0 + 25):
-                diffs.append(f"clause {idx}: induction ratio check failed")
-            _, _, certified = certify_all_t(idx)
-            if not certified:
-                diffs.append(f"clause {idx}: all-t certificate failed")
+        if t0 != spec.t0 or lhs != rec["lhs"] or rhs != rec["rhs"] or not holds:
+            diffs.append(
+                f"clause {idx}: computed (t0={spec.t0}, lhs={lhs}, "
+                f"rhs={rhs}, holds={holds}), golden {rec}"
+            )
+        if not verify_induction_step(idx, t0 + 25):
+            diffs.append(f"clause {idx}: induction ratio check failed")
+        _, _, certified = certify_all_t(idx)
+        if not certified:
+            diffs.append(f"clause {idx}: all-t certificate failed")
         if diffs:
             raise VerificationFailure("\n".join(diffs))
     payload = {"clause": args.clause,

@@ -31,7 +31,9 @@ a_i)}, where a unit class is a square class of Z_p-units (Legendre symbol
 for odd p, the residue mod 8 for p = 2).  `_pivot_table` builds each table
 from the canonical lattice of its key and caches it, bit-packed, per
 (p, key, pivot).  A verdict is then a few lookups `table[n % p^M]`: the
-distinct pivots shallowest first, then n / p^2 when p^2 | n.
+distinct pivots shallowest first, then n / p^2 when p^2 | n.  The key is
+the one description of a diagonal lattice at p in the package: `is_stable`
+and `stable_value_set_check` read it too.
 
 Pivots deeper than the target are never read.  Write t = 2 ord_p(2) and
 call entry i deep at n when e_i > ord_p(n) + t.  If Q(x) = n, the deep
@@ -125,26 +127,6 @@ class DiagonalLattice:
 
     def __str__(self):
         return "<" + ",".join(map(str, self.entries)) + ">"
-
-
-@dataclass(frozen=True)
-class JordanSplit:
-    """Jordan splitting of a diagonal lattice at p: blocks grouped by ord_p.
-
-    Each block is (exponent s, units) with units the unit parts of the
-    entries having ord_p = s.  Exponents strictly increase.  (Diagonal
-    lattices never produce the even binary 2-adic block.)
-    """
-
-    p: int
-    blocks: Tuple[Tuple[int, Tuple[int, ...]], ...]
-
-    @property
-    def unimodular_rank(self) -> int:
-        for s, units in self.blocks:
-            if s == 0:
-                return len(units)
-        return 0
 
 
 @dataclass(frozen=True)
@@ -387,76 +369,45 @@ def represents_reference_fft(coeffs: Sequence[int], n: int, p: int,
 
 
 # --------------------------------------------------------------------------
-# Jordan splittings, stability, anisotropy
-
-def jordan_split(L, p: int) -> JordanSplit:
-    """Group the diagonal entries by p-valuation."""
-    coeffs = _entries(L)
-    by_ord: Dict[int, List[int]] = {}
-    for a in coeffs:
-        by_ord.setdefault(ord_p(a, p), []).append(unit_part(a, p))
-    blocks = tuple((s, tuple(by_ord[s])) for s in sorted(by_ord))
-    return JordanSplit(p=p, blocks=blocks)
-
-
-def _ords_units(coeffs, p):
-    return sorted((ord_p(a, p), unit_part(a, p)) for a in coeffs)
-
-
-def is_p_stable(L, p: int) -> bool:
-    """p-stability of a ternary diagonal lattice, odd p.
-
-    Stable means: <1,-1> embeds (the hyperbolic case, with value set all of
-    Z_p), or the Jordan shape is exactly (unimodular rank-2 anisotropic)
-    perp <p*unit>.  For a diagonal lattice this is decided by the shape:
-      - unimodular rank 3: always stable (isotropic by counting points mod p);
-      - unimodular rank 2 <u1,u2>: stable iff -u1 u2 is a square (hyperbolic)
-        or the remaining entry has ord_p exactly 1;
-      - unimodular rank <= 1: no unimodular binary sublattice, not stable.
-    """
-    if p == 2:
-        raise ValueError("use is_2_stable at p = 2")
-    coeffs = _entries(L)
-    assert len(coeffs) == 3
-    ou = _ords_units(coeffs, p)
-    r0 = sum(1 for e, _ in ou if e == 0)
-    if r0 == 3:
-        return True
-    if r0 == 2:
-        u1, u2 = ou[0][1], ou[1][1]
-        return legendre(-u1 * u2, p) == 1 or ou[2][0] == 1
-    return False
-
-
-def is_2_stable(L) -> bool:
-    """2-stability of a ternary diagonal lattice.
-
-    Stable means K_2 is unimodular or represents <1,3> or <1,7>.  For a
-    diagonal lattice <u1> perp <2^{s2} u2> perp <2^{s3} u3> (s2 <= s3):
-      - s2 = 0 = s3 (unimodular): stable;
-      - s2 = 0 < s3: stable iff u1 u2 = 3 (mod 4) or s3 = 1.  (When
-        u1 u2 = 3 mod 4 the binary <u1,u2> takes every odd class mod 8, so
-        it contains <1,w> with w in {3,7}; when s3 = 1 the lattice is
-        <1> perp M with M of determinant order 1, and M takes a value in
-        {3,7} at odd coordinates.  When u1 u2 = 1 mod 4 and s3 >= 2 every
-        odd value is = u1 mod 4, so 3 or 7 mod 8 cannot both appear.)
-      - s2 >= 1: the unimodular Jordan rank is <= 1, which cannot contain
-        the unimodular binary <1,w>: not stable.
-    """
-    coeffs = _entries(L)
-    assert len(coeffs) == 3
-    ou = _ords_units(coeffs, 2)
-    r0 = sum(1 for e, _ in ou if e == 0)
-    if r0 == 3:
-        return True
-    if r0 == 2:
-        u1, u2 = ou[0][1], ou[1][1]
-        return (u1 * u2) % 4 == 3 or ou[2][0] == 1
-    return False
-
+# stability and anisotropy
 
 def is_stable(L, p: int) -> bool:
-    return is_2_stable(L) if p == 2 else is_p_stable(L, p)
+    """p-stability of a ternary diagonal lattice, read from its lattice key.
+
+    Odd p: stable means <1,-1> embeds (the hyperbolic case, with value set
+    all of Z_p), or the Jordan shape is exactly (unimodular rank-2
+    anisotropic) perp <p*unit>.  p = 2: stable means K_2 is unimodular or
+    represents <1,3> or <1,7>.  For a diagonal lattice both are decided by
+    the unimodular rank r0 and, at r0 = 2, by the two units u1, u2 and the
+    order of the third entry:
+      - r0 = 3: stable (at odd p isotropic by counting points mod p);
+      - r0 <= 1: no unimodular binary sublattice, not stable;
+      - r0 = 2: stable iff the third entry has ord_p exactly 1, or else
+        -u1 u2 is a square (the hyperbolic case) at odd p, and
+        u1 u2 = 3 (mod 4) at p = 2.  (When u1 u2 = 3 mod 4 the binary
+        <u1,u2> takes every odd class mod 8, so it contains <1,w> with w in
+        {3,7}; when the third entry has ord_2 = 1 the lattice is <1> perp M
+        with M of determinant order 1, and M takes a value in {3,7} at odd
+        coordinates.  When u1 u2 = 1 mod 4 and the third entry has
+        ord_2 >= 2 every odd value is = u1 mod 4, so 3 or 7 mod 8 cannot
+        both appear.)
+    The key holds class representatives, not the units themselves; a
+    representative has the Legendre symbol (odd p) and the residue mod 8
+    (p = 2) of the unit it stands for, so the rule reads the same answer.
+    Raises ValueError unless the rank is 3 and p is a prime.
+    """
+    coeffs = _entries(L)
+    if len(coeffs) != 3:
+        raise ValueError(f"stability is defined for ternary lattices, got {coeffs}")
+    _check_prime(p)
+    (_, u1), (e2, u2), (e3, _) = _lattice_key(coeffs, p)
+    if e2 > 0:
+        return False
+    if e3 <= 1:
+        return True
+    if p == 2:
+        return u1 * u2 % 4 == 3
+    return _unit_class(-u1 * u2, p) == 1
 
 
 def stable_value_set_check(L, p: int, gamma: int) -> bool:
@@ -478,27 +429,25 @@ def stable_value_set_check(L, p: int, gamma: int) -> bool:
     2-stable shapes (a non-unimodular Jordan piece is present) only the
     one-sided guarantee "every gamma of even order is represented" is
     available, so a False there means "no claim", not "excluded".
+    Raises ValueError on a lattice that is not p-stable.
     """
     coeffs = _entries(L)
+    if not is_stable(coeffs, p):
+        raise ValueError(f"{p}-stable lattices only, got {coeffs}")
     if gamma == 0:
         return True
+    (_, u1), (_, u2), (e3, u3) = _lattice_key(coeffs, p)
+    ((g_ord, g_class),) = _lattice_key([gamma], p)
     if p == 2:
-        assert is_2_stable(coeffs), "2-stable lattices only"
-        if all(a % 2 != 0 for a in coeffs):
-            if not is_anisotropic_ternary(coeffs, 2):
-                return True
-            eps = (3 * coeffs[0] * coeffs[1] * coeffs[2]) % 8
-            return not (ord_p(gamma, 2) % 2 == 0
-                        and unit_part(gamma, 2) % 8 == (eps + 4) % 8)
-        return ord_p(gamma, 2) % 2 == 0
-    assert is_p_stable(coeffs, p), "p-stable lattices only"
-    ou = _ords_units(coeffs, p)
-    r0 = sum(1 for e, _ in ou if e == 0)
-    if r0 == 3 or (r0 == 2 and legendre(-ou[0][1] * ou[1][1], p) == 1):
+        if e3 > 0:
+            return g_ord % 2 == 0
+        if not is_anisotropic_ternary(coeffs, 2):
+            return True
+        eps = 3 * u1 * u2 * u3 % 8
+        return not (g_ord % 2 == 0 and g_class == (eps + 4) % 8)
+    if e3 == 0 or _unit_class(-u1 * u2, p) == 1:
         return True  # hyperbolic plane inside: value set is all of Z_p
-    u1, u2, u3 = ou[0][1], ou[1][1], ou[2][1]
-    return not (ord_p(gamma, p) % 2 == 1
-                and legendre(unit_part(gamma, p), p) == legendre(-u1 * u2 * u3, p))
+    return not (g_ord % 2 == 1 and g_class == _unit_class(-u1 * u2 * u3, p))
 
 
 def hilbert_symbol(a: int, b: int, p: int) -> int:
@@ -528,24 +477,14 @@ def is_anisotropic_ternary(L, p: int) -> bool:
     """No nontrivial zero of a_1 x^2 + a_2 y^2 + a_3 z^2 over Q_p.
 
     Closed form: a ternary form of determinant d is isotropic over Q_p iff
-    its Hasse invariant equals (-1, -d)_p.  Cross-checked (when the search
-    boxes are feasible) against the primitive-zero characterization: the
-    form is isotropic iff for some i the complementary binary form
-    represents -a_i over Z_p.
+    its Hasse invariant equals (-1, -d)_p.  (Equivalently, by the
+    primitive-zero characterization, iff for some i the complementary
+    binary form represents -a_i over Z_p; the tests check the two agree.)
     """
     coeffs = _entries(L)
     assert len(coeffs) == 3 and all(a != 0 for a in coeffs)
     d = coeffs[0] * coeffs[1] * coeffs[2]
-    closed = hasse_invariant(coeffs, p) != hilbert_symbol(-1, -d, p)
-    try:
-        others = [(coeffs[(i + 1) % 3], coeffs[(i + 2) % 3]) for i in range(3)]
-        engine = not any(
-            represents_over_zp(pair, -coeffs[i], p).represented
-            for i, pair in enumerate(others))
-        assert engine == closed, f"anisotropy routes disagree on {coeffs} at {p}"
-    except ModulusTooLarge:
-        pass  # closed form alone for very deep coefficients
-    return closed
+    return hasse_invariant(coeffs, p) != hilbert_symbol(-1, -d, p)
 
 
 # --------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .density import eta
-from .localrep import _entries, is_2_stable, is_stable, jordan_split, represents_over_zp
+from .localrep import _entries, _lattice_key, is_stable, represents_over_zp
 from .numth import is_prime, legendre, ord_p
 from .prodineq import CLAUSES, certify_all_t, verify_inequality, w_factor
 
@@ -109,7 +109,7 @@ def find_nu(L, u: int, l: int, also_3: bool = False) -> int:
     """
     coeffs = _entries(L)
     assert u % 2 == 1, "u must be odd"
-    assert is_2_stable(coeffs), "nu-selection needs a 2-stable lattice"
+    assert is_stable(coeffs, 2), "nu-selection needs a 2-stable lattice"
     if also_3:
         assert gcd(u, 6) == 1, "u must be prime to 6"
         assert is_stable(coeffs, 3), "nu-selection mod 12 needs 3-stability"
@@ -139,21 +139,18 @@ def _anisotropic_shape(a: Sequence[int], p: int) -> int:
     """Index of the ord-1 entry if <a_1,a_2,a_3> = <1,-Delta> perp <p eps>
     at p (unimodular binary anisotropic, one entry of ord exactly 1);
     ValueError otherwise."""
-    split = jordan_split(a, p)
-    profile = tuple((s, len(us)) for s, us in split.blocks)
-    if profile != ((0, 2), (1, 1)):
+    (e1, u1), (e2, u2), (e3, _) = _lattice_key(a, p)
+    if (e1, e2, e3) != (0, 0, 1):
         raise ValueError(
             f"lattice {tuple(a)} at p={p} is not unimodular-rank-2 with a "
-            f"single ord-1 entry (blocks {profile})"
+            f"single ord-1 entry (orders {(e1, e2, e3)})"
         )
-    u1, u2 = split.blocks[0][1]
     if legendre(-u1 * u2, p) != -1:
         raise ValueError(
-            f"binary part <{u1},{u2}> is isotropic at p={p}; the "
+            f"binary part of {tuple(a)} is isotropic at p={p}; the "
             "construction needs -u1*u2 to be a nonsquare"
         )
-    ords = [ord_p(x, p) for x in a]
-    return ords.index(1)
+    return next(i for i, x in enumerate(a) if x % p == 0)
 
 
 def find_v(p: int, u: int, a: Sequence[int], alpha: Sequence[int]) -> int:

@@ -283,16 +283,15 @@ def candidate_scan(m: int, coeff_bound: int, N: int) -> List[RegularityReport]:
 
 
 def case_bound_for(m: int):
-    """The congruence-class bound on m from the four-case derivation, or
-    None when m < 5 sits outside the classes' reach."""
-    from .pipeline import theorem_bounds
+    """The bound on m of the congruence class containing m, from the
+    four-case derivation, or None when m < 3 is not a polygon."""
+    from .pipeline import CASES, theorem_bounds
 
     if m < 3:
         return None
-    bounds = theorem_bounds()
-    tag = "odd" if m % 2 else ("2mod4" if m % 4 == 2 else "0mod4")
-    three = "2mod3" if m % 3 == 2 else "not2mod3"
-    return bounds[f"{tag},{three}"]
+    cls = next(cls for case in CASES.values() for cls in case.classes
+               if cls.contains(m))
+    return theorem_bounds()[cls.label]
 
 
 def candidate_note(m: int) -> Optional[str]:

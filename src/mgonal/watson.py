@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .localrep import DiagonalLattice, _entries, is_stable, jordan_split
+from .localrep import DiagonalLattice, _entries, is_stable
 from .numth import multiplicative_order, ord_p, prime_divisors
 from .polygonal import ShiftedForm
 
@@ -63,81 +63,42 @@ class WatsonStep:
         assert self.q == self.p or (self.q == 4 and self.p == 2)
 
 
-def _lambda_core(coeffs: Tuple[int, ...], p: int):
-    """Rescale every unit coordinate by p, then divide out the common p^s.
-
-    Returns (new entries, s, indices of the rescaled coordinates).  Entry
-    order is preserved — no re-sorting happens here.
-    """
-    ords = [ord_p(a, p) for a in coeffs]
-    moved = tuple(i for i, e in enumerate(ords) if e == 0)
-    assert moved, f"all entries divisible by {p}; divide out the common factor first"
-    scaled = tuple(a * p * p if e == 0 else a for a, e in zip(coeffs, ords))
-    s = min(ord_p(a, p) for a in scaled)
-    new = tuple(a // p ** s for a in scaled)
-    return new, s, moved
-
-
-def lambda_p(L, p: int) -> Tuple[DiagonalLattice, int]:
-    """One descent step at an odd prime on a p-unstable ternary lattice.
-
-    Returns (new lattice, s).  Entry positions are preserved, e.g.
-    lambda_p(<1,5,5>, 5) = (<5,1,1>, 1).  Stable input is rejected: the
-    step would be a no-op and the stabilization loop must make progress.
-    """
-    assert p % 2 == 1, "use lambda_4 for the modulus-4 step at p = 2"
-    coeffs = _entries(L)
-    assert len(coeffs) == 3
-    if is_stable(coeffs, p):
-        raise ValueError(f"<{','.join(map(str, coeffs))}> is already {p}-stable")
-    new, s, _ = _lambda_core(coeffs, p)
-    return DiagonalLattice(new), s
-
-
-def lambda_4(L) -> Tuple[DiagonalLattice, int]:
-    """The modulus-4 descent step on a 2-unstable ternary lattice.
-
-    Preconditions, each rejected by name: the 2-adic unimodular rank is
-    exactly 2, the two unit entries u_1, u_2 satisfy u_1 u_2 = 1 mod 4,
-    and the remaining entry has ord_2 >= 2.  (Together these say exactly
-    that the lattice is 2-unstable with two unit entries: every value of
-    <u_1, u_2> at odd coordinates is u_1 + u_2 = 2 u_1 mod 4, so no odd
-    class 3 or 7 mod 8 is hit and passing to values divisible by 4 forces
-    both unit coordinates even.)  Result: the deep entry divided by 4,
-    s = 2.
-    """
-    coeffs = _entries(L)
-    assert len(coeffs) == 3
-    units = [a for a in coeffs if a % 2 == 1]
-    if len(units) != 2:
-        raise ValueError(f"unimodular rank at 2 is {len(units)}, need exactly 2")
-    if units[0] * units[1] % 4 != 1:
-        raise ValueError(f"a1*a2 = {units[0] * units[1] % 4} (mod 4), need 1")
-    deep = next(a for a in coeffs if a % 2 == 0)
-    if ord_p(deep, 2) < 2:
-        raise ValueError(f"deep entry {deep} has ord_2 = {ord_p(deep, 2)}, need >= 2")
-    new, s, _ = _lambda_core(coeffs, 2)
-    assert s == 2
-    return DiagonalLattice(new), s
+def _check_primitive_ternary(coeffs) -> None:
+    if len(coeffs) != 3 or math.gcd(*coeffs) != 1:
+        raise ValueError(f"descent needs a primitive ternary lattice, got "
+                         f"<{','.join(map(str, coeffs))}>")
 
 
 def lambda_step(L, p: int) -> Tuple[DiagonalLattice, int, int]:
-    """Dispatching descent step at any prime: (new lattice, s, modulus q).
+    """One descent step at p on a p-unstable ternary lattice: (new lattice,
+    s, modulus q).
 
-    q = 4 exactly when p = 2 and the 2-adic unimodular rank is 2 (the
-    modulus-4 branch); in every other unstable shape q = p.
+    Every unit coordinate is rescaled by p, then the common p^s divides
+    out.  Entry positions are preserved, e.g. lambda_step(<1,5,5>, 5) =
+    (<5,1,1>, 1, 5).  q = 4 exactly when p = 2 and two entries are units
+    (the modulus-4 branch); q = p otherwise.  The modulus-4 branch needs
+    u_1 u_2 = 1 mod 4 and the third entry at ord_2 >= 2, and `is_stable`
+    calls every other lattice with two unit entries at 2 stable, so an
+    unstable input meets both: every value of <u_1, u_2> at odd
+    coordinates is u_1 + u_2 = 2 u_1 mod 4, so no odd class 3 or 7 mod 8
+    is hit and passing to values divisible by 4 forces both unit
+    coordinates even, giving s = 2.
+
+    Raises ValueError on stable input (the step would be a no-op and the
+    stabilization loop must make progress) and on input with every entry
+    divisible by p (divide the common factor out first).
     """
     coeffs = _entries(L)
-    if p == 2:
-        if is_stable(coeffs, 2):
-            raise ValueError(f"<{','.join(map(str, coeffs))}> is already 2-stable")
-        if jordan_split(coeffs, 2).unimodular_rank == 2:
-            out, s = lambda_4(L)
-            return out, s, 4
-        new, s, _ = _lambda_core(coeffs, 2)
-        return DiagonalLattice(new), s, 2
-    out, s = lambda_p(L, p)
-    return out, s, p
+    if is_stable(coeffs, p):
+        raise ValueError(f"<{','.join(map(str, coeffs))}> is already {p}-stable")
+    units = [a % p != 0 for a in coeffs]
+    if not any(units):
+        raise ValueError(f"every entry of <{','.join(map(str, coeffs))}> is "
+                         f"divisible by {p}; divide out the common factor first")
+    scaled = [a * p * p if unit else a for a, unit in zip(coeffs, units)]
+    s = min(ord_p(a, p) for a in scaled)
+    q = 4 if p == 2 and sum(units) == 2 else p
+    return DiagonalLattice(tuple(a // p ** s for a in scaled)), s, q
 
 
 # --------------------------------------------------------------------------
@@ -174,24 +135,22 @@ def coset_watson_step(g: ShiftedForm, p: int,
     coordinates and p^j alpha_i (= alpha_i mod c) elsewhere, with
     j the multiplicative order of p mod c, then everything is reduced
     into the normalized window.  Conductor and primitivity are preserved.
+    Raises ValueError when p divides the conductor or the lattice is not
+    ternary and primitive.
     """
     c = g.conductor
     if c % p == 0:
         raise ValueError(f"prime {p} divides the conductor {c}")
-    coeffs = g.coeffs
-    assert len(coeffs) == 3, "coset steps are for ternary forms"
-    assert math.gcd(math.gcd(coeffs[0], coeffs[1]), coeffs[2]) == 1, \
-        "coset step needs a primitive lattice"
-
-    lat, s, q = lambda_step(DiagonalLattice(coeffs), p)
-    _, _, moved = _lambda_core(coeffs, p)
+    _check_primitive_ternary(g.coeffs)
+    lat, s, q = lambda_step(g.coeffs, p)
     j = 1 if c == 1 else multiplicative_order(p, c)
 
+    # the unit coordinates are the rescaled ones
     shifts = tuple(
-        _norm_shift(pow(p, j - 1 if i in moved else j, c) * al if c > 1 else 0, c)
-        for i, al in enumerate(g.shifts))
+        _norm_shift(pow(p, j - 1 if a % p else j, c) * al if c > 1 else 0, c)
+        for a, al in zip(g.coeffs, g.shifts))
     out = ShiftedForm(conductor=c, coeffs=lat.entries, shifts=shifts)
-    assert math.gcd(math.gcd(out.coeffs[0], out.coeffs[1]), out.coeffs[2]) == 1
+    assert math.gcd(*out.coeffs) == 1
     if log is not None:
         log.append(WatsonStep(p=p, q=q, s=s, j=j))
     return out
@@ -207,9 +166,10 @@ def stabilize(g: ShiftedForm, log: Optional[List[WatsonStep]] = None,
     tests assert).  Terminates because every step strictly decreases the
     total valuation sum_p sum_i ord_p(a_i) over the eligible primes; the
     bound is asserted.  Output coefficients are re-sorted ascending with
-    their shifts carried along.
+    their shifts carried along.  Raises ValueError unless the lattice is
+    ternary and primitive.
     """
-    assert g.rank == 3
+    _check_primitive_ternary(g.coeffs)
     cur = normalize_shifts(g)
     budget = sum(ord_p(a, p)
                  for p in prime_divisors(math.prod(cur.coeffs))

@@ -83,6 +83,24 @@ def test_ineq_verify(capsys):
     assert code == 0
 
 
+def test_ineq_verify_checks_only_its_clause(capsys, monkeypatch):
+    golden = cli._golden
+
+    def corrupted(name):
+        data = golden(name)
+        if name == "ineq_base.json":
+            for rec in data["base_cases"]:
+                if rec["clause"] == 5:
+                    rec["lhs"] += 1
+        return data
+
+    monkeypatch.setattr(cli, "_golden", corrupted)
+    code, _, err = run(capsys, "ineq", "--clause", "5", "--verify")
+    assert code == 1 and "clause 5:" in err
+    code, _, _ = run(capsys, "ineq", "--clause", "1", "--verify")
+    assert code == 0
+
+
 def test_ineq_single_clause(capsys):
     code, out, _ = run(capsys, "ineq", "--clause", "1", "--t", "16",
                        "--format", "json")
@@ -233,10 +251,17 @@ def test_localrep_rejects_primes_above_the_array_limit(p):
     ["regcheck", "scan", "--m", "4", "--coeffs", "1,1", "--bound", "100"],
     ["regcheck", "scan", "--m", "3", "--coeffs", "1,1,1", "--bound", "-1"],
     ["regcheck", "scan", "--m", "3", "--coeffs", "1,1,1", "--bound", "0"],
+    ["stabilize", "--conductor", "7", "--coeffs", "1,1,1,1", "--shifts", "1,1,1,1"],
+    ["stabilize", "--conductor", "7", "--coeffs", "1,2", "--shifts", "1,1"],
+    ["watson", "--conductor", "7", "--coeffs", "5,10,25", "--shifts", "1,1,1",
+     "--p", "5"],
+    ["watson", "--conductor", "7", "--coeffs", "1,2", "--shifts", "1,1", "--p", "2"],
 ], ids=["eta-n0", "psi-n0", "watson-p-divides-c", "localrep-zero-coeff",
         "regcheck-zero-coeff", "ineq-t-below-lower", "ineq-t-below-three",
         "ineq-t-max-below-t0", "psi-count-negative", "psi-count-zero",
-        "regcheck-rank-2", "regcheck-bound-negative", "regcheck-bound-zero"])
+        "regcheck-rank-2", "regcheck-bound-negative", "regcheck-bound-zero",
+        "stabilize-rank-4", "stabilize-rank-2", "watson-non-primitive",
+        "watson-rank-2"])
 def test_rejected_input_is_one_error_line_under_optimize(argv):
     # -O strips asserts, so these must fail through raised errors
     proc = subprocess.run(

@@ -1,6 +1,7 @@
 """The local representation engine against its two reference routes, plus
-the structural predicates (Jordan shapes, stability, anisotropy, Hilbert
-symbols) against classical identities."""
+the structural predicates read from the lattice key (stability, value sets
+of stable lattices) and anisotropy and Hilbert symbols against classical
+identities and the engine."""
 
 import itertools
 import math
@@ -22,11 +23,8 @@ from mgonal.localrep import (
     _pivot_table,
     hensel_exponent,
     hilbert_symbol,
-    is_2_stable,
     is_anisotropic_ternary,
-    is_p_stable,
     is_stable,
-    jordan_split,
     locally_represented,
     locally_represented_many,
     locally_represented_rows,
@@ -128,40 +126,33 @@ def test_verdict_p2_lattice_scaling(p, coeffs, n):
         represents_over_zp(tuple(coeffs), n, p))
 
 
-def test_jordan_split_reconstruction():
-    for p, triples in CORPUS.items():
-        for coeffs in triples:
-            split = jordan_split(DiagonalLattice(coeffs), p)
-            rebuilt = sorted(
-                u * p**s for s, units in split.blocks for u in units)
-            assert rebuilt == sorted(coeffs)
-            exps = [s for s, _ in split.blocks]
-            assert exps == sorted(set(exps))
-            assert split.unimodular_rank == sum(
-                1 for a in coeffs if ord_p(a, p) == 0)
-
-
 def test_2_stability_truth_table():
-    assert is_2_stable((1, 1, 1))
-    assert is_2_stable((1, 1, 2))     # third entry at order exactly 1
-    assert is_2_stable((1, 3, 4))     # u1 u2 = 3 (mod 4)
-    assert is_2_stable((3, 5, 16))    # 15 = 3 (mod 4)
-    assert not is_2_stable((1, 1, 4))  # u1 u2 = 1 (mod 4), deep third
-    assert not is_2_stable((1, 5, 8))
-    assert not is_2_stable((1, 2, 4))  # unimodular rank 1
-    assert not is_2_stable((2, 4, 8))
+    assert is_stable((1, 1, 1), 2)
+    assert is_stable((1, 1, 2), 2)     # third entry at order exactly 1
+    assert is_stable((1, 3, 4), 2)     # u1 u2 = 3 (mod 4)
+    assert is_stable((3, 5, 16), 2)    # 15 = 3 (mod 4)
+    assert not is_stable((1, 1, 4), 2)  # u1 u2 = 1 (mod 4), deep third
+    assert not is_stable((1, 5, 8), 2)
+    assert not is_stable((1, 2, 4), 2)  # unimodular rank 1
+    assert not is_stable((2, 4, 8), 2)
 
 
 def test_odd_stability_truth_table():
-    assert is_p_stable((1, 1, 5), 5)    # -1 is a square mod 5: hyperbolic
-    assert is_p_stable((1, 2, 5), 5)    # anisotropic binary, third at order 1
-    assert not is_p_stable((1, 2, 25), 5)
-    assert is_p_stable((1, 1, 25), 5)   # hyperbolic again, depth irrelevant
-    assert not is_p_stable((1, 3, 9), 3)
-    assert not is_p_stable((2, 3, 9), 3)  # unimodular rank 1
+    assert is_stable((1, 1, 5), 5)    # -1 is a square mod 5: hyperbolic
+    assert is_stable((1, 2, 5), 5)    # anisotropic binary, third at order 1
+    assert not is_stable((1, 2, 25), 5)
+    assert is_stable((1, 1, 25), 5)   # hyperbolic again, depth irrelevant
+    assert not is_stable((1, 3, 9), 3)
+    assert not is_stable((2, 3, 9), 3)  # unimodular rank 1
+    assert is_stable((1, 1, 1), 7)
+
+
+@pytest.mark.parametrize("coeffs, p", [((1, 1), 3), ((1, 1, 1, 1), 2),
+                                        ((1, 1, 1), 4), ((1, 1, 1), 1)],
+                         ids=["rank-2", "rank-4", "p-4", "p-1"])
+def test_stability_rejects_non_ternary_and_non_prime(coeffs, p):
     with pytest.raises(ValueError):
-        is_p_stable((1, 1, 1), 2)
-    assert is_stable((1, 1, 1), 2) and is_stable((1, 1, 1), 7)
+        is_stable(coeffs, p)
 
 
 def test_stable_value_set_exactness_odd():
@@ -172,7 +163,7 @@ def test_stable_value_set_exactness_odd():
                        5: [(1, 1, 5), (1, 2, 5), (2, 3, 5)],
                        7: [(1, 1, 7), (1, 3, 7)]}.items():
         for coeffs in triples:
-            if not is_p_stable(coeffs, p):
+            if not is_stable(coeffs, p):
                 continue
             for gamma in range(0, p**3 + 1):
                 want = bool(represents_over_zp(coeffs, gamma, p))
@@ -194,6 +185,8 @@ def test_stable_value_set_one_sided_at_2():
                 assert truth, (coeffs, gamma)
             elif unimodular:
                 assert not truth, (coeffs, gamma)
+    with pytest.raises(ValueError):
+        stable_value_set_check((1, 1, 4), 2, 1)  # 2-unstable
 
 
 @given(st.integers(min_value=-30, max_value=30).filter(lambda a: a != 0),
@@ -243,6 +236,22 @@ def test_anisotropy_known_values():
     assert not is_anisotropic_ternary((1, 1, 7), 2)
     assert is_anisotropic_ternary((1, 1, 3), 3)
     assert not is_anisotropic_ternary((1, 1, 3), 2)
+
+
+def test_anisotropy_closed_form_matches_engine():
+    """The Hasse-invariant closed form agrees with the primitive-zero
+    characterization: the form is isotropic iff for some i the
+    complementary binary form represents -a_i over Z_p."""
+    seen = set()
+    for p, triples in CORPUS.items():
+        for coeffs in triples:
+            engine = not any(
+                represents_over_zp((coeffs[(i + 1) % 3], coeffs[(i + 2) % 3]),
+                                   -coeffs[i], p).represented
+                for i in range(3))
+            assert is_anisotropic_ternary(coeffs, p) == engine, (coeffs, p)
+            seen.add(engine)
+    assert seen == {True, False}
 
 
 def test_progression_exponent_brute():
@@ -677,7 +686,6 @@ def test_lattice_and_tuple_inputs_agree():
         for p in (2, 3, 5, 7):
             for n in range(1, 30):
                 assert represents_over_zp(L, n, p) == represents_over_zp(t, n, p)
-            assert jordan_split(L, p) == jordan_split(t, p)
             assert is_stable(L, p) == is_stable(t, p)
             assert is_anisotropic_ternary(L, p) == is_anisotropic_ternary(t, p)
             if is_stable(t, p):

@@ -11,8 +11,6 @@ from mgonal.polygonal import ShiftedForm
 from mgonal.watson import (
     WatsonStep,
     coset_watson_step,
-    lambda_4,
-    lambda_p,
     lambda_step,
     normalize_shifts,
     stabilize,
@@ -32,24 +30,24 @@ def _lattice_values(entries, bound):
     return sums
 
 
-def test_lambda_p_rescales_units():
+def test_lambda_step_rescales_units():
     # <1,1,9> is 3-unstable (-1 is a nonsquare mod 3, deep third entry);
     # scaling the two unit coordinates by 3 gives <9,9,9>, so the whole
     # 3^2 divides out
-    lat, s = lambda_p(DiagonalLattice((1, 1, 9)), 3)
-    assert lat == DiagonalLattice((1, 1, 1)) and s == 2
+    assert lambda_step(DiagonalLattice((1, 1, 9)), 3) == (
+        DiagonalLattice((1, 1, 1)), 2, 3)
     # units 1,2 move to 25,50; the common factor 25 comes back out
-    lat, s = lambda_p(DiagonalLattice((1, 2, 25)), 5)
-    assert lat == DiagonalLattice((1, 2, 1)) and s == 2
+    assert lambda_step(DiagonalLattice((1, 2, 25)), 5) == (
+        DiagonalLattice((1, 2, 1)), 2, 5)
 
 
-def test_lambda_p_rejects_stable_input():
+def test_lambda_step_rejects_stable_input():
     # <1,1,3>: anisotropic binary with the third entry at order exactly 1
     with pytest.raises(ValueError):
-        lambda_p(DiagonalLattice((1, 1, 3)), 3)
+        lambda_step(DiagonalLattice((1, 1, 3)), 3)
     # <1,2,9>: -2 = 1 (mod 3) is a square, so <1,2> is hyperbolic at 3
     with pytest.raises(ValueError):
-        lambda_p(DiagonalLattice((1, 2, 9)), 3)
+        lambda_step(DiagonalLattice((1, 2, 9)), 3)
 
 
 def test_lambda_step_divides_valuation():
@@ -160,12 +158,16 @@ def test_stabilize_keeps_local_solubility_of_targets():
     assert min(out.values_upto(out.minimum())) == out.minimum()
 
 
-def test_lambda_4_preconditions_and_result():
-    lat, s = lambda_4(DiagonalLattice((1, 1, 4)))
-    assert lat == DiagonalLattice((1, 1, 1)) and s == 2
+def test_lambda_step_modulus_4_branch():
+    # two units with u1 u2 = 1 (mod 4) and a deep third entry: q = 4
+    assert lambda_step(DiagonalLattice((1, 1, 4)), 2) == (
+        DiagonalLattice((1, 1, 1)), 2, 4)
+    # one unit entry at 2 is a plain q = 2 step
+    assert lambda_step(DiagonalLattice((1, 2, 4)), 2) == (
+        DiagonalLattice((2, 1, 2)), 1, 2)
     with pytest.raises(ValueError):
-        lambda_4(DiagonalLattice((1, 3, 4)))  # u1 u2 = 3 (mod 4)
+        lambda_step(DiagonalLattice((1, 3, 4)), 2)  # u1 u2 = 3 (mod 4): stable
     with pytest.raises(ValueError):
-        lambda_4(DiagonalLattice((1, 2, 4)))  # unimodular rank 1
+        lambda_step(DiagonalLattice((1, 1, 2)), 2)  # third at order 1: stable
     with pytest.raises(ValueError):
-        lambda_4(DiagonalLattice((1, 1, 2)))  # deep entry only at order 1
+        lambda_step(DiagonalLattice((2, 4, 8)), 2)  # no unit entry
