@@ -22,14 +22,16 @@ terminates because ord_p(n) drops by 2 at each deep step.
 
 Pivot queries are answered by residue tables.  The table of pivot i
 records, for every residue r mod p^{M_i}, whether Q(x) = r has a solution
-with x_i a unit; it is built once by circular convolution of value-set
-indicator arrays (numpy real FFT; the arrays are small because M_i only
-depends on ord_p(2 a_i)).  Scaling a coefficient by the square of a unit
-permutes the solutions and keeps the units, so a table depends on the
-lattice only through its key, the sorted multiset {(e_i, unit class of
-a_i)}, where a unit class is a square class of Z_p-units (Legendre symbol
-for odd p, the residue mod 8 for p = 2).  `_pivot_table` builds each table
-from the canonical lattice of its key and caches it, bit-packed, per
+with x_i a unit (the tables are small because M_i only depends on
+ord_p(2 a_i)).  Scaling a coefficient by the square of a unit permutes
+the solutions and keeps the units, so a table depends on the lattice only
+through its key, the sorted multiset {(e_i, unit class of a_i)}, where a
+unit class is a square class of Z_p-units (Legendre symbol for odd p, the
+residue mod 8 for p = 2).  The set of values with x_i a unit is closed
+under unit squares too, so it is a union of classes (ord_p, unit class);
+`_pivot_table` finds these classes from the key in closed form, by
+summing the coordinates' classes (rule and proof in its docstring),
+writes the table from them with no FFT, and caches it, bit-packed, per
 (p, key, pivot).  A verdict is then a few lookups `table[n % p^M]`: the
 distinct pivots shallowest first, then n / p^2 when p^2 | n.  The key is
 the one description of a diagonal lattice at p in the package: `is_stable`
@@ -95,10 +97,10 @@ import numpy as np
 from .numth import (is_prime, legendre, ord_p, prime_divisors,
                     smallest_nonresidue, unit_part)
 
-# Largest indicator array we are willing to build for a single FFT
-# (p^{2 ord_p(2 a_i) + 1} for a pivot table).  A pivot is read only at
-# targets at least as deep as it, so this limit refuses only deep targets
-# that truly need a deep pivot.
+# Largest residue table we are willing to write: a pivot table has
+# p^{2 ord_p(2 a_i) + 1} entries.  A pivot is read only at targets at least
+# as deep as it, so this limit refuses only deep targets that truly need a
+# deep pivot.  The FFT oracle's indicator arrays keep the same limit.
 _FFT_LIMIT = 2 ** 22
 
 
@@ -155,24 +157,26 @@ def _entries(L) -> Tuple[int, ...]:
 # --------------------------------------------------------------------------
 # lattice keys and residue tables
 
-def _unit_class(u: int, p: int) -> int:
-    """Canonical label of the square class of the unit u in Z_p: u mod 8
-    at p = 2; at an odd prime p, 1 for a square and the least nonresidue
-    otherwise, read by Euler's criterion (the public entry points check
-    once that p is prime)."""
-    assert u % p != 0
-    if p == 2:
-        return u % 8
-    return 1 if pow(u, (p - 1) // 2, p) == 1 else smallest_nonresidue(p)
-
 def _lattice_key(coeffs: Sequence[int], p: int) -> Tuple:
+    """The sorted (ord_p(a), unit class of a / p^ord_p(a)) of the entries.
+    A unit class labels a square class of Z_p-units: the residue mod 8 at
+    p = 2; at an odd prime p, 1 for a square and the least nonresidue
+    otherwise, read by Euler's criterion (the public entry points check
+    once that p is prime) and found once per key."""
     if not coeffs or 0 in coeffs:
         raise ValueError(f"coefficients must be a nonempty list of nonzero "
                          f"integers, got {tuple(coeffs)}")
-    key = []
+    key, nonresidue = [], None
     for a in coeffs:
         e = ord_p(a, p)
-        key.append((e, _unit_class(a // p ** e, p)))
+        u = a // p ** e
+        if p == 2:
+            key.append((e, u % 8))
+        elif pow(u, (p - 1) // 2, p) == 1:
+            key.append((e, 1))
+        else:
+            nonresidue = nonresidue or smallest_nonresidue(p)
+            key.append((e, nonresidue))
     return tuple(sorted(key))
 
 
@@ -205,9 +209,9 @@ def _convolve_presence(ind1: np.ndarray, ind2: np.ndarray) -> np.ndarray:
 
 
 def _pack(present: np.ndarray) -> np.ndarray:
-    """The table format: bit r set iff present[r] > 1/2, read-only since the
-    caches hand the same array to every caller."""
-    table = np.packbits(present > 0.5, bitorder="little")
+    """The table format: bit r set iff present[r], read-only since the
+    cache hands the same array to every caller."""
+    table = np.packbits(present, bitorder="little")
     table.flags.writeable = False
     return table
 
@@ -216,20 +220,152 @@ def _attained(table: np.ndarray, r):
     return (table[r >> 3] >> (r & 7)) & 1 != 0
 
 
+# Class sums of `_pivot_table`.  A class set is a list of bitmasks, one per
+# order k < M, of class indices i (the unit classes c = 2 i + 1 at p = 2;
+# 0 for the squares and 1 for the nonsquares at odd p), plus a flag for
+# residue 0 mod p^M.  For two classes d < rho orders apart, rho =
+# len(near), near[d][i][j] = (off, mask, tail) says that p^k (U_i + p^d U_j)
+# meets the classes of mask at order k + off and, when tail, every element
+# of order >= k + rho, and 0.
+
+def _near_sums_2():
+    table = []
+    for d in range(3):
+        table.append([])
+        for c1 in (1, 3, 5, 7):
+            row = []
+            for c2 in (1, 3, 5, 7):
+                t = (c1 + (c2 << d)) % 8
+                if t % 2:  # a unit: its own class
+                    row.append((0, 1 << (t >> 1), False))
+                elif t % 4:  # 2 (w + 4 Z_2): the classes w and w + 4
+                    w = t // 2
+                    row.append((1, 1 << (w >> 1) | 1 << ((w + 4) >> 1), False))
+                elif t:  # 4 (1 + 2 Z_2): every class
+                    row.append((2, 0b1111, False))
+                else:
+                    row.append((0, 0, True))
+            table[-1].append(row)
+    return table
+
+_NEAR_SUMS_2 = _near_sums_2()
+_BITS = [[i for i in range(4) if m >> i & 1] for m in range(16)]
+# [L][mask, b]: does a class c_i = 2 i + 1 of the mask reduce to b mod 2^L
+_PATTERNS_2 = {L: (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
+               @ (np.arange(1, 8, 2)[:, None] % 2 ** L == np.arange(2 ** L))
+               for L in (1, 2, 3)}
+
+
+def _near_sums_odd(p: int):
+    """near[0] at an odd prime p, from the count of unit pairs (x, y) mod p
+    with s_i x^2 + s_j y^2 = t, s_0 = 1 and s_1 = -1 standing for the
+    Legendre symbols (proof in `_pivot_table`)."""
+    chi = 1 if p % 4 == 1 else -1  # (-1 | p)
+    signs = (1, -1)
+    return [[[(0, sum(1 << i for i, s in enumerate(signs)
+                      if p - 2 - chi * si * sj - s * (si + sj) > 0),
+               chi * si == sj)
+              for sj in signs] for si in signs]]
+
+
+def _add_coordinate(acc: List[int], zero: bool, e: int, i: int,
+                    near) -> Tuple[List[int], bool]:
+    """The class set (acc, zero) plus {p^e u x^2 : x in Z_p}, u of class i:
+    the classes (e + 2t, i), t >= 0, and 0."""
+    M, rho = len(acc), len(near)
+    out, out_zero = acc[:], zero  # x = 0
+    deepest = max((k for k in range(M) if acc[k]), default=-M)
+    tail = M + 1
+    for k2 in range(e, M, 2):
+        if zero or deepest >= k2 + rho:
+            out[k2] |= 1 << i
+        for k1 in range(max(k2 - rho + 1, 0), min(k2 + rho, M)):
+            for j in _BITS[acc[k1]]:
+                if k1 < k2:
+                    k, (off, mask, t_tail) = k1, near[k2 - k1][j][i]
+                else:
+                    k, (off, mask, t_tail) = k2, near[k1 - k2][i][j]
+                if k + off < M:
+                    out[k + off] |= mask
+                elif mask:
+                    out_zero = True
+                if t_tail and k + rho < tail:
+                    tail = k + rho
+    if tail <= M:
+        out[tail:] = [(1 << len(near[0])) - 1] * (M - tail)  # every class
+        out_zero = True
+    return out, out_zero
+
+
 @functools.lru_cache(maxsize=None)
 def _pivot_table(p: int, lattice_key: Tuple, pivot: int) -> Tuple[int, np.ndarray]:
     """(mod, table) of the pivot query at lattice_key[pivot], M =
-    2 ord_p(2 a_pivot) + 1, built from the canonical lattice of the key
-    (entries p^e times the class representative; see the module docstring).
+    2 ord_p(2 a_pivot) + 1, written from the set S of values Q(x) with
+    x_pivot a unit, which is found in closed form.
+
+    S is closed under multiplication by unit squares (scale every x_j by
+    one unit), so it is a union of classes (k, c): the elements of order k
+    whose unit part lies in the square class c, a Legendre class at odd p
+    and a residue mod 8 at p = 2, so read mod p^rho with rho = 1 at odd p
+    and rho = 3 at p = 2.  Mod p^M only the classes of order k < M matter,
+    and whether S meets residue 0: an element of order >= M is 0 mod p^M.
+
+    Per coordinate, x_pivot a unit gives the one class (e, [u]); any other
+    coordinate gives the classes (e_j + 2t, [u_j]) (x of order t) and 0.
+    S is their sum, folded one coordinate at a time (`_add_coordinate`),
+    and a sum of two sets is the union of the sums of their classes.  Two
+    classes (k1, c1) and (k2, c2), k1 <= k2, d = k2 - k1, sum to
+    p^k1 (U1 + p^d U2), U1 and U2 the units of the classes:
+      - d >= rho: u1 + p^d u2 = u1 (mod p^rho), so the sum lies in (k1, c1)
+        and fills it (u1 = w - p^d u2 meets every w of the class).  A value
+        of order >= M acts the same way mod p^M.
+      - d < rho: a class is closed under adding p^rho Z_p, so U1 + p^d U2
+        is the union of the sets t + p^rho Z_p over its residues t mod
+        p^rho.  For a unit t, p^k1 (t + p^rho Z_p) is the class (k1, [t]).
+        At p = 2 and t = 2^s w, s in {1, 2}, it holds the classes = w
+        (mod 2^(3 - s)) at order k1 + s.  For t = 0 it holds every element
+        of order >= k1 + rho, and 0.  At p = 2, t is the one residue
+        c1 + 2^d c2 mod 8 (`_near_sums_2`).  At odd p (d = 0), t = 0 is
+        met iff -u1 u2 is a square, and t != 0 of Legendre symbol s is met
+        iff some units x, y mod p have u1 x^2 + u2 y^2 = t: their count is
+        p - 2 - (-1|p) s1 s2 - s (s1 + s2), the p - (-u1 u2 | p) points of
+        a smooth conic less the 2 + s s1 + s s2 on its axes
+        (`_near_sums_odd`).
+    The table then sets bit r = p^k v, p not dividing v and k < M, iff v
+    lies in a class of S at order k.  v is known mod p^(M - k), so at
+    p = 2 with M - k < 3 it counts when any class of S at order k agrees
+    with it mod 2^(M - k).  Bit 0 is set iff S meets residue 0 mod p^M.
+    The tests check the tables against the FFT convolutions of
+    `_coord_indicator`.
+
     Unbounded: packed tables are small, and a bounded cache kept missing
     on workloads that return to lattices seen long before."""
-    coeffs = [p ** e * u for e, u in lattice_key]
-    M = 2 * ord_p(2 * coeffs[pivot], p) + 1
-    acc = _coord_indicator(coeffs[pivot], p, M, unit_only=True)
-    for j, a in enumerate(coeffs):
+    e = lattice_key[pivot][0]
+    M = 2 * (e + (p == 2)) + 1
+    if p ** M > _FFT_LIMIT:
+        raise ModulusTooLarge(f"p^M = {p}^{M} exceeds the FFT limit")
+    if p == 2:
+        near, patterns = _NEAR_SUMS_2, _PATTERNS_2
+    else:
+        near = _near_sums_odd(p)
+        square = np.zeros(p, dtype=bool)
+        square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
+        units = np.arange(p) > 0
+        patterns = {1: [None, square, units & ~square, units]}
+    classes = [c >> 1 if p == 2 else int(c != 1) for _, c in lattice_key]
+    acc = [0] * M
+    acc[e] = 1 << classes[pivot]
+    zero = False
+    for j, (ej, _) in enumerate(lattice_key):
         if j != pivot:
-            acc = _convolve_presence(acc, _coord_indicator(a, p, M, False))
-    return p ** M, _pack(acc)
+            acc, zero = _add_coordinate(acc, zero, ej, classes[j], near)
+    present = np.zeros(p ** M, dtype=bool)
+    present[0] = zero
+    for k, mask in enumerate(acc):
+        if mask:  # r = p^k (p^L a + b) sits at [a, b, 0], and v = b mod p^L
+            L = min(M - k, len(near))
+            present.reshape(-1, p ** L, p ** k)[:, :, 0] |= patterns[L][mask]
+    return p ** M, _pack(present)
 
 
 def _pivots(lattice_key: Tuple, p: int) -> List[Tuple[int, int]]:
@@ -407,7 +543,7 @@ def is_stable(L, p: int) -> bool:
         return True
     if p == 2:
         return u1 * u2 % 4 == 3
-    return _unit_class(-u1 * u2, p) == 1
+    return legendre(-u1 * u2, p) == 1
 
 
 def stable_value_set_check(L, p: int, gamma: int) -> bool:
@@ -445,14 +581,18 @@ def stable_value_set_check(L, p: int, gamma: int) -> bool:
             return True
         eps = 3 * u1 * u2 * u3 % 8
         return not (g_ord % 2 == 0 and g_class == (eps + 4) % 8)
-    if e3 == 0 or _unit_class(-u1 * u2, p) == 1:
+    if e3 == 0 or legendre(-u1 * u2, p) == 1:
         return True  # hyperbolic plane inside: value set is all of Z_p
-    return not (g_ord % 2 == 1 and g_class == _unit_class(-u1 * u2 * u3, p))
+    return not (g_ord % 2 == 1
+                and legendre(g_class, p) == legendre(-u1 * u2 * u3, p))
 
 
 def hilbert_symbol(a: int, b: int, p: int) -> int:
-    """Hilbert symbol (a, b)_p over Q_p, via the standard closed forms."""
-    assert a != 0 and b != 0
+    """Hilbert symbol (a, b)_p over Q_p, via the standard closed forms.
+    Raises ValueError for a zero argument or a non-prime p."""
+    if a == 0 or b == 0:
+        raise ValueError(f"the Hilbert symbol needs nonzero a, b, got {a}, {b}")
+    _check_prime(p)
     alpha, u = ord_p(a, p), unit_part(a, p)
     beta, v = ord_p(b, p), unit_part(b, p)
     if p == 2:
@@ -480,9 +620,12 @@ def is_anisotropic_ternary(L, p: int) -> bool:
     its Hasse invariant equals (-1, -d)_p.  (Equivalently, by the
     primitive-zero characterization, iff for some i the complementary
     binary form represents -a_i over Z_p; the tests check the two agree.)
+    Raises ValueError unless there are three nonzero entries and p is a
+    prime.
     """
     coeffs = _entries(L)
-    assert len(coeffs) == 3 and all(a != 0 for a in coeffs)
+    if len(coeffs) != 3 or 0 in coeffs:
+        raise ValueError(f"anisotropy needs three nonzero entries, got {coeffs}")
     d = coeffs[0] * coeffs[1] * coeffs[2]
     return hasse_invariant(coeffs, p) != hilbert_symbol(-1, -d, p)
 

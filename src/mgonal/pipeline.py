@@ -166,13 +166,18 @@ def find_v(p: int, u: int, a: Sequence[int], alpha: Sequence[int]) -> int:
     Branches on which coefficient p divides; each branch pins u v mod p or
     mod p^2 so that the target lands in the excluded square class of the
     binary part.  All four clauses are re-verified through the local
-    engine before returning.
+    engine before returning.  Raises ValueError unless p is a prime >= 5,
+    a and alpha have three entries and u is a positive p-unit.
     """
     a = tuple(a)
     alpha = tuple(alpha)
-    assert p >= 5 and is_prime(p)
-    assert len(a) == 3 and len(alpha) == 3
-    assert u > 0 and u % p != 0
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"find_v needs a prime p >= 5, got {p}")
+    if len(a) != 3 or len(alpha) != 3:
+        raise ValueError(f"find_v needs three coefficients and three shifts, "
+                         f"got {a} and {alpha}")
+    if u <= 0 or u % p == 0:
+        raise ValueError(f"find_v needs a positive unit u at {p}, got {u}")
     deep = _anisotropic_shape(a, p)
     a1, a2, a3 = a
     al1, al2, al3 = alpha

@@ -20,6 +20,7 @@ from mgonal.localrep import (
     _convolve_presence,
     _coord_indicator,
     _lattice_key,
+    _near_sums_odd,
     _pivot_table,
     hensel_exponent,
     hilbert_symbol,
@@ -36,8 +37,9 @@ from mgonal.localrep import (
     shifted_represents_over_zp,
     stable_value_set_check,
 )
-from mgonal.numth import ord_p, prime_divisors
+from mgonal.numth import is_prime, ord_p, prime_divisors, smallest_nonresidue
 from mgonal.pipeline import find_nu
+from mgonal.regcheck import candidate_scan
 from mgonal.polygonal import MGonalForm, ShiftedForm, form_to_shifted, shifted_target
 from mgonal.watson import lambda_step
 
@@ -340,6 +342,89 @@ def test_form_to_shifted_roundtrip_values():
         assert targets <= vals_g
 
 
+def _fft_pivot_table(coeffs, p, pivot):
+    """The pivot table of <coeffs> as a boolean array, built by FFT
+    convolutions of the coordinates' value-set indicators."""
+    M = 2 * ord_p(2 * coeffs[pivot], p) + 1
+    acc = _coord_indicator(coeffs[pivot], p, M, unit_only=True)
+    for j, a in enumerate(coeffs):
+        if j != pivot:
+            acc = _convolve_presence(acc, _coord_indicator(a, p, M, False))
+    return acc > 0.5
+
+
+def _ternary_keys(p, depth):
+    """Every rank-3 lattice key with entries of depth <= depth at p."""
+    units = (1, 3, 5, 7) if p == 2 else (1, smallest_nonresidue(p))
+    entries = [(e, u) for e in range(depth + 1) for u in units]
+    return list(itertools.combinations_with_replacement(entries, 3))
+
+
+def test_class_built_tables_match_fft_tables():
+    """Every pivot table written from class sums equals the FFT build, for
+    every rank-3 key of depth <= 2 at p in {2, 3, 5, 7} and a sample at 11
+    and 13 (all keys of depth <= 1, and some of depth 2 at 11)."""
+    rng = random.Random(10)
+    cases = [(p, key) for p in (2, 3, 5, 7) for key in _ternary_keys(p, 2)]
+    cases += [(p, key) for p in (11, 13) for key in _ternary_keys(p, 1)]
+    cases += [(11, key) for key in rng.sample(_ternary_keys(11, 2), 4)]
+    checked = 0
+    for p, key in cases:
+        for i in range(3):
+            mod, table = _pivot_table(p, key, i)
+            got = np.unpackbits(table, count=mod, bitorder="little")
+            canonical = [p ** e * u for e, u in key]
+            assert np.array_equal(got, _fft_pivot_table(canonical, p, i)), (p, key, i)
+            checked += 1
+    assert checked == 3 * (364 + 3 * 56 + 2 * 20 + 4)
+
+
+def test_odd_class_sum_rule_matches_enumeration():
+    """u x^2 + w y^2 over units x, y mod p, for u and w in the square or the
+    nonsquare class and every odd prime p < 100: the nonzero Legendre
+    classes met and whether 0 is met are those the count rule of
+    `_near_sums_odd` gives."""
+    for p in filter(is_prime, range(3, 100, 2)):
+        q = smallest_nonresidue(p)
+        squares = {x * x % p for x in range(1, p)}
+        classes = (squares, set(range(1, p)) - squares)
+        for i, u in enumerate((1, q)):
+            for j, w in enumerate((1, q)):
+                sums = {(u * a + w * b) % p for a in squares for b in squares}
+                mask = sum(1 << c for c, cls in enumerate(classes) if sums & cls)
+                assert _near_sums_odd(p)[0][i][j] == (0, mask, 0 in sums), (p, u, w)
+
+
+def test_engine_makes_no_fft_call(monkeypatch):
+    """With numpy's FFT disabled and a cold table cache, plain, batched and
+    shifted queries and a census scan give the answers they give with it:
+    the engine writes its tables from class sums, and only the oracles
+    convolve."""
+    g = ShiftedForm(conductor=6, coeffs=(1, 2, 3), shifts=(1, 1, 1))
+    queries = [
+        lambda: [represents_over_zp(c, n, p).represented
+                 for p in (2, 3, 5, 7) for c in ((1, 1, 1), (1, 2, p ** 3), (3, p, p * p))
+                 for n in (1, 2, 3, 7, p, p ** 3, 5 * p ** 4)],
+        lambda: [represents_over_zp_many(c, range(-5, 400), p).tolist()
+                 for p in (2, 3, 5) for c in ((1, 1, 1), (1, 3, 4 * p))],
+        lambda: [shifted_represents_over_zp(g, N, p) for p in (2, 3, 5, 7)
+                 for N in range(60)],
+        lambda: candidate_scan(8, 5, 500),
+    ]
+    expected = [query() for query in queries]
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the engine called numpy.fft")
+
+    monkeypatch.setattr(np.fft, "rfft", no_fft)
+    monkeypatch.setattr(np.fft, "irfft", no_fft)
+    with pytest.raises(AssertionError, match="numpy.fft"):
+        _fft_pivot_table((1, 1, 1), 3, 0)
+    _pivot_table.cache_clear()
+    assert [query() for query in queries] == expected
+    assert _pivot_table.cache_info().misses > 0
+
+
 def test_pivot_tables_match_real_entries():
     """A pivot table built from the real entries equals the cached one built
     from the canonical lattice of their key: unit-square scaling, negative
@@ -357,15 +442,10 @@ def test_pivot_tables_match_real_entries():
             key = _lattice_key(coeffs, p)
             real = sorted(coeffs, key=lambda a: _lattice_key([a], p))
             for i, a in enumerate(real):
-                M = 2 * ord_p(2 * a, p) + 1
-                acc = _coord_indicator(a, p, M, unit_only=True)
-                for j, b in enumerate(real):
-                    if j != i:
-                        acc = _convolve_presence(acc, _coord_indicator(b, p, M, False))
                 mod, table = _pivot_table(p, key, i)
-                assert mod == p ** M
+                assert mod == p ** (2 * ord_p(2 * a, p) + 1)
                 got = np.unpackbits(table, count=mod, bitorder="little")
-                assert np.array_equal(got, acc > 0.5), (coeffs, p, i)
+                assert np.array_equal(got, _fft_pivot_table(real, p, i)), (coeffs, p, i)
             checked += 1
     assert checked == 40 and classes_at_2 == {1, 3, 5, 7}
 
@@ -523,6 +603,32 @@ def test_coefficients_are_rejected_by_name_under_optimize():
     assert len(lines) == 4
     assert lines[0].endswith("got ()") and lines[2].endswith("got ()")
     assert lines[1].endswith("got (1, 0, 3)") and lines[3].endswith("got (1, 0, 3)")
+
+
+def test_anisotropy_and_hilbert_symbol_reject_bad_input_under_optimize():
+    """A wrong rank, a zero entry or a composite p raises ValueError naming
+    the input, also when asserts are stripped."""
+    script = (
+        "from mgonal.localrep import hilbert_symbol, is_anisotropic_ternary\n"
+        "for call in (lambda: is_anisotropic_ternary((1, 1), 3),\n"
+        "             lambda: is_anisotropic_ternary((1, 0, 2), 3),\n"
+        "             lambda: is_anisotropic_ternary((1, 1, 1), 9),\n"
+        "             lambda: hilbert_symbol(0, 3, 5),\n"
+        "             lambda: hilbert_symbol(2, 3, 9)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "anisotropy needs three nonzero entries, got (1, 1)",
+        "anisotropy needs three nonzero entries, got (1, 0, 2)",
+        "p must be a prime, got 9",
+        "the Hilbert symbol needs nonzero a, b, got 0, 3",
+        "p must be a prime, got 9"]
 
 
 # primitive ascending triples with a_3 <= 5, as in a census

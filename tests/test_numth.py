@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from mgonal.localrep import _unit_class
+from mgonal.localrep import _lattice_key
 from mgonal.numth import (
     RS,
     is_prime,
@@ -78,6 +78,11 @@ def test_smallest_nonresidue():
 @given(st.integers(min_value=1, max_value=10**6))
 def test_factorization_matches_sympy(n):
     assert prime_divisors(n) == sorted(sympy.factorint(n))
+
+
+def _unit_class(u, p):
+    """The unit-class label of the lattice key of <u>."""
+    return _lattice_key([u], p)[0][1]
 
 
 @given(st.integers(min_value=1, max_value=300),

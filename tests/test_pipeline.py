@@ -3,6 +3,8 @@ the four-case replay against the recorded logs, and the final bounds."""
 
 import json
 import math
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -101,6 +103,32 @@ def test_find_v_rejects_isotropic_binary():
     # -1*3 = -3 is a square mod 7, so <1,3> is isotropic at 7
     with pytest.raises(ValueError):
         find_v(7, 1, (1, 3, 7), (1, 1, 2))
+
+
+def test_find_v_rejects_bad_input_under_optimize():
+    """p below 5 or composite, a wrong length and a u that is not a positive
+    p-unit raise ValueError naming the input, also when asserts are
+    stripped."""
+    script = (
+        "from mgonal.pipeline import find_v\n"
+        "for args in ((3, 1, (1, 2, 3), (1, 1, 1)), (25, 1, (1, 2, 5), (1, 1, 1)),\n"
+        "             (5, 1, (1, 2), (1, 1, 1)), (5, 1, (1, 2, 5), (1, 1)),\n"
+        "             (5, 0, (1, 2, 5), (1, 1, 1)), (5, 10, (1, 2, 5), (1, 1, 1))):\n"
+        "    try:\n"
+        "        print(find_v(*args))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "find_v needs a prime p >= 5, got 3",
+        "find_v needs a prime p >= 5, got 25",
+        "find_v needs three coefficients and three shifts, got (1, 2) and (1, 1, 1)",
+        "find_v needs three coefficients and three shifts, got (1, 2, 5) and (1, 1)",
+        "find_v needs a positive unit u at 5, got 0",
+        "find_v needs a positive unit u at 5, got 10"]
 
 
 # ---------------------------------------------------------------------------
