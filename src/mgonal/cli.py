@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .density import eta, psi, psi_values_desc
-from .localrep import (_FFT_LIMIT, ModulusTooLarge, represents_over_zp,
+from .localrep import (ModulusTooLarge, represents_over_zp,
                        shifted_represents_over_zp)
 from .numth import is_prime
 from .pipeline import CASES, ReplayMismatch, replay_all, replay_case
@@ -29,6 +29,12 @@ from .polygonal import MGonalForm, ShiftedForm
 from .prodineq import CLAUSES, certify_all_t, verify_induction_step, verify_inequality
 from .regcheck import candidate_note, regularity_scan
 from .watson import coset_watson_step, stabilize
+
+# Largest prime a --p option takes: `numth.is_prime` is trial division up to
+# sqrt(p), which takes minutes on primes near 10^18.  The local engine
+# itself has no limit on p.
+_P_LIMIT = 2 ** 22
+
 
 class VerificationFailure(Exception):
     """Computed values disagree with a golden file."""
@@ -82,12 +88,9 @@ def _prime(text: str) -> int:
         p = int(text)
     except ValueError:
         p = 0
-    # checked before primality: trial division up to sqrt(p) takes minutes for
-    # large p.  The cap is the local engine's: every pivot query at such a p
-    # needs a p-entry residue array beyond its limit.
-    if p > _FFT_LIMIT:
+    if p > _P_LIMIT:  # checked before the primality test
         raise argparse.ArgumentTypeError(
-            f"primes above 2^22 = {_FFT_LIMIT} are not supported, got {text!r}")
+            f"primes above 2^22 = {_P_LIMIT} are not supported, got {text!r}")
     if not is_prime(p):
         raise argparse.ArgumentTypeError(f"expected a prime, got {text!r}")
     return p

@@ -17,46 +17,39 @@ x_i = 0 (mod p), and then n = Q(x) = p^2 Q(x/p), so
                          p^2 | n and Q represents n / p^2,
 
 where the pivot query at i asks for a witness mod p^{M_i},
-M_i = 2 sigma_i + 1, having x_i a unit.  This recursion (`represents_over_zp`)
-terminates because ord_p(n) drops by 2 at each deep step.
+M_i = 2 sigma_i + 1, having x_i a unit.  Unrolled over the deep steps,
+this says that the values of Q over Z_p are
 
-Pivot queries are answered by residue tables.  The table of pivot i
-records, for every residue r mod p^{M_i}, whether Q(x) = r has a solution
-with x_i a unit (the tables are small because M_i only depends on
-ord_p(2 a_i)).  Scaling a coefficient by the square of a unit permutes
-the solutions and keeps the units, so a table depends on the lattice only
-through its key, the sorted multiset {(e_i, unit class of a_i)}, where a
-unit class is a square class of Z_p-units (Legendre symbol for odd p, the
-residue mod 8 for p = 2).  The set of values with x_i a unit is closed
-under unit squares too, so it is a union of classes (ord_p, unit class);
-`_pivot_table` finds these classes from the key in closed form, by
-summing the coordinates' classes (rule and proof in its docstring),
-writes the table from them with no FFT, and caches it, bit-packed, per
-(p, key, pivot).  A verdict is then a few lookups `table[n % p^M]`: the
-distinct pivots shallowest first, then n / p^2 when p^2 | n.  The key is
-the one description of a diagonal lattice at p in the package: `is_stable`
-and `stable_value_set_check` read it too.
+    {0}  u  union over j >= 0 of  p^{2j} (S_1 u ... u S_r),
 
-Pivots deeper than the target are never read.  Write t = 2 ord_p(2) and
-call entry i deep at n when e_i > ord_p(n) + t.  If Q(x) = n, the deep
-terms sum to some s with ord_p(s / n) >= t + 1, so n - s = n (1 - s/n)
-and 1 - s/n = u^2 is a unit square (1 mod p at odd p, 1 mod 8 at p = 2).
-Dividing the shallow coordinates by u and zeroing the deep ones solves
-Q = n with the shallow entries alone.  So if Q represents n, the recursion
-above succeeds at a shallow pivot (its table, built with every entry,
-holds this solution) or at n / p^2.  A pivot is therefore read at n only
-when p^(e_i - t) | n; keys are sorted, so the first pivot that fails this
-test ends the pivot loop, and deep tables, the largest ones, are never
-built for shallow targets.  A table past `_FFT_LIMIT` that a target does
-need raises `ModulusTooLarge`, but only after n / p^2 has been tried: the
-two branches are disjoint ways to find a solution (a unit coordinate, or
-every coordinate divisible by p), so trying one first changes no verdict.
+with S_i the values Q(x) having x_i a unit (the pivot sets).  Scaling x
+by a unit scales Q(x) by its square, so each S_i is a union of classes
+(k, c): the elements of order k whose unit part lies in the square class
+c, a Legendre class at odd p and a residue mod 8 at p = 2.  By (*),
+membership in S_i depends only on n mod p^{M_i}, so S_i is its classes
+at orders k < M_i plus, when it meets residue 0 mod p^{M_i}, every
+element of order >= M_i.  These classes depend on the lattice only
+through its key, the sorted multiset {(e_i, unit class of a_i)}: scaling
+an entry by a unit square permutes the solutions and keeps the units.
+
+So the value set is one bitmask T[k] over the unit classes per order k,
+the descriptor that `_value_set` builds once per (p, key) by summing the
+coordinates' classes in closed form (rule and proof in its docstring).
+Write V[k] for the classes of S_1 u ... u S_r at order k and K = max M_i.
+Every S_i is all or nothing at orders >= M_i, so V[k] is one constant for
+k >= K; and T[k] = V[k] | T[k - 2].  Hence T[K + 2] = T[K] and
+T[K + 3] = T[K + 1]: T has period 2 from order K on, and K + 2 entries
+describe it.  A verdict is ord_p(n), the class of n's unit part and one
+lookup in T, at any depth and any p, with no residue array.  The key is
+the one description of a diagonal lattice at p in the package:
+`is_stable` and `stable_value_set_check` read it too, and the tests hold
+the latter against the descriptor.
 
 Scans ask the same question for many targets at once.
-`represents_over_zp_many` runs the same loop with numpy over an array of
-targets, without a Python call per target.
+`represents_over_zp_many` reads the same descriptor with numpy over an
+array of targets, without a Python call per target.
 
-A shifted form sum a_i (c x_i + alpha_i)^2 needs no table at a prime
+A shifted form sum a_i (c x_i + alpha_i)^2 needs no descriptor at a prime
 p | c: each alpha_i is a p-unit (the shifts are coprime to c), so
 (c x + alpha_i)^2 sweeps alpha_i^2 + p^e Z_p, e = `progression_exponent`,
 and the sum of the coordinates' balls gives the exact congruence
@@ -97,15 +90,12 @@ import numpy as np
 from .numth import (is_prime, legendre, ord_p, prime_divisors,
                     smallest_nonresidue, unit_part)
 
-# Largest residue table we are willing to write: a pivot table has
-# p^{2 ord_p(2 a_i) + 1} entries.  A pivot is read only at targets at least
-# as deep as it, so this limit refuses only deep targets that truly need a
-# deep pivot.  The FFT oracle's indicator arrays keep the same limit.
+# Largest indicator array the FFT oracle writes (p^K entries).
 _FFT_LIMIT = 2 ** 22
 
 
 class ModulusTooLarge(Exception):
-    """The exact local decision would need an infeasible indicator array."""
+    """A reference oracle would need an infeasible search box or array."""
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +145,7 @@ def _entries(L) -> Tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# lattice keys and residue tables
+# lattice keys and value-set descriptors
 
 def _lattice_key(coeffs: Sequence[int], p: int) -> Tuple:
     """The sorted (ord_p(a), unit class of a / p^ord_p(a)) of the entries.
@@ -185,15 +175,12 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be a prime, got {p}")
 
 
-def _coord_indicator(a: int, p: int, M: int, unit_only: bool) -> np.ndarray:
-    """0/1 array ind[r] = 1 iff r = a x^2 (mod p^M) for some x in Z_p
-    (restricted to unit x when unit_only)."""
+def _coord_indicator(a: int, p: int, M: int) -> np.ndarray:
+    """0/1 array ind[r] = 1 iff r = a x^2 (mod p^M) for some x in Z_p."""
     mod = p ** M
     if mod > _FFT_LIMIT:
         raise ModulusTooLarge(f"p^M = {p}^{M} exceeds the FFT limit")
     xs = np.arange(mod, dtype=np.int64)
-    if unit_only:
-        xs = xs[xs % p != 0]
     vals = (int(a) % mod) * (xs * xs % mod) % mod  # < mod^2 <= 2^44
     ind = np.zeros(mod, dtype=np.float64)
     ind[vals] = 1.0
@@ -208,19 +195,7 @@ def _convolve_presence(ind1: np.ndarray, ind2: np.ndarray) -> np.ndarray:
     return (counts > 0.5).astype(np.float64)
 
 
-def _pack(present: np.ndarray) -> np.ndarray:
-    """The table format: bit r set iff present[r], read-only since the
-    cache hands the same array to every caller."""
-    table = np.packbits(present, bitorder="little")
-    table.flags.writeable = False
-    return table
-
-def _attained(table: np.ndarray, r):
-    """Bit r of a packed table; r is an int or an int64 array of residues."""
-    return (table[r >> 3] >> (r & 7)) & 1 != 0
-
-
-# Class sums of `_pivot_table`.  A class set is a list of bitmasks, one per
+# Class sums of `_value_set`.  A class set is a list of bitmasks, one per
 # order k < M, of class indices i (the unit classes c = 2 i + 1 at p = 2;
 # 0 for the squares and 1 for the nonsquares at odd p), plus a flag for
 # residue 0 mod p^M.  For two classes d < rho orders apart, rho =
@@ -250,16 +225,12 @@ def _near_sums_2():
 
 _NEAR_SUMS_2 = _near_sums_2()
 _BITS = [[i for i in range(4) if m >> i & 1] for m in range(16)]
-# [L][mask, b]: does a class c_i = 2 i + 1 of the mask reduce to b mod 2^L
-_PATTERNS_2 = {L: (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
-               @ (np.arange(1, 8, 2)[:, None] % 2 ** L == np.arange(2 ** L))
-               for L in (1, 2, 3)}
 
 
 def _near_sums_odd(p: int):
     """near[0] at an odd prime p, from the count of unit pairs (x, y) mod p
     with s_i x^2 + s_j y^2 = t, s_0 = 1 and s_1 = -1 standing for the
-    Legendre symbols (proof in `_pivot_table`)."""
+    Legendre symbols (proof in `_value_set`)."""
     chi = 1 if p % 4 == 1 else -1  # (-1 | p)
     signs = (1, -1)
     return [[[(0, sum(1 << i for i, s in enumerate(signs)
@@ -297,22 +268,59 @@ def _add_coordinate(acc: List[int], zero: bool, e: int, i: int,
     return out, out_zero
 
 
+def _class_index(u: int, p: int) -> int:
+    """Index of the square class of a p-unit u in a class bitmask: the
+    class u mod 8 = 2 i + 1 has index i at p = 2; at odd p the squares have
+    index 0 and the nonsquares 1 (Euler's criterion)."""
+    if p == 2:
+        return u % 8 >> 1
+    return int(pow(u, (p - 1) // 2, p) != 1)
+
+
+def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(ord_p N, `_class_index` of the unit part) per entry of a nonzero
+    int64 array."""
+    if p == 2:
+        k = np.frexp(N & -N)[1] - 1  # N & -N is 2^k, or -2^63 for N = -2^63
+        return k, (N >> k) % 8 >> 1
+    k, u = np.zeros_like(N), N.copy()
+    deep = np.flatnonzero(N % p == 0)
+    while deep.size:
+        u[deep] //= p
+        k[deep] += 1
+        deep = deep[u[deep] % p == 0]
+    # Euler's criterion by square and multiply; past 2^31.5 a product of
+    # two residues leaves int64, so the entries become Python integers
+    base = u % p if p * p < 2 ** 63 else (u % p).astype(object)
+    power, e = np.ones_like(base), (p - 1) // 2
+    while e:
+        if e & 1:
+            power = power * base % p
+        base = base * base % p
+        e >>= 1
+    return k, (power != 1).astype(np.int64)
+
+
 @functools.lru_cache(maxsize=None)
-def _pivot_table(p: int, lattice_key: Tuple, pivot: int) -> Tuple[int, np.ndarray]:
-    """(mod, table) of the pivot query at lattice_key[pivot], M =
-    2 ord_p(2 a_pivot) + 1, written from the set S of values Q(x) with
-    x_pivot a unit, which is found in closed form.
+def _value_set(p: int, lattice_key: Tuple) -> np.ndarray:
+    """The descriptor of the lattice key: T[k] for k < K + 2, K =
+    2 ord_p(2 a) + 1 of the deepest entry a, is the bitmask of the class
+    indices c (`_class_index`) such that the lattice represents the
+    elements p^k u, u a unit of class c; T[k] = T[k - 2] for larger k
+    (period argument in the module docstring).  Read-only, since the cache
+    hands the same array to every caller.
 
-    S is closed under multiplication by unit squares (scale every x_j by
-    one unit), so it is a union of classes (k, c): the elements of order k
-    whose unit part lies in the square class c, a Legendre class at odd p
-    and a residue mod 8 at p = 2, so read mod p^rho with rho = 1 at odd p
-    and rho = 3 at p = 2.  Mod p^M only the classes of order k < M matter,
-    and whether S meets residue 0: an element of order >= M is 0 mod p^M.
+    T is folded from the pivot sets S_i, the values Q(x) with x_i a unit,
+    which are found in closed form.  S_i is closed under multiplication by
+    unit squares (scale every x_j by one unit), so it is a union of classes
+    (k, c), with c read mod p^rho, rho = 1 at odd p and rho = 3 at p = 2.
+    Membership in S_i is decided mod p^M, M = 2 ord_p(2 a_i) + 1, so only
+    the classes of order k < M matter, and whether S_i meets residue 0:
+    an element of order >= M is 0 mod p^M.
 
-    Per coordinate, x_pivot a unit gives the one class (e, [u]); any other
+    Per coordinate, x_i a unit gives the one class (e_i, [u_i]); any other
     coordinate gives the classes (e_j + 2t, [u_j]) (x of order t) and 0.
-    S is their sum, folded one coordinate at a time (`_add_coordinate`),
+    S_i is their sum, folded one coordinate at a time (`_add_coordinate`),
     and a sum of two sets is the union of the sums of their classes.  Two
     classes (k1, c1) and (k2, c2), k1 <= k2, d = k2 - k1, sum to
     p^k1 (U1 + p^d U2), U1 and U2 the units of the classes:
@@ -331,76 +339,41 @@ def _pivot_table(p: int, lattice_key: Tuple, pivot: int) -> Tuple[int, np.ndarra
         p - 2 - (-1|p) s1 s2 - s (s1 + s2), the p - (-u1 u2 | p) points of
         a smooth conic less the 2 + s s1 + s s2 on its axes
         (`_near_sums_odd`).
-    The table then sets bit r = p^k v, p not dividing v and k < M, iff v
-    lies in a class of S at order k.  v is known mod p^(M - k), so at
-    p = 2 with M - k < 3 it counts when any class of S at order k agrees
-    with it mod 2^(M - k).  Bit 0 is set iff S meets residue 0 mod p^M.
-    The tests check the tables against the FFT convolutions of
-    `_coord_indicator`.
+    An element p^k v of order k < M is in S_i iff v mod p^(M - k) agrees
+    with a class of S_i at order k.  At p = 2 with M - k < 3 that reads
+    a class mod less than 8, yet S_i already holds every class agreeing
+    with one of its own: a_i x_i^2 sweeps a_i x_i^2 (1 + 8 Z_2) as the
+    unit x_i varies, so S_i is closed under adding 2^(e_i + 3) Z_2, which
+    moves the unit part at order k by 2^(e_i + 3 - k) Z_2, and
+    e_i + 3 <= M.  Every element of order >= M is in S_i iff S_i meets
+    residue 0 mod p^M.  The tests check the verdicts against the FFT
+    convolutions of `_coord_indicator`.
 
-    Unbounded: packed tables are small, and a bounded cache kept missing
-    on workloads that return to lattices seen long before."""
-    e = lattice_key[pivot][0]
-    M = 2 * (e + (p == 2)) + 1
-    if p ** M > _FFT_LIMIT:
-        raise ModulusTooLarge(f"p^M = {p}^{M} exceeds the FFT limit")
-    if p == 2:
-        near, patterns = _NEAR_SUMS_2, _PATTERNS_2
-    else:
-        near = _near_sums_odd(p)
-        square = np.zeros(p, dtype=bool)
-        square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
-        units = np.arange(p) > 0
-        patterns = {1: [None, square, units & ~square, units]}
-    classes = [c >> 1 if p == 2 else int(c != 1) for _, c in lattice_key]
-    acc = [0] * M
-    acc[e] = 1 << classes[pivot]
-    zero = False
-    for j, (ej, _) in enumerate(lattice_key):
-        if j != pivot:
-            acc, zero = _add_coordinate(acc, zero, ej, classes[j], near)
-    present = np.zeros(p ** M, dtype=bool)
-    present[0] = zero
-    for k, mask in enumerate(acc):
-        if mask:  # r = p^k (p^L a + b) sits at [a, b, 0], and v = b mod p^L
-            L = min(M - k, len(near))
-            present.reshape(-1, p ** L, p ** k)[:, :, 0] |= patterns[L][mask]
-    return p ** M, _pack(present)
-
-
-def _pivots(lattice_key: Tuple, p: int) -> List[Tuple[int, int]]:
-    """(index, p^(e - 2 ord_p 2)) per distinct key entry (equal entries
-    have equal tables), shallowest first since the key is sorted; the
-    pivot is read at n only when the second number divides n (see the
-    module docstring)."""
-    t = 2 if p == 2 else 0
-    return [(i, p ** max(entry[0] - t, 0))
-            for i, entry in enumerate(lattice_key)
-            if i == 0 or entry != lattice_key[i - 1]]
-
-
-def _decide(lattice_key: Tuple, n: int, p: int) -> bool:
-    if n == 0:
-        return True
-    pivots = _pivots(lattice_key, p)
-    refusal = None
-    while True:
-        for i, depth in pivots:
-            if n % depth:
-                break
-            try:
-                mod, table = _pivot_table(p, lattice_key, i)
-            except ModulusTooLarge as exc:
-                refusal = refusal or exc  # later pivots are no smaller
-                break
-            if _attained(table, n % mod):
-                return True
-        if n % (p * p):
-            break
-        n //= p * p
-    if refusal is not None:
-        raise refusal
-    return False
+    Unbounded: descriptors are a few integers, and a bounded cache kept
+    missing on workloads that return to lattices seen long before."""
+    near = _NEAR_SUMS_2 if p == 2 else _near_sums_odd(p)
+    every = (1 << len(near[0])) - 1
+    classes = [_class_index(c, p) for _, c in lattice_key]
+    K = 2 * (lattice_key[-1][0] + (p == 2)) + 1  # the key is sorted
+    V = [0] * (K + 2)  # the classes of S_1 u ... u S_r per order
+    for i, (e, _) in enumerate(lattice_key):
+        if i and lattice_key[i] == lattice_key[i - 1]:
+            continue  # equal entries have equal pivot sets
+        M = 2 * (e + (p == 2)) + 1
+        acc, zero = [0] * M, False
+        acc[e] = 1 << classes[i]
+        for j, (ej, _) in enumerate(lattice_key):
+            if j != i:
+                acc, zero = _add_coordinate(acc, zero, ej, classes[j], near)
+        for k, mask in enumerate(acc):
+            V[k] |= mask
+        if zero:
+            V[M:] = [every] * (K + 2 - M)
+    for k in range(2, K + 2):  # T[k] = V[k] | T[k - 2]
+        V[k] |= V[k - 2]
+    T = np.array(V, dtype=np.int64)
+    T.flags.writeable = False
+    return T
 
 
 # --------------------------------------------------------------------------
@@ -430,9 +403,17 @@ def represents_over_zp(L, n: int, p: int, want_witness: bool = False) -> LocalVe
     """
     _check_prime(p)
     coeffs = _entries(L)
-    rep = _decide(_lattice_key(coeffs, p), n, p)
+    key = _lattice_key(coeffs, p)
+    rep, wn = True, 0
+    if n:
+        wn = ord_p(n, p)
+        T = _value_set(p, key)
+        top = len(T) - 2  # T has period 2 from this order on
+        rep = bool(T[min(wn, top + (wn - top) % 2)]
+                   >> _class_index(n // p ** wn, p) & 1)
     witness = None
-    K = conservative_exponent(coeffs, n, p)
+    # conservative_exponent, read from the key's orders
+    K = wn + 2 * (sum(e for e, _ in key) + (p == 2)) + 3
     if rep and want_witness:
         # the tight exponent usually gives a feasible box; both are complete
         for K_w in sorted({hensel_exponent(coeffs, n, p), K}):
@@ -498,9 +479,9 @@ def represents_reference_fft(coeffs: Sequence[int], n: int, p: int,
     if K is None:
         K = conservative_exponent(coeffs, n, p)
     assert K >= hensel_exponent(coeffs, n, p)
-    acc = _coord_indicator(coeffs[0], p, K, unit_only=False)
+    acc = _coord_indicator(coeffs[0], p, K)
     for a in coeffs[1:]:
-        acc = _convolve_presence(acc, _coord_indicator(a, p, K, False))
+        acc = _convolve_presence(acc, _coord_indicator(a, p, K))
     return bool(acc[n % (p ** K)] > 0.5)
 
 
@@ -636,8 +617,10 @@ def is_anisotropic_ternary(L, p: int) -> bool:
 def progression_exponent(c: int, p: int) -> int:
     """e with { (c x + alpha)^2 : x in Z_p } = alpha^2 + p^e Z_p for any
     alpha coprime to c, where p | c.  For odd p, e = ord_p(c); for p = 2,
-    e = ord_2(c) + 2 when c = 2 (mod 4) and ord_2(c) + 1 when 4 | c."""
-    assert c % p == 0
+    e = ord_2(c) + 2 when c = 2 (mod 4) and ord_2(c) + 1 when 4 | c.
+    Raises ValueError when p does not divide c."""
+    if c % p:
+        raise ValueError(f"progression_exponent needs p | c, got c = {c}, p = {p}")
     w = ord_p(c, p)
     if p != 2:
         return w
@@ -679,48 +662,16 @@ def shifted_represents_over_zp(g, N: int, p: int) -> bool:
 
 def represents_over_zp_many(coeffs: Sequence[int], Ns, p: int) -> np.ndarray:
     """Boolean array: does <a_1,...,a_k> represent N over Z_p, per N in Ns?
-
-    The loop of `_decide` over all targets at once: each pivot table is read
-    at every undecided N deep enough for it, then the undecided N divisible
-    by p^2 go round again as N / p^2.  A table is built only while some
-    undecided N is deep enough for its pivot, and an N that needs a table
-    past `_FFT_LIMIT` raises only once its N / p^2 rounds have missed too,
-    so the verdicts, and the `ModulusTooLarge` refusals, are those of
-    `represents_over_zp`.
-    """
+    The lookup of `represents_over_zp` in the same descriptor, with numpy
+    over all targets at once."""
     _check_prime(p)
-    key = _lattice_key(coeffs, p)
-    pivots = _pivots(key, p)
+    T = _value_set(p, _lattice_key(coeffs, p))
     Ns = np.asarray(Ns, dtype=np.int64)
     out = Ns == 0
-    refused, refusal = [], None
-    todo = np.flatnonzero(~out)
-    N = Ns[todo]
-    while todo.size:
-        for i, depth in pivots:
-            # no nonzero int64 is divisible by 2^63 or more
-            if not todo.size or depth >= 2 ** 63:
-                break
-            read = slice(None)  # every N reads a pivot of depth 1
-            if depth > 1:
-                read = N % depth == 0
-                if not read.any():
-                    break  # the later pivots are no shallower
-            try:
-                mod, table = _pivot_table(p, key, i)
-            except ModulusTooLarge as exc:
-                refused.append(todo[read])
-                refusal = refusal or exc
-                break
-            hit = _attained(table, N % mod)
-            if depth > 1:
-                hit &= read
-            out[todo[hit]] = True
-            todo, N = todo[~hit], N[~hit]
-        deep = N % (p * p) == 0
-        todo, N = todo[deep], N[deep] // (p * p)
-    if refusal is not None and not out[np.concatenate(refused)].all():
-        raise refusal
+    nonzero = ~out
+    k, c = _orders_and_classes(Ns[nonzero], p)
+    top = len(T) - 2  # T has period 2 from this order on
+    out[nonzero] = T[np.minimum(k, top + (k - top) % 2)] >> c & 1 != 0
     return out
 
 

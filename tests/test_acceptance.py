@@ -264,10 +264,10 @@ def test_criterion_09_modulus_stability():
             K = cap + max(ord_p(a, p) for a in rep) + 2 * ord_p(2, p) + 1
             arrays = {}
             for KK in (K, K + 2):
-                acc = _coord_indicator(rep[0], p, KK, False)
+                acc = _coord_indicator(rep[0], p, KK)
                 for a in rep[1:]:
                     acc = _convolve_presence(
-                        acc, _coord_indicator(a, p, KK, False))
+                        acc, _coord_indicator(a, p, KK))
                 arrays[KK] = acc
             for n in range(n_max + 1):
                 at_k = bool(arrays[K][n % p ** K] > 0.5)

@@ -1,6 +1,7 @@
 """Static checks over the package's modules: every name a module imports
-is used in it, no module keeps a hand-rolled cache, and the package keeps
-exactly one lru_cache."""
+is used in it, no module keeps a hand-rolled cache, the package keeps
+exactly one lru_cache, and only the reference oracles raise
+ModulusTooLarge."""
 
 import ast
 from pathlib import Path
@@ -91,14 +92,63 @@ def _lru_cached(source: str, module: str):
 def test_one_cache_in_the_package():
     found = [name for path in MODULES
              for name in _lru_cached(path.read_text(), path.stem)]
-    assert found == ["localrep._pivot_table"]
+    assert found == ["localrep._value_set"]
 
 
 def test_second_lru_cache_is_reported():
     source = ("import functools\nfrom functools import lru_cache, cache\n\n"
-              "@functools.lru_cache(maxsize=None)\ndef _pivot_table(p): pass\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef _value_set(p): pass\n\n"
               "@lru_cache\ndef _shifted_residues(g, p): pass\n\n"
               "class A:\n    @cache\n    def method(self): pass\n\n"
               "@staticmethod\ndef plain(): pass\n")
     assert _lru_cached(source, "localrep") == [
-        "localrep._pivot_table", "localrep._shifted_residues", "localrep.method"]
+        "localrep._value_set", "localrep._shifted_residues", "localrep.method"]
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _modulus_raisers(source: str):
+    """Names of the functions with a raise of ModulusTooLarge: a raise
+    whose expression names the class, or a name bound from a caught
+    ModulusTooLarge (directly or through assignments), or a bare raise in
+    a handler that catches it."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        handlers = [h for h in ast.walk(fn) if isinstance(h, ast.ExceptHandler)
+                    and h.type is not None and "ModulusTooLarge" in _names(h.type)]
+        caught = {"ModulusTooLarge"} | {h.name for h in handlers if h.name}
+        assigns = [node for node in ast.walk(fn) if isinstance(node, ast.Assign)]
+        for _ in assigns:  # no chain of assignments is longer than this
+            for node in assigns:
+                if _names(node.value) & caught:
+                    caught |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        bare = {id(r) for h in handlers for r in ast.walk(h)
+                if isinstance(r, ast.Raise) and r.exc is None}
+        if any(isinstance(r, ast.Raise)
+               and (id(r) in bare or r.exc is not None and _names(r.exc) & caught)
+               for r in ast.walk(fn)):
+            found.append(fn.name)
+    return found
+
+
+def test_only_the_oracles_raise_modulus_too_large():
+    found = {name for path in MODULES for name in _modulus_raisers(path.read_text())}
+    assert found <= {"represents_mod_search", "represents_reference_fft",
+                     "_coord_indicator"}, found
+
+
+def test_modulus_raiser_is_reported():
+    source = ("def table(p):\n    raise ModulusTooLarge('big')\n\n"
+              "def many(ns):\n    refusal = None\n    try:\n        table(2)\n"
+              "    except ModulusTooLarge as exc:\n        refusal = refusal or exc\n"
+              "    if refusal is not None:\n        raise refusal\n\n"
+              "def again():\n    try:\n        table(2)\n"
+              "    except (ValueError, ModulusTooLarge):\n        raise\n\n"
+              "def quiet():\n    try:\n        table(2)\n"
+              "    except ModulusTooLarge:\n        return None\n"
+              "    raise ValueError('other')\n")
+    assert _modulus_raisers(source) == ["table", "many", "again"]

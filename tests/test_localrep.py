@@ -21,7 +21,8 @@ from mgonal.localrep import (
     _coord_indicator,
     _lattice_key,
     _near_sums_odd,
-    _pivot_table,
+    _value_set,
+    conservative_exponent,
     hensel_exponent,
     hilbert_symbol,
     is_anisotropic_ternary,
@@ -89,6 +90,12 @@ def test_engine_matches_grid_search():
 def test_zero_always_represented():
     assert represents_over_zp((1, 2, 3), 0, 5).represented
     assert represents_mod_search((1, 2, 3), 0, 5).witness == (0, 0, 0)
+    # the verdict's exponent, read from the key, is conservative_exponent's
+    for p in (2, 3, 5, 7):
+        for coeffs in ((1, 2, 3), (-4, 9, -p ** 5), (-p, -p * p, 12)):
+            for n in (0, 1, -7, 5 * p ** 3, -(p ** 8)):
+                assert (represents_over_zp(coeffs, n, p).modulus_exponent
+                        == conservative_exponent(coeffs, n, p)), (coeffs, n, p)
 
 
 @given(st.sampled_from([2, 3, 5, 7]),
@@ -189,6 +196,33 @@ def test_stable_value_set_one_sided_at_2():
                 assert not truth, (coeffs, gamma)
     with pytest.raises(ValueError):
         stable_value_set_check((1, 1, 4), 2, 1)  # 2-unstable
+
+
+def test_stable_value_set_matches_descriptor():
+    """`stable_value_set_check` is a closed form of the descriptor's value
+    set.  On every stable rank-3 key of depth <= 2 at p in {2, 3, 5, 7},
+    at 0 and at p^k u for every unit class u and every order k <= K + 3
+    (K + 2 entries in the descriptor), it equals the engine's verdict at
+    odd p and on unimodular keys at 2; at 2 with a deeper third entry a
+    True claim is represented."""
+    stable, one_sided = 0, set()
+    for p in (2, 3, 5, 7):
+        units = (1, 3, 5, 7) if p == 2 else (1, smallest_nonresidue(p))
+        for key in _ternary_keys(p, 2):
+            coeffs = [p ** e * u for e, u in key]
+            if not is_stable(coeffs, p):
+                continue
+            stable += 1
+            K = len(_value_set(p, key)) - 2
+            for gamma in [0] + [p ** k * u for k in range(K + 4) for u in units]:
+                claim = stable_value_set_check(coeffs, p, gamma)
+                truth = represents_over_zp(coeffs, gamma, p).represented
+                if p == 2 and key[-1][0] > 0:
+                    assert truth or not claim, (key, gamma)
+                    one_sided.add((claim, truth))
+                else:
+                    assert claim == truth, (p, key, gamma)
+    assert stable == 114 and one_sided == {(True, True), (False, True), (False, False)}
 
 
 @given(st.integers(min_value=-30, max_value=30).filter(lambda a: a != 0),
@@ -342,17 +376,6 @@ def test_form_to_shifted_roundtrip_values():
         assert targets <= vals_g
 
 
-def _fft_pivot_table(coeffs, p, pivot):
-    """The pivot table of <coeffs> as a boolean array, built by FFT
-    convolutions of the coordinates' value-set indicators."""
-    M = 2 * ord_p(2 * coeffs[pivot], p) + 1
-    acc = _coord_indicator(coeffs[pivot], p, M, unit_only=True)
-    for j, a in enumerate(coeffs):
-        if j != pivot:
-            acc = _convolve_presence(acc, _coord_indicator(a, p, M, False))
-    return acc > 0.5
-
-
 def _ternary_keys(p, depth):
     """Every rank-3 lattice key with entries of depth <= depth at p."""
     units = (1, 3, 5, 7) if p == 2 else (1, smallest_nonresidue(p))
@@ -360,23 +383,39 @@ def _ternary_keys(p, depth):
     return list(itertools.combinations_with_replacement(entries, 3))
 
 
-def test_class_built_tables_match_fft_tables():
-    """Every pivot table written from class sums equals the FFT build, for
-    every rank-3 key of depth <= 2 at p in {2, 3, 5, 7} and a sample at 11
-    and 13 (all keys of depth <= 1, and some of depth 2 at 11)."""
-    rng = random.Random(10)
-    cases = [(p, key) for p in (2, 3, 5, 7) for key in _ternary_keys(p, 2)]
-    cases += [(p, key) for p in (11, 13) for key in _ternary_keys(p, 1)]
-    cases += [(11, key) for key in rng.sample(_ternary_keys(11, 2), 4)]
-    checked = 0
-    for p, key in cases:
-        for i in range(3):
-            mod, table = _pivot_table(p, key, i)
-            got = np.unpackbits(table, count=mod, bitorder="little")
-            canonical = [p ** e * u for e, u in key]
-            assert np.array_equal(got, _fft_pivot_table(canonical, p, i)), (p, key, i)
+def test_descriptor_verdicts_match_fft_value_sets():
+    """For every rank-3 key of depth <= 2 at p in {2, 3, 5, 7}, on its
+    canonical entries p^e u and on real entries of the same key (random
+    signed units of the same square class), the descriptor's verdict at
+    every nonzero residue r mod p^K with K >= hensel_exponent equals the
+    full value set mod p^K, convolved by FFT.  K reaches the orders where
+    the descriptor turns periodic at 2 and 3, and stops at p^K <= 2^16."""
+    rng = random.Random(11)
+    checked, signs = 0, set()
+    for p in (2, 3, 5, 7):
+        units = [u for u in range(-8 * p, 8 * p) if u % p]
+        for key in _ternary_keys(p, 2):
+            real = []
+            for e, u in key:
+                a = p ** e * rng.choice(units)
+                while _lattice_key([a], p) != ((e, u),):
+                    a = p ** e * rng.choice(units)
+                real.append(a)
+            signs |= {a > 0 for a in real}
+            lift = key[-1][0] + 2 * ord_p(2, p) + 1  # hensel_exponent at a unit
+            K = 2 * (key[-1][0] + ord_p(2, p)) + 2 + lift  # to the period
+            while p ** K > 2 ** 16:
+                K -= 1
+            residues = np.arange(1, p ** K)
+            deep = residues % p ** (K - lift + 1) == 0
+            for coeffs in ([p ** e * u for e, u in key], real):
+                values = _coord_indicator(coeffs[0], p, K)
+                for a in coeffs[1:]:
+                    values = _convolve_presence(values, _coord_indicator(a, p, K))
+                got = represents_over_zp_many(coeffs, residues, p)
+                assert np.array_equal(got[~deep], values[residues[~deep]] > 0.5), (p, coeffs)
             checked += 1
-    assert checked == 3 * (364 + 3 * 56 + 2 * 20 + 4)
+    assert checked == 364 + 3 * 56 and signs == {True, False}
 
 
 def test_odd_class_sum_rule_matches_enumeration():
@@ -396,10 +435,10 @@ def test_odd_class_sum_rule_matches_enumeration():
 
 
 def test_engine_makes_no_fft_call(monkeypatch):
-    """With numpy's FFT disabled and a cold table cache, plain, batched and
-    shifted queries and a census scan give the answers they give with it:
-    the engine writes its tables from class sums, and only the oracles
-    convolve."""
+    """With numpy's FFT disabled and a cold descriptor cache, plain,
+    batched and shifted queries and a census scan give the answers they
+    give with it: the engine builds its descriptors from class sums, and
+    only the oracles convolve."""
     g = ShiftedForm(conductor=6, coeffs=(1, 2, 3), shifts=(1, 1, 1))
     queries = [
         lambda: [represents_over_zp(c, n, p).represented
@@ -419,42 +458,22 @@ def test_engine_makes_no_fft_call(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", no_fft)
     monkeypatch.setattr(np.fft, "irfft", no_fft)
     with pytest.raises(AssertionError, match="numpy.fft"):
-        _fft_pivot_table((1, 1, 1), 3, 0)
-    _pivot_table.cache_clear()
+        represents_reference_fft((1, 1, 1), 7, 3)
+    _value_set.cache_clear()
     assert [query() for query in queries] == expected
-    assert _pivot_table.cache_info().misses > 0
-
-
-def test_pivot_tables_match_real_entries():
-    """A pivot table built from the real entries equals the cached one built
-    from the canonical lattice of their key: unit-square scaling, negative
-    entries and all four odd classes mod 8 at p = 2 included."""
-    rng = random.Random(4)
-    checked, classes_at_2 = 0, set()
-    for p in (2, 3, 5, 7):
-        units = [u for u in range(1, 8 * p) if u % p]
-        top = 4 if p < 7 else 3  # 7^7-entry tables would take most of the time
-        for _ in range(10):
-            coeffs = [rng.choice((1, -1)) * p ** depth * rng.choice(units)
-                      for depth in (0, rng.randrange(top), rng.randrange(top))]
-            if p == 2:
-                classes_at_2 |= {a // 2 ** ord_p(a, 2) % 8 for a in coeffs}
-            key = _lattice_key(coeffs, p)
-            real = sorted(coeffs, key=lambda a: _lattice_key([a], p))
-            for i, a in enumerate(real):
-                mod, table = _pivot_table(p, key, i)
-                assert mod == p ** (2 * ord_p(2 * a, p) + 1)
-                got = np.unpackbits(table, count=mod, bitorder="little")
-                assert np.array_equal(got, _fft_pivot_table(real, p, i)), (coeffs, p, i)
-            checked += 1
-    assert checked == 40 and classes_at_2 == {1, 3, 5, 7}
+    assert _value_set.cache_info().misses > 0
 
 
 def test_verdict_does_not_depend_on_coefficient_order():
-    # the deep coefficient's pivot table is past the array limit, but a
-    # unit pivot already decides the target
+    # a deep coefficient anywhere in the tuple gives the same key
     assert represents_over_zp((5**10, 1, 1), 1, 5).represented
     assert represents_over_zp((1, 1, 5**10), 1, 5).represented
+    assert represents_over_zp((1, 1, 3**5), 2, 3).represented
+    # <1,1> is anisotropic at 3 and 3^5 is too deep to reach 3
+    assert not represents_over_zp((3**5, 1, 1), 3, 3).represented
+    assert not represents_over_zp((1, 2**30, 1), 7, 2).represented
+    assert represents_over_zp_many((1, 1, 2**30), [7, 5, 2**40], 2).tolist() == [
+        False, True, True]
 
 
 def test_composite_p_is_rejected_by_name():
@@ -477,31 +496,15 @@ def test_modulus_too_large_paths():
         represents_reference_fft((2**10, 2**10, 2**11), 7, 2)  # K past 2^22
 
 
-def test_pivots_deeper_than_the_target_build_no_table():
-    """A pivot is read at n only when p^(e - 2 ord_p 2) | n, so the 3^5
-    pivot of <1,1,3^5> (a 3^11-entry table) is never built at targets of
-    3-order below 5, and a 2^30 entry needs no table past the limit."""
-    _pivot_table.cache_clear()
-    assert represents_over_zp((1, 1, 3**5), 2, 3).represented
-    # <1,1> is anisotropic at 3: the unit pivot misses at 3, and n / 9 is
-    # not integral, so only the unit pivot's table was built
-    assert not represents_over_zp((1, 1, 3**5), 3, 3).represented
-    assert _pivot_table.cache_info().misses == 1
-    assert not represents_over_zp((1, 1, 2**30), 7, 2).represented
-    assert represents_over_zp_many((1, 1, 2**30), [7, 5, 2**40], 2).tolist() == [
-        False, True, True]
-
-
-# the first p-depth of an entry whose pivot table, p^(2 ord_p(2a) + 1)
-# entries, is past the 2^22 array limit
+# the first p-depth of an entry a at which a residue table mod
+# p^(2 ord_p(2a) + 1) would pass 2^22 entries
 PAST_LIMIT = {2: 10, 3: 7, 5: 5, 7: 4}
 
 
 def _deep_lattices(count, seed):
     """Random (p, coeffs, draw) with two entries at most 2 deep and one
-    entry whose pivot table is past the array limit (2^30 deep at the
-    most); draw() gives a target up to 3 deeper than that entry, and
-    within int64."""
+    entry at least PAST_LIMIT deep (2^30 deep at the most); draw() gives a
+    target up to 3 deeper than that entry, and within int64."""
     rng = random.Random(seed)
 
     def signed(p, depth, units):
@@ -523,11 +526,10 @@ def _deep_lattices(count, seed):
 
 
 def test_deep_verdicts_match_fft_reference():
-    """On lattices with a pivot past the array limit (targets the engine
-    refused before the depth rule unless a shallow pivot hit at once) the
-    verdicts equal plain witness existence mod p^K at the Hensel exponent
-    wherever p^K <= 2^18, which keeps each reference FFT quick; refusals
-    are left only where the deep pivot is read."""
+    """On lattices with an entry past the depths a residue table could
+    reach, every target is answered, and the verdicts equal plain witness
+    existence mod p^K at the Hensel exponent wherever p^K <= 2^18, which
+    keeps each reference FFT quick."""
     checked = refused = 0
     for p, coeffs, target in _deep_lattices(1000, 17):
         n = target()
@@ -535,51 +537,39 @@ def test_deep_verdicts_match_fft_reference():
             got = represents_over_zp(coeffs, n, p).represented
         except ModulusTooLarge:
             refused += 1
-            depth = max(ord_p(a, p) for a in coeffs)
-            assert depth - 2 * ord_p(2, p) <= ord_p(n, p), (p, coeffs, n)
             continue
         K = hensel_exponent(coeffs, n, p)
         if p**K <= 2**18:
             assert got == represents_reference_fft(coeffs, n, p, K), (p, coeffs, n)
             checked += 1
-    assert checked > 150 and 0 < refused < 200
+    assert checked > 150 and refused == 0
 
 
 def test_array_and_scalar_paths_agree_on_refusals():
-    """`represents_over_zp_many` gives the scalar verdicts, and raises
-    exactly when some scalar query raises, n / p^2 tried first on both."""
-    # <1,1> is anisotropic at 7, so at n = 7^4 the unit pivot misses, the
-    # 7^4 pivot (a 7^9-entry table) is read, and n / 49^2 = 1 answers;
-    # at 7^5 the deep pivot is truly needed
+    """`represents_over_zp_many` gives the scalar verdicts on lattices
+    with a deep entry, one target at a time and in batches, and neither
+    path refuses a target."""
+    # <1,1> is anisotropic at 7, so 7^5 needs the 7^4 entry: with
+    # z^2 = 2 (mod 7^6), 49^2 + 98^2 + 7^4 z^2 = 7^4 (5 + z^2) = 7^5
+    # (mod 7^10), and 7^10 is the Hensel modulus
     assert represents_over_zp((1, 1, 7**4), 7**4, 7).represented
-    with pytest.raises(ModulusTooLarge):
-        represents_over_zp((1, 1, 7**4), 7**5, 7)
-    assert represents_over_zp_many((1, 1, 7**4), [7**4, 1, 7], 7).tolist() == [
-        True, True, False]
-    with pytest.raises(ModulusTooLarge):
-        represents_over_zp_many((1, 1, 7**4), [7**4, 7**5], 7)
-    batches = {"raised": 0, "answered": 0}
+    assert represents_over_zp((1, 1, 7**4), 7**5, 7).represented
+    assert hensel_exponent((1, 1, 7**4), 7**5, 7) == 10
+    z = next(z for z in range(1, 7**6) if z * z % 7**6 == 2)
+    witness = (49, 98, z)
+    assert sum(a * x * x for a, x in zip((1, 1, 7**4), witness)) % 7**10 == 7**5
+    # (*): the coordinate z is a unit and 2 ord_7(2 * 7^4) + 1 <= 10
+    assert z % 7 and 2 * ord_p(2 * 7**4, 7) + 1 <= 10
+    assert represents_over_zp_many((1, 1, 7**4), [7**4, 1, 7, 7**5], 7).tolist() == [
+        True, True, False, True]
+    seen = set()
     for p, coeffs, target in _deep_lattices(60, 18):
         ns = [target() for _ in range(20)]
-        scalar = []
-        for n in ns:
-            try:
-                scalar.append(represents_over_zp(coeffs, n, p).represented)
-            except ModulusTooLarge:
-                scalar.append(None)
-            try:
-                alone = represents_over_zp_many(coeffs, [n], p).tolist()[0]
-            except ModulusTooLarge:
-                alone = None
-            assert alone == scalar[-1], (p, coeffs, n)
-        if None in scalar:
-            batches["raised"] += 1
-            with pytest.raises(ModulusTooLarge):
-                represents_over_zp_many(coeffs, ns, p)
-        else:
-            batches["answered"] += 1
-            assert represents_over_zp_many(coeffs, ns, p).tolist() == scalar
-    assert min(batches.values()) > 10
+        scalar = [represents_over_zp(coeffs, n, p).represented for n in ns]
+        assert [represents_over_zp_many(coeffs, [n], p)[0] for n in ns] == scalar
+        assert represents_over_zp_many(coeffs, ns, p).tolist() == scalar
+        seen |= set(scalar)
+    assert seen == {True, False}
 
 
 def test_coefficients_are_rejected_by_name_under_optimize():
@@ -606,15 +596,19 @@ def test_coefficients_are_rejected_by_name_under_optimize():
 
 
 def test_anisotropy_and_hilbert_symbol_reject_bad_input_under_optimize():
-    """A wrong rank, a zero entry or a composite p raises ValueError naming
-    the input, also when asserts are stripped."""
+    """A wrong rank, a zero entry, a composite p or a p not dividing the
+    conductor raises ValueError naming the input, also when asserts are
+    stripped."""
     script = (
-        "from mgonal.localrep import hilbert_symbol, is_anisotropic_ternary\n"
+        "from mgonal.localrep import (hilbert_symbol, is_anisotropic_ternary,\n"
+        "                             progression_exponent)\n"
         "for call in (lambda: is_anisotropic_ternary((1, 1), 3),\n"
         "             lambda: is_anisotropic_ternary((1, 0, 2), 3),\n"
         "             lambda: is_anisotropic_ternary((1, 1, 1), 9),\n"
         "             lambda: hilbert_symbol(0, 3, 5),\n"
-        "             lambda: hilbert_symbol(2, 3, 9)):\n"
+        "             lambda: hilbert_symbol(2, 3, 9),\n"
+        "             lambda: progression_exponent(5, 2),\n"
+        "             lambda: progression_exponent(7, 3)):\n"
         "    try:\n"
         "        print(call())\n"
         "    except ValueError as exc:\n"
@@ -628,7 +622,9 @@ def test_anisotropy_and_hilbert_symbol_reject_bad_input_under_optimize():
         "anisotropy needs three nonzero entries, got (1, 0, 2)",
         "p must be a prime, got 9",
         "the Hilbert symbol needs nonzero a, b, got 0, 3",
-        "p must be a prime, got 9"]
+        "p must be a prime, got 9",
+        "progression_exponent needs p | c, got c = 5, p = 2",
+        "progression_exponent needs p | c, got c = 7, p = 3"]
 
 
 # primitive ascending triples with a_3 <= 5, as in a census
