@@ -383,15 +383,45 @@ def _ternary_keys(p, depth):
     return list(itertools.combinations_with_replacement(entries, 3))
 
 
-def test_descriptor_verdicts_match_fft_value_sets():
-    """For every rank-3 key of depth <= 2 at p in {2, 3, 5, 7}, on its
-    canonical entries p^e u and on real entries of the same key (random
-    signed units of the same square class), the descriptor's verdict at
-    every nonzero residue r mod p^K with K >= hensel_exponent equals the
-    full value set mod p^K, convolved by FFT.  K reaches the orders where
-    the descriptor turns periodic at 2 and 3, and stops at p^K <= 2^16."""
+def _check_against_fft(coeffs, key, p):
+    """The descriptor's verdict at every nonzero residue r mod p^K, K >=
+    hensel_exponent, equals the full value set of coeffs mod p^K,
+    convolved by FFT.  K reaches the orders where the descriptor turns
+    periodic, and stops at p^K <= 2^16."""
+    lift = key[-1][0] + 2 * ord_p(2, p) + 1  # hensel_exponent at a unit
+    K = 2 * (key[-1][0] + ord_p(2, p)) + 2 + lift  # to the period
+    while p ** K > 2 ** 16:
+        K -= 1
+    residues = np.arange(1, p ** K)
+    deep = residues % p ** (K - lift + 1) == 0
+    values = _coord_indicator(coeffs[0], p, K)
+    for a in coeffs[1:]:
+        values = _convolve_presence(values, _coord_indicator(a, p, K))
+    got = represents_over_zp_many(coeffs, residues, p)
+    assert np.array_equal(got[~deep], values[residues[~deep]] > 0.5), (p, coeffs)
+
+
+def test_class_built_tables_match_fft_tables():
+    """The descriptor, written from class sums, gives the FFT verdicts on
+    the canonical entries p^e u of every rank-3 key of depth <= 2 at p in
+    {2, 3, 5, 7} and of a sample at 11 and 13 (all keys of depth <= 1, and
+    some of depth 2 at 11)."""
+    rng = random.Random(10)
+    cases = [(p, key) for p in (2, 3, 5, 7) for key in _ternary_keys(p, 2)]
+    cases += [(p, key) for p in (11, 13) for key in _ternary_keys(p, 1)]
+    cases += [(11, key) for key in rng.sample(_ternary_keys(11, 2), 4)]
+    for p, key in cases:
+        _check_against_fft([p ** e * u for e, u in key], key, p)
+    assert len(cases) == 364 + 3 * 56 + 2 * 20 + 4
+
+
+def test_pivot_tables_match_real_entries():
+    """Real entries give the verdicts of the canonical lattice of their key,
+    checked against the FFT value set of the real entries: random signed
+    units of the same square class for every rank-3 key of depth <= 2 at p
+    in {2, 3, 5, 7}, all four odd classes mod 8 at p = 2 included."""
     rng = random.Random(11)
-    checked, signs = 0, set()
+    checked, signs, classes_at_2 = 0, set(), set()
     for p in (2, 3, 5, 7):
         units = [u for u in range(-8 * p, 8 * p) if u % p]
         for key in _ternary_keys(p, 2):
@@ -402,20 +432,12 @@ def test_descriptor_verdicts_match_fft_value_sets():
                     a = p ** e * rng.choice(units)
                 real.append(a)
             signs |= {a > 0 for a in real}
-            lift = key[-1][0] + 2 * ord_p(2, p) + 1  # hensel_exponent at a unit
-            K = 2 * (key[-1][0] + ord_p(2, p)) + 2 + lift  # to the period
-            while p ** K > 2 ** 16:
-                K -= 1
-            residues = np.arange(1, p ** K)
-            deep = residues % p ** (K - lift + 1) == 0
-            for coeffs in ([p ** e * u for e, u in key], real):
-                values = _coord_indicator(coeffs[0], p, K)
-                for a in coeffs[1:]:
-                    values = _convolve_presence(values, _coord_indicator(a, p, K))
-                got = represents_over_zp_many(coeffs, residues, p)
-                assert np.array_equal(got[~deep], values[residues[~deep]] > 0.5), (p, coeffs)
+            if p == 2:
+                classes_at_2 |= {a // 2 ** ord_p(a, 2) % 8 for a in real}
+            _check_against_fft(real, key, p)
             checked += 1
     assert checked == 364 + 3 * 56 and signs == {True, False}
+    assert classes_at_2 == {1, 3, 5, 7}
 
 
 def test_odd_class_sum_rule_matches_enumeration():
@@ -468,12 +490,9 @@ def test_verdict_does_not_depend_on_coefficient_order():
     # a deep coefficient anywhere in the tuple gives the same key
     assert represents_over_zp((5**10, 1, 1), 1, 5).represented
     assert represents_over_zp((1, 1, 5**10), 1, 5).represented
-    assert represents_over_zp((1, 1, 3**5), 2, 3).represented
     # <1,1> is anisotropic at 3 and 3^5 is too deep to reach 3
     assert not represents_over_zp((3**5, 1, 1), 3, 3).represented
     assert not represents_over_zp((1, 2**30, 1), 7, 2).represented
-    assert represents_over_zp_many((1, 1, 2**30), [7, 5, 2**40], 2).tolist() == [
-        False, True, True]
 
 
 def test_composite_p_is_rejected_by_name():
@@ -494,6 +513,24 @@ def test_modulus_too_large_paths():
         represents_mod_search((1, 1, 1), 5, 2, K=10)  # grid 2^30 cells
     with pytest.raises(ModulusTooLarge):
         represents_reference_fft((2**10, 2**10, 2**11), 7, 2)  # K past 2^22
+
+
+def test_pivots_deeper_than_the_target_build_no_table():
+    """A pivot deeper than the target builds no residue table: the
+    descriptor of <1,1,3^5> is K + 2 = 13 bitmasks, K = 2 * 5 + 1, where a
+    table of its 3^5 pivot would hold 3^11 entries, and a 2^30 entry gives
+    65 bitmasks, not a table past 2^22 entries."""
+    _value_set.cache_clear()
+    assert represents_over_zp((1, 1, 3**5), 2, 3).represented
+    # <1,1> is anisotropic at 3: the unit pivot misses at 3, and n / 9 is
+    # not integral, so the 3^5 pivot cannot reach n
+    assert not represents_over_zp((1, 1, 3**5), 3, 3).represented
+    assert _value_set.cache_info().misses == 1
+    assert len(_value_set(3, _lattice_key((1, 1, 3**5), 3))) == 13
+    assert not represents_over_zp((1, 1, 2**30), 7, 2).represented
+    assert represents_over_zp_many((1, 1, 2**30), [7, 5, 2**40], 2).tolist() == [
+        False, True, True]
+    assert len(_value_set(2, _lattice_key((1, 1, 2**30), 2))) == 65
 
 
 # the first p-depth of an entry a at which a residue table mod
