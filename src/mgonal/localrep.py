@@ -65,10 +65,11 @@ least 3: at an odd p not dividing c prod(a_i), z = c x + alpha is a
 bijection of Z_p, every entry is a p-unit, and a unimodular lattice of
 rank >= 3 at odd p is isotropic (Chevalley-Warning), hence splits a
 hyperbolic plane and represents all of Z_p.  Below rank 3 this fails
-(<1,1> misses 77 over Z_7), so lower ranks raise ValueError.  At p | c
-every row's congruence is tested in one 2-D expression; at p not dividing
-c the rows are grouped by lattice key and each group makes one
-`represents_over_zp_many` call.  `locally_represented_many` is the
+(<1,1> misses 77 over Z_7), so lower ranks raise ValueError.  The batch is
+array arithmetic over all rows at once: the targets are reduced once per
+distinct sum a_i and the descriptors fetched once per distinct lattice
+key, and the verdicts of every row are one gather from the stacked
+descriptors (details in its docstring).  `locally_represented_many` is the
 one-row case, and the scalar `locally_represented` its one-element case.
 
 A literal reference procedure (`represents_mod_search`: grid search mod p^K
@@ -83,7 +84,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -684,54 +685,87 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     exactly representability over R) and N is represented by the shifted
     form at every prime p | 2 c prod(a_i).  No other prime can exclude N
     at rank >= 3 (proof in the module docstring), so a row of lower rank
-    raises ValueError.  At p | c all rows test their `_shifted_congruence`
-    at once; at other p the rows that need p are grouped by `_lattice_key`,
-    and each group makes one `represents_over_zp_many` call over its
-    undecided targets.  Raises ValueError when some N does not fit in int64.
-    """
-    from .polygonal import MGonalForm, constants, form_to_shifted
+    raises ValueError; rows of different ranks may share a call.
 
-    gs = [form_to_shifted(MGonalForm(m, tuple(row))) for row in coeff_rows]
-    for g in gs:
-        if g.rank < 3:
-            raise ValueError(f"local verdicts need rank >= 3, got rank "
-                             f"{g.rank} in {g.coeffs}")
+    Rows with equal sum a_i have equal targets, so each prime computes
+    `_orders_and_classes` once, over the distinct targets.  At p | c the
+    shift is alpha = |d|, so N - sum a_i alpha^2 = mu n and the
+    `_shifted_congruence` of a row reads mu n = 0 (mod p^(e + min ord_p
+    a_i)): one test per distinct min ord_p a_i.  At other p a row's
+    `_lattice_key` is coded as one integer from its sorted (ord_p a_i,
+    class index) pairs; a key tuple is built, and `_value_set` read, once
+    per distinct code, and each row's verdicts are one gather from the
+    stacked descriptors.  Raises ValueError when some N does not fit in
+    int64.
+    """
+    from .polygonal import _check_coefficients, constants
+
     k = constants(m)
-    offsets = [k.d * k.d * sum(g.coeffs) for g in gs]
+    rows = [tuple(row) for row in coeff_rows]
+    for row in rows:
+        _check_coefficients(row)
+        if len(row) < 3:
+            raise ValueError(f"local verdicts need rank >= 3, got rank "
+                             f"{len(row)} in {row}")
     try:
         ns = np.asarray(ns, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError("n does not fit in int64") from exc
-    if (gs and ns.size
-            and k.mu * max(-int(ns.min()), int(ns.max())) + max(offsets) >= 2 ** 63):
+    if not rows or not ns.size:
+        return np.zeros((len(rows), ns.size), dtype=bool)
+    sums = [sum(row) for row in rows]
+    d2 = k.d * k.d
+    if k.mu * max(-int(ns.min()), int(ns.max())) + d2 * max(sums) >= 2 ** 63:
         raise ValueError("shifted target mu n + d^2 sum a_i overflows int64")
-    Ns = k.mu * ns + np.array(offsets, dtype=np.int64).reshape(-1, 1)
-    ok = Ns >= 0
-    if not gs:
-        return ok
-    c = gs[0].conductor
-    lcm = math.lcm(*(a for g in gs for a in g.coeffs))
-    for p in prime_divisors(2 * c * lcm):
-        if c % p == 0:
-            mods, bases = zip(*(_shifted_congruence(g, p) for g in gs))
-            # 0 <= N < 2^63 <= mod leaves N = base as the only solution
-            small = np.array([mod < 2 ** 63 for mod in mods]).reshape(-1, 1)
-            mod = np.array([mod if mod < 2 ** 63 else 1 for mod in mods],
-                           dtype=np.int64).reshape(-1, 1)
-            base = np.array([b if b < 2 ** 63 else -1 for b in bases],
-                            dtype=np.int64).reshape(-1, 1)
-            ok &= np.where(small, Ns % mod, Ns) == base
+    offsets, off = np.unique(np.array([d2 * s for s in sums], dtype=np.int64),
+                             return_inverse=True)
+    off = off.reshape(-1)
+    N = k.mu * ns + offsets.reshape(-1, 1)  # one row per distinct sum a_i
+    ok = (N >= 0)[off]
+    # the entries as indices into their distinct values; len(vals) pads
+    vals = sorted({a for row in rows for a in row})
+    col = {a: i for i, a in enumerate(vals)}
+    width = max(map(len, rows))
+    idx = np.array([[col[a] for a in row] + [len(vals)] * (width - len(row))
+                    for row in rows])
+    for p in prime_divisors(2 * k.c * math.lcm(*vals)):
+        e = np.array([ord_p(a, p) for a in vals])
+        if k.c % p == 0:
+            depth = np.append(e, e.max())[idx].min(axis=1)
+            for v in np.unique(depth).tolist():
+                mod = p ** (progression_exponent(k.c, p) + v)
+                # |mu n| < 2^63 <= mod leaves n = 0 as the only solution
+                hit = ns == 0 if mod >= 2 ** 63 else k.mu * ns % mod == 0
+                ok[depth == v] &= hit
             continue
-        groups: Dict[Tuple, List[int]] = {}
-        for i, g in enumerate(gs):
-            key = _lattice_key(g.coeffs, p)
-            if p == 2 or key[-1][0] > 0:  # else universal at p (see above)
-                groups.setdefault(key, []).append(i)
-        for rows in groups.values():
-            live = ok[rows]
-            live[live] = represents_over_zp_many(gs[rows[0]].coeffs,
-                                                 Ns[rows][live], p)
-            ok[rows] = live
+        W = 4 if p == 2 else 2  # unit square classes
+        code = e * W + [_class_index(a // p ** int(ei), p) + 1
+                        for a, ei in zip(vals, e)]
+        code = np.sort(np.append(code, 0)[idx], axis=1)
+        # all entries p-units: universal at odd p (see above)
+        need = (np.arange(len(rows)) if p == 2
+                else np.flatnonzero(code[:, -1] > W))
+        if not need.size:
+            continue
+        # the lattice key as one integer per row, exact past int64 too
+        B = int(code.max()) + 1
+        weights = np.array([B ** j for j in range(width)],
+                           dtype=np.int64 if B ** width < 2 ** 63 else object)
+        _, first, key_id = np.unique(code[need] @ weights, return_index=True,
+                                     return_inverse=True)
+        Ts = [_value_set(p, _lattice_key(rows[i], p)) for i in need[first]]
+        # descriptors padded along their period 2, one bit per
+        # (order, class), and a last bit, set, for N = 0
+        L = max(map(len, Ts))
+        ks = np.arange(L)
+        D = np.array([T[np.minimum(ks, len(T) - 2 + (ks - len(T)) % 2)]
+                      for T in Ts])
+        bits = np.ones((len(Ts), L * W + 1), dtype=bool)
+        bits[:, :-1] = (D[:, :, None] >> np.arange(W) & 1).reshape(len(Ts), -1)
+        kk, cc = _orders_and_classes(np.where(N == 0, 1, N).ravel(), p)
+        at = np.minimum(kk, L - 2 + (kk - L & 1)) * W + cc
+        at = np.where(N.ravel() == 0, L * W, at).reshape(N.shape)
+        ok[need] &= bits[key_id.reshape(-1, 1), at[off[need]]]
     return ok
 
 

@@ -100,8 +100,10 @@ def unit_part(n: int, p: int) -> int:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p; 0 if p | a."""
-    assert p > 2 and is_prime(p), f"legendre needs an odd prime, got {p}"
+    """Legendre symbol (a/p) for odd prime p; 0 if p | a.  Raises
+    ValueError unless p is an odd prime."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"legendre needs an odd prime p, got {p}")
     a %= p
     if a == 0:
         return 0
@@ -137,8 +139,13 @@ def prime_divisors(n: int) -> List[int]:
 
 
 def multiplicative_order(a: int, m: int) -> int:
-    """Least j >= 1 with a^j = 1 mod m (requires gcd(a, m) = 1)."""
-    assert m >= 2 and math.gcd(a, m) == 1
+    """Least j >= 1 with a^j = 1 mod m.  Raises ValueError unless m >= 2
+    and gcd(a, m) = 1, the cases where no such j exists or m is no modulus."""
+    if m < 2:
+        raise ValueError(f"multiplicative_order needs a modulus m >= 2, got {m}")
+    if math.gcd(a, m) != 1:
+        raise ValueError(f"multiplicative_order needs a coprime to m, got "
+                         f"a = {a}, m = {m}")
     j, x = 1, a % m
     while x != 1:
         x = x * a % m

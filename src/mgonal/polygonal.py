@@ -28,14 +28,28 @@ def polygonal_number(m: int, x):
     """x-th generalized m-gonal number, m >= 3, x in Z.
 
     Also accepts Fraction x (used to evaluate p-adic witness vectors
-    exactly); the result is then a Fraction.
+    exactly); the result is then a Fraction.  Raises ValueError for m < 3.
     """
-    assert m >= 3
+    _check_index(m)
     num = (m - 2) * x * x - (m - 4) * x
     if isinstance(x, int):
         assert num % 2 == 0  # (m-2)x^2 - (m-4)x = (m-2)(x^2 - x) + 2x is even
         return num // 2
     return num / 2
+
+
+def _check_index(m: int) -> None:
+    if m < 3:
+        raise ValueError(f"polygonal index must be >= 3, got {m}")
+
+
+def _check_coefficients(coeffs) -> None:
+    """Raise ValueError unless coeffs is a nonempty ascending sequence of
+    positive integers, the coefficients of an `MGonalForm`."""
+    if not coeffs or min(coeffs) < 1:
+        raise ValueError(f"coefficients must be positive, got {coeffs}")
+    if tuple(sorted(coeffs)) != tuple(coeffs):
+        raise ValueError(f"coefficients must be ascending, got {coeffs}")
 
 
 def delta_of(m: int) -> int:
@@ -57,7 +71,8 @@ class MGonalConstants:
 
 
 def constants(m: int) -> MGonalConstants:
-    assert m >= 3
+    """The constants of m; raises ValueError for m < 3."""
+    _check_index(m)
     delta = delta_of(m)
     c2 = delta * (m - 2)
     d4 = delta * (m - 4)
@@ -75,12 +90,8 @@ class MGonalForm:
     coeffs: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 3:
-            raise ValueError(f"polygonal index must be >= 3, got {self.m}")
-        if not self.coeffs or any(a < 1 for a in self.coeffs):
-            raise ValueError(f"coefficients must be positive, got {self.coeffs}")
-        if tuple(sorted(self.coeffs)) != tuple(self.coeffs):
-            raise ValueError(f"coefficients must be ascending, got {self.coeffs}")
+        _check_index(self.m)
+        _check_coefficients(self.coeffs)
 
     @property
     def rank(self) -> int:

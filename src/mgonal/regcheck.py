@@ -8,9 +8,10 @@ true regularity, is never asserted by a finite scan.
 
 Scans are batched: `candidate_scan` decides every coefficient triple of
 one m together (`_scan_rows`), and `regularity_scan` is the one-row case.
-The global side computes the generalized m-gonal numbers <= N once and
-shares each (a_1, a_2) pair sumset across every a_3; the local side makes
-one `locally_represented_rows` call per block of at most `_BLOCK_TARGETS`
+The global side computes the generalized m-gonal numbers <= N once, keeps
+each sumset as a Python-integer bitset, and shares each (a_1, a_2) pair
+sumset across every a_3; the local side makes one
+`locally_represented_rows` call per block of at most `_BLOCK_TARGETS`
 targets.  Every n of every row is still scanned and checked for soundness.
 
 The module also packages the two small motivating examples: the quaternary
@@ -106,40 +107,41 @@ def _sumset_builder(m: int, N: int):
     """represented(coeffs) -> bool[N + 1] with r[n] = (sum a_i P_m(x_i) = n
     has a solution over Z), for any coefficient row at this m.
 
-    The generalized m-gonal numbers <= N are computed once.  The sumset of
-    each proper prefix of a row is kept, as its sorted array of reached n,
-    until a row with another prefix of that length comes; so consecutive
-    rows sharing (a_1, a_2), as `candidate_scan` lists them, build that
-    pair sumset once, and memory stays linear in N.  Each step adds the
-    values a P_m(x) <= N to the reached n by numpy index arithmetic, in
-    chunks of at most `_BLOCK_TARGETS` sums.
+    The generalized m-gonal numbers <= N are computed once.  A sumset is a
+    Python integer used as a bitset, bit n set when n is reached, so adding
+    a coordinate is one shift and OR per value a P_m(x) <= N, in the
+    interpreter's big-integer arithmetic.  The sumset of each proper
+    prefix of a row is kept until a row with another prefix of that length
+    comes; so consecutive rows sharing (a_1, a_2), as `candidate_scan`
+    lists them, build that pair sumset once, and memory stays linear in N.
+    `represented` unpacks the row's bitset into bools.
     """
     top = 1
     while polygonal_number(m, -top) <= N or polygonal_number(m, top) <= N:
         top += 1
-    gen = np.unique([polygonal_number(m, x) for x in range(-top, top + 1)])
-    gen = gen[gen <= N]
-    # prefix length -> (prefix, its reached n)
-    last: Dict[int, Tuple[Tuple[int, ...], np.ndarray]] = {
-        0: ((), np.zeros(1, dtype=np.int64))}
+    gen = sorted({polygonal_number(m, x) for x in range(-top, top + 1)})
+    below = (1 << N + 1) - 1  # the bits of 0..N
+    # prefix length -> (prefix, its sumset)
+    last: Dict[int, Tuple[Tuple[int, ...], int]] = {0: ((), 1)}
 
-    def add(reached: np.ndarray, a: int) -> np.ndarray:
-        # a > N leaves only the value 0, and such an a may not fit in int64
-        vals = gen[gen <= N // a] * min(a, N + 1)
-        out = np.zeros(N + 1 + int(vals[-1]), dtype=bool)
-        step = max(1, _BLOCK_TARGETS // len(vals))
-        for lo in range(0, len(reached), step):
-            out[reached[lo:lo + step, None] + vals] = True
-        return out[:N + 1]
+    def add(bits: int, a: int) -> int:
+        out = 0
+        for g in gen:  # ascending, from 0
+            if a * g > N:
+                break
+            out |= bits << a * g
+        return out & below
 
-    def reached(prefix: Tuple[int, ...]) -> np.ndarray:
+    def reached(prefix: Tuple[int, ...]) -> int:
         k = len(prefix)
         if last.get(k, (None,))[0] != prefix:
-            last[k] = (prefix, np.flatnonzero(add(reached(prefix[:-1]), prefix[-1])))
+            last[k] = (prefix, add(reached(prefix[:-1]), prefix[-1]))
         return last[k][1]
 
     def represented(coeffs: Tuple[int, ...]) -> np.ndarray:
-        return add(reached(tuple(coeffs[:-1])), coeffs[-1])
+        bits = add(reached(tuple(coeffs[:-1])), coeffs[-1])
+        packed = np.frombuffer(bits.to_bytes(N // 8 + 1, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=N + 1, bitorder="little").view(bool)
 
     return represented
 
@@ -183,9 +185,12 @@ def _scan_rows(m: int, coeff_rows: Sequence[Sequence[int]],
                 f"soundness violation: {block[i]} represents {int(n)} globally "
                 "but fails a local test"
             )
-        missed = local & ~glob
-        for f, flags, miss in zip(block, local, missed):
-            counterexamples = tuple(np.flatnonzero(miss).tolist())
+        counts = local.sum(axis=1).tolist()
+        row, missed = np.nonzero(local & ~glob)  # row-major: rows ascending
+        cut = [0] + np.searchsorted(row, np.arange(1, len(block) + 1)).tolist()
+        missed = missed.tolist()
+        for i, f in enumerate(block):
+            counterexamples = tuple(missed[cut[i]:cut[i + 1]])
             if counterexamples:
                 verdict = f"not-regular(witness n={counterexamples[0]})"
             else:
@@ -193,7 +198,7 @@ def _scan_rows(m: int, coeff_rows: Sequence[Sequence[int]],
             yield RegularityReport(
                 form=f,
                 bound=N,
-                locally_count=int(flags.sum()),
+                locally_count=counts[i],
                 counterexamples=counterexamples,
                 verdict=verdict,
             )

@@ -710,16 +710,29 @@ def test_locally_represented_many_edges():
     assert locally_represented_many(deep, [0, 1, 2**40]).tolist() == [True, False, False]
 
 
+# Census rows plus rank-4 rows in the same call, rows sharing sum a_i
+# across ranks ((1,1,1,1) and (1,1,2); (1,2,3,64) and (2,4,64); (1,1,3,81)
+# and (1,4,81)), entries with deep 2-, 3- and 5-powers, and one row of
+# rank 16 whose lattice key at 2 does not fit in one int64.
+BATCH_ROWS = CENSUS_TRIPLES + [
+    (1, 1, 1, 1), (1, 2, 3, 64), (2, 4, 64), (1, 1, 3, 81), (1, 4, 81),
+    (1, 1, 128), (32, 81, 125), (1, 243, 243), (1, 625, 1250),
+    (2, 3, 25, 125), (8, 27, 27, 3125), tuple(2**i for i in range(16))]
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 13, 29, 711])
 def test_locally_represented_rows_match_one_row_calls(m):
-    """A batch of all census rows, grouped by lattice class at each prime,
-    gives each row's own verdicts, negative n included."""
-    ns = np.arange(-10, 601)
-    got = locally_represented_rows(m, CENSUS_TRIPLES, ns)
-    assert got.dtype == np.bool_ and got.shape == (len(CENSUS_TRIPLES), len(ns))
-    for row, flags in zip(CENSUS_TRIPLES, got):
-        assert flags.tolist() == locally_represented_many(
-            MGonalForm(m, row), ns).tolist(), row
+    """One batch of rows of rank 3, 4 and 16 gives, per row and n, the verdict
+    written out one target and one prime at a time: N >= 0 and the scalar
+    shifted_represents_over_zp at every prime of 2 c prod(a_i)
+    (`_local_oracle`), negative n included.  At m = 4 (N = n) the last
+    targets lie deeper than every descriptor of the batch."""
+    ns = np.r_[np.arange(-10, 601), 7 * 2**21, 7 * 2**22, 2 * 3**13, 2 * 5**13]
+    got = locally_represented_rows(m, BATCH_ROWS, ns)
+    assert got.dtype == np.bool_ and got.shape == (len(BATCH_ROWS), len(ns))
+    for row, flags in zip(BATCH_ROWS, got):
+        f = MGonalForm(m, row)
+        assert flags.tolist() == [_local_oracle(f, int(n)) for n in ns], row
     assert locally_represented_rows(m, [], ns).shape == (0, len(ns))
 
 

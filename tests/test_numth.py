@@ -2,6 +2,8 @@
 unit-class labels that the local engine builds on them."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 import sympy
@@ -111,3 +113,34 @@ def test_multiplicative_order_matches_sympy(m, a):
     if math.gcd(a, m) != 1:
         return
     assert multiplicative_order(a, m) == sympy.n_order(a, m)
+
+
+def test_bad_arguments_raise_named_errors_under_optimize():
+    """With asserts stripped, multiplicative_order(2, 4) and (3, 1) used to
+    loop forever, legendre at p = 4 and p = 2 returned a symbol, and m = 2
+    gave polygonal constants (c = 0) and numbers.  Each raises ValueError
+    naming the argument; the timeout turns a hang into a failure."""
+    script = (
+        "from mgonal.numth import legendre, multiplicative_order\n"
+        "from mgonal.polygonal import constants, polygonal_number\n"
+        "for call in (lambda: multiplicative_order(2, 4),\n"
+        "             lambda: multiplicative_order(3, 1),\n"
+        "             lambda: legendre(3, 4),\n"
+        "             lambda: legendre(3, 2),\n"
+        "             lambda: constants(2),\n"
+        "             lambda: polygonal_number(2, 3)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "multiplicative_order needs a coprime to m, got a = 2, m = 4",
+        "multiplicative_order needs a modulus m >= 2, got 1",
+        "legendre needs an odd prime p, got 4",
+        "legendre needs an odd prime p, got 2",
+        "polygonal index must be >= 3, got 2",
+        "polygonal index must be >= 3, got 2"]

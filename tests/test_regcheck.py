@@ -57,13 +57,15 @@ def test_represents_globally_matches_brute_force(m, coeffs):
             assert f.value(witness) == n
 
 
-@pytest.mark.parametrize("m,coeffs", [(3, (1, 1, 1)), (5, (1, 1, 2))])
+@pytest.mark.parametrize("m,coeffs", [(3, (1, 1, 1)), (5, (1, 1, 2)),
+                                      (3, (1, 2, 5)), (5, (2, 3, 7)),
+                                      (8, (1, 2, 3)), (8, (1, 1, 4))])
 def test_represented_set_matches_pointwise_search(m, coeffs):
     f = MGonalForm(m, coeffs)
-    flags = represented_set(f, 80)
-    assert flags.dtype == np.bool_ and flags.shape == (81,)
+    flags = represented_set(f, 300)
+    assert flags.dtype == np.bool_ and flags.shape == (301,)
     assert represented_set(f, 0).tolist() == [True]
-    for n in range(81):
+    for n in range(301):
         assert bool(flags[n]) == (represents_globally(f, n) is not None)
 
 
@@ -115,6 +117,24 @@ def test_batch_names_the_first_violating_form(monkeypatch):
         regcheck.candidate_scan(5, 4, 40)
     assert str(exc.value) == (f"soundness violation: {form} represents {n} "
                               "globally but fails a local test")
+
+
+@pytest.mark.parametrize("m", [8, 13, 711])
+def test_census_op_reads_each_prime_once(m, monkeypatch):
+    """A census op (29 rows x 501 n, one block) reads the orders and classes
+    of its targets at most once per prime and makes no per-group engine
+    call."""
+    import mgonal.localrep as localrep
+
+    primes, groups = [], []
+    orders, many = localrep._orders_and_classes, localrep.represents_over_zp_many
+    monkeypatch.setattr(localrep, "_orders_and_classes",
+                        lambda N, p: primes.append(p) or orders(N, p))
+    monkeypatch.setattr(localrep, "represents_over_zp_many",
+                        lambda *args: groups.append(args[0]) or many(*args))
+    candidate_scan(m, 5, 500)
+    assert groups == []
+    assert primes and len(primes) == len(set(primes)), primes
 
 
 @pytest.mark.parametrize("m", [3, 8])
@@ -195,6 +215,7 @@ def test_scan_beyond_the_fft_limit():
 
 def test_eureka_scan():
     assert eureka_check(2000)
+    assert eureka_check(10**5) is True
 
 
 def test_candidate_scan_keeps_only_clean_reports():
