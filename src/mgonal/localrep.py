@@ -25,12 +25,14 @@ this says that the values of Q over Z_p are
 with S_i the values Q(x) having x_i a unit (the pivot sets).  Scaling x
 by a unit scales Q(x) by its square, so each S_i is a union of classes
 (k, c): the elements of order k whose unit part lies in the square class
-c, a Legendre class at odd p and a residue mod 8 at p = 2.  By (*),
-membership in S_i depends only on n mod p^{M_i}, so S_i is its classes
-at orders k < M_i plus, when it meets residue 0 mod p^{M_i}, every
-element of order >= M_i.  These classes depend on the lattice only
-through its key, the sorted multiset {(e_i, unit class of a_i)}: scaling
-an entry by a unit square permutes the solutions and keeps the units.
+c.  The label (k, c) of an element, computed by `_order_and_class`, holds
+c as a class index: the unit part is 2 c + 1 mod 8 at p = 2, and c is 0
+for a square and 1 for a nonsquare at odd p.  By (*), membership in S_i
+depends only on n mod p^{M_i}, so S_i is its classes at orders k < M_i
+plus, when it meets residue 0 mod p^{M_i}, every element of order >= M_i.
+These classes depend on the lattice only through its key, the sorted
+multiset of the labels (e_i, c_i) of its entries: scaling an entry by a
+unit square permutes the solutions and keeps the units.
 
 So the value set is one bitmask T[k] over the unit classes per order k,
 the descriptor that `_value_set` builds once per (p, key) by summing the
@@ -39,11 +41,11 @@ Write V[k] for the classes of S_1 u ... u S_r at order k and K = max M_i.
 Every S_i is all or nothing at orders >= M_i, so V[k] is one constant for
 k >= K; and T[k] = V[k] | T[k - 2].  Hence T[K + 2] = T[K] and
 T[K + 3] = T[K + 1]: T has period 2 from order K on, and K + 2 entries
-describe it.  A verdict is ord_p(n), the class of n's unit part and one
-lookup in T, at any depth and any p, with no residue array.  The key is
-the one description of a diagonal lattice at p in the package:
-`is_stable` and `stable_value_set_check` read it too, and the tests hold
-the latter against the descriptor.
+describe it.  A verdict is the label of n and one lookup in T, at any
+depth and any p, with no residue array.  The key is the one description
+of a diagonal lattice at p in the package: `is_stable` and
+`stable_value_set_check` read it too, and the tests hold the latter
+against the descriptor.
 
 Scans ask the same question for many targets at once.
 `represents_over_zp_many` reads the same descriptor with numpy over an
@@ -88,8 +90,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numth import (is_prime, legendre, ord_p, prime_divisors,
-                    smallest_nonresidue, unit_part)
+from .numth import is_prime, ord_p, prime_divisors
 
 # Largest indicator array the FFT oracle writes (p^K entries).
 _FFT_LIMIT = 2 ** 22
@@ -148,27 +149,35 @@ def _entries(L) -> Tuple[int, ...]:
 # --------------------------------------------------------------------------
 # lattice keys and value-set descriptors
 
+def _order_and_class(a: int, p: int) -> Tuple[int, int]:
+    """The label (ord_p a, i) of a nonzero integer a at a prime p: i indexes
+    the square class of the unit part u = a / p^ord_p(a), with u = 2 i + 1
+    (mod 8) at p = 2; at odd p, 0 for a square and 1 for a nonsquare
+    (Euler's criterion, so (u | p) = (-1)^i)."""
+    e = ord_p(a, p)
+    u = a // p ** e
+    if p == 2:
+        return e, u % 8 >> 1
+    return e, int(pow(u, (p - 1) // 2, p) != 1)
+
+
 def _lattice_key(coeffs: Sequence[int], p: int) -> Tuple:
-    """The sorted (ord_p(a), unit class of a / p^ord_p(a)) of the entries.
-    A unit class labels a square class of Z_p-units: the residue mod 8 at
-    p = 2; at an odd prime p, 1 for a square and the least nonresidue
-    otherwise, read by Euler's criterion (the public entry points check
-    once that p is prime) and found once per key."""
+    """The sorted labels (`_order_and_class`) of the entries."""
     if not coeffs or 0 in coeffs:
         raise ValueError(f"coefficients must be a nonempty list of nonzero "
                          f"integers, got {tuple(coeffs)}")
-    key, nonresidue = [], None
-    for a in coeffs:
-        e = ord_p(a, p)
-        u = a // p ** e
-        if p == 2:
-            key.append((e, u % 8))
-        elif pow(u, (p - 1) // 2, p) == 1:
-            key.append((e, 1))
-        else:
-            nonresidue = nonresidue or smallest_nonresidue(p)
-            key.append((e, nonresidue))
-    return tuple(sorted(key))
+    return tuple(sorted(_order_and_class(a, p) for a in coeffs))
+
+
+def _stable_pair(i1: int, i2: int, p: int) -> bool:
+    """Whether the unimodular binary <u1, u2> of unit classes i1, i2 makes a
+    ternary lattice p-stable at any depth of its third entry (`is_stable`):
+    -u1 u2 is a square at odd p, which holds iff i1 xor i2 = [p = 3 mod 4]
+    since (-1 | p) = -1 iff p = 3 (mod 4); u1 u2 = 3 (mod 4) at p = 2, which
+    holds iff i1 xor i2 is odd since 2 i + 1 = 3 (mod 4) iff i is odd."""
+    if p == 2:
+        return (i1 ^ i2) & 1 == 1
+    return i1 ^ i2 == (p % 4 == 3)
 
 
 def _check_prime(p: int) -> None:
@@ -197,8 +206,7 @@ def _convolve_presence(ind1: np.ndarray, ind2: np.ndarray) -> np.ndarray:
 
 
 # Class sums of `_value_set`.  A class set is a list of bitmasks, one per
-# order k < M, of class indices i (the unit classes c = 2 i + 1 at p = 2;
-# 0 for the squares and 1 for the nonsquares at odd p), plus a flag for
+# order k < M, of class indices i (`_order_and_class`), plus a flag for
 # residue 0 mod p^M.  For two classes d < rho orders apart, rho =
 # len(near), near[d][i][j] = (off, mask, tail) says that p^k (U_i + p^d U_j)
 # meets the classes of mask at order k + off and, when tail, every element
@@ -269,18 +277,9 @@ def _add_coordinate(acc: List[int], zero: bool, e: int, i: int,
     return out, out_zero
 
 
-def _class_index(u: int, p: int) -> int:
-    """Index of the square class of a p-unit u in a class bitmask: the
-    class u mod 8 = 2 i + 1 has index i at p = 2; at odd p the squares have
-    index 0 and the nonsquares 1 (Euler's criterion)."""
-    if p == 2:
-        return u % 8 >> 1
-    return int(pow(u, (p - 1) // 2, p) != 1)
-
-
 def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(ord_p N, `_class_index` of the unit part) per entry of a nonzero
-    int64 array."""
+    """`_order_and_class` per entry of a nonzero int64 array, as the arrays
+    (ord_p N, class index)."""
     if p == 2:
         k = np.frexp(N & -N)[1] - 1  # N & -N is 2^k, or -2^63 for N = -2^63
         return k, (N >> k) % 8 >> 1
@@ -306,7 +305,7 @@ def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
 def _value_set(p: int, lattice_key: Tuple) -> np.ndarray:
     """The descriptor of the lattice key: T[k] for k < K + 2, K =
     2 ord_p(2 a) + 1 of the deepest entry a, is the bitmask of the class
-    indices c (`_class_index`) such that the lattice represents the
+    indices c (`_order_and_class`) such that the lattice represents the
     elements p^k u, u a unit of class c; T[k] = T[k - 2] for larger k
     (period argument in the module docstring).  Read-only, since the cache
     hands the same array to every caller.
@@ -354,18 +353,17 @@ def _value_set(p: int, lattice_key: Tuple) -> np.ndarray:
     missing on workloads that return to lattices seen long before."""
     near = _NEAR_SUMS_2 if p == 2 else _near_sums_odd(p)
     every = (1 << len(near[0])) - 1
-    classes = [_class_index(c, p) for _, c in lattice_key]
     K = 2 * (lattice_key[-1][0] + (p == 2)) + 1  # the key is sorted
     V = [0] * (K + 2)  # the classes of S_1 u ... u S_r per order
-    for i, (e, _) in enumerate(lattice_key):
+    for i, (e, c) in enumerate(lattice_key):
         if i and lattice_key[i] == lattice_key[i - 1]:
             continue  # equal entries have equal pivot sets
         M = 2 * (e + (p == 2)) + 1
         acc, zero = [0] * M, False
-        acc[e] = 1 << classes[i]
-        for j, (ej, _) in enumerate(lattice_key):
+        acc[e] = 1 << c
+        for j, (ej, cj) in enumerate(lattice_key):
             if j != i:
-                acc, zero = _add_coordinate(acc, zero, ej, classes[j], near)
+                acc, zero = _add_coordinate(acc, zero, ej, cj, near)
         for k, mask in enumerate(acc):
             V[k] |= mask
         if zero:
@@ -407,11 +405,10 @@ def represents_over_zp(L, n: int, p: int, want_witness: bool = False) -> LocalVe
     key = _lattice_key(coeffs, p)
     rep, wn = True, 0
     if n:
-        wn = ord_p(n, p)
+        wn, c = _order_and_class(n, p)
         T = _value_set(p, key)
         top = len(T) - 2  # T has period 2 from this order on
-        rep = bool(T[min(wn, top + (wn - top) % 2)]
-                   >> _class_index(n // p ** wn, p) & 1)
+        rep = bool(T[min(wn, top + (wn - top) % 2)] >> c & 1)
     witness = None
     # conservative_exponent, read from the key's orders
     K = wn + 2 * (sum(e for e, _ in key) + (p == 2)) + 3
@@ -509,23 +506,18 @@ def is_stable(L, p: int) -> bool:
         coordinates.  When u1 u2 = 1 mod 4 and the third entry has
         ord_2 >= 2 every odd value is = u1 mod 4, so 3 or 7 mod 8 cannot
         both appear.)
-    The key holds class representatives, not the units themselves; a
-    representative has the Legendre symbol (odd p) and the residue mod 8
-    (p = 2) of the unit it stands for, so the rule reads the same answer.
+    The key holds the class indices of u1 and u2, and `_stable_pair` reads
+    the r0 = 2 condition from them.
     Raises ValueError unless the rank is 3 and p is a prime.
     """
     coeffs = _entries(L)
     if len(coeffs) != 3:
         raise ValueError(f"stability is defined for ternary lattices, got {coeffs}")
     _check_prime(p)
-    (_, u1), (e2, u2), (e3, _) = _lattice_key(coeffs, p)
+    (_, i1), (e2, i2), (e3, _) = _lattice_key(coeffs, p)
     if e2 > 0:
         return False
-    if e3 <= 1:
-        return True
-    if p == 2:
-        return u1 * u2 % 4 == 3
-    return legendre(-u1 * u2, p) == 1
+    return e3 <= 1 or _stable_pair(i1, i2, p)
 
 
 def stable_value_set_check(L, p: int, gamma: int) -> bool:
@@ -547,6 +539,10 @@ def stable_value_set_check(L, p: int, gamma: int) -> bool:
     2-stable shapes (a non-unimodular Jordan piece is present) only the
     one-sided guarantee "every gamma of even order is represented" is
     available, so a False there means "no claim", not "excluded".
+
+    On class indices (`_order_and_class`): at odd p the class of
+    -u1 u2 u3 is i1 xor i2 xor i3 xor [p = 3 mod 4], as (u | p) = (-1)^i;
+    at p = 2, eps = 3 (2 i1 + 1)(2 i2 + 1)(2 i3 + 1) mod 8.
     Raises ValueError on a lattice that is not p-stable.
     """
     coeffs = _entries(L)
@@ -554,36 +550,36 @@ def stable_value_set_check(L, p: int, gamma: int) -> bool:
         raise ValueError(f"{p}-stable lattices only, got {coeffs}")
     if gamma == 0:
         return True
-    (_, u1), (_, u2), (e3, u3) = _lattice_key(coeffs, p)
-    ((g_ord, g_class),) = _lattice_key([gamma], p)
+    (_, i1), (_, i2), (e3, i3) = _lattice_key(coeffs, p)
+    g_ord, g_class = _order_and_class(gamma, p)
     if p == 2:
         if e3 > 0:
             return g_ord % 2 == 0
         if not is_anisotropic_ternary(coeffs, 2):
             return True
-        eps = 3 * u1 * u2 * u3 % 8
-        return not (g_ord % 2 == 0 and g_class == (eps + 4) % 8)
-    if e3 == 0 or legendre(-u1 * u2, p) == 1:
+        eps = 3 * (2 * i1 + 1) * (2 * i2 + 1) * (2 * i3 + 1) % 8
+        return not (g_ord % 2 == 0 and g_class == (eps + 4) % 8 >> 1)
+    if e3 == 0 or _stable_pair(i1, i2, p):
         return True  # hyperbolic plane inside: value set is all of Z_p
-    return not (g_ord % 2 == 1
-                and legendre(g_class, p) == legendre(-u1 * u2 * u3, p))
+    return not (g_ord % 2 == 1 and g_class == i1 ^ i2 ^ i3 ^ (p % 4 == 3))
 
 
 def hilbert_symbol(a: int, b: int, p: int) -> int:
-    """Hilbert symbol (a, b)_p over Q_p, via the standard closed forms.
-    Raises ValueError for a zero argument or a non-prime p."""
+    """Hilbert symbol (a, b)_p over Q_p, via the standard closed forms in
+    the labels (alpha, i) of a and (beta, j) of b (`_order_and_class`), with
+    u, v the unit parts.  At p = 2, (u - 1) / 2 = i and (u^2 - 1) / 8 =
+    [i in {1, 2}] (mod 2), as u = 2 i + 1 (mod 8); at odd p,
+    (u | p) = (-1)^i.  Raises ValueError for a zero argument or a non-prime
+    p."""
     if a == 0 or b == 0:
         raise ValueError(f"the Hilbert symbol needs nonzero a, b, got {a}, {b}")
     _check_prime(p)
-    alpha, u = ord_p(a, p), unit_part(a, p)
-    beta, v = ord_p(b, p), unit_part(b, p)
+    (alpha, i), (beta, j) = _order_and_class(a, p), _order_and_class(b, p)
     if p == 2:
-        eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
-        om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
-        e = eps_u * eps_v + alpha * om_v + beta * om_u
-        return -1 if e % 2 else 1
-    sign = -1 if (alpha * beta * (p - 1) // 2) % 2 else 1
-    return sign * legendre(u, p) ** beta * legendre(v, p) ** alpha
+        e = i * j + alpha * (j in (1, 2)) + beta * (i in (1, 2))
+    else:
+        e = alpha * beta * (p - 1) // 2 + beta * i + alpha * j
+    return -1 if e % 2 else 1
 
 
 def hasse_invariant(coeffs: Sequence[int], p: int) -> int:
@@ -691,12 +687,13 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     `_orders_and_classes` once, over the distinct targets.  At p | c the
     shift is alpha = |d|, so N - sum a_i alpha^2 = mu n and the
     `_shifted_congruence` of a row reads mu n = 0 (mod p^(e + min ord_p
-    a_i)): one test per distinct min ord_p a_i.  At other p a row's
-    `_lattice_key` is coded as one integer from its sorted (ord_p a_i,
-    class index) pairs; a key tuple is built, and `_value_set` read, once
-    per distinct code, and each row's verdicts are one gather from the
-    stacked descriptors.  Raises ValueError when some N does not fit in
-    int64.
+    a_i)): one test per distinct min ord_p a_i.  At other p each label
+    (e, i) of an entry is coded as e W + 1 + i, W the number of unit
+    classes, and 0 pads a shorter row; a row's sorted codes are its
+    lattice key, coded as one integer.  Each distinct key is decoded by
+    divmod(code - 1, W) and its `_value_set` read once, and each row's
+    verdicts are one gather from the stacked descriptors.  Raises
+    ValueError when some N does not fit in int64.
     """
     from .polygonal import _check_coefficients, constants
 
@@ -729,19 +726,18 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     idx = np.array([[col[a] for a in row] + [len(vals)] * (width - len(row))
                     for row in rows])
     for p in prime_divisors(2 * k.c * math.lcm(*vals)):
-        e = np.array([ord_p(a, p) for a in vals])
+        e, cls = np.array([_order_and_class(a, p) for a in vals]).T
         if k.c % p == 0:
             depth = np.append(e, e.max())[idx].min(axis=1)
-            for v in np.unique(depth).tolist():
+            # a set: np.unique imports numpy.ma on its first call
+            for v in sorted(set(depth.tolist())):
                 mod = p ** (progression_exponent(k.c, p) + v)
                 # |mu n| < 2^63 <= mod leaves n = 0 as the only solution
                 hit = ns == 0 if mod >= 2 ** 63 else k.mu * ns % mod == 0
                 ok[depth == v] &= hit
             continue
         W = 4 if p == 2 else 2  # unit square classes
-        code = e * W + [_class_index(a // p ** int(ei), p) + 1
-                        for a, ei in zip(vals, e)]
-        code = np.sort(np.append(code, 0)[idx], axis=1)
+        code = np.sort(np.append(e * W + cls + 1, 0)[idx], axis=1)
         # all entries p-units: universal at odd p (see above)
         need = (np.arange(len(rows)) if p == 2
                 else np.flatnonzero(code[:, -1] > W))
@@ -753,7 +749,8 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
                            dtype=np.int64 if B ** width < 2 ** 63 else object)
         _, first, key_id = np.unique(code[need] @ weights, return_index=True,
                                      return_inverse=True)
-        Ts = [_value_set(p, _lattice_key(rows[i], p)) for i in need[first]]
+        Ts = [_value_set(p, tuple(divmod(c - 1, W) for c in row if c))
+              for row in code[need[first]].tolist()]
         # descriptors padded along their period 2, one bit per
         # (order, class), and a last bit, set, for N = 0
         L = max(map(len, Ts))

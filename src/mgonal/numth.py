@@ -94,32 +94,6 @@ def ord_p(n: int, p: int) -> int:
     return e
 
 
-def unit_part(n: int, p: int) -> int:
-    """n / p^ord_p(n), sign preserved."""
-    return n // p ** ord_p(n, p)
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p; 0 if p | a.  Raises
-    ValueError unless p is an odd prime."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"legendre needs an odd prime p, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    s = pow(a, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
-
-
-def smallest_nonresidue(p: int) -> int:
-    """Least positive quadratic nonresidue mod an odd prime (Euler's
-    criterion after one primality check)."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"smallest_nonresidue needs an odd prime, got {p}")
-    half = (p - 1) // 2
-    return next(a for a in range(2, p) if pow(a, half, p) != 1)
-
-
 def prime_divisors(n: int) -> List[int]:
     """Sorted prime divisors of n != 0, by trial division."""
     if n == 0:

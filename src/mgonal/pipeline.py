@@ -45,8 +45,9 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .density import eta
-from .localrep import _entries, _lattice_key, is_stable, represents_over_zp
-from .numth import is_prime, legendre, ord_p
+from .localrep import (_entries, _lattice_key, _order_and_class, _stable_pair,
+                       is_stable, represents_over_zp)
+from .numth import is_prime, ord_p
 from .prodineq import CLAUSES, certify_all_t, verify_inequality, w_factor
 
 # The derivation's standing hypothesis on the conductor.  All c-dependent
@@ -139,13 +140,13 @@ def _anisotropic_shape(a: Sequence[int], p: int) -> int:
     """Index of the ord-1 entry if <a_1,a_2,a_3> = <1,-Delta> perp <p eps>
     at p (unimodular binary anisotropic, one entry of ord exactly 1);
     ValueError otherwise."""
-    (e1, u1), (e2, u2), (e3, _) = _lattice_key(a, p)
+    (e1, i1), (e2, i2), (e3, _) = _lattice_key(a, p)
     if (e1, e2, e3) != (0, 0, 1):
         raise ValueError(
             f"lattice {tuple(a)} at p={p} is not unimodular-rank-2 with a "
             f"single ord-1 entry (orders {(e1, e2, e3)})"
         )
-    if legendre(-u1 * u2, p) != -1:
+    if _stable_pair(i1, i2, p):
         raise ValueError(
             f"binary part of {tuple(a)} is isotropic at p={p}; the "
             "construction needs -u1*u2 to be a nonsquare"
@@ -195,20 +196,20 @@ def find_v(p: int, u: int, a: Sequence[int], alpha: Sequence[int]) -> int:
             t = next(
                 t
                 for t in range(1, p)
-                if t % p != (al3 * al3) % p and legendre(t, p) == 1
+                if t % p != (al3 * al3) % p and _order_and_class(t, p)[1] == 0
             )
             target = a3 * (t - al3 * al3) % (p * p)
         v = (target - A2) * pow(u, -1, p * p) % (p * p)
     else:
         # p divides a1 or a2; the other of the pair is a unit.
-        unit_coeff = a2 if deep == 0 else a1
+        unit_class = _order_and_class(a2 if deep == 0 else a1, p)[1]
         # a' is a unit in the square class the pair <a1,a2> cannot take,
         # kept away from -a3 alpha3^2 so that clause (iii) sees a unit.
         aprime = next(
             x
             for x in range(1, p)
             if x % p != (-a3 * al3 * al3) % p
-            and legendre(x, p) == -legendre(unit_coeff, p)
+            and _order_and_class(x, p)[1] != unit_class
         )
         v = (aprime - A2) * pow(u, -1, p) % p
 

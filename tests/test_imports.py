@@ -1,7 +1,8 @@
 """Static checks over the package's modules: every name a module imports
 is used in it, no module keeps a hand-rolled cache, the package keeps
-exactly one lru_cache, and only the reference oracles raise
-ModulusTooLarge."""
+exactly one lru_cache, only the reference oracles raise ModulusTooLarge,
+and every public function of numth and localrep but those oracles has a
+caller in the package."""
 
 import ast
 from pathlib import Path
@@ -152,3 +153,34 @@ def test_modulus_raiser_is_reported():
               "    except ModulusTooLarge:\n        return None\n"
               "    raise ValueError('other')\n")
     assert _modulus_raisers(source) == ["table", "many", "again"]
+
+
+def _uncalled(module: str, sources: dict):
+    """Public top-level functions of sources[module] that no code in the
+    sources calls by name, a call inside the function itself aside."""
+    public = [node.name for node in ast.parse(sources[module]).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    called = set()
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None) if name == module else None
+            called |= {getattr(node.func, "attr", getattr(node.func, "id", None))
+                       for node in ast.walk(top)
+                       if isinstance(node, ast.Call)} - {own}
+    return [fn for fn in public if fn not in called]
+
+
+def test_no_dead_public_api():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    found = [f"{module}.{fn}" for module in ("numth", "localrep")
+             for fn in _uncalled(module, sources)]
+    # the reference oracles, which only the tests call
+    assert found == ["localrep.represents_reference_fft",
+                     "localrep.stable_value_set_check"]
+
+
+def test_uncalled_function_is_reported():
+    sources = {"lib": "def used(): pass\n\ndef dead(n):\n    return dead(n - 1)\n\n"
+                      "def _private(): pass\n",
+               "app": "import lib\n\ndef main():\n    return lib.used()\n"}
+    assert _uncalled("lib", sources) == ["dead"]

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from mgonal.density import exception_count_check
@@ -38,7 +39,7 @@ from mgonal.localrep import (
     shifted_represents_over_zp,
     stable_value_set_check,
 )
-from mgonal.numth import is_prime, ord_p, prime_divisors, smallest_nonresidue
+from mgonal.numth import is_prime, ord_p, prime_divisors
 from mgonal.pipeline import find_nu
 from mgonal.regcheck import candidate_scan
 from mgonal.polygonal import MGonalForm, ShiftedForm, form_to_shifted, shifted_target
@@ -207,9 +208,9 @@ def test_stable_value_set_matches_descriptor():
     True claim is represented."""
     stable, one_sided = 0, set()
     for p in (2, 3, 5, 7):
-        units = (1, 3, 5, 7) if p == 2 else (1, smallest_nonresidue(p))
+        units = _class_reps(p)
         for key in _ternary_keys(p, 2):
-            coeffs = [p ** e * u for e, u in key]
+            coeffs = _canonical_entries(key, p)
             if not is_stable(coeffs, p):
                 continue
             stable += 1
@@ -376,10 +377,25 @@ def test_form_to_shifted_roundtrip_values():
         assert targets <= vals_g
 
 
+def _class_reps(p):
+    """One unit of each square class at p, in class-index order: 2 i + 1 at
+    p = 2; 1 and the least nonresidue (from sympy) at odd p."""
+    if p == 2:
+        return (1, 3, 5, 7)
+    return (1, next(a for a in range(2, p) if not sympy.is_quad_residue(a, p)))
+
+
+def _canonical_entries(key, p):
+    """The entries p^e u of a key, u the class representative of index i."""
+    reps = _class_reps(p)
+    return [p ** e * reps[i] for e, i in key]
+
+
 def _ternary_keys(p, depth):
-    """Every rank-3 lattice key with entries of depth <= depth at p."""
-    units = (1, 3, 5, 7) if p == 2 else (1, smallest_nonresidue(p))
-    entries = [(e, u) for e in range(depth + 1) for u in units]
+    """Every rank-3 lattice key with entries of depth <= depth at p: the
+    sorted triples of labels (e, i)."""
+    entries = [(e, i) for e in range(depth + 1)
+               for i in range(len(_class_reps(p)))]
     return list(itertools.combinations_with_replacement(entries, 3))
 
 
@@ -411,7 +427,7 @@ def test_class_built_tables_match_fft_tables():
     cases += [(p, key) for p in (11, 13) for key in _ternary_keys(p, 1)]
     cases += [(11, key) for key in rng.sample(_ternary_keys(11, 2), 4)]
     for p, key in cases:
-        _check_against_fft([p ** e * u for e, u in key], key, p)
+        _check_against_fft(_canonical_entries(key, p), key, p)
     assert len(cases) == 364 + 3 * 56 + 2 * 20 + 4
 
 
@@ -426,9 +442,9 @@ def test_pivot_tables_match_real_entries():
         units = [u for u in range(-8 * p, 8 * p) if u % p]
         for key in _ternary_keys(p, 2):
             real = []
-            for e, u in key:
+            for e, i in key:
                 a = p ** e * rng.choice(units)
-                while _lattice_key([a], p) != ((e, u),):
+                while _lattice_key([a], p) != ((e, i),):
                     a = p ** e * rng.choice(units)
                 real.append(a)
             signs |= {a > 0 for a in real}
@@ -446,7 +462,7 @@ def test_odd_class_sum_rule_matches_enumeration():
     classes met and whether 0 is met are those the count rule of
     `_near_sums_odd` gives."""
     for p in filter(is_prime, range(3, 100, 2)):
-        q = smallest_nonresidue(p)
+        q = _class_reps(p)[1]
         squares = {x * x % p for x in range(1, p)}
         classes = (squares, set(range(1, p)) - squares)
         for i, u in enumerate((1, q)):

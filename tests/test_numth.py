@@ -1,25 +1,23 @@
 """numth against sympy oracles and arithmetic identities, plus the
-unit-class labels that the local engine builds on them."""
+square-class labels that the local engine builds on them."""
 
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from mgonal.localrep import _lattice_key
+from mgonal.localrep import _lattice_key, _order_and_class, _orders_and_classes
 from mgonal.numth import (
     RS,
     is_prime,
-    legendre,
     multiplicative_order,
     ord_p,
     prime_divisors,
     primes,
-    smallest_nonresidue,
-    unit_part,
 )
 
 
@@ -44,37 +42,10 @@ def test_prime_seq_indexing():
         assert RS.r(i) == sympy.prime(i + 2)
 
 
-@given(st.integers(min_value=1, max_value=10**9),
-       st.sampled_from([2, 3, 5, 7, 11, 13]))
-def test_ord_unit_decomposition(n, p):
-    e, u = ord_p(n, p), unit_part(n, p)
-    assert n == p**e * u and u % p != 0
-
-
 def test_ord_p_rejects_p_below_two():
     for p in (1, 0, -3):
         with pytest.raises(ValueError):
             ord_p(12, p)
-
-
-@given(st.integers(min_value=-200, max_value=200),
-       st.sampled_from([3, 5, 7, 11, 13, 17, 97]))
-def test_legendre_matches_sympy(a, p):
-    assert legendre(a, p) == sympy.legendre_symbol(a, p)
-
-
-@given(st.integers(min_value=-50, max_value=50),
-       st.integers(min_value=-50, max_value=50),
-       st.sampled_from([3, 5, 7, 11, 13]))
-def test_legendre_multiplicative(a, b, p):
-    assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
-
-
-def test_smallest_nonresidue():
-    for p in [3, 5, 7, 11, 13, 17, 19, 23, 73]:
-        q = smallest_nonresidue(p)
-        assert legendre(q, p) == -1
-        assert all(legendre(b, p) == 1 for b in range(1, q))
 
 
 @given(st.integers(min_value=1, max_value=10**6))
@@ -83,8 +54,28 @@ def test_factorization_matches_sympy(n):
 
 
 def _unit_class(u, p):
-    """The unit-class label of the lattice key of <u>."""
+    """The class index in the lattice key of <u>."""
     return _lattice_key([u], p)[0][1]
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda u: u != 0),
+       st.integers(min_value=0, max_value=40),
+       st.sampled_from([2, 3, 5, 7, 11, 13, 97, 1009]))
+def test_order_and_class_matches_sympy(u, k, p):
+    """The label (ord_p a, i) of a = p^k u, signed and deep: the unit part
+    of a is 2 i + 1 mod 8 at 2, i is 1 exactly for a nonsquare unit part
+    at odd p, and the array helper gives the same label."""
+    a = p ** k * u
+    assume(abs(a) < 2 ** 63)
+    e, i = _order_and_class(a, p)
+    assert e == k + ord_p(u, p)
+    unit = a // p ** e
+    if p == 2:
+        assert 2 * i + 1 == unit % 8
+    else:
+        assert i == (not sympy.is_quad_residue(unit, p))
+    ks, cs = _orders_and_classes(np.array([a], dtype=np.int64), p)
+    assert (int(ks[0]), int(cs[0])) == (e, i)
 
 
 @given(st.integers(min_value=1, max_value=300),
@@ -117,16 +108,14 @@ def test_multiplicative_order_matches_sympy(m, a):
 
 def test_bad_arguments_raise_named_errors_under_optimize():
     """With asserts stripped, multiplicative_order(2, 4) and (3, 1) used to
-    loop forever, legendre at p = 4 and p = 2 returned a symbol, and m = 2
-    gave polygonal constants (c = 0) and numbers.  Each raises ValueError
-    naming the argument; the timeout turns a hang into a failure."""
+    loop forever, and m = 2 gave polygonal constants (c = 0) and numbers.
+    Each raises ValueError naming the argument; the timeout turns a hang
+    into a failure."""
     script = (
-        "from mgonal.numth import legendre, multiplicative_order\n"
+        "from mgonal.numth import multiplicative_order\n"
         "from mgonal.polygonal import constants, polygonal_number\n"
         "for call in (lambda: multiplicative_order(2, 4),\n"
         "             lambda: multiplicative_order(3, 1),\n"
-        "             lambda: legendre(3, 4),\n"
-        "             lambda: legendre(3, 2),\n"
         "             lambda: constants(2),\n"
         "             lambda: polygonal_number(2, 3)):\n"
         "    try:\n"
@@ -140,7 +129,5 @@ def test_bad_arguments_raise_named_errors_under_optimize():
     assert proc.stdout.splitlines() == [
         "multiplicative_order needs a coprime to m, got a = 2, m = 4",
         "multiplicative_order needs a modulus m >= 2, got 1",
-        "legendre needs an odd prime p, got 4",
-        "legendre needs an odd prime p, got 2",
         "polygonal index must be >= 3, got 2",
         "polygonal index must be >= 3, got 2"]

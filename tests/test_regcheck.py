@@ -4,6 +4,8 @@ bookkeeping around candidate regularity verdicts."""
 import hashlib
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -122,19 +124,40 @@ def test_batch_names_the_first_violating_form(monkeypatch):
 @pytest.mark.parametrize("m", [8, 13, 711])
 def test_census_op_reads_each_prime_once(m, monkeypatch):
     """A census op (29 rows x 501 n, one block) reads the orders and classes
-    of its targets at most once per prime and makes no per-group engine
-    call."""
+    of its targets at most once per prime, makes no per-group engine call
+    and builds no lattice key from coefficients: each key is decoded from
+    the integer code of its labels."""
     import mgonal.localrep as localrep
 
-    primes, groups = [], []
+    primes, groups, keys = [], [], []
     orders, many = localrep._orders_and_classes, localrep.represents_over_zp_many
+    key = localrep._lattice_key
     monkeypatch.setattr(localrep, "_orders_and_classes",
                         lambda N, p: primes.append(p) or orders(N, p))
     monkeypatch.setattr(localrep, "represents_over_zp_many",
                         lambda *args: groups.append(args[0]) or many(*args))
+    monkeypatch.setattr(localrep, "_lattice_key",
+                        lambda *args: keys.append(args) or key(*args))
     candidate_scan(m, 5, 500)
-    assert groups == []
+    assert groups == [] and keys == []
     assert primes and len(primes) == len(set(primes)), primes
+
+
+def test_census_op_does_not_import_numpy_ma():
+    """In numpy 2, the first np.unique of a process imports numpy.ma (about
+    15 ms); a census op runs no such call.  Skipped where importing numpy
+    loads numpy.ma anyway."""
+    script = ("import sys\nimport numpy\n"
+              "if 'numpy.ma' in sys.modules:\n    sys.exit(3)\n"
+              "from mgonal.regcheck import candidate_scan\n"
+              "candidate_scan(8, 5, 500)\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("importing numpy loads numpy.ma")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("m", [3, 8])
