@@ -20,7 +20,7 @@ P_m(x) = ((m-2)x^2 - (m-4)x)/2 is the x-th generalized m-gonal number
 __version__ = "0.1.0"
 
 from .polygonal import MGonalForm, ShiftedForm, polygonal_number, constants
-from .localrep import DiagonalLattice, represents_over_zp, locally_represented
+from .localrep import represents_over_zp, locally_represented
 from .density import psi, eta
 from .regcheck import regularity_scan
 
@@ -30,7 +30,6 @@ __all__ = [
     "ShiftedForm",
     "polygonal_number",
     "constants",
-    "DiagonalLattice",
     "represents_over_zp",
     "locally_represented",
     "psi",

@@ -25,17 +25,12 @@ and integers.
 """
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .localrep import _entries, is_stable, represents_over_zp_many
-from .numth import RS, is_prime
-
-
-def _check_prime(p: int) -> None:
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"need a prime >= 5, got {p}")
+from .localrep import is_stable, represents_over_zp_many
+from .numth import RS, _check_prime
 
 
 def _prime_power_bound(p: int, s: int) -> int:
@@ -46,7 +41,7 @@ def _prime_power_bound(p: int, s: int) -> int:
 
 def psi_prime_power(p: int, s: int) -> int:
     """The exception-count bound for the window [1, p^s]."""
-    _check_prime(p)
+    _check_prime(p, 5)
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     return _prime_power_bound(p, s)
@@ -60,7 +55,12 @@ def psi(p: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    _check_prime(p)
+    _check_prime(p, 5)
+    return _psi(p, n)
+
+
+def _psi(p: int, n: int) -> int:
+    """psi_p(n) for a prime p >= 5 and n >= 1, unchecked."""
     q, b = divmod(n, p)
     total, s = (1 if b else 0), 1
     while q:
@@ -73,7 +73,7 @@ def psi(p: int, n: int) -> int:
 
 def _psi_desc(n: int) -> List[int]:
     """psi_p(n) for every prime 5 <= p <= n, largest first."""
-    return sorted((psi(p, n) for p in RS.upto(n)), reverse=True)
+    return sorted((_psi(p, n) for p in RS.upto(n)), reverse=True)
 
 
 def psi_values_desc(n: int, count: int) -> List[int]:
@@ -104,26 +104,25 @@ def eta(n: int, s: int) -> int:
     return n - sum(vals[:s]) - max(0, s - len(vals))
 
 
-def exception_count_check(p: int, s: int, L, u: int, v: int
-                          ) -> Tuple[int, int, bool]:
+def exception_count_check(p: int, s: int, coeffs: Sequence[int], u: int,
+                          v: int) -> Tuple[int, int, bool]:
     """Brute-force the exception count against its psi bound.
 
-    Counts n in [1, p^s] with u n + v not represented by L over Z_p and
-    compares with the parity-dependent bound.  L must be p-stable (the
-    bound says nothing about unstable lattices) and u coprime to p.
+    Counts n in [1, p^s] with u n + v not represented by <coeffs> over Z_p
+    and compares with the parity-dependent bound.  The lattice must be
+    p-stable (the bound says nothing about unstable lattices) and u
+    coprime to p.
     """
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
+    _check_prime(p, 3)
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     if math.gcd(u, p) != 1:
         raise ValueError(f"u = {u} must be coprime to p = {p}")
-    entries = _entries(L)
-    if not is_stable(entries, p):
-        raise ValueError(f"<{','.join(map(str, entries))}> is not {p}-stable")
+    if not is_stable(coeffs, p):
+        raise ValueError(f"<{','.join(map(str, coeffs))}> is not {p}-stable")
     if abs(u) * p ** s + abs(v) >= 2 ** 63:
         raise ValueError("targets u n + v overflow int64")
     targets = u * np.arange(1, p ** s + 1, dtype=np.int64) + v
-    count = int(np.count_nonzero(~represents_over_zp_many(entries, targets, p)))
+    count = int(np.count_nonzero(~represents_over_zp_many(coeffs, targets, p)))
     bound = _prime_power_bound(p, s)
     return count, bound, count <= bound

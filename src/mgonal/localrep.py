@@ -90,7 +90,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numth import is_prime, ord_p, prime_divisors
+from .numth import _check_prime, ord_p, prime_divisors
 
 # Largest indicator array the FFT oracle writes (p^K entries).
 _FFT_LIMIT = 2 ** 22
@@ -101,27 +101,7 @@ class ModulusTooLarge(Exception):
 
 
 # --------------------------------------------------------------------------
-# domain types
-
-@dataclass(frozen=True)
-class DiagonalLattice:
-    """Diagonal Z-lattice <a_1, ..., a_k>."""
-
-    entries: Tuple[int, ...]
-
-    def __post_init__(self):
-        if not 2 <= len(self.entries) <= 4:
-            raise ValueError(f"rank 2..4 supported, got {self.entries}")
-        if any(a < 1 for a in self.entries):
-            raise ValueError(f"entries must be positive, got {self.entries}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-    def __str__(self):
-        return "<" + ",".join(map(str, self.entries)) + ">"
-
+# verdicts
 
 @dataclass(frozen=True)
 class LocalVerdict:
@@ -139,11 +119,6 @@ class LocalVerdict:
 
     def __bool__(self):
         return self.represented
-
-
-def _entries(L) -> Tuple[int, ...]:
-    """The diagonal entries of a DiagonalLattice or of a plain sequence."""
-    return tuple(L.entries) if isinstance(L, DiagonalLattice) else tuple(L)
 
 
 # --------------------------------------------------------------------------
@@ -178,11 +153,6 @@ def _stable_pair(i1: int, i2: int, p: int) -> bool:
     if p == 2:
         return (i1 ^ i2) & 1 == 1
     return i1 ^ i2 == (p % 4 == 3)
-
-
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
 
 
 def _coord_indicator(a: int, p: int, M: int) -> np.ndarray:
@@ -392,16 +362,17 @@ def conservative_exponent(coeffs: Sequence[int], n: int, p: int) -> int:
     return wn + 2 * ord_p(prod, p) + 3
 
 
-def represents_over_zp(L, n: int, p: int, want_witness: bool = False) -> LocalVerdict:
+def represents_over_zp(coeffs: Sequence[int], n: int, p: int,
+                       want_witness: bool = False) -> LocalVerdict:
     """Does <a_1,...,a_k> represent n over Z_p?  Exact verdict.
 
-    `L` may be a DiagonalLattice or a plain sequence of nonzero integers
-    (negative entries allowed in the raw-sequence form; Z_p has no signs).
-    The witness, when requested and the search box is feasible, is a vector
-    mod p^conservative_exponent passing the lifting criterion.
+    `coeffs` is the sequence of nonzero entries a_i (negative entries
+    allowed; Z_p has no signs).  The witness, when requested and the search
+    box is feasible, is a vector mod p^conservative_exponent passing the
+    lifting criterion.
     """
     _check_prime(p)
-    coeffs = _entries(L)
+    coeffs = tuple(coeffs)
     key = _lattice_key(coeffs, p)
     rep, wn = True, 0
     if n:
@@ -486,7 +457,7 @@ def represents_reference_fft(coeffs: Sequence[int], n: int, p: int,
 # --------------------------------------------------------------------------
 # stability and anisotropy
 
-def is_stable(L, p: int) -> bool:
+def is_stable(coeffs: Sequence[int], p: int) -> bool:
     """p-stability of a ternary diagonal lattice, read from its lattice key.
 
     Odd p: stable means <1,-1> embeds (the hyperbolic case, with value set
@@ -510,7 +481,7 @@ def is_stable(L, p: int) -> bool:
     the r0 = 2 condition from them.
     Raises ValueError unless the rank is 3 and p is a prime.
     """
-    coeffs = _entries(L)
+    coeffs = tuple(coeffs)
     if len(coeffs) != 3:
         raise ValueError(f"stability is defined for ternary lattices, got {coeffs}")
     _check_prime(p)
@@ -520,7 +491,7 @@ def is_stable(L, p: int) -> bool:
     return e3 <= 1 or _stable_pair(i1, i2, p)
 
 
-def stable_value_set_check(L, p: int, gamma: int) -> bool:
+def stable_value_set_check(coeffs: Sequence[int], p: int, gamma: int) -> bool:
     """Membership of gamma in the closed-form value-set description of a
     stable lattice.
 
@@ -545,7 +516,7 @@ def stable_value_set_check(L, p: int, gamma: int) -> bool:
     at p = 2, eps = 3 (2 i1 + 1)(2 i2 + 1)(2 i3 + 1) mod 8.
     Raises ValueError on a lattice that is not p-stable.
     """
-    coeffs = _entries(L)
+    coeffs = tuple(coeffs)
     if not is_stable(coeffs, p):
         raise ValueError(f"{p}-stable lattices only, got {coeffs}")
     if gamma == 0:
@@ -591,7 +562,7 @@ def hasse_invariant(coeffs: Sequence[int], p: int) -> int:
     return eps
 
 
-def is_anisotropic_ternary(L, p: int) -> bool:
+def is_anisotropic_ternary(coeffs: Sequence[int], p: int) -> bool:
     """No nontrivial zero of a_1 x^2 + a_2 y^2 + a_3 z^2 over Q_p.
 
     Closed form: a ternary form of determinant d is isotropic over Q_p iff
@@ -601,7 +572,7 @@ def is_anisotropic_ternary(L, p: int) -> bool:
     Raises ValueError unless there are three nonzero entries and p is a
     prime.
     """
-    coeffs = _entries(L)
+    coeffs = tuple(coeffs)
     if len(coeffs) != 3 or 0 in coeffs:
         raise ValueError(f"anisotropy needs three nonzero entries, got {coeffs}")
     d = coeffs[0] * coeffs[1] * coeffs[2]

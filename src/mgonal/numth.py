@@ -44,6 +44,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(p: int, least: int = 2) -> None:
+    """Raise ValueError unless p is a prime >= least; the one check of a
+    prime argument in the package."""
+    if p < least or not is_prime(p):
+        at_least = f" >= {least}" if least > 2 else ""
+        raise ValueError(f"p must be a prime{at_least}, got {p}")
+
+
 def primes() -> Iterator[int]:
     """All primes 2, 3, 5, 7, ... (unbounded iterator)."""
     i = 0
@@ -62,7 +70,8 @@ class PrimeSeq:
     """
 
     def r(self, i: int) -> int:
-        assert i >= 1, "PrimeSeq is 1-based"
+        if i < 1:
+            raise ValueError(f"PrimeSeq is 1-based, got r({i})")
         while i + 1 >= len(_PRIMES):
             _extend_primes()
         return _PRIMES[i + 1]  # skip 2 and 3

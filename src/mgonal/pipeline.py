@@ -16,11 +16,15 @@ alternates three moves:
   * once t is small, one more eta window bounds a_1 (c + 2) and hence c,
     and inverting c(m) per congruence class bounds m.
 
-Every bound is recomputed live from the eta table, the product-inequality
-clauses, and the bound lemmas; the golden log shipped under data/ is used
-only to cross-check the derivation, never as an input to it.
+The bounds are recomputed from the eta table, the product-inequality
+clauses and the bound lemmas; the golden log shipped under data/ is used
+only to cross-check the derivation, never as an input to it.  The ranges
+of the correction terms, `CaseParams.nu1_range` and `nu2_range`, are fixed
+inputs of each case, not derived here (ROADMAP.md, item 4, plans a
+certificate for them).
 
-The constructive lemmas used by the derivation are also implemented here:
+The constructive lemmas behind the derivation are also implemented here.
+`replay_case` calls none of them; the tests check each one:
 
   * find_nu: pick nu so that u(4n+nu)+l (or u(12n+nu)+l) is represented
     over Z_2 (and Z_3) for every n >= 0.  Unit squares in Z_2 are exactly
@@ -45,9 +49,9 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .density import eta
-from .localrep import (_entries, _lattice_key, _order_and_class, _stable_pair,
-                       is_stable, represents_over_zp)
-from .numth import is_prime, ord_p
+from .localrep import (_lattice_key, _order_and_class, _stable_pair, is_stable,
+                       represents_over_zp)
+from .numth import _check_prime, ord_p
 from .prodineq import CLAUSES, certify_all_t, verify_inequality, w_factor
 
 # The derivation's standing hypothesis on the conductor.  All c-dependent
@@ -99,7 +103,7 @@ def _coset_covered_z3(coeffs, w: int) -> bool:
     return all(rep(s * u) for s in (3, 9) for u in (1, 2))
 
 
-def find_nu(L, u: int, l: int, also_3: bool = False) -> int:
+def find_nu(coeffs: Sequence[int], u: int, l: int, also_3: bool = False) -> int:
     """Smallest nu with u(4n+nu)+l (also_3: u(12n+nu)+l) represented over
     Z_2 (and Z_3) for every integer n >= 0.
 
@@ -108,7 +112,7 @@ def find_nu(L, u: int, l: int, also_3: bool = False) -> int:
     coverage of that class, decided by the fingerprint checks above.  The
     first eight progression members are re-tested directly as a guard.
     """
-    coeffs = _entries(L)
+    coeffs = tuple(coeffs)
     assert u % 2 == 1, "u must be odd"
     assert is_stable(coeffs, 2), "nu-selection needs a 2-stable lattice"
     if also_3:
@@ -172,8 +176,7 @@ def find_v(p: int, u: int, a: Sequence[int], alpha: Sequence[int]) -> int:
     """
     a = tuple(a)
     alpha = tuple(alpha)
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"find_v needs a prime p >= 5, got {p}")
+    _check_prime(p, 5)
     if len(a) != 3 or len(alpha) != 3:
         raise ValueError(f"find_v needs three coefficients and three shifts, "
                          f"got {a} and {alpha}")
@@ -246,13 +249,15 @@ def find_coprime_shift(primes: Sequence[int], u: int, v: int) -> int:
     (s+4) 2^{s-2}.  The s = 1 case falls outside that bound's statement;
     there a direct scan below p_1 always succeeds (u is a unit mod p_1, so
     u n + v meets every residue class), and the same scan code handles it.
+    Raises ValueError unless every p_i is a prime >= 5.
     """
     primes = tuple(primes)
     s = len(primes)
-    assert s >= 1 and all(is_prime(p) and p >= 5 for p in primes)
+    assert s >= 1
     assert all(x < y for x, y in zip(primes, primes[1:])), "primes ascending"
     prod = 1
     for p in primes:
+        _check_prime(p, 5)
         prod *= p
     assert gcd(u, prod) == 1
     limit = primes[0] if s == 1 else (s + 4) << (s - 2)

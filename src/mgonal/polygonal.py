@@ -98,7 +98,8 @@ class MGonalForm:
         return len(self.coeffs)
 
     def value(self, xs) -> int:
-        assert len(xs) == self.rank
+        if len(xs) != self.rank:
+            raise ValueError(f"need {self.rank} coordinates, got {tuple(xs)}")
         return sum(a * polygonal_number(self.m, x) for a, x in zip(self.coeffs, xs))
 
     def __str__(self):
@@ -146,8 +147,12 @@ class ShiftedForm:
         return all(0 < al and 2 * al < c for al in self.shifts)
 
     def minimum(self) -> int:
-        """Smallest value, = sum a_i alpha_i^2 once shifts are normalized."""
-        assert self.normalized
+        """Smallest value, = sum a_i alpha_i^2 once shifts are normalized.
+        Raises ValueError unless they are (`watson.normalize_shifts`
+        normalizes them)."""
+        if not self.normalized:
+            raise ValueError(f"minimum needs normalized shifts, got "
+                             f"{self.shifts}; apply normalize_shifts first")
         return sum(a * al * al for a, al in zip(self.coeffs, self.shifts))
 
     def value(self, ys) -> int:

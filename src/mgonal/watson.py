@@ -41,9 +41,9 @@ compared purely through their value sets.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .localrep import DiagonalLattice, _entries, is_stable
+from .localrep import is_stable
 from .numth import multiplicative_order, ord_p, prime_divisors
 from .polygonal import ShiftedForm
 
@@ -69,13 +69,14 @@ def _check_primitive_ternary(coeffs) -> None:
                          f"<{','.join(map(str, coeffs))}>")
 
 
-def lambda_step(L, p: int) -> Tuple[DiagonalLattice, int, int]:
-    """One descent step at p on a p-unstable ternary lattice: (new lattice,
-    s, modulus q).
+def lambda_step(coeffs: Sequence[int], p: int
+                ) -> Tuple[Tuple[int, ...], int, int]:
+    """One descent step at p on a p-unstable ternary lattice: (new
+    entries, s, modulus q).
 
     Every unit coordinate is rescaled by p, then the common p^s divides
-    out.  Entry positions are preserved, e.g. lambda_step(<1,5,5>, 5) =
-    (<5,1,1>, 1, 5).  q = 4 exactly when p = 2 and two entries are units
+    out.  Entry positions are preserved, e.g. lambda_step((1, 5, 5), 5) =
+    ((5, 1, 1), 1, 5).  q = 4 exactly when p = 2 and two entries are units
     (the modulus-4 branch); q = p otherwise.  The modulus-4 branch needs
     u_1 u_2 = 1 mod 4 and the third entry at ord_2 >= 2, and `is_stable`
     calls every other lattice with two unit entries at 2 stable, so an
@@ -88,7 +89,6 @@ def lambda_step(L, p: int) -> Tuple[DiagonalLattice, int, int]:
     stabilization loop must make progress) and on input with every entry
     divisible by p (divide the common factor out first).
     """
-    coeffs = _entries(L)
     if is_stable(coeffs, p):
         raise ValueError(f"<{','.join(map(str, coeffs))}> is already {p}-stable")
     units = [a % p != 0 for a in coeffs]
@@ -98,7 +98,7 @@ def lambda_step(L, p: int) -> Tuple[DiagonalLattice, int, int]:
     scaled = [a * p * p if unit else a for a, unit in zip(coeffs, units)]
     s = min(ord_p(a, p) for a in scaled)
     q = 4 if p == 2 and sum(units) == 2 else p
-    return DiagonalLattice(tuple(a // p ** s for a in scaled)), s, q
+    return tuple(a // p ** s for a in scaled), s, q
 
 
 # --------------------------------------------------------------------------
@@ -142,14 +142,14 @@ def coset_watson_step(g: ShiftedForm, p: int,
     if c % p == 0:
         raise ValueError(f"prime {p} divides the conductor {c}")
     _check_primitive_ternary(g.coeffs)
-    lat, s, q = lambda_step(g.coeffs, p)
+    stepped, s, q = lambda_step(g.coeffs, p)
     j = 1 if c == 1 else multiplicative_order(p, c)
 
     # the unit coordinates are the rescaled ones
     shifts = tuple(
         _norm_shift(pow(p, j - 1 if a % p else j, c) * al if c > 1 else 0, c)
         for a, al in zip(g.coeffs, g.shifts))
-    out = ShiftedForm(conductor=c, coeffs=lat.entries, shifts=shifts)
+    out = ShiftedForm(conductor=c, coeffs=stepped, shifts=shifts)
     assert math.gcd(*out.coeffs) == 1
     if log is not None:
         log.append(WatsonStep(p=p, q=q, s=s, j=j))

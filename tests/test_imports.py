@@ -1,15 +1,17 @@
 """Static checks over the package's modules: every name a module imports
 is used in it, no module keeps a hand-rolled cache, the package keeps
 exactly one lru_cache, only the reference oracles raise ModulusTooLarge,
-and every public function of numth and localrep but those oracles has a
-caller in the package."""
+every public function of numth and localrep but those oracles has a
+caller in the package, and one check tests primality for the package."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
 import mgonal
+from mgonal.cli import _prime
 
 MODULES = sorted(Path(mgonal.__file__).parent.glob("*.py"))
 
@@ -184,3 +186,39 @@ def test_uncalled_function_is_reported():
                       "def _private(): pass\n",
                "app": "import lib\n\ndef main():\n    return lib.used()\n"}
     assert _uncalled("lib", sources) == ["dead"]
+
+
+def _referrers(source: str, module: str, name: str):
+    """`module.top` for each top-level statement of the source (a function,
+    a class or other module code) that names `name`, bare or as an
+    attribute, other than a definition of `name` itself."""
+    found = []
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) == name:
+            continue
+        if any(isinstance(node, ast.Name) and node.id == name
+               or isinstance(node, ast.Attribute) and node.attr == name
+               for node in ast.walk(top)):
+            found.append(f"{module}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_one_prime_check_in_the_package():
+    """Library code checks a prime argument through `numth._check_prime`
+    only; the command line's `--p` parser keeps its own test, which must
+    answer with an argparse error."""
+    found = [name for path in MODULES
+             for name in _referrers(path.read_text(), path.stem, "is_prime")]
+    assert found == ["cli._prime", "numth._check_prime"]
+    for text in ("9", "1", "x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _prime(text)
+
+
+def test_prime_referrer_is_reported():
+    source = ("from .numth import is_prime\nimport numth\n\n"
+              "def is_prime(n): pass\n\ndef check(p):\n    return is_prime(p)\n\n"
+              "class Seq:\n    def ok(self, p):\n        return numth.is_prime(p)\n\n"
+              "ODD = list(filter(is_prime, range(3, 9, 2)))\n")
+    assert _referrers(source, "lib", "is_prime") == [
+        "lib.check", "lib.Seq", "lib.<module>"]

@@ -14,9 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from mgonal.density import exception_count_check
 from mgonal.localrep import (
-    DiagonalLattice,
     ModulusTooLarge,
     _convolve_presence,
     _coord_indicator,
@@ -40,10 +38,8 @@ from mgonal.localrep import (
     stable_value_set_check,
 )
 from mgonal.numth import is_prime, ord_p, prime_divisors
-from mgonal.pipeline import find_nu
 from mgonal.regcheck import candidate_scan
 from mgonal.polygonal import MGonalForm, ShiftedForm, form_to_shifted, shifted_target
-from mgonal.watson import lambda_step
 
 # a corpus mixing unit, once-divisible and deeply divisible entries
 CORPUS = {
@@ -844,30 +840,3 @@ def test_shifted_rep_of_non_primitive_forms():
         for N in range(-mod, 2 * mod):
             assert shifted_represents_over_zp(g, N, p) == want[N % mod], (g, p, N)
 
-
-def test_lattice_and_tuple_inputs_agree():
-    """Every public function that takes a lattice reads a DiagonalLattice
-    and the plain tuple of its entries alike."""
-    branches = set()
-    for t in [(1, 1, 1), (5, 2, 1), (4, 1, 1), (1, 9, 1), (2, 49, 3)]:
-        L = DiagonalLattice(t)
-        for p in (2, 3, 5, 7):
-            for n in range(1, 30):
-                assert represents_over_zp(L, n, p) == represents_over_zp(t, n, p)
-            assert is_stable(L, p) == is_stable(t, p)
-            assert is_anisotropic_ternary(L, p) == is_anisotropic_ternary(t, p)
-            if is_stable(t, p):
-                branches.add("stable")
-                for gamma in range(30):
-                    assert (stable_value_set_check(L, p, gamma)
-                            == stable_value_set_check(t, p, gamma))
-                if p > 2:
-                    assert (exception_count_check(p, 1, L, 1, 0)
-                            == exception_count_check(p, 1, t, 1, 0))
-            else:
-                branches.add("unstable")
-                assert lambda_step(L, p) == lambda_step(t, p), (t, p)
-        if is_stable(t, 2):
-            branches.add("nu")
-            assert find_nu(L, 1, 0) == find_nu(t, 1, 0)
-    assert branches == {"stable", "unstable", "nu"}

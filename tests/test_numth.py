@@ -131,3 +131,31 @@ def test_bad_arguments_raise_named_errors_under_optimize():
         "multiplicative_order needs a modulus m >= 2, got 1",
         "polygonal index must be >= 3, got 2",
         "polygonal index must be >= 3, got 2"]
+
+
+def test_preconditions_raise_named_errors_under_optimize():
+    """With asserts stripped, a short coordinate vector gave an m-gonal
+    value, RS.r(0) and RS.r(-1) gave 3 and 2, and the minimum of
+    unnormalized shifts was 243 where the least value is 3.  Each raises
+    ValueError naming the input."""
+    script = (
+        "from mgonal.numth import RS\n"
+        "from mgonal.polygonal import MGonalForm, ShiftedForm\n"
+        "for call in (lambda: MGonalForm(5, (1, 2, 3)).value((1,)),\n"
+        "             lambda: RS.r(0),\n"
+        "             lambda: RS.r(-1),\n"
+        "             lambda: ShiftedForm(10, (1, 1, 1), (9, 9, 9)).minimum()):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "need 3 coordinates, got (1,)",
+        "PrimeSeq is 1-based, got r(0)",
+        "PrimeSeq is 1-based, got r(-1)",
+        "minimum needs normalized shifts, got (9, 9, 9); apply "
+        "normalize_shifts first"]

@@ -123,8 +123,8 @@ def test_find_v_rejects_bad_input_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "find_v needs a prime p >= 5, got 3",
-        "find_v needs a prime p >= 5, got 25",
+        "p must be a prime >= 5, got 3",
+        "p must be a prime >= 5, got 25",
         "find_v needs three coefficients and three shifts, got (1, 2) and (1, 1, 1)",
         "find_v needs three coefficients and three shifts, got (1, 2, 5) and (1, 1)",
         "find_v needs a positive unit u at 5, got 0",

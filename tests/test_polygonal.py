@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mgonal.localrep import DiagonalLattice
 from mgonal.polygonal import (
     MGonalForm,
     ShiftedForm,
@@ -104,9 +103,6 @@ def test_mgonal_form_validation():
         lambda: ShiftedForm(conductor=0, coeffs=(1, 2), shifts=(1, 1)),
         lambda: ShiftedForm(conductor=6, coeffs=(1, -2), shifts=(1, 1)),
         lambda: ShiftedForm(conductor=6, coeffs=(1, 2), shifts=(1,)),
-        lambda: DiagonalLattice((1,)),
-        lambda: DiagonalLattice((1, 1, 1, 1, 1)),
-        lambda: DiagonalLattice((1, 0, 1)),
     ]
     for make in bad:
         with pytest.raises(ValueError):

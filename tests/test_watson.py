@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from mgonal.localrep import DiagonalLattice, is_stable
+from mgonal.localrep import is_stable
 from mgonal.numth import multiplicative_order, prime_divisors
 from mgonal.polygonal import ShiftedForm
 from mgonal.watson import (
@@ -34,32 +34,30 @@ def test_lambda_step_rescales_units():
     # <1,1,9> is 3-unstable (-1 is a nonsquare mod 3, deep third entry);
     # scaling the two unit coordinates by 3 gives <9,9,9>, so the whole
     # 3^2 divides out
-    assert lambda_step(DiagonalLattice((1, 1, 9)), 3) == (
-        DiagonalLattice((1, 1, 1)), 2, 3)
+    assert lambda_step((1, 1, 9), 3) == ((1, 1, 1), 2, 3)
     # units 1,2 move to 25,50; the common factor 25 comes back out
-    assert lambda_step(DiagonalLattice((1, 2, 25)), 5) == (
-        DiagonalLattice((1, 2, 1)), 2, 5)
+    assert lambda_step((1, 2, 25), 5) == ((1, 2, 1), 2, 5)
 
 
 def test_lambda_step_rejects_stable_input():
     # <1,1,3>: anisotropic binary with the third entry at order exactly 1
     with pytest.raises(ValueError):
-        lambda_step(DiagonalLattice((1, 1, 3)), 3)
+        lambda_step((1, 1, 3), 3)
     # <1,2,9>: -2 = 1 (mod 3) is a square, so <1,2> is hyperbolic at 3
     with pytest.raises(ValueError):
-        lambda_step(DiagonalLattice((1, 2, 9)), 3)
+        lambda_step((1, 2, 9), 3)
 
 
 def test_lambda_step_divides_valuation():
     for entries, p, want in [((1, 1, 4), 2, (1, 1, 1)), ((1, 1, 9), 3, (1, 1, 1)),
                              ((1, 2, 25), 5, (1, 2, 1)), ((1, 4, 8), 2, (1, 1, 2)),
                              ((9, 9, 2), 3, (1, 1, 2))]:
-        lat, s, q = lambda_step(DiagonalLattice(entries), p)
-        assert lat == DiagonalLattice(want), (entries, p)
+        lat, s, q = lambda_step(entries, p)
+        assert lat == want, (entries, p)
         assert s in (1, 2)
         assert q in (p, 4) and (q == 4) <= (p == 2)
         before = sum(e for e in _ords(entries, p))
-        after = sum(e for e in _ords(lat.entries, p))
+        after = sum(e for e in _ords(lat, p))
         assert after < before, (entries, p)
 
 
@@ -74,8 +72,8 @@ def test_lambda_value_set_inclusion():
     bound = 900
     for entries, p in [((1, 1, 4), 2), ((1, 1, 9), 3), ((1, 2, 25), 5),
                        ((1, 9, 9), 3)]:
-        lat, s, _ = lambda_step(DiagonalLattice(entries), p)
-        small = _lattice_values(lat.entries, bound // p**s)
+        lat, s, _ = lambda_step(entries, p)
+        small = _lattice_values(lat, bound // p**s)
         big = _lattice_values(entries, bound)
         assert {p**s * v for v in small} <= big, (entries, p)
 
@@ -160,14 +158,12 @@ def test_stabilize_keeps_local_solubility_of_targets():
 
 def test_lambda_step_modulus_4_branch():
     # two units with u1 u2 = 1 (mod 4) and a deep third entry: q = 4
-    assert lambda_step(DiagonalLattice((1, 1, 4)), 2) == (
-        DiagonalLattice((1, 1, 1)), 2, 4)
+    assert lambda_step((1, 1, 4), 2) == ((1, 1, 1), 2, 4)
     # one unit entry at 2 is a plain q = 2 step
-    assert lambda_step(DiagonalLattice((1, 2, 4)), 2) == (
-        DiagonalLattice((2, 1, 2)), 1, 2)
+    assert lambda_step((1, 2, 4), 2) == ((2, 1, 2), 1, 2)
     with pytest.raises(ValueError):
-        lambda_step(DiagonalLattice((1, 3, 4)), 2)  # u1 u2 = 3 (mod 4): stable
+        lambda_step((1, 3, 4), 2)  # u1 u2 = 3 (mod 4): stable
     with pytest.raises(ValueError):
-        lambda_step(DiagonalLattice((1, 1, 2)), 2)  # third at order 1: stable
+        lambda_step((1, 1, 2), 2)  # third at order 1: stable
     with pytest.raises(ValueError):
-        lambda_step(DiagonalLattice((2, 4, 8)), 2)  # no unit entry
+        lambda_step((2, 4, 8), 2)  # no unit entry
