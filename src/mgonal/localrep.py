@@ -247,9 +247,17 @@ def _add_coordinate(acc: List[int], zero: bool, e: int, i: int,
     return out, out_zero
 
 
+# The table of squares mod p takes O(p) steps to build, Euler's criterion
+# about 2 log2 p passes over the array: from about here on, the criterion
+# costs less on arrays of a hundred targets.
+_SQUARE_TABLE_LIMIT = 2 ** 12
+
+
 def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     """`_order_and_class` per entry of a nonzero int64 array, as the arrays
-    (ord_p N, class index)."""
+    (ord_p N, class index).  At an odd p < `_SQUARE_TABLE_LIMIT` = 2^12
+    the class of a unit part u is table[u % p], from a table of the squares
+    mod p; at larger p it is found by Euler's criterion."""
     if p == 2:
         k = np.frexp(N & -N)[1] - 1  # N & -N is 2^k, or -2^63 for N = -2^63
         return k, (N >> k) % 8 >> 1
@@ -259,6 +267,10 @@ def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
         u[deep] //= p
         k[deep] += 1
         deep = deep[u[deep] % p == 0]
+    if p < _SQUARE_TABLE_LIMIT:
+        table = np.ones(p, dtype=np.int64)  # the class index per residue
+        table[np.arange(1, p) ** 2 % p] = 0
+        return k, table[u % p]
     # Euler's criterion by square and multiply; past 2^31.5 a product of
     # two residues leaves int64, so the entries become Python integers
     base = u % p if p * p < 2 ** 63 else (u % p).astype(object)

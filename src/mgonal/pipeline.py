@@ -249,17 +249,20 @@ def find_coprime_shift(primes: Sequence[int], u: int, v: int) -> int:
     (s+4) 2^{s-2}.  The s = 1 case falls outside that bound's statement;
     there a direct scan below p_1 always succeeds (u is a unit mod p_1, so
     u n + v meets every residue class), and the same scan code handles it.
-    Raises ValueError unless every p_i is a prime >= 5.
+    Raises ValueError unless the p_i are ascending primes >= 5, at least
+    one, and u is prime to each of them.
     """
     primes = tuple(primes)
     s = len(primes)
-    assert s >= 1
-    assert all(x < y for x, y in zip(primes, primes[1:])), "primes ascending"
+    if not s or any(x >= y for x, y in zip(primes, primes[1:])):
+        raise ValueError(f"need a nonempty ascending list of primes, got "
+                         f"{primes}")
     prod = 1
     for p in primes:
         _check_prime(p, 5)
         prod *= p
-    assert gcd(u, prod) == 1
+    if gcd(u, prod) != 1:
+        raise ValueError(f"u must be prime to {primes}, got {u}")
     limit = primes[0] if s == 1 else (s + 4) << (s - 2)
     for n in range(limit):
         if gcd(u * n + v, prod) == 1:

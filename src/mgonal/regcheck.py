@@ -8,11 +8,14 @@ true regularity, is never asserted by a finite scan.
 
 Scans are batched: `candidate_scan` decides every coefficient triple of
 one m together (`_scan_rows`), and `regularity_scan` is the one-row case.
-The global side computes the generalized m-gonal numbers <= N once, keeps
-each sumset as a Python-integer bitset, and shares each (a_1, a_2) pair
-sumset across every a_3; the local side makes one
-`locally_represented_rows` call per block of at most `_BLOCK_TARGETS`
-targets.  Every n of every row is still scanned and checked for soundness.
+Both sides of a scan are Python-integer bitsets over [0, N], bit n set
+when n is represented.  The global side computes the generalized m-gonal
+numbers <= N once and shares each (a_1, a_2) pair sumset across every
+a_3; the local side makes one `locally_represented_rows` call per block of
+at most `_BLOCK_TARGETS` targets and packs its verdicts into one bitset
+per row.  A row is then compared by integer AND/NOT: every n of every row
+is still checked for soundness, and a report, with its counterexamples
+decoded from the bitset, is built only for the rows a caller keeps.
 
 The module also packages the two small motivating examples: the quaternary
 triangular form with coefficients (1,1,3,6), which represents -1 over every
@@ -104,17 +107,17 @@ def represents_globally(f: MGonalForm, n: int) -> Optional[Tuple[int, ...]]:
 
 
 def _sumset_builder(m: int, N: int):
-    """represented(coeffs) -> bool[N + 1] with r[n] = (sum a_i P_m(x_i) = n
-    has a solution over Z), for any coefficient row at this m.
+    """represented(coeffs) -> the bitset of [0, N] with bit n set when
+    sum a_i P_m(x_i) = n has a solution over Z, for any coefficient row at
+    this m.
 
     The generalized m-gonal numbers <= N are computed once.  A sumset is a
-    Python integer used as a bitset, bit n set when n is reached, so adding
-    a coordinate is one shift and OR per value a P_m(x) <= N, in the
-    interpreter's big-integer arithmetic.  The sumset of each proper
-    prefix of a row is kept until a row with another prefix of that length
-    comes; so consecutive rows sharing (a_1, a_2), as `candidate_scan`
-    lists them, build that pair sumset once, and memory stays linear in N.
-    `represented` unpacks the row's bitset into bools.
+    Python integer used as a bitset, so adding a coordinate is one shift
+    and OR per value a P_m(x) <= N, in the interpreter's big-integer
+    arithmetic.  The sumset of each proper prefix of a row is kept until a
+    row with another prefix of that length comes; so consecutive rows
+    sharing (a_1, a_2), as `candidate_scan` lists them, build that pair
+    sumset once, and memory stays linear in N.
     """
     top = 1
     while polygonal_number(m, -top) <= N or polygonal_number(m, top) <= N:
@@ -138,12 +141,16 @@ def _sumset_builder(m: int, N: int):
             last[k] = (prefix, add(reached(prefix[:-1]), prefix[-1]))
         return last[k][1]
 
-    def represented(coeffs: Tuple[int, ...]) -> np.ndarray:
-        bits = add(reached(tuple(coeffs[:-1])), coeffs[-1])
-        packed = np.frombuffer(bits.to_bytes(N // 8 + 1, "little"), dtype=np.uint8)
-        return np.unpackbits(packed, count=N + 1, bitorder="little").view(bool)
+    def represented(coeffs: Tuple[int, ...]) -> int:
+        return add(reached(tuple(coeffs[:-1])), coeffs[-1])
 
     return represented
+
+
+def _unpack(bits: int, N: int) -> np.ndarray:
+    """The bitset of [0, N] as bool[N + 1]."""
+    packed = np.frombuffer(bits.to_bytes(N // 8 + 1, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=N + 1, bitorder="little").view(bool)
 
 
 def represented_set(f: MGonalForm, N: int) -> np.ndarray:
@@ -151,63 +158,65 @@ def represented_set(f: MGonalForm, N: int) -> np.ndarray:
     one-row case of the sumsets built by `_sumset_builder`."""
     if N < 0:
         raise ValueError(f"bound N must be >= 0, got {N}")
-    return _sumset_builder(f.m, N)(f.coeffs)
+    return _unpack(_sumset_builder(f.m, N)(f.coeffs), N)
 
 
-def _scan_rows(m: int, coeff_rows: Sequence[Sequence[int]],
-               N: int) -> Iterator[RegularityReport]:
-    """One `RegularityReport` per coefficient row at this m, on [0, N],
-    yielded in row order.
+def _scan_rows(m: int, coeff_rows: Sequence[Tuple[int, ...]],
+               N: int) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
+    """(row, local, missed) per coefficient row at this m, in row order:
+    `local` is the bitset of the n in [0, N] that pass the local tests and
+    `missed` the bitset of those the form does not represent over Z (its
+    counterexamples).
 
     The rows are scanned in blocks of at most `_BLOCK_TARGETS` targets
-    (rows times N + 1, at least one row per block): each block builds its
-    global sumsets (sharing pair sumsets across the whole call) and makes
-    one `locally_represented_rows` call.  Soundness -- everything globally
+    (rows times N + 1, at least one row per block): each block makes one
+    `locally_represented_rows` call, which also checks every row, and
+    packs its verdicts into one bitset per row; the global sumsets share
+    pair sumsets across the whole call.  Soundness -- everything globally
     represented must be locally represented -- is asserted on every row
-    and every n; the error names the first violating row in row order and
-    its first n.  Reports are yielded, not listed: a caller that keeps only
-    survivors then holds no counterexample tuples of the others.
+    and every n, before the row is yielded; the error names the first
+    violating row in row order and its first n.  Rows are yielded as
+    bitsets, not reports: a caller builds a `RegularityReport` (`_report`)
+    only for the rows it keeps.
     """
     if N < 1:
         raise ValueError(f"scan bound N must be >= 1, got {N}")
-    forms = [MGonalForm(m, tuple(row)) for row in coeff_rows]
     represented = _sumset_builder(m, N)
     ns = np.arange(N + 1)
     step = max(1, _BLOCK_TARGETS // (N + 1))
-    for lo in range(0, len(forms), step):
-        block = forms[lo:lo + step]
-        local = locally_represented_rows(m, [f.coeffs for f in block], ns)
-        glob = np.array([represented(f.coeffs) for f in block])
-        unsound = np.argwhere(glob & ~local)
-        if unsound.size:
-            i, n = unsound[0]
-            raise AssertionError(
-                f"soundness violation: {block[i]} represents {int(n)} globally "
-                "but fails a local test"
-            )
-        counts = local.sum(axis=1).tolist()
-        row, missed = np.nonzero(local & ~glob)  # row-major: rows ascending
-        cut = [0] + np.searchsorted(row, np.arange(1, len(block) + 1)).tolist()
-        missed = missed.tolist()
-        for i, f in enumerate(block):
-            counterexamples = tuple(missed[cut[i]:cut[i + 1]])
-            if counterexamples:
-                verdict = f"not-regular(witness n={counterexamples[0]})"
-            else:
-                verdict = f"regular-up-to-{N}"
-            yield RegularityReport(
-                form=f,
-                bound=N,
-                locally_count=counts[i],
-                counterexamples=counterexamples,
-                verdict=verdict,
-            )
+    for lo in range(0, len(coeff_rows), step):
+        block = coeff_rows[lo:lo + step]
+        packed = np.packbits(locally_represented_rows(m, block, ns), axis=1,
+                             bitorder="little")
+        for row, local in zip(block, packed):
+            local = int.from_bytes(local.tobytes(), "little")
+            glob = represented(row)
+            unsound = glob & ~local
+            if unsound:
+                n = (unsound & -unsound).bit_length() - 1
+                raise AssertionError(
+                    f"soundness violation: {MGonalForm(m, row)} "
+                    f"represents {n} globally but fails a local test"
+                )
+            yield row, local, local & ~glob
+
+
+def _report(f: MGonalForm, N: int, local: int, missed: int) -> RegularityReport:
+    """The report of one row of `_scan_rows`."""
+    counterexamples = tuple(np.flatnonzero(_unpack(missed, N)).tolist())
+    if counterexamples:
+        verdict = f"not-regular(witness n={counterexamples[0]})"
+    else:
+        verdict = f"regular-up-to-{N}"
+    return RegularityReport(form=f, bound=N, locally_count=local.bit_count(),
+                            counterexamples=counterexamples, verdict=verdict)
 
 
 def regularity_scan(f: MGonalForm, N: int) -> RegularityReport:
     """Compare the local verdicts with the global sumset on [0, N]: the
     one-row case of `_scan_rows`."""
-    return next(_scan_rows(f.m, [f.coeffs], N))
+    _, local, missed = next(_scan_rows(f.m, [f.coeffs], N))
+    return _report(f, N, local, missed)
 
 
 def eureka_check(N: int = 10**4) -> bool:
@@ -276,7 +285,8 @@ def first_sense_examples() -> dict:
 def candidate_scan(m: int, coeff_bound: int, N: int) -> List[RegularityReport]:
     """Reports for every primitive ascending ternary coefficient triple with
     a_3 <= coeff_bound that survives the scan (verdict regular-up-to-N).
-    All triples are scanned as one batch by `_scan_rows`."""
+    All triples are scanned as one batch by `_scan_rows`; a form and a
+    report are built only for the survivors."""
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be >= 1, got {coeff_bound}")
     rows = [(a1, a2, a3)
@@ -284,7 +294,8 @@ def candidate_scan(m: int, coeff_bound: int, N: int) -> List[RegularityReport]:
             for a2 in range(a1, coeff_bound + 1)
             for a3 in range(a2, coeff_bound + 1)
             if gcd(gcd(a1, a2), a3) == 1]
-    return [r for r in _scan_rows(m, rows, N) if not r.counterexamples]
+    return [_report(MGonalForm(m, row), N, local, missed)
+            for row, local, missed in _scan_rows(m, rows, N) if not missed]
 
 
 def case_bound_for(m: int):

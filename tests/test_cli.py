@@ -340,6 +340,33 @@ def test_regcheck_scan_out_file(capsys, tmp_path):
     assert payload["counterexamples"] == []
 
 
+_NOTE_711 = ("candidate only: the nonexistence statement covers regular "
+             "forms, and m = 711 exceeds its congruence-class bound 147")
+
+
+@pytest.mark.parametrize("m,coeffs,body", [
+    (8, "1,2,3", '"bound":300,"coeffs":[1,2,3],"counterexamples":[9,93],'
+                 '"locally_represented":277,"m":8,'
+                 '"verdict":"not-regular(witness n=9)"'),
+    (711, "1,2,3", '"bound":300,"coeffs":[1,2,3],"counterexamples":['
+                   + ",".join(map(str, range(7, 301)))
+                   + f'],"locally_represented":301,"m":711,"note":"{_NOTE_711}",'
+                   '"verdict":"not-regular(witness n=7)"'),
+    (3, "1,1,1", '"bound":300,"coeffs":[1,1,1],"counterexamples":[],'
+                 '"locally_represented":301,"m":3,'
+                 '"verdict":"regular-up-to-300"'),
+], ids=["m8-two-counterexamples", "m711-all-past-6", "m3-survivor"])
+def test_regcheck_scan_report_bytes_are_pinned(capsys, tmp_path, m, coeffs,
+                                               body):
+    """The canonical JSON of `regcheck scan --out` at bound 300, byte for
+    byte: counterexamples decoded from the scan's bitsets, in order."""
+    out_file = tmp_path / "report.json"
+    code, _, _ = run(capsys, "regcheck", "scan", "--m", str(m), "--coeffs",
+                     coeffs, "--bound", "300", "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_bytes() == ("{" + body + "}\n").encode()
+
+
 def test_examples_eureka(capsys):
     code, out, _ = run(capsys, "examples", "--eureka", "500",
                        "--format", "json")

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
-from mgonal.localrep import _lattice_key, _order_and_class, _orders_and_classes
+from mgonal.localrep import (_SQUARE_TABLE_LIMIT, _lattice_key, _order_and_class,
+                             _orders_and_classes)
 from mgonal.numth import (
     RS,
     is_prime,
@@ -60,13 +61,18 @@ def _unit_class(u, p):
 
 @given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda u: u != 0),
        st.integers(min_value=0, max_value=40),
-       st.sampled_from([2, 3, 5, 7, 11, 13, 97, 1009]))
+       st.sampled_from([2, 3, 5, 7, 11, 13, 97, 1009, 4093,  # square table
+                        4099, 65537, 2 ** 31 - 1, 4294967311]))  # Euler
 def test_order_and_class_matches_sympy(u, k, p):
     """The label (ord_p a, i) of a = p^k u, signed and deep: the unit part
     of a is 2 i + 1 mod 8 at 2, i is 1 exactly for a nonsquare unit part
-    at odd p, and the array helper gives the same label."""
+    at odd p, and the array helper gives the same label, on both sides of
+    its square-table limit and past 2^31.5, where Euler's criterion leaves
+    int64."""
+    assert 4093 < _SQUARE_TABLE_LIMIT < 4099
+    while k and abs(p ** k * u) >= 2 ** 63:
+        k -= 1  # the deepest a = p^k u that fits in int64
     a = p ** k * u
-    assume(abs(a) < 2 ** 63)
     e, i = _order_and_class(a, p)
     assert e == k + ord_p(u, p)
     unit = a // p ** e

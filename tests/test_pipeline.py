@@ -156,6 +156,28 @@ def test_find_coprime_shift_minimal(primes, u, v):
         assert n < primes[0]
 
 
+def test_find_coprime_shift_rejects_bad_input_under_optimize():
+    """A u sharing a prime with the list, a list out of order and an empty
+    list raise ValueError naming the input, also when asserts are stripped
+    (they used to raise LemmaViolation, return 1 and fail on a negative
+    shift count)."""
+    script = (
+        "from mgonal.pipeline import find_coprime_shift\n"
+        "for args in (((5,), 5, 0), ((7, 5), 1, 0), ((), 1, 0)):\n"
+        "    try:\n"
+        "        print(find_coprime_shift(*args))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "u must be prime to (5,), got 5",
+        "need a nonempty ascending list of primes, got (7, 5)",
+        "need a nonempty ascending list of primes, got ()"]
+
+
 # ---------------------------------------------------------------------------
 # the individual bound moves, at the constants the replay derives
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from mgonal.localrep import locally_represented
+from mgonal.localrep import locally_represented, locally_represented_many
 from mgonal.polygonal import MGonalForm, polygonal_number
 from mgonal.regcheck import (
     _BLOCK_TARGETS,
@@ -121,6 +121,55 @@ def test_batch_names_the_first_violating_form(monkeypatch):
                               "globally but fails a local test")
 
 
+def test_soundness_is_checked_past_a_rows_first_counterexample(monkeypatch):
+    """<1,2,3> at m = 8 already misses n = 9; a (faked) local verdict that
+    fails only at n = N must still raise for it, so no scan stops checking
+    a row once the row is known not to be regular."""
+    import mgonal.regcheck as regcheck
+
+    N, bad = 301, (1, 2, 3)
+    form = MGonalForm(8, bad)
+    assert regularity_scan(form, N).counterexamples[0] == 9
+    assert represented_set(form, N)[N]
+    real = regcheck.locally_represented_rows
+
+    def fake(m, block, ns):
+        flags = real(m, block, ns)
+        flags[[tuple(row) == bad for row in block], -1] = False
+        return flags
+
+    monkeypatch.setattr(regcheck, "locally_represented_rows", fake)
+    with pytest.raises(AssertionError) as exc:
+        regcheck.candidate_scan(8, 5, N)
+    assert str(exc.value) == (f"soundness violation: {form} represents {N} "
+                              "globally but fails a local test")
+
+
+def test_census_checks_each_row_once_and_builds_forms_for_survivors(
+        monkeypatch):
+    """candidate_scan(8, 5, 500) scans 29 rows and keeps 6: the local
+    engine checks each row's coefficients once, and an MGonalForm (whose
+    own check is the one other call) is built only for each survivor's
+    report."""
+    import mgonal.polygonal as polygonal
+    import mgonal.regcheck as regcheck
+
+    checks, forms = [], []
+    check, form = polygonal._check_coefficients, regcheck.MGonalForm
+    monkeypatch.setattr(polygonal, "_check_coefficients",
+                        lambda coeffs: checks.append(tuple(coeffs))
+                        or check(coeffs))
+    monkeypatch.setattr(regcheck, "MGonalForm",
+                        lambda m, coeffs: forms.append(coeffs)
+                        or form(m, coeffs))
+    reports = regcheck.candidate_scan(8, 5, 500)
+    rows = _primitive_triples(5)
+    survivors = [r.form.coeffs for r in reports]
+    assert len(rows) == 29 and len(survivors) == 6
+    assert forms == survivors
+    assert sorted(checks) == sorted(rows + survivors)
+
+
 @pytest.mark.parametrize("m", [8, 13, 711])
 def test_census_op_reads_each_prime_once(m, monkeypatch):
     """A census op (29 rows x 501 n, one block) reads the orders and classes
@@ -160,29 +209,46 @@ def test_census_op_does_not_import_numpy_ma():
     assert proc.stdout == "False\n"
 
 
+def _bitset(flags) -> int:
+    return sum(1 << int(n) for n in np.flatnonzero(flags))
+
+
 @pytest.mark.parametrize("m", [3, 8])
 def test_batched_scan_matches_form_by_form_loop(m):
-    """cap 12 and N = 2000 make 3 blocks of at most _BLOCK_TARGETS targets."""
+    """cap 12 and N = 2000 make 3 blocks of at most _BLOCK_TARGETS targets.
+    Each row's bitsets equal the ones read off that form's own local and
+    global arrays, and the reports decoded from them (every row's by
+    regularity_scan, the survivors' by candidate_scan) agree."""
     rows = _primitive_triples(12)
     assert len(rows) * 2001 > 2 * _BLOCK_TARGETS
-    loop = [regularity_scan(MGonalForm(m, row), 2000) for row in rows]
+    loop, reports = [], []
+    for row in rows:
+        f = MGonalForm(m, row)
+        local = locally_represented_many(f, np.arange(2001))
+        missed = local & ~represented_set(f, 2000)
+        loop.append((row, _bitset(local), _bitset(missed)))
+        report = regularity_scan(f, 2000)
+        assert report.locally_count == local.sum()
+        assert report.counterexamples == tuple(np.flatnonzero(missed).tolist())
+        reports.append(report)
     assert list(_scan_rows(m, rows, 2000)) == loop
-    assert candidate_scan(m, 12, 2000) == [r for r in loop
+    assert candidate_scan(m, 12, 2000) == [r for r in reports
                                            if not r.counterexamples]
 
 
 def test_batched_sumsets_match_pointwise_search():
     """Rows in candidate_scan order share pair sumsets; a row whose a_1 or
-    a_2 changes must not reuse its neighbour's."""
+    a_2 changes must not reuse its neighbour's.  A sumset is a bitset, bit
+    n set when n is represented."""
     for m in (3, 5, 8):
         represented = _sumset_builder(m, 40)
         rows = [(1, 2, 3), (2, 2, 3), (1, 2, 2), (1, 3, 2), (1, 1), (3,),
                 (1, 1, 1, 2), (1, 2, 1, 2), (1, 2, 2**70)]
         for row in rows + _primitive_triples(3):
-            flags = represented(row)
             f = MGonalForm(m, tuple(sorted(row)))
-            assert flags.tolist() == [represents_globally(f, n) is not None
-                                      for n in range(41)], (m, row)
+            assert represented(row) == sum(
+                1 << n for n in range(41)
+                if represents_globally(f, n) is not None), (m, row)
 
 
 def test_coefficient_past_int64_is_a_named_error():
