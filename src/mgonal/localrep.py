@@ -68,11 +68,13 @@ bijection of Z_p, every entry is a p-unit, and a unimodular lattice of
 rank >= 3 at odd p is isotropic (Chevalley-Warning), hence splits a
 hyperbolic plane and represents all of Z_p.  Below rank 3 this fails
 (<1,1> misses 77 over Z_7), so lower ranks raise ValueError.  The batch is
-array arithmetic over all rows at once: the targets are reduced once per
-distinct sum a_i and the descriptors fetched once per distinct lattice
-key, and the verdicts of every row are one gather from the stacked
-descriptors (details in its docstring).  `locally_represented_many` is the
-one-row case, and the scalar `locally_represented` its one-element case.
+array arithmetic over all rows at once: per prime, the targets are labelled
+once per distinct sum a_i (at an odd p below 2^12 from a table of the
+labels of the residues mod a power of p, built per call), the descriptors
+are fetched once per distinct lattice key and stacked as one bit table,
+and the verdicts of every row are one flat gather from it (details in its
+docstring).  `locally_represented_many` is the one-row case, and the
+scalar `locally_represented` its one-element case.
 
 A literal reference procedure (`represents_mod_search`: grid search mod p^K
 plus the lifting criterion (*), following the count of the search space) and
@@ -86,6 +88,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -167,11 +170,14 @@ def _coord_indicator(a: int, p: int, M: int) -> np.ndarray:
     return ind
 
 def _convolve_presence(ind1: np.ndarray, ind2: np.ndarray) -> np.ndarray:
-    """Circular convolution of two 0/1 arrays, squashed back to 0/1."""
+    """Circular convolution of two 0/1 arrays, squashed back to 0/1.
+    Raises FloatingPointError when a count is not within 0.25 of an
+    integer."""
     mod = len(ind1)
     raw = np.fft.irfft(np.fft.rfft(ind1) * np.fft.rfft(ind2), n=mod)
     counts = np.rint(raw)
-    assert np.max(np.abs(raw - counts)) < 0.25, "FFT roundoff out of tolerance"
+    if np.max(np.abs(raw - counts)) >= 0.25:
+        raise FloatingPointError("FFT roundoff out of tolerance")
     return (counts > 0.5).astype(np.float64)
 
 
@@ -247,33 +253,59 @@ def _add_coordinate(acc: List[int], zero: bool, e: int, i: int,
     return out, out_zero
 
 
-# The table of squares mod p takes O(p) steps to build, Euler's criterion
-# about 2 log2 p passes over the array: from about here on, the criterion
-# costs less on arrays of a hundred targets.
+# The residue table of `_orders_and_classes` takes at least O(p) steps to
+# build, Euler's criterion about 2 log2 p passes over the array: from
+# about here on, the criterion costs less on arrays of a hundred targets.
 _SQUARE_TABLE_LIMIT = 2 ** 12
 
 
 def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     """`_order_and_class` per entry of a nonzero int64 array, as the arrays
-    (ord_p N, class index).  At an odd p < `_SQUARE_TABLE_LIMIT` = 2^12
-    the class of a unit part u is table[u % p], from a table of the squares
-    mod p; at larger p it is found by Euler's criterion."""
+    (ord_p N, class index).
+
+    At p = 2 the order is read off the lowest set bit and the class off the
+    next two bits of the unit part.  At an odd p < `_SQUARE_TABLE_LIMIT` =
+    2^12 the labels are read from a residue table: for P = p^J, the largest
+    power of p at most 2^12 and at most the number of targets (at least p),
+    tc[r] = 2 ord_p r + i holds the label of every nonzero residue r mod
+    P, since the order of N is below J exactly when N mod P != 0, and then
+    N mod P fixes it and the unit part mod p.  The table starts as the
+    classes of the residues mod p, repeated; the strided copy
+    tc[p::p] = tc[1:P/p] + 2, done J - 1 times, gives the multiples of p
+    one order more than their quotients.  Only the targets = 0 (mod P) are
+    divided further, and the class of their unit part u is tc[u mod P].
+    At larger p the same division gives the unit parts, and their classes
+    come from Euler's criterion.  N mod P is read as N - N // P * P, which
+    numpy computes faster than `%` on int64."""
     if p == 2:
         k = np.frexp(N & -N)[1] - 1  # N & -N is 2^k, or -2^63 for N = -2^63
-        return k, (N >> k) % 8 >> 1
-    k, u = np.zeros_like(N), N.copy()
-    deep = np.flatnonzero(N % p == 0)
-    while deep.size:
-        u[deep] //= p
-        k[deep] += 1
-        deep = deep[u[deep] % p == 0]
+        return k, N >> k + 1 & 3  # the unit part is 2 i + 1 (mod 8)
+    J, P = 1, p  # P = p past the table limit: no table
+    while P * p <= min(_SQUARE_TABLE_LIMIT, N.size):
+        J, P = J + 1, P * p
+    r = N - N // P * P
+    deep = np.flatnonzero(r == 0)  # ord_p N >= J
+    u, kd = N[deep] // P, np.full(deep.size, J)
+    more = np.flatnonzero(u % p == 0)
+    while more.size:
+        u[more] //= p
+        kd[more] += 1
+        more = more[u[more] % p == 0]
     if p < _SQUARE_TABLE_LIMIT:
-        table = np.ones(p, dtype=np.int64)  # the class index per residue
-        table[np.arange(1, p) ** 2 % p] = 0
-        return k, table[u % p]
+        squares = np.ones(p, dtype=np.int64)  # the class index per residue
+        squares[np.arange(1, p) ** 2 % p] = 0
+        tc = np.tile(squares, P // p)
+        for _ in range(J - 1):
+            tc[p::p] = tc[1:P // p] + 2
+        label = tc[r]
+        label[deep] = 2 * kd + tc[u % P]
+        return label >> 1, label & 1
+    k = np.zeros_like(N)
+    k[deep] = kd
+    r[deep] = u % p
     # Euler's criterion by square and multiply; past 2^31.5 a product of
     # two residues leaves int64, so the entries become Python integers
-    base = u % p if p * p < 2 ** 63 else (u % p).astype(object)
+    base = r if p * p < 2 ** 63 else r.astype(object)
     power, e = np.ones_like(base), (p - 1) // 2
     while e:
         if e & 1:
@@ -453,13 +485,16 @@ def represents_mod_search(coeffs: Sequence[int], n: int, p: int,
 def represents_reference_fft(coeffs: Sequence[int], n: int, p: int,
                              K: Optional[int] = None) -> bool:
     """Second reference: plain witness existence mod p^K (no lifting logic),
-    valid because K >= hensel_exponent is enforced."""
+    valid because K >= hensel_exponent is enforced: a smaller K raises
+    ValueError."""
     coeffs = tuple(coeffs)
     if n == 0:
         return True
     if K is None:
         K = conservative_exponent(coeffs, n, p)
-    assert K >= hensel_exponent(coeffs, n, p)
+    least = hensel_exponent(coeffs, n, p)
+    if K < least:
+        raise ValueError(f"the FFT reference needs K >= {least}, got K = {K}")
     acc = _coord_indicator(coeffs[0], p, K)
     for a in coeffs[1:]:
         acc = _convolve_presence(acc, _coord_indicator(a, p, K))
@@ -667,16 +702,23 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     raises ValueError; rows of different ranks may share a call.
 
     Rows with equal sum a_i have equal targets, so each prime computes
-    `_orders_and_classes` once, over the distinct targets.  At p | c the
-    shift is alpha = |d|, so N - sum a_i alpha^2 = mu n and the
+    `_orders_and_classes` once, over the distinct targets (from a residue
+    table at odd p < 2^12, see there).  At p | c the shift is
+    alpha = |d|, so N - sum a_i alpha^2 = mu n and the
     `_shifted_congruence` of a row reads mu n = 0 (mod p^(e + min ord_p
     a_i)): one test per distinct min ord_p a_i.  At other p each label
     (e, i) of an entry is coded as e W + 1 + i, W the number of unit
     classes, and 0 pads a shorter row; a row's sorted codes are its
-    lattice key, coded as one integer.  Each distinct key is decoded by
-    divmod(code - 1, W) and its `_value_set` read once, and each row's
-    verdicts are one gather from the stacked descriptors.  Raises
-    ValueError when some N does not fit in int64.
+    lattice key.  Each distinct key is decoded by divmod(code - 1, W) and
+    its `_value_set` read once.  The descriptors are stacked as one bit
+    table with S = L W + 1 bits per key: bit k W + i says whether the
+    class (k, i) is represented, each descriptor extended along its
+    period 2 up to the deepest target's order L - 1, and a last bit, set,
+    says that N = 0 is.  A target of label (k, i) reads place k W + i
+    (place L W for N = 0) in every key, so each row's verdicts are one
+    flat gather from the raveled table, at its targets' places plus
+    S times its key's index.  Raises ValueError when some N does not fit
+    in int64.
     """
     from .polygonal import _check_coefficients, constants
 
@@ -697,21 +739,25 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     d2 = k.d * k.d
     if k.mu * max(-int(ns.min()), int(ns.max())) + d2 * max(sums) >= 2 ** 63:
         raise ValueError("shifted target mu n + d^2 sum a_i overflows int64")
-    offsets, off = np.unique(np.array([d2 * s for s in sums], dtype=np.int64),
-                             return_inverse=True)
-    off = off.reshape(-1)
-    N = k.mu * ns + offsets.reshape(-1, 1)  # one row per distinct sum a_i
+    offsets = sorted({d2 * s for s in sums})
+    where = {s: i for i, s in enumerate(offsets)}
+    off = np.array([where[d2 * s] for s in sums])
+    # one row per distinct offset d^2 sum a_i
+    N = k.mu * ns + np.array(offsets, dtype=np.int64).reshape(-1, 1)
     ok = (N >= 0)[off]
-    # the entries as indices into their distinct values; len(vals) pads
+    # the entries as 1 + their index into the distinct values; 0 pads
     vals = sorted({a for row in rows for a in row})
-    col = {a: i for i, a in enumerate(vals)}
+    col = {a: i for i, a in enumerate([0] + vals)}
     width = max(map(len, rows))
-    idx = np.array([[col[a] for a in row] + [len(vals)] * (width - len(row))
-                    for row in rows])
+    padded = chain.from_iterable(row + (0,) * (width - len(row)) for row in rows)
+    idx = np.fromiter(map(col.__getitem__, padded), np.intp).reshape(-1, width)
+    zeros = np.flatnonzero(N == 0)  # N = 0 is read as 1 and takes its own bit
+    N1 = N.ravel().copy()
+    N1[zeros] = 1
     for p in prime_divisors(2 * k.c * math.lcm(*vals)):
         e, cls = np.array([_order_and_class(a, p) for a in vals]).T
         if k.c % p == 0:
-            depth = np.append(e, e.max())[idx].min(axis=1)
+            depth = np.append(e.max(), e)[idx].min(axis=1)
             # a set: np.unique imports numpy.ma on its first call
             for v in sorted(set(depth.tolist())):
                 mod = p ** (progression_exponent(k.c, p) + v)
@@ -720,32 +766,35 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
                 ok[depth == v] &= hit
             continue
         W = 4 if p == 2 else 2  # unit square classes
-        code = np.sort(np.append(e * W + cls + 1, 0)[idx], axis=1)
-        # all entries p-units: universal at odd p (see above)
-        need = (np.arange(len(rows)) if p == 2
-                else np.flatnonzero(code[:, -1] > W))
-        if not need.size:
-            continue
-        # the lattice key as one integer per row, exact past int64 too
-        B = int(code.max()) + 1
-        weights = np.array([B ** j for j in range(width)],
-                           dtype=np.int64 if B ** width < 2 ** 63 else object)
-        _, first, key_id = np.unique(code[need] @ weights, return_index=True,
-                                     return_inverse=True)
-        Ts = [_value_set(p, tuple(divmod(c - 1, W) for c in row if c))
-              for row in code[need[first]].tolist()]
-        # descriptors padded along their period 2, one bit per
-        # (order, class), and a last bit, set, for N = 0
-        L = max(map(len, Ts))
-        ks = np.arange(L)
-        D = np.array([T[np.minimum(ks, len(T) - 2 + (ks - len(T)) % 2)]
-                      for T in Ts])
-        bits = np.ones((len(Ts), L * W + 1), dtype=bool)
+        code = np.sort(np.append(0, e * W + cls + 1)[idx], axis=1)
+        # all entries p-units: universal at odd p (see above); p divides
+        # some entry, so some row is left
+        need = np.flatnonzero((code[:, -1] > W) | (p == 2))
+        if need.size == len(rows):
+            need = slice(None)  # every row, read without a copy
+        # a row's sorted codes stand for its lattice key
+        ids = {}
+        key_id = np.array([ids.setdefault(tuple(row), len(ids))
+                           for row in code[need].tolist()])
+        label = [divmod(c - 1, W) for c in range(int(code.max()) + 1)]
+        Ts = [_value_set(p, tuple([label[c] for c in row if c])) for row in ids]
+        kk, cc = _orders_and_classes(N1, p)
+        # each T extended to the orders k < L along its period 2: with
+        # t = k - len(T), T[k] is the entry min(t, t % 2 - 2) from the end
+        lens = np.array([len(T) for T in Ts])
+        L = max(int(lens.max()), int(kk.max()) + 1)
+        ts = np.arange(L) - lens.reshape(-1, 1)
+        D = np.concatenate(Ts)[np.cumsum(lens).reshape(-1, 1)
+                               + np.minimum(ts, (ts & 1) - 2)]
+        S = L * W + 1
+        bits = np.ones((len(Ts), S), dtype=bool)
         bits[:, :-1] = (D[:, :, None] >> np.arange(W) & 1).reshape(len(Ts), -1)
-        kk, cc = _orders_and_classes(np.where(N == 0, 1, N).ravel(), p)
-        at = np.minimum(kk, L - 2 + (kk - L & 1)) * W + cc
-        at = np.where(N.ravel() == 0, L * W, at).reshape(N.shape)
-        ok[need] &= bits[key_id.reshape(-1, 1), at[off[need]]]
+        at = kk * W + cc
+        at[zeros] = L * W
+        at = at.reshape(N.shape)
+        # one flat gather: row i reads bits[key_id[i]] at its targets' places
+        ok[need] &= bits.ravel().take(at[off[need]]
+                                      + (key_id * S).reshape(-1, 1))
     return ok
 
 

@@ -67,6 +67,13 @@ class ReplayMismatch(Exception):
     """The recomputed derivation differs from the recorded one."""
 
 
+def _require(holds: bool, message: str) -> None:
+    """A proof step's check: raise LemmaViolation unless it holds (an
+    assert would vanish under python -O)."""
+    if not holds:
+        raise LemmaViolation(message)
+
+
 # ---------------------------------------------------------------------------
 # nu-selection over Z_2 (and Z_3)
 
@@ -508,26 +515,28 @@ def t_bound_step(
     for the cubic opening clauses) and the case's k-bound shape.  Since
     the inequality holds for every t >= t0 (base case plus certified
     ratio induction) while p_1 ... p_t <= a1 a2 p1^2 S(t) must hold for a
-    real form, t <= t0 - 1.  Sharpness at t0 - 1 is asserted as well.
+    real form, t <= t0 - 1.  Sharpness at t0 - 1 is checked as well.  A
+    failed check raises LemmaViolation.
     """
     spec = CLAUSES[ineq_index]
-    assert (spec.a, spec.b) == (case.kappa, case.s_shift), (
-        "clause shape does not match the case's k-bound shape"
-    )
+    _require((spec.a, spec.b) == (case.kappa, case.s_shift),
+             f"clause {ineq_index} shape does not match case "
+             f"{case.case_id}'s k-bound shape")
     if spec.k == 3:
-        assert spec.const == 1 and a1_bound == a2_bound == 1
+        _require(spec.const == 1 and a1_bound == a2_bound == 1,
+                 f"cubic clause {ineq_index} needs constant 1 and "
+                 f"a1 = a2 = 1, got {a1_bound} * {a2_bound}")
     else:
-        assert spec.k == 1 and spec.const == a1_bound * a2_bound, (
-            f"clause {ineq_index} constant {spec.const} != "
-            f"{a1_bound} * {a2_bound}"
-        )
+        _require(spec.k == 1 and spec.const == a1_bound * a2_bound,
+                 f"clause {ineq_index} constant {spec.const} != "
+                 f"{a1_bound} * {a2_bound}")
     _, _, base = verify_inequality(ineq_index, spec.t0)
-    assert base, f"clause {ineq_index} fails at its own base case"
-    _, r_next, ok = certify_all_t(ineq_index)
-    assert ok, f"clause {ineq_index} ratio induction not certified"
+    _require(base, f"clause {ineq_index} fails at its own base case")
+    _, _, ok = certify_all_t(ineq_index)
+    _require(ok, f"clause {ineq_index} ratio induction not certified")
     if spec.t0 - 1 >= spec.lower:
         _, _, above = verify_inequality(ineq_index, spec.t0 - 1)
-        assert not above, f"clause {ineq_index} already holds at t0 - 1"
+        _require(not above, f"clause {ineq_index} already holds at t0 - 1")
     return spec.t0 - 1
 
 
@@ -641,18 +650,20 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
         if op == "tighten_t":
             cap = st.a1_bound * st.a2_bound
             t = t_bound_step(case, st.a1_bound, st.a2_bound, kw["clause"])
-            assert t < st.t_bound
+            _require(t < st.t_bound, f"clause {kw['clause']} gives t <= {t}, "
+                                     f"not below t <= {st.t_bound}")
             _set_t(st, case, t, kw["clause"], cap)
             continue
 
         n, s = kw["n"], kw["s"]
         # Window counts use s = current bound on t: one psi subtraction
         # per anisotropic prime.
-        assert s == st.t_bound, (op, kw, st.t_bound)
+        _require(s == st.t_bound,
+                 f"{op} {kw} needs s = t_bound = {st.t_bound}")
         e = eta(n, s)
 
         if op == "a1_two_reps":
-            assert e >= 2, "two-representations argument needs two hits"
+            _require(e >= 2, "two-representations argument needs two hits")
             window = n - e + 1  # every length-window slice holds >= 2
             val = bound_a1_two_reps(window, case.kappa, case.nu2_max)
             st.tighten("a1_bound", val)
@@ -696,7 +707,7 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
         elif op == "c_eta":
             # a_1 (c + 2) <= delta (kappa (n-1) + nu) with a_1 >= 1 caps c
             # at delta (kappa (n-1) + nu) - 2, separately per delta.
-            assert e > 8, f"eta({n},{s}) = {e} <= 8"
+            _require(e > 8, f"eta({n},{s}) = {e} <= 8")
             for cls in case.classes:
                 cb = cls.delta * (case.kappa * (n - 1) + case.nu2_max) - 2
                 st.c_bounds[cls.delta] = cb
@@ -707,13 +718,17 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
                     cb,
                 )
         elif op == "c_case4":
-            assert (n, s) == (60, 9)
+            _require((n, s) == (60, 9),
+                     f"the case 4 conductor step reads eta(60, 9), got "
+                     f"eta({n}, {s})")
             first_true = next(
                 c for c in range(C_MIN, 10**4) if case4_step3_check(c, e)
             )
             # each link is monotone in c; spot-check far out
-            assert not case4_step3_check(first_true - 1, e)
-            assert case4_step3_check(10**6, e)
+            _require(not case4_step3_check(first_true - 1, e)
+                     and case4_step3_check(10**6, e),
+                     f"contradictory conductors are not the ray c >= "
+                     f"{first_true}")
             cb = first_true - 1
             (cls,) = case.classes
             st.c_bounds[cls.delta] = cb

@@ -1,8 +1,9 @@
 """Static checks over the package's modules: every name a module imports
 is used in it, no module keeps a hand-rolled cache, the package keeps
 exactly one lru_cache, only the reference oracles raise ModulusTooLarge,
-every public function of numth and localrep but those oracles has a
-caller in the package, and one check tests primality for the package."""
+every public function has a caller in the package or is named as an
+oracle, a certificate or awaiting a caller, and one check tests primality
+for the package."""
 
 import argparse
 import ast
@@ -172,13 +173,27 @@ def _uncalled(module: str, sources: dict):
     return [fn for fn in public if fn not in called]
 
 
+# The public functions that no code in the package calls, by reason.
+# Independent references the tests hold the engines to:
+ORACLES = ["localrep.represents_reference_fft", "localrep.stable_value_set_check",
+           "polygonal.form_to_shifted", "regcheck.represents_globally"]
+# Checks of the paper's claims that the acceptance tests run as such:
+CERTIFICATES = ["density.exception_count_check", "density.psi_prime_power",
+                "pipeline.find_coprime_shift", "prodineq.check_implications",
+                "prodineq.min_slack"]
+# Lemma code and the census entry point, until the replay and the census
+# command call them (ROADMAP items 1 and 4):
+AWAITING_A_CALLER = ["pipeline.find_nu", "pipeline.find_v",
+                     "regcheck.candidate_scan"]
+
+
 def test_no_dead_public_api():
+    """Every public function of every module has a caller in the package,
+    or is named above."""
     sources = {path.stem: path.read_text() for path in MODULES}
-    found = [f"{module}.{fn}" for module in ("numth", "localrep")
+    found = [f"{module}.{fn}" for module in sources
              for fn in _uncalled(module, sources)]
-    # the reference oracles, which only the tests call
-    assert found == ["localrep.represents_reference_fft",
-                     "localrep.stable_value_set_check"]
+    assert sorted(found) == sorted(ORACLES + CERTIFICATES + AWAITING_A_CALLER)
 
 
 def test_uncalled_function_is_reported():

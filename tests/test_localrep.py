@@ -527,6 +527,32 @@ def test_modulus_too_large_paths():
         represents_reference_fft((2**10, 2**10, 2**11), 7, 2)  # K past 2^22
 
 
+def test_fft_reference_checks_raise_under_optimize():
+    """The FFT oracle refuses a K below hensel_exponent with ValueError,
+    and a convolution whose counts are not near integers with
+    FloatingPointError, also when asserts are stripped: under -O,
+    represents_reference_fft((1, 1, 1), 7, 2, K=1) used to return True,
+    though <1,1,1> misses 7 over Z_2."""
+    assert not represents_over_zp((1, 1, 1), 7, 2)
+    script = (
+        "import numpy as np\n"
+        "from mgonal.localrep import _convolve_presence, represents_reference_fft\n"
+        "half = np.array([0.5, 0.0, 0.0, 0.0])\n"
+        "for call in (lambda: represents_reference_fft((1, 1, 1), 7, 2, K=1),\n"
+        "             lambda: _convolve_presence(half, np.roll(half, 1) * 2)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except (ValueError, FloatingPointError) as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError the FFT reference needs K >= 3, got K = 1",
+        "FloatingPointError FFT roundoff out of tolerance"]
+
+
 def test_pivots_deeper_than_the_target_build_no_table():
     """A pivot deeper than the target builds no residue table: the
     descriptor of <1,1,3^5> is K + 2 = 13 bitmasks, K = 2 * 5 + 1, where a
@@ -716,6 +742,11 @@ def test_locally_represented_many_edges():
     for ns in ([2**62], [-2**62], [2**70]):
         with pytest.raises(ValueError):
             locally_represented_many(f, ns)
+    # at m = 4 (d = 0) no overflow check bounds the entries, and an entry
+    # past int64 keeps its exact labels
+    huge, ns = MGonalForm(4, (1, 1, 2**70)), [5, 7, 2**60]
+    assert locally_represented_many(huge, ns).tolist() == [
+        _local_oracle(huge, n) for n in ns] == [True, False, True]
     # at p = 2 the congruence modulus 2^(3 + 61) is past int64: only
     # N = base = 3 * 2^61 (n = 0) solves it among int64 targets
     deep = MGonalForm(3, (2**61,) * 3)
@@ -725,7 +756,7 @@ def test_locally_represented_many_edges():
 # Census rows plus rank-4 rows in the same call, rows sharing sum a_i
 # across ranks ((1,1,1,1) and (1,1,2); (1,2,3,64) and (2,4,64); (1,1,3,81)
 # and (1,4,81)), entries with deep 2-, 3- and 5-powers, and one row of
-# rank 16 whose lattice key at 2 does not fit in one int64.
+# rank 16 whose lattice key at 2 has sixteen distinct labels.
 BATCH_ROWS = CENSUS_TRIPLES + [
     (1, 1, 1, 1), (1, 2, 3, 64), (2, 4, 64), (1, 1, 3, 81), (1, 4, 81),
     (1, 1, 128), (32, 81, 125), (1, 243, 243), (1, 625, 1250),
@@ -738,8 +769,9 @@ def test_locally_represented_rows_match_one_row_calls(m):
     written out one target and one prime at a time: N >= 0 and the scalar
     shifted_represents_over_zp at every prime of 2 c prod(a_i)
     (`_local_oracle`), negative n included.  At m = 4 (N = n) the last
-    targets lie deeper than every descriptor of the batch."""
-    ns = np.r_[np.arange(-10, 601), 7 * 2**21, 7 * 2**22, 2 * 3**13, 2 * 5**13]
+    targets lie deeper than every descriptor of the batch, at 7 too."""
+    ns = np.r_[np.arange(-10, 601), 7 * 2**21, 7 * 2**22, 2 * 3**13, 2 * 5**13,
+               3 * 7**10]
     got = locally_represented_rows(m, BATCH_ROWS, ns)
     assert got.dtype == np.bool_ and got.shape == (len(BATCH_ROWS), len(ns))
     for row, flags in zip(BATCH_ROWS, got):

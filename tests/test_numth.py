@@ -84,6 +84,36 @@ def test_order_and_class_matches_sympy(u, k, p):
     assert (int(ks[0]), int(cs[0])) == (e, i)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 61, 4093,  # residue table
+                               4099, 65537, 4294967311])  # Euler
+def test_orders_and_classes_match_the_scalar_label(p):
+    """The array labels equal `_order_and_class` entry by entry, for arrays
+    large enough to get the largest residue table mod P = p^J <= 2^12
+    and for short ones, which get smaller tables (down to P = p): p^k u of
+    either sign for every order k that fits in int64, so the orders J - 1,
+    J, J + 1 and deeper of each table, units of both classes, every
+    residue up to 5,000, and at 2 the extremes +-2^62 and -2^63."""
+    units = [u for u in range(1, 30) if u % p][:12]
+    entries = [sign * p ** k * u for u in units for sign in (1, -1)
+               for k in range(64) if p ** k * u < 2 ** 63]
+    entries += list(range(1, 5001))
+    if p == 2:
+        entries += [2 ** 62, -2 ** 62, -2 ** 63, 2 ** 63 - 1, -2 ** 63 + 1]
+    J = 1
+    while p ** (J + 1) <= _SQUARE_TABLE_LIMIT:
+        J += 1
+    assert p >= _SQUARE_TABLE_LIMIT or {J - 1, J, J + 1} <= {
+        ord_p(a, p) for a in entries}
+    want = [_order_and_class(a, p) for a in entries]
+    N = np.array(entries, dtype=np.int64)
+    for size in (len(N), 700, 40, 1):
+        got = []
+        for lo in range(0, len(N) if size > 1 else 300, size):
+            ks, cs = _orders_and_classes(N[lo:lo + size], p)
+            got += zip(ks.tolist(), cs.tolist())
+        assert got == want[:len(got)], size
+
+
 @given(st.integers(min_value=1, max_value=300),
        st.sampled_from([3, 5, 7, 11, 13, 17]))
 def test_unit_class_rep_squares(u, p):

@@ -228,8 +228,70 @@ def test_t_bound_step_matches_clauses():
 
 
 def test_t_bound_step_rejects_shape_mismatch():
-    with pytest.raises(AssertionError):
+    with pytest.raises(LemmaViolation, match="shape"):
         t_bound_step(CASES[1], 45, 49, 5)  # clause 5 has kappa = 3 shape
+
+
+def test_replay_checks_raise_under_optimize():
+    """Every proof-step check of t_bound_step and replay_case raises
+    LemmaViolation, also when asserts are stripped: a clause of the wrong
+    shape or constant, a failed base case, induction or sharpness, a
+    clause that does not tighten t, an eta window off the current t bound,
+    too few eta hits for the two-representations and conductor steps, and
+    the case 4 conductor step off its window or off its ray.  (Under -O
+    the shape mismatch used to return t <= 8.)"""
+    script = (
+        "import dataclasses\n"
+        "from mgonal import pipeline\n"
+        "from mgonal.pipeline import CASES, LemmaViolation, replay_case, t_bound_step\n"
+        "one, four = CASES[1].schedule, CASES[4].schedule\n"
+        "def case(cid, *schedule):\n"
+        "    return dataclasses.replace(CASES[cid], schedule=schedule)\n"
+        "def patched(name, fake, call):\n"
+        "    saved = getattr(pipeline, name)\n"
+        "    setattr(pipeline, name, fake)\n"
+        "    try:\n"
+        "        return call()\n"
+        "    finally:\n"
+        "        setattr(pipeline, name, saved)\n"
+        "calls = [\n"
+        "    lambda: t_bound_step(CASES[1], 45, 49, 5),\n"
+        "    lambda: t_bound_step(CASES[1], 2, 1, 1),\n"
+        "    lambda: t_bound_step(CASES[1], 45, 50, 2),\n"
+        "    lambda: patched('verify_inequality', lambda i, t: (0, 0, False),\n"
+        "                    lambda: t_bound_step(CASES[1], 1, 1, 1)),\n"
+        "    lambda: patched('certify_all_t', lambda i: (0, 0, False),\n"
+        "                    lambda: t_bound_step(CASES[1], 1, 1, 1)),\n"
+        "    lambda: patched('verify_inequality', lambda i, t: (0, 0, True),\n"
+        "                    lambda: t_bound_step(CASES[1], 1, 1, 1)),\n"
+        "    lambda: replay_case(case(1, *one[:4], one[3])),\n"
+        "    lambda: replay_case(case(1, one[0], ('a1_two_reps', {'n': 49, 's': 14}))),\n"
+        "    lambda: patched('eta', lambda n, s: 1, lambda: replay_case(CASES[1])),\n"
+        "    lambda: patched('eta', lambda n, s: 8, lambda: replay_case(\n"
+        "        case(1, one[0], ('c_eta', {'n': 20, 's': 15})))),\n"
+        "    lambda: replay_case(case(4, *four[:4], ('c_case4', {'n': 61, 's': 9}))),\n"
+        "    lambda: patched('case4_step3_check', lambda c, e: True,\n"
+        "                    lambda: replay_case(CASES[4])),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except LemmaViolation as exc:\n"
+        "        print('LemmaViolation:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = ["clause 5 shape does not match case 1", "cubic clause 1 needs",
+            "clause 2 constant 2205 != 45 * 50", "fails at its own base case",
+            "ratio induction not certified", "already holds at t0 - 1",
+            "clause 2 gives t <= 6, not below", "needs s = t_bound = 15",
+            "needs two hits", "eta(20,15) = 8 <= 8", "got eta(61, 9)",
+            "not the ray"]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(want), lines
+    for line, fragment in zip(lines, want):
+        assert line.startswith("LemmaViolation:") and fragment in line, line
 
 
 def test_case4_conductor_ray():
