@@ -200,48 +200,37 @@ def _shifted_from_args(args) -> ShiftedForm:
     return ShiftedForm(conductor=args.conductor, coeffs=args.coeffs, shifts=shifts)
 
 
-def _form_lines(g: ShiftedForm) -> List[str]:
-    return [f"conductor {g.conductor}, coeffs {list(g.coeffs)}, shifts {list(g.shifts)}"]
+def _form_dict(g: ShiftedForm) -> dict:
+    return {"conductor": g.conductor, "coeffs": list(g.coeffs),
+            "shifts": list(g.shifts)}
+
+
+def _descent_lines(g: ShiftedForm, log, out: ShiftedForm) -> List[str]:
+    """A descent as text: its input form, one line per step, its output."""
+    def form(h):
+        return (f"conductor {h.conductor}, coeffs {list(h.coeffs)}, "
+                f"shifts {list(h.shifts)}")
+    return ([f"input:  {form(g)}"]
+            + [f"step:   p={w.p}, q={w.q}, scale s={w.s}, order j={w.j}"
+               for w in log]
+            + [f"output: {form(out)}"])
 
 
 def _cmd_watson(args) -> int:
-    g = _shifted_from_args(args)
-    log: list = []
-    stepped = coset_watson_step(g, args.p, log=log)
-    step = log[-1]
-    payload = {
-        "input": {"conductor": g.conductor, "coeffs": list(g.coeffs),
-                  "shifts": list(g.shifts)},
-        "p": step.p, "q": step.q, "s": step.s, "j": step.j,
-        "output": {"conductor": stepped.conductor, "coeffs": list(stepped.coeffs),
-                   "shifts": list(stepped.shifts)},
-    }
-    lines = (
-        [f"input:  {line}" for line in _form_lines(g)]
-        + [f"step:   p={step.p}, q={step.q}, scale s={step.s}, order j={step.j}"]
-        + [f"output: {line}" for line in _form_lines(stepped)]
-    )
-    _emit(args, payload, lines)
+    g, log = _shifted_from_args(args), []
+    out = coset_watson_step(g, args.p, log=log)
+    (step,) = log  # vars of a WatsonStep: its fields p, q, s, j
+    payload = {"input": _form_dict(g), **vars(step), "output": _form_dict(out)}
+    _emit(args, payload, _descent_lines(g, log, out))
     return 0
 
 
 def _cmd_stabilize(args) -> int:
-    g = _shifted_from_args(args)
-    log: list = []
-    result = stabilize(g, log=log)
-    payload = {
-        "input": {"conductor": g.conductor, "coeffs": list(g.coeffs),
-                  "shifts": list(g.shifts)},
-        "steps": [{"p": w.p, "q": w.q, "s": w.s, "j": w.j} for w in log],
-        "output": {"conductor": result.conductor, "coeffs": list(result.coeffs),
-                   "shifts": list(result.shifts)},
-    }
-    lines = (
-        [f"input:  {line}" for line in _form_lines(g)]
-        + [f"step:   p={w.p}, q={w.q}, scale s={w.s}, order j={w.j}" for w in log]
-        + [f"output: {line}" for line in _form_lines(result)]
-    )
-    _emit(args, payload, lines)
+    g, log = _shifted_from_args(args), []
+    out = stabilize(g, log=log)
+    payload = {"input": _form_dict(g), "steps": [vars(w) for w in log],
+               "output": _form_dict(out)}
+    _emit(args, payload, _descent_lines(g, log, out))
     return 0
 
 
@@ -249,9 +238,8 @@ def _cmd_localrep(args) -> int:
     if args.conductor is not None:
         g = _shifted_from_args(args)
         rep = shifted_represents_over_zp(g, args.n, args.p)
-        payload = {"shifted": True, "conductor": g.conductor,
-                   "coeffs": list(g.coeffs), "shifts": list(g.shifts),
-                   "n": args.n, "p": args.p, "represented": bool(rep)}
+        payload = {"shifted": True, **_form_dict(g), "n": args.n, "p": args.p,
+                   "represented": bool(rep)}
         _emit(args, payload, [f"{args.n} over Z_{args.p}: {bool(rep)}"])
         return 0
     verdict = represents_over_zp(args.coeffs, args.n, args.p, want_witness=True)

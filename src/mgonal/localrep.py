@@ -47,9 +47,9 @@ of a diagonal lattice at p in the package: `is_stable` and
 `stable_value_set_check` read it too, and the tests hold the latter
 against the descriptor.
 
-Scans ask the same question for many targets at once.
-`represents_over_zp_many` reads the same descriptor with numpy over an
-array of targets, without a Python call per target.
+Scans ask the same question for many targets at once: `_descriptor_table`
+makes the verdicts of an array of targets one numpy gather from the
+descriptors, without a Python call per target.
 
 A shifted form sum a_i (c x_i + alpha_i)^2 needs no descriptor at a prime
 p | c: each alpha_i is a p-unit (the shifts are coprime to c), so
@@ -71,8 +71,8 @@ hyperbolic plane and represents all of Z_p.  Below rank 3 this fails
 array arithmetic over all rows at once: per prime, the targets are labelled
 once per distinct sum a_i (at an odd p below 2^12 from a table of the
 labels of the residues mod a power of p, built per call), the descriptors
-are fetched once per distinct lattice key and stacked as one bit table,
-and the verdicts of every row are one flat gather from it (details in its
+are fetched once per distinct lattice key, and the verdicts of every row
+are one flat gather from their `_descriptor_table` (details in its
 docstring).  `locally_represented_many` is the one-row case, and the
 scalar `locally_represented` its one-element case.
 
@@ -412,8 +412,9 @@ def represents_over_zp(coeffs: Sequence[int], n: int, p: int,
 
     `coeffs` is the sequence of nonzero entries a_i (negative entries
     allowed; Z_p has no signs).  The witness, when requested and the search
-    box is feasible, is a vector mod p^conservative_exponent passing the
-    lifting criterion.
+    box is feasible, is a vector mod p^hensel_exponent passing the lifting
+    criterion (one `represents_mod_search`, complete there; a larger
+    exponent only widens a refused box); else the exponent is conservative.
     """
     _check_prime(p)
     coeffs = tuple(coeffs)
@@ -428,15 +429,14 @@ def represents_over_zp(coeffs: Sequence[int], n: int, p: int,
     # conservative_exponent, read from the key's orders
     K = wn + 2 * (sum(e for e, _ in key) + (p == 2)) + 3
     if rep and want_witness:
-        # the tight exponent usually gives a feasible box; both are complete
-        for K_w in sorted({hensel_exponent(coeffs, n, p), K}):
-            try:
-                found = represents_mod_search(coeffs, n, p, K_w)
-            except ModulusTooLarge:
-                continue
+        try:
+            found = represents_mod_search(coeffs, n, p,
+                                          hensel_exponent(coeffs, n, p))
+        except ModulusTooLarge:
+            pass
+        else:
             assert found.witness is not None, "search complete yet witnessless"
-            witness, K = found.witness, K_w
-            break
+            witness, K = found.witness, found.modulus_exponent
     return LocalVerdict(p=p, represented=rep, witness=witness,
                         modulus_exponent=K)
 
@@ -675,19 +675,44 @@ def shifted_represents_over_zp(g, N: int, p: int) -> bool:
 # --------------------------------------------------------------------------
 # array verdicts
 
+def _descriptor_table(Ts: Sequence[np.ndarray], N: np.ndarray,
+                      p: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The descriptors Ts (`_value_set`) as one flat bit table, and the
+    place of each target of the int64 array N in it: (bits, at, S), at of
+    the shape of N, with bits[j S + at] the verdict of Ts[j] on a target.
+
+    With W unit classes, each descriptor gets S = L W + 1 bits: bit k W + i
+    says whether the class (k, i) is represented, the descriptor extended
+    along its period 2 up to the deepest target's order L - 1, and a last
+    bit, set, says that N = 0 is.  A target of label (k, i) has place
+    k W + i, and N = 0 place L W."""
+    W = 4 if p == 2 else 2  # unit square classes
+    zeros = np.flatnonzero(N == 0)  # labelled as 1, then given the last bit
+    N1 = N.ravel().copy()
+    N1[zeros] = 1
+    kk, cc = _orders_and_classes(N1, p)
+    # with t = k - len(T), T[k] is the entry min(t, t % 2 - 2) from the end
+    lens = np.array([len(T) for T in Ts])
+    L = max(int(lens.max()), int(kk.max(initial=-1)) + 1)
+    ts = np.arange(L) - lens.reshape(-1, 1)
+    D = np.concatenate(Ts)[np.cumsum(lens).reshape(-1, 1)
+                           + np.minimum(ts, (ts & 1) - 2)]
+    S = L * W + 1
+    bits = np.ones((len(Ts), S), dtype=bool)
+    bits[:, :-1] = (D[:, :, None] >> np.arange(W) & 1).reshape(len(Ts), -1)
+    at = kk * W + cc
+    at[zeros] = L * W
+    return bits.ravel(), at.reshape(N.shape), S
+
+
 def represents_over_zp_many(coeffs: Sequence[int], Ns, p: int) -> np.ndarray:
     """Boolean array: does <a_1,...,a_k> represent N over Z_p, per N in Ns?
-    The lookup of `represents_over_zp` in the same descriptor, with numpy
-    over all targets at once."""
+    The one-key case of `_descriptor_table`: the verdicts are the lattice
+    descriptor's bits at the targets' places."""
     _check_prime(p)
     T = _value_set(p, _lattice_key(coeffs, p))
-    Ns = np.asarray(Ns, dtype=np.int64)
-    out = Ns == 0
-    nonzero = ~out
-    k, c = _orders_and_classes(Ns[nonzero], p)
-    top = len(T) - 2  # T has period 2 from this order on
-    out[nonzero] = T[np.minimum(k, top + (k - top) % 2)] >> c & 1 != 0
-    return out
+    bits, at, _ = _descriptor_table([T], np.asarray(Ns, dtype=np.int64), p)
+    return bits.take(at)
 
 
 def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
@@ -710,15 +735,11 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     (e, i) of an entry is coded as e W + 1 + i, W the number of unit
     classes, and 0 pads a shorter row; a row's sorted codes are its
     lattice key.  Each distinct key is decoded by divmod(code - 1, W) and
-    its `_value_set` read once.  The descriptors are stacked as one bit
-    table with S = L W + 1 bits per key: bit k W + i says whether the
-    class (k, i) is represented, each descriptor extended along its
-    period 2 up to the deepest target's order L - 1, and a last bit, set,
-    says that N = 0 is.  A target of label (k, i) reads place k W + i
-    (place L W for N = 0) in every key, so each row's verdicts are one
-    flat gather from the raveled table, at its targets' places plus
-    S times its key's index.  Raises ValueError when some N does not fit
-    in int64.
+    its `_value_set` read once.  `_descriptor_table` stacks the descriptors
+    as one bit table with S bits per key and gives each target its place,
+    the same in every key, so each row's verdicts are one flat gather from
+    the table, at its targets' places plus S times its key's index.
+    Raises ValueError when some N does not fit in int64.
     """
     from .polygonal import _check_coefficients, constants
 
@@ -751,9 +772,6 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     width = max(map(len, rows))
     padded = chain.from_iterable(row + (0,) * (width - len(row)) for row in rows)
     idx = np.fromiter(map(col.__getitem__, padded), np.intp).reshape(-1, width)
-    zeros = np.flatnonzero(N == 0)  # N = 0 is read as 1 and takes its own bit
-    N1 = N.ravel().copy()
-    N1[zeros] = 1
     for p in prime_divisors(2 * k.c * math.lcm(*vals)):
         e, cls = np.array([_order_and_class(a, p) for a in vals]).T
         if k.c % p == 0:
@@ -778,23 +796,9 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
                            for row in code[need].tolist()])
         label = [divmod(c - 1, W) for c in range(int(code.max()) + 1)]
         Ts = [_value_set(p, tuple([label[c] for c in row if c])) for row in ids]
-        kk, cc = _orders_and_classes(N1, p)
-        # each T extended to the orders k < L along its period 2: with
-        # t = k - len(T), T[k] is the entry min(t, t % 2 - 2) from the end
-        lens = np.array([len(T) for T in Ts])
-        L = max(int(lens.max()), int(kk.max()) + 1)
-        ts = np.arange(L) - lens.reshape(-1, 1)
-        D = np.concatenate(Ts)[np.cumsum(lens).reshape(-1, 1)
-                               + np.minimum(ts, (ts & 1) - 2)]
-        S = L * W + 1
-        bits = np.ones((len(Ts), S), dtype=bool)
-        bits[:, :-1] = (D[:, :, None] >> np.arange(W) & 1).reshape(len(Ts), -1)
-        at = kk * W + cc
-        at[zeros] = L * W
-        at = at.reshape(N.shape)
-        # one flat gather: row i reads bits[key_id[i]] at its targets' places
-        ok[need] &= bits.ravel().take(at[off[need]]
-                                      + (key_id * S).reshape(-1, 1))
+        bits, at, S = _descriptor_table(Ts, N, p)
+        # one flat gather: row i reads descriptor key_id[i] at its targets
+        ok[need] &= bits.take(at[off[need]] + (key_id * S).reshape(-1, 1))
     return ok
 
 

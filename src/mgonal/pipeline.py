@@ -118,13 +118,17 @@ def find_nu(coeffs: Sequence[int], u: int, l: int, also_3: bool = False) -> int:
     (resp. + 3 Z_3 at 3), so representability for every n is equivalent to
     coverage of that class, decided by the fingerprint checks above.  The
     first eight progression members are re-tested directly as a guard.
+    Raises ValueError unless u is prime to 2 (also_3: to 6) and the lattice
+    is 2-stable (also_3: and 3-stable).
     """
     coeffs = tuple(coeffs)
-    assert u % 2 == 1, "u must be odd"
-    assert is_stable(coeffs, 2), "nu-selection needs a 2-stable lattice"
-    if also_3:
-        assert gcd(u, 6) == 1, "u must be prime to 6"
-        assert is_stable(coeffs, 3), "nu-selection mod 12 needs 3-stability"
+    primes = (2, 3) if also_3 else (2,)
+    if any(u % q == 0 for q in primes):
+        raise ValueError(f"u must be prime to {6 if also_3 else 2}, got {u}")
+    for q in primes:
+        if not is_stable(coeffs, q):
+            raise ValueError(f"nu-selection needs a {q}-stable lattice, "
+                             f"got {coeffs}")
     mult = 12 if also_3 else 4
     for nu in range(5 if also_3 else 3):
         w = u * nu + l
@@ -134,9 +138,9 @@ def find_nu(coeffs: Sequence[int], u: int, l: int, also_3: bool = False) -> int:
             continue
         for n in range(8):  # direct spot check of the first members
             val = u * (mult * n + nu) + l
-            assert represents_over_zp(coeffs, val, 2), (nu, n, val)
-            if also_3:
-                assert represents_over_zp(coeffs, val, 3), (nu, n, val)
+            for q in primes:
+                _require(represents_over_zp(coeffs, val, q),
+                         f"nu = {nu} leaves {val} unrepresented over Z_{q}")
         return nu
     raise LemmaViolation(
         f"no nu in 0..{4 if also_3 else 2} covers u={u}, l={l} for {coeffs}"
@@ -222,11 +226,6 @@ def find_v(p: int, u: int, a: Sequence[int], alpha: Sequence[int]) -> int:
             and _order_and_class(x, p)[1] != unit_class
         )
         v = (aprime - A2) * pow(u, -1, p) % p
-
-    # v = 0 would make u v + A2 = A2, which <a1,a2> represents at
-    # (alpha1, alpha2) -- contradicting clause (ii); the targets above are
-    # chosen so this cannot happen.
-    assert v != 0
 
     failures = []
     if not 0 < v < p * p:
@@ -436,24 +435,23 @@ CASES: Dict[int, CaseParams] = {
 # individual bound moves
 
 
-def k_bound(case: CaseParams, t: int, p1: int = 1) -> int:
-    """Closed-form bound p1^2 * S(t) on k = p1^2 (kappa w + nu_1) + v.
+def k_bound(case: CaseParams, t: int) -> int:
+    """The cofactor S(t) of the closed-form bound p1^2 S(t) on
+    k = p1^2 (kappa w + nu_1) + v.
 
     With w < W(t) = (t+3) 2^{t-3}, nu_1 <= nu1_max and 0 <= v < p1^2,
     k < p1^2 (kappa (W-1) + nu1_max + 1) = p1^2 (kappa W + s_shift).
-    Pass p1=1 to get the p1^2 cofactor S(t) itself.
     """
-    W = w_factor(t)
-    S = case.kappa * (W - 1) + case.nu1_max + 1
-    assert S == case.kappa * W + case.s_shift
-    return p1 * p1 * S
+    return case.kappa * w_factor(t) + case.s_shift
 
 
 def bound_a1_two_reps(n: int, kappa: int, nu: int) -> int:
     """a_1 bound when at least two of u in [0, n] have their target value
     represented: two represented values at most kappa n + nu apart force
-    the smallest coefficient under that gap."""
-    assert n >= 1
+    the smallest coefficient under that gap.  Raises ValueError for
+    n < 1."""
+    if n < 1:
+        raise ValueError(f"the two-representations bound needs n >= 1, got {n}")
     return kappa * n + nu
 
 
@@ -492,7 +490,8 @@ def bound_a2_from_eta(
     e = eta(n, s)
     if tight_window:
         window = 2 * N + (n - e)
-        assert window <= n - 1, "shrunk window must actually shrink"
+        _require(window <= n - 1, f"tight window {window} is wider than "
+                                  f"n - 1 = {n - 1}")
     else:
         if e <= 2 * N:
             raise LemmaViolation(f"eta({n},{s}) = {e} <= 2N = {2 * N}")
@@ -567,11 +566,13 @@ def case4_step3_check(c_candidate: int, eta_60_9: int) -> bool:
 
 
 def m_bound_from_c(cls: CongruenceClass, c_bound: int) -> int:
-    """Largest m in the congruence class compatible with c <= c_bound."""
+    """Largest m in the congruence class compatible with c <= c_bound.
+    Raises ValueError when no m >= 3 of the class is."""
     m = cls.invert_c(c_bound)
     while m >= 3 and not cls.contains(m):
         m -= 1
-    assert m >= 3
+    if m < 3:
+        raise ValueError(f"no m >= 3 in class {cls.label} has c <= {c_bound}")
     return m
 
 
@@ -596,10 +597,13 @@ class BoundState:
     m_bounds: Dict[str, int] = field(default_factory=dict)
     log: List[dict] = field(default_factory=list)
 
-    def tighten(self, attr: str, value: int) -> None:
+    def tighten(self, attr: str, value: int, step: str, lemma: str,
+                inputs: dict) -> None:
+        """Lower the bound `attr` to value and log the step."""
         old = getattr(self, attr)
         assert old is None or value <= old, (attr, old, value)
         setattr(self, attr, value)
+        self.record(step, lemma, inputs, value)
 
     def record(self, step: str, lemma: str, inputs: dict, value: int) -> None:
         self.log.append(
@@ -619,19 +623,6 @@ class BoundState:
         }
 
 
-def _set_t(state: BoundState, case: CaseParams, t: int, clause: int, cap) -> None:
-    state.tighten("t_bound", t)
-    state.record(
-        "t",
-        f"product-clause-{clause}",
-        {"clause": clause, "product_cap": cap},
-        t,
-    )
-    cof = k_bound(case, t, 1)
-    state.tighten("k_cofactor", cof)
-    state.record("k", "k-closed-form", {"t": t}, cof)
-
-
 def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState:
     """Run one case's derivation; optionally diff it against a recorded log.
 
@@ -642,17 +633,18 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
     st = BoundState(case_id=case.case_id)
     st.record("hypothesis", "standing-assumption", {"c_min": C_MIN}, C_MIN)
     for op, kw in case.schedule:
-        if op == "open":
-            t = t_bound_step(case, 1, 1, kw["clause"])
-            _set_t(st, case, t, kw["clause"], 1)
-            continue
-
-        if op == "tighten_t":
-            cap = st.a1_bound * st.a2_bound
-            t = t_bound_step(case, st.a1_bound, st.a2_bound, kw["clause"])
-            _require(t < st.t_bound, f"clause {kw['clause']} gives t <= {t}, "
-                                     f"not below t <= {st.t_bound}")
-            _set_t(st, case, t, kw["clause"], cap)
+        if op in ("open", "tighten_t"):
+            # the opening clauses are cubic, with a_1 = a_2 = 1
+            a1, a2 = (1, 1) if op == "open" else (st.a1_bound, st.a2_bound)
+            clause = kw["clause"]
+            t = t_bound_step(case, a1, a2, clause)
+            _require(st.t_bound is None or t < st.t_bound,
+                     f"clause {clause} gives t <= {t}, not below t <= "
+                     f"{st.t_bound}")
+            st.tighten("t_bound", t, "t", f"product-clause-{clause}",
+                       {"clause": clause, "product_cap": a1 * a2})
+            st.tighten("k_cofactor", k_bound(case, t), "k", "k-closed-form",
+                       {"t": t})
             continue
 
         n, s = kw["n"], kw["s"]
@@ -666,24 +658,14 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
             _require(e >= 2, "two-representations argument needs two hits")
             window = n - e + 1  # every length-window slice holds >= 2
             val = bound_a1_two_reps(window, case.kappa, case.nu2_max)
-            st.tighten("a1_bound", val)
-            st.record(
-                "a1",
-                "two-reps",
-                {"n": n, "s": s, "eta": e, "window": window},
-                val,
-            )
+            st.tighten("a1_bound", val, "a1", "two-reps",
+                       {"n": n, "s": s, "eta": e, "window": window})
         elif op == "a1_eta":
             val = bound_a1_from_eta(
                 n, s, 1, case.delta_max, case.kappa, case.nu2_max, C_MIN
             )
-            st.tighten("a1_bound", val)
-            st.record(
-                "a1",
-                "eta-floor",
-                {"n": n, "s": s, "eta": e, "N": 1, "delta": case.delta_max},
-                val,
-            )
+            st.tighten("a1_bound", val, "a1", "eta-floor",
+                       {"n": n, "s": s, "eta": e, "N": 1, "delta": case.delta_max})
         elif op == "a2_eta":
             N = kw["N"]
             tight = kw.get("tight_window", False)
@@ -697,13 +679,8 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
                 C_MIN,
                 tight_window=tight,
             )
-            st.tighten("a2_bound", val)
-            st.record(
-                "a2",
-                "ladder-count" if tight else "ladder",
-                {"n": n, "s": s, "eta": e, "N": N, "delta": case.delta_max},
-                val,
-            )
+            st.tighten("a2_bound", val, "a2", "ladder-count" if tight else "ladder",
+                       {"n": n, "s": s, "eta": e, "N": N, "delta": case.delta_max})
         elif op == "c_eta":
             # a_1 (c + 2) <= delta (kappa (n-1) + nu) with a_1 >= 1 caps c
             # at delta (kappa (n-1) + nu) - 2, separately per delta.

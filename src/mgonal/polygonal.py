@@ -161,8 +161,10 @@ class ShiftedForm:
                    for a, y, al in zip(self.coeffs, ys, self.shifts))
 
     def values_upto(self, bound: int) -> List[int]:
-        """Sorted list of all values <= bound (exhaustive enumeration)."""
-        assert bound >= 0
+        """Sorted list of all values <= bound (exhaustive enumeration).
+        Raises ValueError for a negative bound."""
+        if bound < 0:
+            raise ValueError(f"bound must be >= 0, got {bound}")
         c = self.conductor
         per: List[List[int]] = []
         for a, al in zip(self.coeffs, self.shifts):

@@ -102,10 +102,12 @@ def verify_induction_step(index: int, t_max: int) -> bool:
     """RHS(u+1)/RHS(u) < r_{u+1} for every u in [t0, t_max], exactly.
 
     RHS > 0, so each ratio check is the integer comparison
-    RHS(u+1) < r_{u+1} RHS(u).
+    RHS(u+1) < r_{u+1} RHS(u).  Raises ValueError for t_max < t0.
     """
     spec = CLAUSES[index]
-    assert t_max >= spec.t0
+    if t_max < spec.t0:
+        raise ValueError(f"clause {index}: t_max = {t_max} is below the "
+                         f"threshold t0 = {spec.t0}")
     prev = rhs(index, spec.t0)
     for u in range(spec.t0, t_max):
         nxt = rhs(index, u + 1)

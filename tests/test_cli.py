@@ -200,6 +200,20 @@ def test_localrep_witness_line(capsys):
     assert "witness [" in out and "] mod 2^" in out
 
 
+def test_localrep_refused_witness_box(capsys):
+    # the witness grid at the Hensel exponent, 5^(5*3), is refused, so the
+    # verdict stands alone with the conservative exponent 8
+    code, out, _ = run(capsys, "localrep", "--coeffs", "3,5,7", "--n", "1000",
+                       "--p", "5")
+    assert code == 0
+    assert out.splitlines()[0] == "1000 over Z_5: True"
+    assert "witness" not in out
+    code, out, _ = run(capsys, "localrep", "--coeffs", "3,5,7", "--n", "1000",
+                       "--p", "5", "--format", "json")
+    body = json.loads(out)
+    assert body["modulus_exponent"] == 8 and body["witness"] is None
+
+
 def test_localrep_excluded_class(capsys):
     # x^2 + y^2 + 2 z^2 misses exactly the 4^a (16b + 14) family at 2
     code, out, _ = run(capsys, "localrep", "--coeffs", "1,1,2", "--n", "14",

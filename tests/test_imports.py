@@ -2,8 +2,9 @@
 is used in it, no module keeps a hand-rolled cache, the package keeps
 exactly one lru_cache, only the reference oracles raise ModulusTooLarge,
 every public function has a caller in the package or is named as an
-oracle, a certificate or awaiting a caller, and one check tests primality
-for the package."""
+oracle, a certificate or awaiting a caller, one check tests primality
+for the package, and every assert left is named as an internal
+invariant."""
 
 import argparse
 import ast
@@ -237,3 +238,54 @@ def test_prime_referrer_is_reported():
               "ODD = list(filter(is_prime, range(3, 9, 2)))\n")
     assert _referrers(source, "lib", "is_prime") == [
         "lib.check", "lib.Seq", "lib.<module>"]
+
+
+def _asserts(source: str, module: str):
+    """`module.function` (`module.Class.method`) of the innermost function
+    or class holding each assert statement, once per assert."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            if isinstance(child, ast.Assert):
+                found.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+# The asserts left in the package, each an internal invariant: it holds
+# for every input the function accepts, so python -O may drop it.  A check
+# of an input raises ValueError and a proof step's check LemmaViolation.
+INVARIANTS = [
+    "localrep.represents_over_zp",  # a complete search finds a witness
+    "numth.multiplicative_order",
+    "pipeline.BoundState.tighten",
+    "pipeline.CaseParams.__post_init__", "pipeline.CaseParams.__post_init__",
+    "pipeline.CongruenceClass.__post_init__",  # the fixed case table
+    "polygonal.constants", "polygonal.constants", "polygonal.form_to_shifted",
+    "polygonal.polygonal_number",
+    "prodineq.check_implications", "prodineq.rhs",
+    "regcheck.represents_globally",  # the witness takes the value
+    *["regcheck.first_sense_examples"] * 5,  # the worked example's facts
+    "watson.WatsonStep.__post_init__", "watson.WatsonStep.__post_init__",
+    "watson._norm_shift", "watson.coset_watson_step", "watson.stabilize",
+]
+
+
+def test_every_assert_is_a_named_invariant():
+    found = [name for path in MODULES
+             for name in _asserts(path.read_text(), path.stem)]
+    assert sorted(found) == sorted(INVARIANTS)
+
+
+def test_assert_is_reported():
+    source = ("def f(n):\n    assert n\n    def g():\n        assert n\n\n"
+              "class A:\n    def m(self):\n        if self:\n"
+              "            assert self, 'x'\n\nassert f\n")
+    assert _asserts(source, "lib") == ["lib.f", "lib.f.g", "lib.A.m", "lib"]

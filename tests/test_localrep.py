@@ -828,6 +828,44 @@ def _enumerated_residues(g, mod):
     return want
 
 
+def test_represents_over_zp_many_edge_inputs():
+    """The shared table reader gives the scalar verdicts, in the targets'
+    shape, on an empty target list, all-zero targets and a 2-D target
+    array, at primes on both sides of the residue-table limit 2^12."""
+    seen = set()
+    for p in (2, 3, 4093, 4099, 65537):
+        for coeffs in ((1, 1, 1), (1, 2, p), (3, 5, p ** 3)):
+            assert represents_over_zp_many(coeffs, [], p).shape == (0,)
+            assert represents_over_zp_many(coeffs, [0] * 3, p).tolist() == [True] * 3
+            Ns = np.concatenate([np.arange(-30, 30), p * np.arange(-30, 30),
+                                 p ** 3 * np.arange(1, 13)]).reshape(-1, 4)
+            want = [[bool(represents_over_zp(coeffs, int(n), p)) for n in row]
+                    for row in Ns]
+            assert represents_over_zp_many(coeffs, Ns, p).tolist() == want
+            seen |= {v for row in want for v in row}
+    assert seen == {True, False}
+
+
+def test_witness_is_searched_once_at_the_hensel_exponent(monkeypatch):
+    """want_witness runs one grid search, at hensel_exponent: a witness
+    found there solves Q(x) = n mod p^K, and a refused box leaves no
+    witness and the conservative exponent (a larger box would be refused
+    as well)."""
+    import mgonal.localrep as localrep
+
+    search, sizes = localrep.represents_mod_search, []
+    monkeypatch.setattr(localrep, "represents_mod_search",
+                        lambda *args: sizes.append(args[3]) or search(*args))
+    v = represents_over_zp((1, 1, 2), 6, 2, want_witness=True)
+    assert sizes == [hensel_exponent((1, 1, 2), 6, 2)] == [v.modulus_exponent]
+    assert sum(a * x * x for a, x in zip((1, 1, 2), v.witness)) % 2 ** sizes[0] == 6
+    sizes.clear()
+    v = represents_over_zp((3, 5, 7), 1000, 5, want_witness=True)
+    assert v.represented and v.witness is None
+    assert sizes == [hensel_exponent((3, 5, 7), 1000, 5)] == [5]
+    assert v.modulus_exponent == conservative_exponent((3, 5, 7), 1000, 5) == 8
+
+
 def test_shifted_residue_tables_match_enumeration():
     """At p | c the verdict at every residue mod the Hensel modulus
     p^(2 ord_p(2c) + 1) (up to 10^4 entries) equals the set of values of

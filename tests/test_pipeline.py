@@ -66,8 +66,39 @@ def test_find_nu_mod_twelve():
 
 
 def test_find_nu_rejects_unstable():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="2-stable"):
         find_nu((1, 4, 16), u=1, l=0)  # unimodular rank 1 at 2
+
+
+def test_lemma_and_bound_helpers_raise_under_optimize():
+    """An even u, a lattice that is not 2-stable, a c bound below every m of
+    the class and a window n < 1 raise ValueError, and a tight window that
+    does not shrink raises LemmaViolation, also when asserts are stripped
+    (under -O they used to return 1, 1, 2, 0 and 30)."""
+    script = (
+        "from mgonal.pipeline import *\n"
+        "for call in (lambda: find_nu((1, 1, 1), 2, 0),\n"
+        "             lambda: find_nu((1, 1, 4), 1, 0),\n"
+        "             lambda: find_nu((1, 1, 1), 3, 0, also_3=True),\n"
+        "             lambda: m_bound_from_c(CongruenceClass('odd', True, 4), 0),\n"
+        "             lambda: bound_a1_two_reps(0, 1, 0),\n"
+        "             lambda: bound_a2_from_eta(5, 1, 3, 1, 4, 2, 36,\n"
+        "                                       tight_window=True)):\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except (ValueError, LemmaViolation) as exc:\n"
+        "        print(type(exc).__name__ + ':', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError: u must be prime to 2, got 2",
+        "ValueError: nu-selection needs a 2-stable lattice, got (1, 1, 4)",
+        "ValueError: u must be prime to 6, got 3",
+        "ValueError: no m >= 3 in class odd,2mod3 has c <= 0",
+        "ValueError: the two-representations bound needs n >= 1, got 0",
+        "LemmaViolation: tight window 7 is wider than n - 1 = 4"]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +220,6 @@ def test_k_bound_cofactors():
     assert k_bound(CASES[4], 19) == 17301497
     assert k_bound(CASES[1], 6) == 72
     assert k_bound(CASES[1], 4) == 14
-    assert k_bound(CASES[2], 17, p1=5) == 25 * 983039
 
 
 def test_bound_a1_formulas():

@@ -2,6 +2,8 @@
 translation into shifted diagonal forms."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -133,3 +135,17 @@ def test_mgonal_value_membership(m, n):
     }
     if n in reachable:
         assert shifted_target(f, n) in g.values_upto(shifted_target(f, n))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_values_upto_rejects_a_negative_bound(flags):
+    """A negative bound raises ValueError, as `represented_set` does, also
+    when asserts are stripped (under -O it used to return [])."""
+    script = ("from mgonal.polygonal import ShiftedForm\n"
+              "g = ShiftedForm(conductor=1, coeffs=(1, 1, 1), shifts=(0, 0, 0))\n"
+              "try:\n    print(g.values_upto(-1))\n"
+              "except ValueError as exc:\n    print(exc)\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "bound must be >= 0, got -1\n"

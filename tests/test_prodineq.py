@@ -1,6 +1,8 @@
 """Exact-arithmetic checks of the thirteen prime-product inequalities."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -118,3 +120,16 @@ def test_rejects_empty_product():
 def test_prime_table_agrees_with_sympy():
     assert [RS.r(i) for i in range(1, 30)] == [sympy.prime(i + 2)
                                                for i in range(1, 30)]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_induction_step_rejects_t_max_below_threshold(flags):
+    """t_max < t0 raises ValueError, also when asserts are stripped (under
+    -O it used to return True)."""
+    script = ("from mgonal.prodineq import verify_induction_step\n"
+              "try:\n    print(verify_induction_step(1, 3))\n"
+              "except ValueError as exc:\n    print(exc)\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "clause 1: t_max = 3 is below the threshold t0 = 16\n"
