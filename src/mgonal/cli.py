@@ -35,14 +35,17 @@ from .watson import coset_watson_step, stabilize
 # itself has no limit on p.
 _P_LIMIT = 2 ** 22
 
+# The directory of the golden files, resolved once (a path, not contents).
+_DATA = resources.files("mgonal") / "data"
+
 
 class VerificationFailure(Exception):
     """Computed values disagree with a golden file."""
 
 
 def _golden(name: str):
-    path = resources.files("mgonal").joinpath(f"data/{name}")
-    return json.loads(path.read_text())
+    """The parsed golden file `name`, read afresh on every call."""
+    return json.loads(_DATA.joinpath(name).read_text())
 
 
 def _canonical(obj) -> str:

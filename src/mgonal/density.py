@@ -15,6 +15,15 @@ base-p digits, and eta(n, s) aggregates the worst s primes >= 5:
 i.e. a guaranteed count of represented values in any window of length n of
 an arithmetic progression, no matter which s primes act as obstructions.
 
+Only few primes can rank among the s largest psi_p(n).  Once p^2 > n, n has
+at most two base-p digits, n = q p + b, and psi_p(p) = 1, so
+psi_p(n) = q + [b != 0] = ceil(n / p), which never increases with p.  So the
+s largest values lie among the primes p <= sqrt(n) and the first s primes
+above sqrt(n).  eta and psi_values_desc evaluate psi at just those, by its
+digits below sqrt(n) and as ceil(n / p) above: O(pi(sqrt n) + s)
+evaluations instead of pi(n).  The primes p > n (psi_p(n) = 1) are counted,
+not listed.
+
 Both bounds are integers, so everything here is computed in exact integer
 arithmetic.  Proof: p is odd, so p - 1 is even and p^2 - 1 = (p - 1)(p + 1)
 is a multiple of 2(p + 1) = 2p + 2, i.e. p^2 = 1 (mod 2p + 2).  Hence
@@ -25,12 +34,13 @@ and integers.
 """
 
 import math
+from itertools import islice
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .localrep import is_stable, represents_over_zp_many
-from .numth import RS, _check_prime
+from .numth import _check_prime, primes
 
 
 def _prime_power_bound(p: int, s: int) -> int:
@@ -71,9 +81,24 @@ def _psi(p: int, n: int) -> int:
     return total
 
 
-def _psi_desc(n: int) -> List[int]:
-    """psi_p(n) for every prime 5 <= p <= n, largest first."""
-    return sorted((_psi(p, n) for p in RS.upto(n)), reverse=True)
+def _psi_top(n: int, count: int) -> List[int]:
+    """The largest psi_p(n) over primes 5 <= p <= n, largest first, at most
+    `count` of them: psi is evaluated at the primes p <= sqrt(n) by its
+    digits and at the first `count` primes sqrt(n) < p <= n as ceil(n / p)
+    (module docstring)."""
+    vals, above = [], 0
+    for p in islice(primes(), 2, None):
+        if p > n:
+            break
+        if p * p <= n:
+            vals.append(_psi(p, n))
+        elif above < count:
+            vals.append(-(-n // p))
+            above += 1
+        else:
+            break
+    vals.sort(reverse=True)
+    return vals[:count]
 
 
 def psi_values_desc(n: int, count: int) -> List[int]:
@@ -85,7 +110,7 @@ def psi_values_desc(n: int, count: int) -> List[int]:
     """
     if n < 1 or count < 1:
         raise ValueError(f"need n >= 1 and count >= 1, got n = {n}, count = {count}")
-    vals = _psi_desc(n)[:count]
+    vals = _psi_top(n, count)
     return vals + [1] * (count - len(vals))
 
 
@@ -95,13 +120,16 @@ def eta(n: int, s: int) -> int:
     Minimizing n - sum_{p in P'} psi_p(n) over all s-element prime sets P'
     is the same as picking the s largest psi values (the sum is separable);
     the tests re-check this against literal subset enumeration on small
-    inputs.  Each of the s - #{5 <= p <= n} primes beyond n contributes
-    psi = 1, so the cost does not grow with s.
+    inputs.  For p^2 > n, psi_p(n) = ceil(n / p) is non-increasing in p, so
+    only the primes p <= sqrt(n) and the first s primes above sqrt(n) are
+    evaluated: O(pi(sqrt n) + s) values, and at most pi(n) however large s
+    is.  Each of the s - #{5 <= p <= n} primes beyond n contributes psi = 1
+    and is counted, not listed.
     """
     if n < 1 or s < 1:
         raise ValueError(f"need n >= 1 and s >= 1, got n = {n}, s = {s}")
-    vals = _psi_desc(n)
-    return n - sum(vals[:s]) - max(0, s - len(vals))
+    vals = _psi_top(n, s)
+    return n - sum(vals) - (s - len(vals))
 
 
 def exception_count_check(p: int, s: int, coeffs: Sequence[int], u: int,

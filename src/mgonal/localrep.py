@@ -131,12 +131,19 @@ def _order_and_class(a: int, p: int) -> Tuple[int, int]:
     """The label (ord_p a, i) of a nonzero integer a at a prime p: i indexes
     the square class of the unit part u = a / p^ord_p(a), with u = 2 i + 1
     (mod 8) at p = 2; at odd p, 0 for a square and 1 for a nonsquare
-    (Euler's criterion, so (u | p) = (-1)^i)."""
-    e = ord_p(a, p)
-    u = a // p ** e
+    (Euler's criterion, so (u | p) = (-1)^i).  At 2 the order is the
+    position of the lowest set bit of a; at odd p, a is divided in place.
+    Raises `ord_p`'s ValueError for a = 0 and for p < 2."""
+    if p < 2 or not a:
+        ord_p(a, p)  # raises
     if p == 2:
-        return e, u % 8 >> 1
-    return e, int(pow(u, (p - 1) // 2, p) != 1)
+        e = (a & -a).bit_length() - 1
+        return e, (a >> e) % 8 >> 1
+    e = 0
+    while a % p == 0:
+        a //= p
+        e += 1
+    return e, int(pow(a, (p - 1) // 2, p) != 1)
 
 
 def _lattice_key(coeffs: Sequence[int], p: int) -> Tuple:

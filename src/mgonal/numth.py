@@ -76,15 +76,6 @@ class PrimeSeq:
             _extend_primes()
         return _PRIMES[i + 1]  # skip 2 and 3
 
-    def upto(self, bound: int) -> List[int]:
-        """All primes p with 5 <= p <= bound."""
-        out = []
-        for p in primes():
-            if p > bound:
-                return out
-            if p >= 5:
-                out.append(p)
-
 
 RS = PrimeSeq()
 

@@ -291,7 +291,9 @@ class CongruenceClass:
     delta: int
 
     def __post_init__(self):
-        assert (self.tag, self.delta) in {("odd", 4), ("2mod4", 2), ("0mod4", 1)}
+        if (self.tag, self.delta) not in {("odd", 4), ("2mod4", 2), ("0mod4", 1)}:
+            raise ValueError(f"delta is 4, 2, 1 for the classes odd, 2mod4, "
+                             f"0mod4, got {self.tag!r} with delta {self.delta}")
 
     @property
     def label(self) -> str:
@@ -324,8 +326,9 @@ class CaseParams:
     schedule: Tuple[Tuple[str, dict], ...]
 
     def __post_init__(self):
-        assert self.case_id in (1, 2, 3, 4)
-        assert self.kappa in (1, 3, 4, 12)
+        if self.case_id not in (1, 2, 3, 4) or self.kappa not in (1, 3, 4, 12):
+            raise ValueError(f"need case 1..4 and kappa in (1, 3, 4, 12), got "
+                             f"case {self.case_id}, kappa {self.kappa}")
 
     @property
     def nu1_max(self) -> int:

@@ -122,14 +122,17 @@ def certify_all_t(index: int) -> Tuple[Fraction, int, bool]:
 
     Returns (ratio bound, r_{t0+1}, bound < r_{t0+1}); see the module
     docstring for why the bound dominates RHS(u+1)/RHS(u) for all u >= t0.
+    With rho(t0) = hi / lo, hi = 2(t0 + 4), lo = t0 + 3, the bound is
+    (num / den)^k for the integers num = hi core0 - b (hi - lo) and
+    den = lo core0, so the check is num^k < r_{t0+1} den^k.
     """
     spec = CLAUSES[index]
-    rho = Fraction(2 * (spec.t0 + 4), spec.t0 + 3)
+    hi, lo = 2 * (spec.t0 + 4), spec.t0 + 3
     core0 = spec.a * w_factor(spec.t0) + spec.b
-    factor = rho * (1 + Fraction(-spec.b) * (1 - 1 / rho) / core0)
-    bound = factor ** spec.k
+    num, den = hi * core0 - spec.b * (hi - lo), lo * core0
     r_next = RS.r(spec.t0 + 1)
-    return bound, r_next, bound < r_next
+    return (Fraction(num, den) ** spec.k, r_next,
+            num ** spec.k < r_next * den ** spec.k)
 
 
 def min_slack(index: int, t_hi: int) -> Fraction:

@@ -59,8 +59,11 @@ class WatsonStep:
     j: int
 
     def __post_init__(self):
-        assert self.s in (1, 2)
-        assert self.q == self.p or (self.q == 4 and self.p == 2)
+        if self.s not in (1, 2):
+            raise ValueError(f"need s in (1, 2), got s = {self.s}")
+        if self.q != self.p and (self.q, self.p) != (4, 2):
+            raise ValueError(f"need q = p, or q = 4 at p = 2, got p = {self.p}, "
+                             f"q = {self.q}")
 
 
 def _check_primitive_ternary(coeffs) -> None:

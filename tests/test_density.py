@@ -11,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from mgonal import density
 from mgonal.density import (
     eta,
     exception_count_check,
@@ -89,6 +90,43 @@ def test_eta_pads_primes_beyond_n_without_listing_them():
     # psi = 1 for each of the s - 1 primes past the single prime 5 <= 5;
     # a padding list of 10^12 entries would not fit in memory
     assert eta(5, 10**12) == 5 - 10**12
+
+
+def _psi_all_desc(n):
+    """psi_p(n) over every prime 5 <= p <= n, largest first."""
+    return sorted((psi(p, n) for p in sympy.primerange(5, n + 1)), reverse=True)
+
+
+def test_eta_and_top_psi_values_match_full_enumeration():
+    """eta and psi_values_desc read psi only at the primes <= sqrt(n) and
+    the first s above; against psi at every prime 5 <= p <= n, padded with
+    1s, for every n <= 3000 and at n = p^2, p^2 +- 1 up to p = 113."""
+    squares = [q * q + d for q in sympy.primerange(5, 114) for d in (-1, 0, 1)]
+    for n in [*range(1, 3001), *squares]:
+        full = _psi_all_desc(n)
+        for s in [*range(1, 17), 10 ** 6]:
+            top = full[:s]
+            assert eta(n, s) == n - sum(top) - (s - len(top)), (n, s)
+        for count in (1, 8, 40):
+            want = full[:count] + [1] * (count - len(full[:count]))
+            assert psi_values_desc(n, count) == want, (n, count)
+
+
+def test_eta_evaluates_psi_at_the_primes_that_can_rank(monkeypatch):
+    """eta(10^6, 13) reads psi at most pi(1000) + 13 primes >= 5, by digits
+    or as ceil(n / p), not at the 78,496 primes 5 <= p <= 10^6."""
+    drawn = []
+    inner = density.primes
+
+    def counted():
+        for p in inner():
+            if p >= 5:
+                drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(density, "primes", counted)
+    eta(10 ** 6, 13)
+    assert len(drawn) <= sympy.primepi(1000) + 13
 
 
 @given(st.integers(min_value=20, max_value=200),

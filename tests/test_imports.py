@@ -266,14 +266,11 @@ INVARIANTS = [
     "localrep.represents_over_zp",  # a complete search finds a witness
     "numth.multiplicative_order",
     "pipeline.BoundState.tighten",
-    "pipeline.CaseParams.__post_init__", "pipeline.CaseParams.__post_init__",
-    "pipeline.CongruenceClass.__post_init__",  # the fixed case table
     "polygonal.constants", "polygonal.constants", "polygonal.form_to_shifted",
     "polygonal.polygonal_number",
     "prodineq.check_implications", "prodineq.rhs",
     "regcheck.represents_globally",  # the witness takes the value
     *["regcheck.first_sense_examples"] * 5,  # the worked example's facts
-    "watson.WatsonStep.__post_init__", "watson.WatsonStep.__post_init__",
     "watson._norm_shift", "watson.coset_watson_step", "watson.stabilize",
 ]
 

@@ -84,6 +84,44 @@ def test_order_and_class_matches_sympy(u, k, p):
     assert (int(ks[0]), int(cs[0])) == (e, i)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 709, 4194301])  # 2^22 - 3
+def test_order_and_class_matches_a_reference_beyond_int64(p):
+    """The label of a = +-p^k u against ord_p, then u mod 8 at 2 and
+    Euler's criterion at odd p, for every |a| <= 2^200: small units of
+    both classes and large ones, at every order k that fits."""
+    def reference(a):
+        e = ord_p(a, p)
+        u = a // p ** e
+        if p == 2:
+            return e, u % 8 >> 1
+        return e, int(pow(u, (p - 1) // 2, p) != 1)
+
+    units = [u for u in range(1, 40) if u % p][:16]
+    units += [u for u in (2 ** 64 + 1, 3 ** 90 + 2, 10 ** 50 + 7, 2 ** 200 - 1)
+              if u % p]
+    entries = [sign * p ** k * u for u in units for sign in (1, -1)
+               for k in range(201) if p ** k * u <= 2 ** 200]
+    assert max(entries) > 2 ** 199 and min(entries) < -2 ** 199
+    assert [_order_and_class(a, p) for a in entries] == list(map(reference, entries))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_order_and_class_rejects_zero_and_p_below_two(flags):
+    """a = 0 and p in {0, 1} raise ord_p's ValueError, also when asserts
+    are stripped; the timeout turns a hang at p = 1 into a failure."""
+    script = ("from mgonal.localrep import _order_and_class\n"
+              "for a, p in [(0, 2), (0, 3), (12, 0), (12, 1), (-7, 1), (0, 1)]:\n"
+              "    try:\n        print(_order_and_class(a, p))\n"
+              "    except ValueError as exc:\n        print(exc)\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ord_p(0) is infinite", "ord_p(0) is infinite",
+        "ord_p needs p >= 2, got 0", "ord_p needs p >= 2, got 1",
+        "ord_p needs p >= 2, got 1", "ord_p needs p >= 2, got 1"]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 61, 4093,  # residue table
                                4099, 65537, 4294967311])  # Euler
 def test_orders_and_classes_match_the_scalar_label(p):

@@ -101,6 +101,29 @@ def test_lemma_and_bound_helpers_raise_under_optimize():
         "LemmaViolation: tight window 7 is wider than n - 1 = 4"]
 
 
+def test_case_records_reject_bad_fields_under_optimize():
+    """A congruence class with the wrong delta and a descent step at p = 3
+    with q = s = 3 raise ValueError, also when asserts are stripped (under
+    -O the class used to be built, and m_bound_from_c of it returned 65)."""
+    script = (
+        "from mgonal.pipeline import CongruenceClass\n"
+        "from mgonal.watson import WatsonStep\n"
+        "for call in (lambda: CongruenceClass('odd', True, 3),\n"
+        "             lambda: WatsonStep(p=3, q=3, s=3, j=1)):\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError: delta is 4, 2, 1 for the classes odd, 2mod4, 0mod4, "
+        "got 'odd' with delta 3",
+        "ValueError: need s in (1, 2), got s = 3"]
+
+
 # ---------------------------------------------------------------------------
 # v construction
 

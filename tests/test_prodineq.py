@@ -90,6 +90,18 @@ def test_single_certificate_covers_all_t():
             assert Fraction(rhs(index, u + 1), rhs(index, u)) <= bound
 
 
+def test_certificate_matches_the_fraction_formula():
+    """The integer certificate returns the bound of the module docstring,
+    rho (1 + (-b)(1 - 1/rho) / (a W(t0) + b)) to the k, computed here as a
+    chain of Fractions, and the same verdict."""
+    for index, spec in CLAUSES.items():
+        rho = Fraction(2 * (spec.t0 + 4), spec.t0 + 3)
+        core0 = spec.a * (spec.t0 + 3) * 2 ** (spec.t0 - 3) + spec.b
+        bound = (rho * (1 + Fraction(-spec.b) * (1 - 1 / rho) / core0)) ** spec.k
+        r_next = sympy.prime(spec.t0 + 3)
+        assert certify_all_t(index) == (bound, r_next, bound < r_next), index
+
+
 def test_min_slack_exceeds_one():
     for index in CLAUSES:
         assert min_slack(index, CLAUSES[index].t0 + 10) > 1
