@@ -174,7 +174,9 @@ def _cmd_ineq(args) -> int:
         (rec,) = [r for r in _golden("ineq_base.json")["base_cases"]
                   if r["clause"] == idx]
         t0 = rec["t0"]
-        lhs, rhs, holds = verify_inequality(idx, t0)
+        # the printed rows already hold the golden t0 unless --t moved them
+        row = next((r for r in rows if r[1] == t0), None)
+        lhs, rhs, holds = row[2:] if row else verify_inequality(idx, t0)
         diffs = []
         if t0 != spec.t0 or lhs != rec["lhs"] or rhs != rec["rhs"] or not holds:
             diffs.append(

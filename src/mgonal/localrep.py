@@ -47,6 +47,14 @@ of a diagonal lattice at p in the package: `is_stable` and
 `stable_value_set_check` read it too, and the tests hold the latter
 against the descriptor.
 
+A scalar query is one private helper, `_verdict`, which both
+`represents_over_zp` and `shifted_represents_over_zp` (at p not dividing
+c) call: one pass over the entries gives their labels, the key and the sum
+of their orders (`_key_and_depth`; the sum gives the conservative
+exponent), and the verdict is the label of n and one `item` lookup in the
+cached descriptor, a Python int.  It builds no verdict object;
+`represents_over_zp` wraps its pair in a `LocalVerdict`.
+
 Scans ask the same question for many targets at once: `_descriptor_table`
 makes the verdicts of an array of targets one numpy gather from the
 descriptors, without a Python call per target.
@@ -87,9 +95,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from operator import index, mul
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,13 +114,14 @@ class ModulusTooLarge(Exception):
 # --------------------------------------------------------------------------
 # verdicts
 
-@dataclass(frozen=True)
-class LocalVerdict:
+class LocalVerdict(NamedTuple):
     """Outcome of a local representation query at p.
 
     When `represented` and a feasible search box exists, `witness` is a
     solution vector mod p^modulus_exponent passing the lifting criterion;
     otherwise witness is None (the verdict itself is exact either way).
+    A named tuple (immutable, equal to a verdict with equal fields, cheap
+    to build); bool() reads `represented`.
     """
 
     p: int
@@ -146,12 +155,35 @@ def _order_and_class(a: int, p: int) -> Tuple[int, int]:
     return e, int(pow(a, (p - 1) // 2, p) != 1)
 
 
-def _lattice_key(coeffs: Sequence[int], p: int) -> Tuple:
-    """The sorted labels (`_order_and_class`) of the entries."""
+def _key_and_depth(coeffs: Sequence[int], p: int) -> Tuple[Tuple, int]:
+    """The lattice key of the entries (their sorted labels,
+    `_order_and_class`) and the sum of their orders, read in one pass over
+    the entries, each taken through `operator.index` (a numpy integer
+    becomes a Python int).  At p = 2 the labels come from the same bit
+    arithmetic as `_order_and_class`, written inline.  Raises ValueError
+    on an empty sequence or a zero entry."""
     if not coeffs or 0 in coeffs:
         raise ValueError(f"coefficients must be a nonempty list of nonzero "
                          f"integers, got {tuple(coeffs)}")
-    return tuple(sorted(_order_and_class(a, p) for a in coeffs))
+    labels, depth = [], 0
+    if p == 2:
+        for a in coeffs:
+            a = index(a)
+            e = (a & -a).bit_length() - 1
+            labels.append((e, (a >> e) % 8 >> 1))
+            depth += e
+    else:
+        for a in coeffs:
+            label = _order_and_class(index(a), p)
+            labels.append(label)
+            depth += label[0]
+    labels.sort()
+    return tuple(labels), depth
+
+
+def _lattice_key(coeffs: Sequence[int], p: int) -> Tuple:
+    """The sorted labels (`_order_and_class`) of the entries."""
+    return _key_and_depth(coeffs, p)[0]
 
 
 def _stable_pair(i1: int, i2: int, p: int) -> bool:
@@ -413,39 +445,45 @@ def conservative_exponent(coeffs: Sequence[int], n: int, p: int) -> int:
     return wn + 2 * ord_p(prod, p) + 3
 
 
+def _verdict(coeffs: Sequence[int], n: int, p: int) -> Tuple[bool, int]:
+    """(represented, conservative_exponent) for n and the entries at a
+    prime p that the caller has checked: the labels, the key and the sum
+    of the orders come from one pass (`_key_and_depth`), and the verdict
+    is the label of n and one lookup in the key's descriptor."""
+    key, depth = _key_and_depth(coeffs, p)
+    K = 2 * (depth + (p == 2)) + 3  # conservative_exponent at ord_p n = 0
+    if not n:
+        return True, K
+    wn, c = _order_and_class(n, p)
+    T = _value_set(p, key)
+    top = len(T) - 2  # T has period 2 from this order on
+    return T.item(min(wn, top + (wn - top) % 2)) >> c & 1 == 1, wn + K
+
+
 def represents_over_zp(coeffs: Sequence[int], n: int, p: int,
                        want_witness: bool = False) -> LocalVerdict:
     """Does <a_1,...,a_k> represent n over Z_p?  Exact verdict.
 
     `coeffs` is the sequence of nonzero entries a_i (negative entries
-    allowed; Z_p has no signs).  The witness, when requested and the search
-    box is feasible, is a vector mod p^hensel_exponent passing the lifting
-    criterion (one `represents_mod_search`, complete there; a larger
-    exponent only widens a refused box); else the exponent is conservative.
+    allowed; Z_p has no signs); numpy integers are accepted throughout.
+    The witness, when requested and the search box is feasible, is a vector
+    mod p^hensel_exponent passing the lifting criterion (one
+    `represents_mod_search`, complete there; a larger exponent only widens
+    a refused box); else the exponent is conservative.
     """
+    n, p = index(n), index(p)
     _check_prime(p)
     coeffs = tuple(coeffs)
-    key = _lattice_key(coeffs, p)
-    rep, wn = True, 0
-    if n:
-        wn, c = _order_and_class(n, p)
-        T = _value_set(p, key)
-        top = len(T) - 2  # T has period 2 from this order on
-        rep = bool(T[min(wn, top + (wn - top) % 2)] >> c & 1)
-    witness = None
-    # conservative_exponent, read from the key's orders
-    K = wn + 2 * (sum(e for e, _ in key) + (p == 2)) + 3
-    if rep and want_witness:
-        try:
-            found = represents_mod_search(coeffs, n, p,
-                                          hensel_exponent(coeffs, n, p))
-        except ModulusTooLarge:
-            pass
-        else:
-            assert found.witness is not None, "search complete yet witnessless"
-            witness, K = found.witness, found.modulus_exponent
-    return LocalVerdict(p=p, represented=rep, witness=witness,
-                        modulus_exponent=K)
+    rep, K = _verdict(coeffs, n, p)
+    if not (rep and want_witness):
+        return LocalVerdict(p, rep, None, K)
+    try:
+        found = represents_mod_search(coeffs, n, p,
+                                      hensel_exponent(coeffs, n, p))
+    except ModulusTooLarge:
+        return LocalVerdict(p, rep, None, K)
+    assert found.witness is not None, "search complete yet witnessless"
+    return found
 
 
 def represents_mod_search(coeffs: Sequence[int], n: int, p: int,
@@ -535,7 +573,7 @@ def is_stable(coeffs: Sequence[int], p: int) -> bool:
     the r0 = 2 condition from them.
     Raises ValueError unless the rank is 3 and p is a prime.
     """
-    coeffs = tuple(coeffs)
+    coeffs, p = tuple(coeffs), index(p)
     if len(coeffs) != 3:
         raise ValueError(f"stability is defined for ternary lattices, got {coeffs}")
     _check_prime(p)
@@ -570,7 +608,7 @@ def stable_value_set_check(coeffs: Sequence[int], p: int, gamma: int) -> bool:
     at p = 2, eps = 3 (2 i1 + 1)(2 i2 + 1)(2 i3 + 1) mod 8.
     Raises ValueError on a lattice that is not p-stable.
     """
-    coeffs = tuple(coeffs)
+    coeffs, p, gamma = tuple(coeffs), index(p), index(gamma)
     if not is_stable(coeffs, p):
         raise ValueError(f"{p}-stable lattices only, got {coeffs}")
     if gamma == 0:
@@ -596,6 +634,7 @@ def hilbert_symbol(a: int, b: int, p: int) -> int:
     [i in {1, 2}] (mod 2), as u = 2 i + 1 (mod 8); at odd p,
     (u | p) = (-1)^i.  Raises ValueError for a zero argument or a non-prime
     p."""
+    a, b, p = index(a), index(b), index(p)
     if a == 0 or b == 0:
         raise ValueError(f"the Hilbert symbol needs nonzero a, b, got {a}, {b}")
     _check_prime(p)
@@ -658,23 +697,34 @@ def _shifted_congruence(g, p: int) -> Tuple[int, int]:
     e = `progression_exponent(c, p)`, and coordinate i sweeps
     a_i alpha_i^2 + p^(e + ord_p a_i) Z_p.  The sum of these balls is
     base + p^(e + min ord_p a_i) Z_p with base = sum a_i alpha_i^2.
+
+    The caller has checked p, so mod is built by dividing in place: p^e
+    from c as in `progression_exponent`, then p^(min ord_p a_i) from
+    gcd(a_i), whose order at p is the least of theirs (the entries of a
+    `ShiftedForm` are positive, so the gcd is nonzero).
     """
-    mod = p ** (progression_exponent(g.conductor, p)
-                + min(ord_p(a, p) for a in g.coeffs))
-    base = sum(a * al * al for a, al in zip(g.coeffs, g.shifts)) % mod
-    return mod, base
+    c, a, mod = g.conductor // p, math.gcd(*g.coeffs), p
+    while c % p == 0:
+        c, mod = c // p, mod * p
+    if p == 2:  # e = ord_2 c + 2 when c = 2 (mod 4), else ord_2 c + 1
+        mod <<= 2 if mod == 2 else 1
+    while a % p == 0:
+        a, mod = a // p, mod * p
+    return mod, sum(map(mul, g.coeffs, map(mul, g.shifts, g.shifts))) % mod
 
 
 def shifted_represents_over_zp(g, N: int, p: int) -> bool:
     """Does sum a_i (c x_i + alpha_i)^2 = N have a solution over Z_p?
 
     For p not dividing c the substitution z = c x + alpha is a bijection of
-    Z_p, so this delegates to the plain lattice engine; for p | c the
+    Z_p, so this is the plain lattice verdict (`_verdict`); for p | c the
     congruence constraint is kept and decided by `_shifted_congruence`.
+    Raises ValueError unless p is a prime, whether or not it divides c.
     """
-    if g.conductor % p != 0:
-        return represents_over_zp(g.coeffs, N, p).represented
+    N, p = index(N), index(p)
     _check_prime(p)
+    if g.conductor % p:
+        return _verdict(g.coeffs, N, p)[0]
     mod, base = _shifted_congruence(g, p)
     return (N - base) % mod == 0
 
@@ -716,8 +766,9 @@ def represents_over_zp_many(coeffs: Sequence[int], Ns, p: int) -> np.ndarray:
     """Boolean array: does <a_1,...,a_k> represent N over Z_p, per N in Ns?
     The one-key case of `_descriptor_table`: the verdicts are the lattice
     descriptor's bits at the targets' places."""
+    p = index(p)
     _check_prime(p)
-    T = _value_set(p, _lattice_key(coeffs, p))
+    T = _value_set(p, _lattice_key(tuple(coeffs), p))
     bits, at, _ = _descriptor_table([T], np.asarray(Ns, dtype=np.int64), p)
     return bits.take(at)
 

@@ -122,16 +122,17 @@ class ShiftedForm:
     shifts: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.conductor < 1:
-            raise ValueError(f"conductor must be >= 1, got {self.conductor}")
-        if not self.coeffs or any(a < 1 for a in self.coeffs):
-            raise ValueError(f"coefficients must be positive, got {self.coeffs}")
-        if len(self.shifts) != len(self.coeffs):
-            raise ValueError(f"need one shift per coefficient, got {self.shifts}")
-        if self.conductor > 1 and any(math.gcd(al, self.conductor) != 1
-                                      for al in self.shifts):
-            raise ValueError(f"shifts {self.shifts} must be coprime to the "
-                             f"conductor {self.conductor}")
+        c, coeffs, shifts = self.conductor, self.coeffs, self.shifts
+        if c < 1:
+            raise ValueError(f"conductor must be >= 1, got {c}")
+        if not coeffs or min(coeffs) < 1:
+            raise ValueError(f"coefficients must be positive, got {coeffs}")
+        if len(shifts) != len(coeffs):
+            raise ValueError(f"need one shift per coefficient, got {shifts}")
+        # a prime divides c and some shift iff it divides c and their product
+        if math.gcd(math.prod(shifts), c) != 1:
+            raise ValueError(f"shifts {shifts} must be coprime to the "
+                             f"conductor {c}")
 
     @property
     def rank(self) -> int:

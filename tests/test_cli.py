@@ -101,6 +101,20 @@ def test_ineq_verify_checks_only_its_clause(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("extra, calls", [([], 1), (["--t", "40"], 2),
+                                          (["--t-max", "20"], 5)],
+                         ids=["t0", "t", "t-max"])
+def test_ineq_verify_reuses_the_printed_row(capsys, monkeypatch, extra, calls):
+    """--verify evaluates the clause at the golden t0 once: a printed row
+    at t0 serves the check."""
+    seen = []
+    inner = cli.verify_inequality
+    monkeypatch.setattr(cli, "verify_inequality",
+                        lambda k, t: seen.append(t) or inner(k, t))
+    code, _, _ = run(capsys, "ineq", "--clause", "1", "--verify", *extra)
+    assert code == 0 and len(seen) == calls and seen.count(16) == 1
+
+
 def test_ineq_single_clause(capsys):
     code, out, _ = run(capsys, "ineq", "--clause", "1", "--t", "16",
                        "--format", "json")

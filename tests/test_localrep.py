@@ -910,3 +910,110 @@ def test_shifted_rep_of_non_primitive_forms():
         for N in range(-mod, 2 * mod):
             assert shifted_represents_over_zp(g, N, p) == want[N % mod], (g, p, N)
 
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_scalar_array_and_shifted_paths_agree_off_the_corpus(p):
+    """On random keys the corpus lacks (depths up to 6, entries of either
+    sign), at zero, negative and deep targets p^k u: the scalar verdict is
+    the array verdict, its exponent is conservative_exponent, and the
+    shifted verdict is the plain one at p not dividing c and the
+    enumerated residues at p | c."""
+    rng = random.Random(2000 + p)
+    units = [u for u in range(-6 * p, 6 * p) if u % p]
+    other = [q for q in (3, 5, 7, 11) if q != p]
+    for _ in range(30):
+        coeffs = tuple(rng.choice(units) * p ** rng.randrange(7) for _ in range(3))
+        ns = [0] + [rng.choice(units) * p ** rng.randrange(9) for _ in range(15)]
+        scalar = [represents_over_zp(coeffs, n, p) for n in ns]
+        assert [v.represented for v in scalar] == \
+            represents_over_zp_many(coeffs, ns, p).tolist(), (coeffs, p)
+        assert [v.modulus_exponent for v in scalar] == \
+            [conservative_exponent(coeffs, n, p) for n in ns], (coeffs, p)
+        positive = tuple(abs(a) for a in coeffs)
+        c = rng.choice(other)
+        g = ShiftedForm(c, positive, tuple(rng.randrange(1, c) for _ in range(3)))
+        assert [shifted_represents_over_zp(g, n, p) for n in ns] == \
+            [bool(represents_over_zp(positive, n, p)) for n in ns], (g, p)
+    for _ in range(30):
+        c = p ** rng.randrange(1, 3) * rng.choice(other)
+        shifts = tuple(rng.choice([s for s in range(1, c) if math.gcd(s, c) == 1])
+                       for _ in range(3))
+        depths = [0, rng.randrange(3), rng.randrange(7)]
+        rng.shuffle(depths)
+        g = ShiftedForm(c, tuple(abs(rng.choice(units)) * p ** e for e in depths),
+                        shifts)
+        mod = p ** (progression_exponent(c, p) + 1)
+        want = _enumerated_residues(g, mod)
+        ns = [rng.randrange(-3 * mod, 3 * mod) for _ in range(20)]
+        assert [shifted_represents_over_zp(g, n, p) for n in ns] == \
+            [bool(want[n % mod]) for n in ns], (g, p)
+
+
+def test_numpy_integers_are_accepted_at_the_entry_points():
+    """np.int64 targets, entries and primes give the verdicts of Python
+    integers; a float still raises TypeError."""
+    g = ShiftedForm(conductor=15, coeffs=(1, 2, 9), shifts=(1, 2, 4))
+    for p in (2, 3, 5, 7):
+        for coeffs, n in (((1, 2, 3), 7), ((3, 5, 16), 44), ((1, p, p ** 3), -5 * p * p)):
+            want = represents_over_zp(coeffs, n, p)
+            i64 = tuple(np.int64(a) for a in coeffs)
+            assert represents_over_zp(coeffs, np.int64(n), p) == want
+            assert represents_over_zp(i64, n, p) == want
+            assert represents_over_zp(np.array(coeffs), n, np.int64(p)) == want
+            assert represents_over_zp_many(np.array(coeffs), [n], np.int64(p)).tolist() \
+                == [want.represented]
+            assert is_stable(i64, np.int64(p)) == is_stable(coeffs, p)
+            if is_stable(coeffs, p):
+                assert stable_value_set_check(i64, np.int64(p), np.int64(n)) \
+                    == stable_value_set_check(coeffs, p, n)
+            assert hilbert_symbol(np.int64(coeffs[0]), np.int64(n), np.int64(p)) \
+                == hilbert_symbol(coeffs[0], n, p)
+            assert shifted_represents_over_zp(g, np.int64(n), np.int64(p)) \
+                == shifted_represents_over_zp(g, n, p)
+    for call in (lambda: represents_over_zp((1, 2, 3), 7.0, 2),
+                 lambda: represents_over_zp((1, 2.0, 3), 7, 3),
+                 lambda: represents_over_zp((1, 2, 3), 7, 2.0),
+                 lambda: is_stable((1, 2, 3), 3.0),
+                 lambda: hilbert_symbol(2, 3.0, 5),
+                 lambda: shifted_represents_over_zp(g, 7.0, 3),
+                 lambda: shifted_represents_over_zp(g, 7, 2.0)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_shifted_and_plain_validation_raise_under_optimize():
+    """A zero shift, a negative shift sharing a factor with c, a p that is
+    not a prime (on both sides of p | c) and a zero entry raise ValueError,
+    also when asserts are stripped; at c = 1 any shifts are accepted."""
+    script = (
+        "from mgonal.localrep import represents_over_zp, shifted_represents_over_zp\n"
+        "from mgonal.polygonal import ShiftedForm\n"
+        "print(ShiftedForm(1, (1, 2, 3), (0, -4, 6)).shifts)\n"
+        "g, h = ShiftedForm(36, (1, 2, 3), (1, 5, 7)), ShiftedForm(5, (1, 2, 3), (1, 2, 3))\n"
+        "for call in (lambda: ShiftedForm(6, (1, 2, 3), (1, 0, 5)),\n"
+        "             lambda: ShiftedForm(10, (1, 2, 3), (1, -4, 3)),\n"
+        "             lambda: shifted_represents_over_zp(g, 7, 1),\n"
+        "             lambda: shifted_represents_over_zp(g, 7, 4),\n"
+        "             lambda: shifted_represents_over_zp(h, 7, 4),\n"
+        "             lambda: shifted_represents_over_zp(g, 7, 9),\n"
+        "             lambda: shifted_represents_over_zp(h, 7, 9),\n"
+        "             lambda: represents_over_zp((1, 0, 3), 5, 3)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "(0, -4, 6)",
+        "shifts (1, 0, 5) must be coprime to the conductor 6",
+        "shifts (1, -4, 3) must be coprime to the conductor 10",
+        "p must be a prime, got 1",
+        "p must be a prime, got 4",
+        "p must be a prime, got 4",
+        "p must be a prime, got 9",
+        "p must be a prime, got 9",
+        "coefficients must be a nonempty list of nonzero integers, got (1, 0, 3)"]
