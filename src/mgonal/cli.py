@@ -6,7 +6,8 @@ trailing newline -- re-encoding the parsed output reproduces the bytes), or
 CSV for the tabular commands.  `--verify` diffs the computed values against
 the golden files shipped under data/ and exits 1 on any mismatch; usage
 errors exit 2 (argparse's convention), and so do inputs the computation
-rejects (`ValueError`, `ModulusTooLarge`), with a one-line message.
+rejects (`ValueError`) and an `--out` file that cannot be opened, with a
+one-line message.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .density import eta, psi, psi_values_desc
-from .localrep import (ModulusTooLarge, represents_over_zp,
-                       shifted_represents_over_zp)
+from .localrep import represents_over_zp, shifted_represents_over_zp
 from .numth import is_prime
 from .pipeline import CASES, ReplayMismatch, replay_all, replay_case
 from .polygonal import MGonalForm, ShiftedForm
@@ -240,6 +240,8 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_localrep(args) -> int:
+    if args.shifts is not None and args.conductor is None:
+        raise ValueError("--shifts needs --conductor")
     if args.conductor is not None:
         g = _shifted_from_args(args)
         rep = shifted_represents_over_zp(g, args.n, args.p)
@@ -269,7 +271,11 @@ def _cmd_regcheck(args) -> int:
     if note is not None:
         body["note"] = note
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
+        with fh:
             fh.write(_canonical(body))
     lines = [
         f"form {form}: {report.verdict}",
@@ -471,7 +477,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (VerificationFailure, ReplayMismatch) as exc:
         print(f"verification failed:\n{exc}", file=sys.stderr)
         return 1
-    except (ValueError, ModulusTooLarge) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -679,7 +679,8 @@ def progression_exponent(c: int, p: int) -> int:
     """e with { (c x + alpha)^2 : x in Z_p } = alpha^2 + p^e Z_p for any
     alpha coprime to c, where p | c.  For odd p, e = ord_p(c); for p = 2,
     e = ord_2(c) + 2 when c = 2 (mod 4) and ord_2(c) + 1 when 4 | c.
-    Raises ValueError when p does not divide c."""
+    Raises ValueError unless p is a prime dividing c."""
+    _check_prime(p)
     if c % p:
         raise ValueError(f"progression_exponent needs p | c, got c = {c}, p = {p}")
     w = ord_p(c, p)

@@ -6,7 +6,7 @@ c >= 36, coefficients a_1 <= a_2 <= a_3, and T = {p_1 < ... < p_t} the odd
 primes prime to 2c at which the lattice <a_1,a_2,a_3> is anisotropic.  All
 p_i >= 5, so p_i >= r_i (the i-th prime >= 5).  Each congruence case of m
 fixes kappa (the step of the arithmetic progression of represented targets)
-and the ranges of the correction terms nu_1, nu_2; the derivation then
+and the largest correction terms nu_1, nu_2; the derivation then
 alternates three moves:
 
   * eta-window counts bound a_1 (two-representations argument) and a_2
@@ -18,9 +18,13 @@ alternates three moves:
 
 The bounds are recomputed from the eta table, the product-inequality
 clauses and the bound lemmas; the golden log shipped under data/ is used
-only to cross-check the derivation, never as an input to it.  The ranges
-of the correction terms, `CaseParams.nu1_range` and `nu2_range`, are fixed
-inputs of each case, not derived here (ROADMAP.md, item 4, plans a
+only to cross-check the derivation, never as an input to it.  A case's
+schedule records only the paper's free choices: each eta window n, each
+ladder size N and `tight_window`.  The replay derives the rest: every
+window's s is the running bound on t, and every product clause is the
+one `CLAUSES` row that fits the case and the running a_1 a_2.  The maxima
+of the correction terms, `CaseParams.nu1_max` and `nu2_max`, are fixed
+inputs of each case, not derived here (ROADMAP.md, item 5, plans a
 certificate for them).
 
 The constructive lemmas behind the derivation are also implemented here.
@@ -52,6 +56,7 @@ from .density import eta
 from .localrep import (_lattice_key, _order_and_class, _stable_pair, is_stable,
                        represents_over_zp)
 from .numth import _check_prime, ord_p
+from .polygonal import delta_of
 from .prodineq import CLAUSES, certify_all_t, verify_inequality, w_factor
 
 # The derivation's standing hypothesis on the conductor.  All c-dependent
@@ -300,13 +305,8 @@ class CongruenceClass:
         return f"{self.tag},{'2mod3' if self.three else 'not2mod3'}"
 
     def contains(self, m: int) -> bool:
-        if self.tag == "odd":
-            mod4_ok = m % 2 == 1
-        elif self.tag == "2mod4":
-            mod4_ok = m % 4 == 2
-        else:
-            mod4_ok = m % 4 == 0
-        return mod4_ok and (m % 3 == 2) == self.three
+        # the tag and delta agree (checked above), so delta names the class
+        return delta_of(m) == self.delta and (m % 3 == 2) == self.three
 
     def invert_c(self, c_bound: int) -> int:
         # c = delta (m - 2) / 2, so m = 2 c / delta + 2.
@@ -320,8 +320,8 @@ class CaseParams:
     case_id: int
     description: str
     kappa: int
-    nu1_range: Tuple[int, ...]
-    nu2_range: Tuple[int, ...]
+    nu1_max: int
+    nu2_max: int
     classes: Tuple[CongruenceClass, ...]
     schedule: Tuple[Tuple[str, dict], ...]
 
@@ -329,14 +329,6 @@ class CaseParams:
         if self.case_id not in (1, 2, 3, 4) or self.kappa not in (1, 3, 4, 12):
             raise ValueError(f"need case 1..4 and kappa in (1, 3, 4, 12), got "
                              f"case {self.case_id}, kappa {self.kappa}")
-
-    @property
-    def nu1_max(self) -> int:
-        return max(self.nu1_range)
-
-    @property
-    def nu2_max(self) -> int:
-        return max(self.nu2_range)
 
     @property
     def delta_max(self) -> int:
@@ -354,81 +346,81 @@ CASES: Dict[int, CaseParams] = {
         case_id=1,
         description="m != 0 (mod 4), m = 2 (mod 3)",
         kappa=1,
-        nu1_range=(0,),
-        nu2_range=(0,),
+        nu1_max=0,
+        nu2_max=0,
         classes=(
             CongruenceClass("odd", True, 4),
             CongruenceClass("2mod4", True, 2),
         ),
         schedule=(
-            ("open", {"clause": 1}),
-            ("a1_two_reps", {"n": 49, "s": 15}),
-            ("a2_eta", {"n": 50, "s": 15, "N": 3}),
-            ("tighten_t", {"clause": 2}),
-            ("a1_eta", {"n": 25, "s": 6}),
-            ("a2_eta", {"n": 19, "s": 6, "N": 2}),
-            ("tighten_t", {"clause": 3}),
-            ("c_eta", {"n": 20, "s": 4}),
+            ("open", {}),
+            ("a1_two_reps", {"n": 49}),
+            ("a2_eta", {"n": 50, "N": 3}),
+            ("tighten_t", {}),
+            ("a1_eta", {"n": 25}),
+            ("a2_eta", {"n": 19, "N": 2}),
+            ("tighten_t", {}),
+            ("c_eta", {"n": 20}),
         ),
     ),
     2: CaseParams(
         case_id=2,
         description="m != 0 (mod 4), m != 2 (mod 3)",
         kappa=3,
-        nu1_range=(0, 1),
-        nu2_range=(0, 1),
+        nu1_max=1,
+        nu2_max=1,
         classes=(
             CongruenceClass("odd", False, 4),
             CongruenceClass("2mod4", False, 2),
         ),
         schedule=(
-            ("open", {"clause": 4}),
-            ("a1_two_reps", {"n": 49, "s": 17}),
-            ("a2_eta", {"n": 102, "s": 17, "N": 8}),
-            ("tighten_t", {"clause": 5}),
-            ("a1_two_reps", {"n": 17, "s": 8}),
-            ("a2_eta", {"n": 48, "s": 8, "N": 6}),
-            ("tighten_t", {"clause": 6}),
-            ("a1_eta", {"n": 30, "s": 7}),
-            ("a2_eta", {"n": 30, "s": 7, "N": 4}),
-            ("tighten_t", {"clause": 7}),
-            ("c_eta", {"n": 25, "s": 6}),
+            ("open", {}),
+            ("a1_two_reps", {"n": 49}),
+            ("a2_eta", {"n": 102, "N": 8}),
+            ("tighten_t", {}),
+            ("a1_two_reps", {"n": 17}),
+            ("a2_eta", {"n": 48, "N": 6}),
+            ("tighten_t", {}),
+            ("a1_eta", {"n": 30}),
+            ("a2_eta", {"n": 30, "N": 4}),
+            ("tighten_t", {}),
+            ("c_eta", {"n": 25}),
         ),
     ),
     3: CaseParams(
         case_id=3,
         description="m = 0 (mod 4), m = 2 (mod 3)",
         kappa=4,
-        nu1_range=(0, 1, 2),
-        nu2_range=(0, 1, 2),
+        nu1_max=2,
+        nu2_max=2,
         classes=(CongruenceClass("0mod4", True, 1),),
         schedule=(
-            ("open", {"clause": 8}),
-            ("a1_two_reps", {"n": 49, "s": 17}),
-            ("a2_eta", {"n": 74, "s": 17, "N": 3}),
-            ("tighten_t", {"clause": 9}),
-            ("a1_two_reps", {"n": 17, "s": 8}),
-            ("a2_eta", {"n": 28, "s": 8, "N": 3}),
-            ("tighten_t", {"clause": 10}),
-            ("a1_eta", {"n": 30, "s": 7}),
-            ("a2_eta", {"n": 25, "s": 7, "N": 2, "tight_window": True}),
-            ("tighten_t", {"clause": 11}),
-            ("c_eta", {"n": 25, "s": 6}),
+            ("open", {}),
+            ("a1_two_reps", {"n": 49}),
+            ("a2_eta", {"n": 74, "N": 3}),
+            ("tighten_t", {}),
+            ("a1_two_reps", {"n": 17}),
+            ("a2_eta", {"n": 28, "N": 3}),
+            ("tighten_t", {}),
+            ("a1_eta", {"n": 30}),
+            ("a2_eta", {"n": 25, "N": 2, "tight_window": True}),
+            ("tighten_t", {}),
+            ("c_eta", {"n": 25}),
         ),
     ),
     4: CaseParams(
         case_id=4,
         description="m = 0 (mod 4), m != 2 (mod 3)",
         kappa=12,
-        nu1_range=(0, 1, 2, 3, 4),
-        nu2_range=(0, 1, 2, 3, 4),
+        nu1_max=4,
+        nu2_max=4,
         classes=(CongruenceClass("0mod4", False, 1),),
         schedule=(
-            ("open", {"clause": 12}),
-            ("a1_two_reps", {"n": 50, "s": 19}),
-            ("a2_eta", {"n": 125, "s": 19, "N": 9}),
-            ("tighten_t", {"clause": 13}),
-            ("c_case4", {"n": 60, "s": 9}),
+            ("open", {}),
+            ("a1_two_reps", {"n": 50}),
+            ("a2_eta", {"n": 125, "N": 9}),
+            ("tighten_t", {}),
+            ("c_case4", {"n": 60}),
         ),
     ),
 }
@@ -459,22 +451,21 @@ def bound_a1_two_reps(n: int, kappa: int, nu: int) -> int:
 
 
 def bound_a1_from_eta(
-    n: int, s: int, N: int, delta: int, kappa: int, nu: int, c_min: int
+    n: int, e: int, N: int, delta: int, kappa: int, nu: int, c_min: int
 ) -> int:
-    """a_1 bound from eta(n, s) > 8 N^3: then a_1 (N^2 c + 2N) is at most
-    delta (kappa (n-1) + nu), evaluated at c = c_min (larger c only
-    tightens it)."""
-    e = eta(n, s)
+    """a_1 bound from the window count e = eta(n, s) > 8 N^3: then
+    a_1 (N^2 c + 2N) is at most delta (kappa (n-1) + nu), evaluated at
+    c = c_min (larger c only tightens it)."""
     if e <= 8 * N**3:
         raise LemmaViolation(
-            f"eta({n},{s}) = {e} <= 8N^3 = {8 * N ** 3}: window too thin"
+            f"eta at n = {n} is {e} <= 8N^3 = {8 * N ** 3}: window too thin"
         )
     return delta * (kappa * (n - 1) + nu) // (N * N * c_min + 2 * N)
 
 
 def bound_a2_from_eta(
     n: int,
-    s: int,
+    e: int,
     N: int,
     delta: int,
     kappa: int,
@@ -482,22 +473,22 @@ def bound_a2_from_eta(
     c_min: int,
     tight_window: bool = False,
 ) -> int:
-    """a_2 bound from the N-option ladder argument.
+    """a_2 bound from the N-option ladder argument, given the window count
+    e = eta(n, s).
 
-    Standard form: eta(n, s) > 2N and N^2 c + 2N > delta (kappa (n-1) + nu)
-    give a_2 <= kappa (n-1) + nu.  With tight_window the count of
-    represented values is pushed into the smallest window still holding
-    2N + 1 of them -- top = 2N + (n - eta(n, s)) -- which sharpens the
-    bound to kappa * top + nu under the same c-side condition.
+    Standard form: e > 2N and N^2 c + 2N > delta (kappa (n-1) + nu) give
+    a_2 <= kappa (n-1) + nu.  With tight_window the count of represented
+    values is pushed into the smallest window still holding 2N + 1 of
+    them -- top = 2N + (n - e) -- which sharpens the bound to
+    kappa * top + nu under the same c-side condition.
     """
-    e = eta(n, s)
     if tight_window:
         window = 2 * N + (n - e)
         _require(window <= n - 1, f"tight window {window} is wider than "
                                   f"n - 1 = {n - 1}")
     else:
         if e <= 2 * N:
-            raise LemmaViolation(f"eta({n},{s}) = {e} <= 2N = {2 * N}")
+            raise LemmaViolation(f"eta at n = {n} is {e} <= 2N = {2 * N}")
         window = n - 1
     bound = kappa * window + nu
     if N * N * c_min + 2 * N <= delta * bound:
@@ -509,29 +500,28 @@ def bound_a2_from_eta(
 
 
 def t_bound_step(
-    case: CaseParams, a1_bound: int, a2_bound: int, ineq_index: int
-) -> int:
-    """Turn coefficient bounds into a bound on t via a product inequality.
+    case: CaseParams, a1_bound: int, a2_bound: int, power: int
+) -> Tuple[int, int]:
+    """Turn coefficient bounds into a bound on t via a product inequality;
+    returns (clause number, bound on t).
 
-    The clause must carry exactly the constant a1_bound * a2_bound (or 1
-    for the cubic opening clauses) and the case's k-bound shape.  Since
-    the inequality holds for every t >= t0 (base case plus certified
-    ratio induction) while p_1 ... p_t <= a1 a2 p1^2 S(t) must hold for a
-    real form, t <= t0 - 1.  Sharpness at t0 - 1 is checked as well.  A
-    failed check raises LemmaViolation.
+    The clause is the one `CLAUSES` row with the case's k-bound shape
+    (a, b) = (kappa, s_shift), the given power k (3 for the cubic opening
+    clauses, where a1 = a2 = 1, and 1 otherwise) and the constant
+    a1_bound * a2_bound; no two rows share these four values.  Since the
+    inequality holds for every t >= t0 (base case plus certified ratio
+    induction) while p_1 ... p_t <= a1 a2 p1^2 S(t) must hold for a real
+    form, t <= t0 - 1.  Sharpness at t0 - 1 is checked as well.  No
+    matching row or a failed check raises LemmaViolation.
     """
-    spec = CLAUSES[ineq_index]
-    _require((spec.a, spec.b) == (case.kappa, case.s_shift),
-             f"clause {ineq_index} shape does not match case "
-             f"{case.case_id}'s k-bound shape")
-    if spec.k == 3:
-        _require(spec.const == 1 and a1_bound == a2_bound == 1,
-                 f"cubic clause {ineq_index} needs constant 1 and "
-                 f"a1 = a2 = 1, got {a1_bound} * {a2_bound}")
-    else:
-        _require(spec.k == 1 and spec.const == a1_bound * a2_bound,
-                 f"clause {ineq_index} constant {spec.const} != "
-                 f"{a1_bound} * {a2_bound}")
+    want = (case.kappa, case.s_shift, power, a1_bound * a2_bound)
+    spec = next((c for c in CLAUSES.values()
+                 if (c.a, c.b, c.k, c.const) == want), None)
+    _require(spec is not None,
+             f"no product clause has case {case.case_id}'s k-bound shape "
+             f"({case.kappa}, {case.s_shift}), power {power} and constant "
+             f"{a1_bound} * {a2_bound}")
+    ineq_index = spec.index
     _, _, base = verify_inequality(ineq_index, spec.t0)
     _require(base, f"clause {ineq_index} fails at its own base case")
     _, _, ok = certify_all_t(ineq_index)
@@ -539,7 +529,7 @@ def t_bound_step(
     if spec.t0 - 1 >= spec.lower:
         _, _, above = verify_inequality(ineq_index, spec.t0 - 1)
         _require(not above, f"clause {ineq_index} already holds at t0 - 1")
-    return spec.t0 - 1
+    return ineq_index, spec.t0 - 1
 
 
 def case4_step3_check(c_candidate: int, eta_60_9: int) -> bool:
@@ -636,25 +626,24 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
     st = BoundState(case_id=case.case_id)
     st.record("hypothesis", "standing-assumption", {"c_min": C_MIN}, C_MIN)
     for op, kw in case.schedule:
+        # Window counts use s = current bound on t: one psi subtraction
+        # per anisotropic prime.
+        s = st.t_bound
         if op in ("open", "tighten_t"):
             # the opening clauses are cubic, with a_1 = a_2 = 1
-            a1, a2 = (1, 1) if op == "open" else (st.a1_bound, st.a2_bound)
-            clause = kw["clause"]
-            t = t_bound_step(case, a1, a2, clause)
-            _require(st.t_bound is None or t < st.t_bound,
-                     f"clause {clause} gives t <= {t}, not below t <= "
-                     f"{st.t_bound}")
+            a1, a2, power = ((1, 1, 3) if op == "open"
+                             else (st.a1_bound, st.a2_bound, 1))
+            clause, t = t_bound_step(case, a1, a2, power)
+            _require(s is None or t < s,
+                     f"clause {clause} gives t <= {t}, not below t <= {s}")
             st.tighten("t_bound", t, "t", f"product-clause-{clause}",
                        {"clause": clause, "product_cap": a1 * a2})
             st.tighten("k_cofactor", k_bound(case, t), "k", "k-closed-form",
                        {"t": t})
             continue
 
-        n, s = kw["n"], kw["s"]
-        # Window counts use s = current bound on t: one psi subtraction
-        # per anisotropic prime.
-        _require(s == st.t_bound,
-                 f"{op} {kw} needs s = t_bound = {st.t_bound}")
+        _require(s is not None, f"{op} comes before any bound on t")
+        n = kw["n"]
         e = eta(n, s)
 
         if op == "a1_two_reps":
@@ -665,23 +654,15 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
                        {"n": n, "s": s, "eta": e, "window": window})
         elif op == "a1_eta":
             val = bound_a1_from_eta(
-                n, s, 1, case.delta_max, case.kappa, case.nu2_max, C_MIN
+                n, e, 1, case.delta_max, case.kappa, case.nu2_max, C_MIN
             )
             st.tighten("a1_bound", val, "a1", "eta-floor",
                        {"n": n, "s": s, "eta": e, "N": 1, "delta": case.delta_max})
         elif op == "a2_eta":
             N = kw["N"]
             tight = kw.get("tight_window", False)
-            val = bound_a2_from_eta(
-                n,
-                s,
-                N,
-                case.delta_max,
-                case.kappa,
-                case.nu2_max,
-                C_MIN,
-                tight_window=tight,
-            )
+            val = bound_a2_from_eta(n, e, N, case.delta_max, case.kappa,
+                                    case.nu2_max, C_MIN, tight_window=tight)
             st.tighten("a2_bound", val, "a2", "ladder-count" if tight else "ladder",
                        {"n": n, "s": s, "eta": e, "N": N, "delta": case.delta_max})
         elif op == "c_eta":

@@ -159,16 +159,15 @@ def coset_watson_step(g: ShiftedForm, p: int,
     return out
 
 
-def stabilize(g: ShiftedForm, log: Optional[List[WatsonStep]] = None,
-              prefer: str = "min") -> ShiftedForm:
+def stabilize(g: ShiftedForm,
+              log: Optional[List[WatsonStep]] = None) -> ShiftedForm:
     """Apply coset descent steps until the lattice is p-stable for every
     prime p away from the conductor.
 
-    Primes are taken ascending each round (`prefer="max"` flips the order;
-    the final diagonal multiset does not depend on the choice, which the
-    tests assert).  Terminates because every step strictly decreases the
-    total valuation sum_p sum_i ord_p(a_i) over the eligible primes; the
-    bound is asserted.  Output coefficients are re-sorted ascending with
+    The least unstable prime is stepped each round (the result does not
+    depend on the order, which the tests assert).  Terminates because
+    every step strictly decreases the total valuation sum_p sum_i
+    ord_p(a_i) over the eligible primes; the bound is asserted.  Output coefficients are re-sorted ascending with
     their shifts carried along.  Raises ValueError unless the lattice is
     ternary and primitive.
     """
@@ -185,8 +184,7 @@ def stabilize(g: ShiftedForm, log: Optional[List[WatsonStep]] = None,
                     and not is_stable(cur.coeffs, p)]
         if not unstable:
             break
-        p = max(unstable) if prefer == "max" else min(unstable)
-        cur = coset_watson_step(cur, p, log=log)
+        cur = coset_watson_step(cur, min(unstable), log=log)
         steps += 1
         assert steps <= budget, "descent failed to make progress"
     order = sorted(range(3), key=lambda i: (cur.coeffs[i], cur.shifts[i]))

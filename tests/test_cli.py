@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -284,12 +285,15 @@ def test_localrep_rejects_primes_above_the_array_limit(p):
     ["watson", "--conductor", "7", "--coeffs", "5,10,25", "--shifts", "1,1,1",
      "--p", "5"],
     ["watson", "--conductor", "7", "--coeffs", "1,2", "--shifts", "1,1", "--p", "2"],
+    ["regcheck", "scan", "--m", "3", "--coeffs", "1,1,1", "--bound", "10",
+     "--out", os.path.join(os.devnull, "r.json")],
+    ["localrep", "--coeffs", "1,1,1", "--n", "7", "--p", "2", "--shifts", "1,1,1"],
 ], ids=["eta-n0", "psi-n0", "watson-p-divides-c", "localrep-zero-coeff",
         "regcheck-zero-coeff", "ineq-t-below-lower", "ineq-t-below-three",
         "ineq-t-max-below-t0", "psi-count-negative", "psi-count-zero",
         "regcheck-rank-2", "regcheck-bound-negative", "regcheck-bound-zero",
         "stabilize-rank-4", "stabilize-rank-2", "watson-non-primitive",
-        "watson-rank-2"])
+        "watson-rank-2", "regcheck-out-unwritable", "localrep-shifts-no-conductor"])
 def test_rejected_input_is_one_error_line_under_optimize(argv):
     # -O strips asserts, so these must fail through raised errors
     proc = subprocess.run(

@@ -671,9 +671,10 @@ def test_coefficients_are_rejected_by_name_under_optimize():
 
 
 def test_anisotropy_and_hilbert_symbol_reject_bad_input_under_optimize():
-    """A wrong rank, a zero entry, a composite p or a p not dividing the
-    conductor raises ValueError naming the input, also when asserts are
-    stripped."""
+    """A wrong rank, a zero entry, a p that is zero or composite or a p
+    not dividing the conductor raises ValueError naming the input, also
+    when asserts are stripped (the progression exponent used to raise
+    ZeroDivisionError at p = 0 and return 1 at p = 4, c = 8)."""
     script = (
         "from mgonal.localrep import (hilbert_symbol, is_anisotropic_ternary,\n"
         "                             progression_exponent)\n"
@@ -683,7 +684,9 @@ def test_anisotropy_and_hilbert_symbol_reject_bad_input_under_optimize():
         "             lambda: hilbert_symbol(0, 3, 5),\n"
         "             lambda: hilbert_symbol(2, 3, 9),\n"
         "             lambda: progression_exponent(5, 2),\n"
-        "             lambda: progression_exponent(7, 3)):\n"
+        "             lambda: progression_exponent(7, 3),\n"
+        "             lambda: progression_exponent(6, 0),\n"
+        "             lambda: progression_exponent(8, 4)):\n"
         "    try:\n"
         "        print(call())\n"
         "    except ValueError as exc:\n"
@@ -699,7 +702,9 @@ def test_anisotropy_and_hilbert_symbol_reject_bad_input_under_optimize():
         "the Hilbert symbol needs nonzero a, b, got 0, 3",
         "p must be a prime, got 9",
         "progression_exponent needs p | c, got c = 5, p = 2",
-        "progression_exponent needs p | c, got c = 7, p = 3"]
+        "progression_exponent needs p | c, got c = 7, p = 3",
+        "p must be a prime, got 0",
+        "p must be a prime, got 4"]
 
 
 # primitive ascending triples with a_3 <= 5, as in a census

@@ -1,6 +1,7 @@
 """Tests for the bound-derivation pipeline: the individual lemma moves,
 the four-case replay against the recorded logs, and the final bounds."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -10,6 +11,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mgonal import cli
 from mgonal.density import eta
 from mgonal.localrep import represents_over_zp
 from mgonal.pipeline import (
@@ -31,6 +33,7 @@ from mgonal.pipeline import (
     t_bound_step,
     theorem_bounds,
 )
+from mgonal.prodineq import CLAUSES
 
 BOUNDS = {
     "odd,2mod3": 35,
@@ -82,7 +85,7 @@ def test_lemma_and_bound_helpers_raise_under_optimize():
         "             lambda: find_nu((1, 1, 1), 3, 0, also_3=True),\n"
         "             lambda: m_bound_from_c(CongruenceClass('odd', True, 4), 0),\n"
         "             lambda: bound_a1_two_reps(0, 1, 0),\n"
-        "             lambda: bound_a2_from_eta(5, 1, 3, 1, 4, 2, 36,\n"
+        "             lambda: bound_a2_from_eta(5, 4, 3, 1, 4, 2, 36,\n"
         "                                       tight_window=True)):\n"
         "    try:\n"
         "        print('returned', call())\n"
@@ -247,52 +250,57 @@ def test_k_bound_cofactors():
 
 def test_bound_a1_formulas():
     assert bound_a1_two_reps(45, 1, 0) == 45
-    assert bound_a1_from_eta(25, 6, 1, 4, 1, 0, 36) == 2
-    assert bound_a1_from_eta(30, 7, 1, 4, 3, 1, 36) == 9
-    assert bound_a1_from_eta(30, 7, 1, 1, 4, 2, 36) == 3
+    assert bound_a1_from_eta(25, eta(25, 6), 1, 4, 1, 0, 36) == 2
+    assert bound_a1_from_eta(30, eta(30, 7), 1, 4, 3, 1, 36) == 9
+    assert bound_a1_from_eta(30, eta(30, 7), 1, 1, 4, 2, 36) == 3
 
 
 def test_bound_a1_needs_thick_window():
     with pytest.raises(LemmaViolation):
-        bound_a1_from_eta(10, 1, 1, 4, 1, 0, 36)
+        bound_a1_from_eta(10, eta(10, 1), 1, 4, 1, 0, 36)
 
 
 def test_bound_a2_formulas():
-    assert bound_a2_from_eta(50, 15, 3, 4, 1, 0, 36) == 49
-    assert bound_a2_from_eta(19, 6, 2, 4, 1, 0, 36) == 18
-    assert bound_a2_from_eta(102, 17, 8, 4, 3, 1, 36) == 304
-    assert bound_a2_from_eta(25, 7, 2, 1, 4, 2, 36, tight_window=True) == 90
+    assert bound_a2_from_eta(50, eta(50, 15), 3, 4, 1, 0, 36) == 49
+    assert bound_a2_from_eta(19, eta(19, 6), 2, 4, 1, 0, 36) == 18
+    assert bound_a2_from_eta(102, eta(102, 17), 8, 4, 3, 1, 36) == 304
+    assert bound_a2_from_eta(25, eta(25, 7), 2, 1, 4, 2, 36,
+                             tight_window=True) == 90
 
 
 def test_bound_a2_guards():
     with pytest.raises(LemmaViolation):
-        bound_a2_from_eta(10, 1, 4, 4, 1, 0, 36)  # eta too small
+        bound_a2_from_eta(10, eta(10, 1), 4, 4, 1, 0, 36)  # eta too small
     with pytest.raises(LemmaViolation):
-        bound_a2_from_eta(50, 15, 3, 4, 1, 0, 1)  # c side fails
+        bound_a2_from_eta(50, eta(50, 15), 3, 4, 1, 0, 1)  # c side fails
 
 
 def test_t_bound_step_matches_clauses():
-    assert t_bound_step(CASES[1], 1, 1, 1) == 15
-    assert t_bound_step(CASES[1], 45, 49, 2) == 6
-    assert t_bound_step(CASES[1], 2, 18, 3) == 4
-    assert t_bound_step(CASES[2], 9, 88, 7) == 6
-    assert t_bound_step(CASES[3], 3, 90, 11) == 6
-    assert t_bound_step(CASES[4], 580, 1492, 13) == 9
+    # (a, b, k, const) names a clause: the lookup can match one row at most
+    assert len({(c.a, c.b, c.k, c.const) for c in CLAUSES.values()}) == 13
+    assert t_bound_step(CASES[1], 1, 1, 3) == (1, 15)
+    assert t_bound_step(CASES[1], 45, 49, 1) == (2, 6)
+    assert t_bound_step(CASES[1], 2, 18, 1) == (3, 4)
+    assert t_bound_step(CASES[2], 9, 88, 1) == (7, 6)
+    assert t_bound_step(CASES[3], 3, 90, 1) == (11, 6)
+    assert t_bound_step(CASES[4], 580, 1492, 1) == (13, 9)
 
 
 def test_t_bound_step_rejects_shape_mismatch():
     with pytest.raises(LemmaViolation, match="shape"):
-        t_bound_step(CASES[1], 45, 49, 5)  # clause 5 has kappa = 3 shape
+        # clause 5's constant, but clause 5 has the kappa = 3 shape
+        t_bound_step(CASES[1], 142, 304, 1)
 
 
 def test_replay_checks_raise_under_optimize():
     """Every proof-step check of t_bound_step and replay_case raises
-    LemmaViolation, also when asserts are stripped: a clause of the wrong
-    shape or constant, a failed base case, induction or sharpness, a
-    clause that does not tighten t, an eta window off the current t bound,
-    too few eta hits for the two-representations and conductor steps, and
-    the case 4 conductor step off its window or off its ray.  (Under -O
-    the shape mismatch used to return t <= 8.)"""
+    LemmaViolation, also when asserts are stripped: no clause of the case's
+    shape, power and constant, a failed base case, induction or sharpness,
+    a clause that does not tighten t, an eta window before any t bound,
+    too few eta hits for the two-representations and conductor steps, the
+    case 4 conductor step off its window or off its ray, and case 4 with
+    nu_1 <= 3, whose k-bound shape no clause has.  (Under -O a shape
+    mismatch used to return t <= 8.)"""
     script = (
         "import dataclasses\n"
         "from mgonal import pipeline\n"
@@ -308,23 +316,24 @@ def test_replay_checks_raise_under_optimize():
         "    finally:\n"
         "        setattr(pipeline, name, saved)\n"
         "calls = [\n"
-        "    lambda: t_bound_step(CASES[1], 45, 49, 5),\n"
-        "    lambda: t_bound_step(CASES[1], 2, 1, 1),\n"
-        "    lambda: t_bound_step(CASES[1], 45, 50, 2),\n"
+        "    lambda: t_bound_step(CASES[1], 142, 304, 1),\n"
+        "    lambda: t_bound_step(CASES[1], 2, 1, 3),\n"
+        "    lambda: t_bound_step(CASES[1], 45, 50, 1),\n"
         "    lambda: patched('verify_inequality', lambda i, t: (0, 0, False),\n"
-        "                    lambda: t_bound_step(CASES[1], 1, 1, 1)),\n"
+        "                    lambda: t_bound_step(CASES[1], 1, 1, 3)),\n"
         "    lambda: patched('certify_all_t', lambda i: (0, 0, False),\n"
-        "                    lambda: t_bound_step(CASES[1], 1, 1, 1)),\n"
+        "                    lambda: t_bound_step(CASES[1], 1, 1, 3)),\n"
         "    lambda: patched('verify_inequality', lambda i, t: (0, 0, True),\n"
-        "                    lambda: t_bound_step(CASES[1], 1, 1, 1)),\n"
+        "                    lambda: t_bound_step(CASES[1], 1, 1, 3)),\n"
         "    lambda: replay_case(case(1, *one[:4], one[3])),\n"
-        "    lambda: replay_case(case(1, one[0], ('a1_two_reps', {'n': 49, 's': 14}))),\n"
+        "    lambda: replay_case(case(1, *one[1:])),\n"
         "    lambda: patched('eta', lambda n, s: 1, lambda: replay_case(CASES[1])),\n"
         "    lambda: patched('eta', lambda n, s: 8, lambda: replay_case(\n"
-        "        case(1, one[0], ('c_eta', {'n': 20, 's': 15})))),\n"
-        "    lambda: replay_case(case(4, *four[:4], ('c_case4', {'n': 61, 's': 9}))),\n"
+        "        case(1, one[0], ('c_eta', {'n': 20})))),\n"
+        "    lambda: replay_case(case(4, *four[:4], ('c_case4', {'n': 61}))),\n"
         "    lambda: patched('case4_step3_check', lambda c, e: True,\n"
         "                    lambda: replay_case(CASES[4])),\n"
+        "    lambda: replay_case(dataclasses.replace(CASES[4], nu1_max=3)),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n"
@@ -335,12 +344,14 @@ def test_replay_checks_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    want = ["clause 5 shape does not match case 1", "cubic clause 1 needs",
-            "clause 2 constant 2205 != 45 * 50", "fails at its own base case",
-            "ratio induction not certified", "already holds at t0 - 1",
-            "clause 2 gives t <= 6, not below", "needs s = t_bound = 15",
+    want = ["shape (1, 0), power 1 and constant 142 * 304",
+            "shape (1, 0), power 3 and constant 2 * 1",
+            "shape (1, 0), power 1 and constant 45 * 50",
+            "fails at its own base case", "ratio induction not certified",
+            "already holds at t0 - 1", "clause 2 gives t <= 6, not below",
+            "a1_two_reps comes before any bound on t",
             "needs two hits", "eta(20,15) = 8 <= 8", "got eta(61, 9)",
-            "not the ray"]
+            "not the ray", "case 4's k-bound shape (12, -8), power 3"]
     lines = proc.stdout.splitlines()
     assert len(lines) == len(want), lines
     for line, fragment in zip(lines, want):
@@ -410,8 +421,23 @@ def test_replay_evaluates_each_scheduled_eta_once(monkeypatch):
 
     monkeypatch.setattr(pipeline, "eta", counted)
     replay_all(expected=_golden()["cases"])
-    assert len(calls) == 34
+    assert len(calls) == 22  # one per eta window of the four schedules
     assert calls.count((60, 9)) == 1
+
+
+def test_replay_bytes_are_pinned():
+    """The full replay log (inputs included) and the transcript text: the
+    golden file holds only [step, value] pairs, so these digests pin the
+    rest, such as each window's s and each clause number."""
+    states = replay_all()
+    log = json.dumps({str(c): st.as_dict() for c, st in states.items()},
+                     sort_keys=True, separators=(",", ":"))
+    text = "\n".join(line for c in (1, 2, 3, 4)
+                     for line in cli._transcript(states[c]))
+    assert hashlib.sha256(log.encode()).hexdigest() == (
+        "61438a6c26e56675eaf213c4cd218096c079aef92852cebb5e34ac53bf5fbae1")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "522d8b107ee530660d13309cf76b9fb9d84faa63b0f50a95caa1c8fb209def4f")
 
 
 def test_theorem_bounds():
@@ -439,8 +465,14 @@ def test_replay_detects_tampering():
 
 def test_eta_inputs_of_the_schedule_are_thick_enough():
     # every eta the schedules consume is positive (the counting arguments
-    # all need at least one forced representation in the window)
-    for case in CASES.values():
-        for op, kw in case.schedule:
-            if op in ("a1_eta", "a2_eta", "c_eta", "c_case4", "a1_two_reps"):
-                assert eta(kw["n"], kw["s"]) > 0, (case.case_id, op, kw)
+    # all need at least one forced representation in the window), and each
+    # window's s is the t bound in force when the replay reaches it
+    for cid, state in replay_all().items():
+        t_bound = None
+        for entry in state.log:
+            if entry["step"] == "t":
+                t_bound = entry["value"]
+            elif "eta" in entry["inputs"]:
+                inputs = entry["inputs"]
+                assert inputs["s"] == t_bound, (cid, entry)
+                assert inputs["eta"] == eta(inputs["n"], inputs["s"]) > 0

@@ -139,12 +139,28 @@ def test_stabilize_reaches_stability():
         assert list(out.coeffs) == sorted(out.coeffs)
 
 
+def _stabilize_max_first(g):
+    """`stabilize` stepping the largest unstable prime each round."""
+    cur = normalize_shifts(g)
+    while True:
+        unstable = [p for p in prime_divisors(math.prod(cur.coeffs))
+                    if cur.conductor % p and not is_stable(cur.coeffs, p)]
+        if not unstable:
+            break
+        cur = coset_watson_step(cur, max(unstable))
+    order = sorted(range(3), key=lambda i: (cur.coeffs[i], cur.shifts[i]))
+    return ShiftedForm(conductor=cur.conductor,
+                       coeffs=tuple(cur.coeffs[i] for i in order),
+                       shifts=tuple(cur.shifts[i] for i in order))
+
+
 def test_stabilize_idempotent_and_order_free():
-    g = ShiftedForm(conductor=5, coeffs=(1, 9, 27), shifts=(1, 1, 1))
-    a = stabilize(g, prefer="min")
-    b = stabilize(g, prefer="max")
-    assert a == b
-    assert stabilize(a) == a
+    # <1, 9, 49> is unstable at both 3 and 7, so the two orders differ
+    for coeffs in ((1, 9, 27), (1, 9, 49)):
+        g = ShiftedForm(conductor=5, coeffs=coeffs, shifts=(1, 1, 1))
+        a = stabilize(g)
+        assert _stabilize_max_first(g) == a
+        assert stabilize(a) == a
 
 
 def test_stabilize_keeps_local_solubility_of_targets():
