@@ -7,7 +7,13 @@ CSV for the tabular commands.  `--verify` diffs the computed values against
 the golden files shipped under data/ and exits 1 on any mismatch; usage
 errors exit 2 (argparse's convention), and so do inputs the computation
 rejects (`ValueError`) and an `--out` file that cannot be opened, with a
-one-line message.
+one-line message; `regcheck scan` reports such a file before it scans.
+
+The parser is built once, at import.  A command's arguments are parsed by that
+command's own parser; help, version, a missing or unknown command and an
+argument the command does not take fall to the top-level parser, so their
+output and exit codes are argparse's as ever.  The golden files are read
+once, at import, and parsed into a fresh object on every call.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from importlib import resources
 from typing import List, Optional, Sequence
@@ -35,8 +42,10 @@ from .watson import coset_watson_step, stabilize
 # itself has no limit on p.
 _P_LIMIT = 2 ** 22
 
-# The directory of the golden files, resolved once (a path, not contents).
+# The golden files' directory, and the text of each file in it, read once.
 _DATA = resources.files("mgonal") / "data"
+_GOLDEN_TEXT = {f.name: f.read_text() for f in _DATA.iterdir()
+                if f.name.endswith(".json")}
 
 
 class VerificationFailure(Exception):
@@ -44,8 +53,9 @@ class VerificationFailure(Exception):
 
 
 def _golden(name: str):
-    """The parsed golden file `name`, read afresh on every call."""
-    return json.loads(_DATA.joinpath(name).read_text())
+    """The golden file `name`, parsed into a fresh object on every call, so
+    a caller may mutate what it gets."""
+    return json.loads(_GOLDEN_TEXT[name])
 
 
 def _canonical(obj) -> str:
@@ -263,19 +273,30 @@ def _cmd_localrep(args) -> int:
     return 0
 
 
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _cmd_regcheck(args) -> int:
     form = MGonalForm(args.m, tuple(sorted(args.coeffs)))
+    if args.out:
+        # an unwritable path fails before the scan; appending keeps an
+        # existing file's bytes, and a file made here is removed again, so
+        # a scan that then fails leaves the path as it found it
+        created = not os.path.exists(args.out)
+        _open_out(args.out, "a").close()
+        if created:
+            os.remove(args.out)
     report = regularity_scan(form, args.bound)
     body = report.as_dict()
     note = candidate_note(args.m)
     if note is not None:
         body["note"] = note
     if args.out:
-        try:
-            fh = open(args.out, "w")
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
-        with fh:
+        with _open_out(args.out, "w") as fh:
             fh.write(_canonical(body))
     lines = [
         f"form {form}: {report.verdict}",
@@ -464,14 +485,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_examples)
 
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)  # also when it parses on its own
     return parser
 
 
 _PARSER = build_parser()
+# name -> the command's own parser, from the subparsers action above
+(_COMMANDS,) = [a.choices for a in _PARSER._actions
+                if isinstance(a, argparse._SubParsersAction)]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes whatever the command's own parser cannot
+    # (see the module docstring); each of those ends in argparse's exit
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
+    if rest:
+        args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (VerificationFailure, ReplayMismatch) as exc:

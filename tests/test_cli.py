@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -186,19 +187,84 @@ def test_main_reuses_the_parser_built_at_import(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[0] == "13"
 
 
+# every --verify command, and one stabilize, psi --p and eta
+VERIFY_ARGVS = (
+    [["theorem", "--verify"], ["table1", "--verify"],
+     ["psi", "--n", "48", "--count", "8", "--verify"]]
+    + [["ineq", "--clause", str(k), "--verify"] for k in range(1, 14)]
+    + [["stabilize", "--conductor", "5", "--coeffs", "1,9,25",
+        "--format", "json"],
+       ["psi", "--n", "48", "--p", "7"],
+       ["eta", "--n", "60", "--s", "9", "--format", "csv"]]
+)
+
+
 def test_reused_parser_keeps_no_state_between_calls(capsys):
-    argvs = (
-        [["theorem", "--verify"], ["table1", "--verify"],
-         ["psi", "--n", "48", "--count", "8", "--verify"]]
-        + [["ineq", "--clause", str(k), "--verify"] for k in range(1, 14)]
-        + [["stabilize", "--conductor", "5", "--coeffs", "1,9,25",
-            "--format", "json"],
-           ["psi", "--n", "48", "--p", "7"],
-           ["eta", "--n", "60", "--s", "9", "--format", "csv"]]
-    )
-    passes = [[run(capsys, *argv) for argv in argvs] for _ in range(2)]
+    passes = [[run(capsys, *argv) for argv in VERIFY_ARGVS] for _ in range(2)]
     assert passes[0] == passes[1]
     assert all(code == 0 for code, _, _ in passes[0])
+
+
+def test_verify_commands_stdout_is_pinned(capsys):
+    """The stdout of VERIFY_ARGVS and of `theorem --format json`, byte for
+    byte, as one sha256."""
+    outs = []
+    for argv in VERIFY_ARGVS + [["theorem", "--format", "json"]]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "52ff0b07d55120b231c8d9c75732a5666163b908fb1e792ffecbacd47bdf29d8")
+
+
+def _outcome(capsys, call):
+    """(return value, or the code of the SystemExit raised, stdout, stderr)."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"], ["bogus"], ["ineq", "-h"],
+    ["ineq", "--clause", "5", "--bogus"], ["ineq", "--version"],
+    ["ineq", "--clause", "99"],
+    ["localrep", "--coeffs", "1,1,1", "--n", "3", "--p", "4"],
+    ["regcheck", "scan", "--m", "3"], ["psi", "--n", "48"],
+    ["eta", "--n", "48", "--s", "8", "--form", "json"],
+    ["ineq", "--format", "json", "--clause", "5"],
+], ids=["none", "help", "version", "unknown-command", "command-help",
+        "unrecognized-option", "version-after-command", "invalid-choice",
+        "invalid-type", "missing-required", "missing-group",
+        "abbreviated-option", "options-before-required"])
+def test_main_answers_as_the_top_level_parser(capsys, argv):
+    """A command parses with its own parser; help, version and usage errors
+    still come from a fresh top-level parser's code path, byte for byte."""
+    def top_level():
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    want = _outcome(capsys, top_level)
+    assert _outcome(capsys, lambda: cli.main(argv)) == want
+
+
+def test_golden_files_are_read_once_and_handed_out_fresh(capsys, monkeypatch,
+                                                         tmp_path):
+    monkeypatch.setattr(cli, "_DATA", tmp_path / "missing")
+    for argv in [a for a in VERIFY_ARGVS if "--verify" in a]:
+        assert run(capsys, *argv)[0] == 0, argv
+    first, second = cli._golden("ineq_base.json"), cli._golden("ineq_base.json")
+    assert first == second and first is not second
+    first["base_cases"][0]["lhs"] += 1
+    assert second != first and second == cli._golden("ineq_base.json")
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["mgonal", "eta", "--n", "48", "--s", "8"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.splitlines()[0] == "13"
 
 
 def test_unknown_command_exits_two():
@@ -370,6 +436,37 @@ def test_regcheck_scan_out_file(capsys, tmp_path):
     payload = json.loads(out_file.read_text())
     assert payload["verdict"] == "regular-up-to-300"
     assert payload["counterexamples"] == []
+
+
+def test_regcheck_scan_checks_out_before_scanning(capsys, monkeypatch, tmp_path):
+    def scan(form, bound):
+        raise AssertionError("scanned before checking --out")
+
+    monkeypatch.setattr(cli, "regularity_scan", scan)
+    path = tmp_path / "missing-dir" / "r.json"
+    code, out, err = run(capsys, "regcheck", "scan", "--m", "3", "--coeffs",
+                         "1,1,1", "--bound", "2000000", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("before", [None, b"an older, longer report\n" * 40],
+                         ids=["new", "existing"])
+def test_regcheck_scan_out_is_untouched_by_a_failed_scan(capsys, tmp_path,
+                                                         before):
+    path = tmp_path / "r.json"
+    if before is not None:
+        path.write_bytes(before)
+    argv = ["regcheck", "scan", "--m", "3", "--coeffs", "1,1,1",
+            "--out", str(path), "--bound"]
+    code, _, err = run(capsys, *argv, "0")
+    assert code == 2 and err.startswith("error: ")
+    assert (path.read_bytes() if path.exists() else None) == before
+    code, out, _ = run(capsys, *argv, "300", "--format", "json")
+    assert code == 0
+    report = {k: v for k, v in json.loads(out).items()
+              if k not in ("tool", "version", "command")}
+    assert path.read_text() == cli._canonical(report)
 
 
 _NOTE_711 = ("candidate only: the nonexistence statement covers regular "
