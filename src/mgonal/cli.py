@@ -311,39 +311,6 @@ def _cmd_regcheck(args) -> int:
     return 0
 
 
-def _transcript(state) -> List[str]:
-    case = CASES[state.case_id]
-    lines = [f"case {state.case_id}: {case.description}"]
-    for entry in state.log:
-        step, lemma, inputs, value = (
-            entry["step"], entry["lemma"], entry["inputs"], entry["value"],
-        )
-        detail = ", ".join(f"{k}={v}" for k, v in inputs.items())
-        if step == "hypothesis":
-            lines.append(f"  standing hypothesis: c >= {value}")
-        elif step == "t":
-            lines.append(f"  t <= {value}   [{lemma}: {detail}]")
-        elif step == "k":
-            lines.append(f"  k <= p1^2 * {value}   [{lemma}: {detail}]")
-        elif step in ("a1", "a2"):
-            lines.append(f"  {step} <= {value}   [{lemma}: {detail}]")
-        elif step.startswith("c["):
-            lines.append(f"  c <= {value} for {step[2:-1]}   [{lemma}: {detail}]")
-        elif step.startswith("m-raw"):
-            lines.append(f"  m <= {value} before congruence refinement   [{detail}]")
-        else:
-            lines.append(f"  m <= {value} in class {step[2:-1]}")
-    summary = ", ".join(
-        f"m <= {state.m_bounds[cls.label]} ({cls.label})" for cls in case.classes
-    )
-    # single-class cases end with the bare bound
-    if len(case.classes) == 1:
-        (cls,) = case.classes
-        summary = f"m <= {state.m_bounds[cls.label]}"
-    lines.append(f"result: {summary}")
-    return lines
-
-
 def _cmd_theorem(args) -> int:
     golden = _golden("theorem.json") if args.verify else None
     if args.case is not None:
@@ -366,7 +333,7 @@ def _cmd_theorem(args) -> int:
     payload = {"cases": {str(cid): st.as_dict() for cid, st in states.items()}}
     lines: List[str] = []
     for cid in sorted(states):
-        lines.extend(_transcript(states[cid]))
+        lines.extend(states[cid].transcript())
     _emit(args, payload, lines)
     return 0
 

@@ -433,13 +433,17 @@ def _value_set(p: int, lattice_key: Tuple) -> np.ndarray:
 
 def hensel_exponent(coeffs: Sequence[int], n: int, p: int) -> int:
     """Smallest K this module guarantees: a witness mod p^K exists iff n is
-    represented, and every witness then has a liftable coordinate."""
+    represented, and every witness then has a liftable coordinate.  Raises
+    ValueError unless p is a prime."""
+    _check_prime(p)
     wn = 0 if n == 0 else ord_p(n, p)
     return wn + max(ord_p(a, p) for a in coeffs) + 2 * ord_p(2, p) + 1
 
 def conservative_exponent(coeffs: Sequence[int], n: int, p: int) -> int:
     """The simpler, larger exponent used by the reference search:
-    ord_p(n) + 2 ord_p(2 prod a_i) + 3.  Always >= hensel_exponent."""
+    ord_p(n) + 2 ord_p(2 prod a_i) + 3.  Always >= hensel_exponent.
+    Raises ValueError unless p is a prime."""
+    _check_prime(p)
     wn = 0 if n == 0 else ord_p(n, p)
     prod = 2 * math.prod(abs(a) for a in coeffs)
     return wn + 2 * ord_p(prod, p) + 3
@@ -733,6 +737,23 @@ def shifted_represents_over_zp(g, N: int, p: int) -> bool:
 # --------------------------------------------------------------------------
 # array verdicts
 
+def _int64_targets(ns) -> np.ndarray:
+    """The targets ns as an int64 array.  Raises ValueError for a dtype that
+    is not an integer one, which a cast would truncate (floats) or parse
+    (strings), and for values outside int64: an object dtype, which a list
+    of Python ints gets only past int64, or uint64 values from 2^63.  Reads
+    the dtype only, and the maximum of a uint64 array."""
+    ns = np.asarray(ns)
+    if not ns.size:
+        return ns.astype(np.int64)
+    wraps = ns.dtype == np.uint64 and ns.max() >= np.uint64(2 ** 63)
+    if ns.dtype.kind == "O" or wraps:
+        raise ValueError("n does not fit in int64")
+    if ns.dtype.kind not in "iu":
+        raise ValueError(f"targets must be integers, got dtype {ns.dtype}")
+    return ns.astype(np.int64, copy=False)
+
+
 def _descriptor_table(Ts: Sequence[np.ndarray], N: np.ndarray,
                       p: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """The descriptors Ts (`_value_set`) as one flat bit table, and the
@@ -770,7 +791,7 @@ def represents_over_zp_many(coeffs: Sequence[int], Ns, p: int) -> np.ndarray:
     p = index(p)
     _check_prime(p)
     T = _value_set(p, _lattice_key(tuple(coeffs), p))
-    bits, at, _ = _descriptor_table([T], np.asarray(Ns, dtype=np.int64), p)
+    bits, at, _ = _descriptor_table([T], _int64_targets(Ns), p)
     return bits.take(at)
 
 
@@ -798,7 +819,8 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     as one bit table with S bits per key and gives each target its place,
     the same in every key, so each row's verdicts are one flat gather from
     the table, at its targets' places plus S times its key's index.
-    Raises ValueError when some N does not fit in int64.
+    Raises ValueError for targets that are not integers within int64 and
+    when some N does not fit in int64.
     """
     from .polygonal import _check_coefficients, constants
 
@@ -809,10 +831,7 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
         if len(row) < 3:
             raise ValueError(f"local verdicts need rank >= 3, got rank "
                              f"{len(row)} in {row}")
-    try:
-        ns = np.asarray(ns, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError("n does not fit in int64") from exc
+    ns = _int64_targets(ns)
     if not rows or not ns.size:
         return np.zeros((len(rows), ns.size), dtype=bool)
     sums = [sum(row) for row in rows]

@@ -43,7 +43,8 @@ The constructive lemmas behind the derivation are also implemented here.
     values having ord at most 1.  Three branches, depending on which
     coefficient p divides.
   * find_coprime_shift: the smallest n with gcd(un + v, p_1...p_s) = 1,
-    which always lands below (s+4) 2^{s-2} when s >= 2.
+    which always lands below W(s + 1) = (s+4) 2^{s-2} when s >= 2, the
+    W(t) of the k-bound.
 """
 
 from __future__ import annotations
@@ -256,10 +257,11 @@ def find_v(p: int, u: int, a: Sequence[int], alpha: Sequence[int]) -> int:
 def find_coprime_shift(primes: Sequence[int], u: int, v: int) -> int:
     """Smallest n >= 0 with gcd(u n + v, p_1 ... p_s) = 1.
 
-    For s >= 2 the result is guaranteed (and asserted) to lie below
-    (s+4) 2^{s-2}.  The s = 1 case falls outside that bound's statement;
-    there a direct scan below p_1 always succeeds (u is a unit mod p_1, so
-    u n + v meets every residue class), and the same scan code handles it.
+    For s >= 2 the result is guaranteed (and checked) to lie below
+    W(s + 1) = (s+4) 2^{s-2}.  The s = 1 case falls outside that bound's
+    statement; there a direct scan below p_1 always succeeds (u is a unit
+    mod p_1, so u n + v meets every residue class), and the same scan code
+    handles it.
     Raises ValueError unless the p_i are ascending primes >= 5, at least
     one, and u is prime to each of them.
     """
@@ -274,7 +276,7 @@ def find_coprime_shift(primes: Sequence[int], u: int, v: int) -> int:
         prod *= p
     if gcd(u, prod) != 1:
         raise ValueError(f"u must be prime to {primes}, got {u}")
-    limit = primes[0] if s == 1 else (s + 4) << (s - 2)
+    limit = primes[0] if s == 1 else w_factor(s + 1)
     for n in range(limit):
         if gcd(u * n + v, prod) == 1:
             return n
@@ -287,25 +289,28 @@ def find_coprime_shift(primes: Sequence[int], u: int, v: int) -> int:
 # case parameters
 
 
+# delta names the class of m mod 4 (`polygonal.delta_of`)
+_CLASS_OF_DELTA = {4: "odd", 2: "2mod4", 1: "0mod4"}
+
+
 @dataclass(frozen=True)
 class CongruenceClass:
     """One congruence family of m sharing a single delta value."""
 
-    tag: str  # "odd" | "2mod4" | "0mod4"
+    delta: int  # 4, 2, 1 for m odd, 2 mod 4, 0 mod 4
     three: bool  # is m = 2 (mod 3)?
-    delta: int
 
     def __post_init__(self):
-        if (self.tag, self.delta) not in {("odd", 4), ("2mod4", 2), ("0mod4", 1)}:
-            raise ValueError(f"delta is 4, 2, 1 for the classes odd, 2mod4, "
-                             f"0mod4, got {self.tag!r} with delta {self.delta}")
+        if self.delta not in _CLASS_OF_DELTA:
+            raise ValueError(f"delta is 4, 2 or 1 (m odd, 2 mod 4, 0 mod 4), "
+                             f"got {self.delta}")
 
     @property
     def label(self) -> str:
-        return f"{self.tag},{'2mod3' if self.three else 'not2mod3'}"
+        return (f"{_CLASS_OF_DELTA[self.delta]},"
+                f"{'2mod3' if self.three else 'not2mod3'}")
 
     def contains(self, m: int) -> bool:
-        # the tag and delta agree (checked above), so delta names the class
         return delta_of(m) == self.delta and (m % 3 == 2) == self.three
 
     def invert_c(self, c_bound: int) -> int:
@@ -340,6 +345,11 @@ class CaseParams:
         # shape, matching the product-inequality clauses' (a, b).
         return self.nu1_max + 1 - self.kappa
 
+    def reach(self, window: int) -> int:
+        """kappa * window + nu_2: how far apart two represented targets
+        can lie over u in a window of that length."""
+        return self.kappa * window + self.nu2_max
+
 
 CASES: Dict[int, CaseParams] = {
     1: CaseParams(
@@ -349,8 +359,8 @@ CASES: Dict[int, CaseParams] = {
         nu1_max=0,
         nu2_max=0,
         classes=(
-            CongruenceClass("odd", True, 4),
-            CongruenceClass("2mod4", True, 2),
+            CongruenceClass(4, True),
+            CongruenceClass(2, True),
         ),
         schedule=(
             ("open", {}),
@@ -370,8 +380,8 @@ CASES: Dict[int, CaseParams] = {
         nu1_max=1,
         nu2_max=1,
         classes=(
-            CongruenceClass("odd", False, 4),
-            CongruenceClass("2mod4", False, 2),
+            CongruenceClass(4, False),
+            CongruenceClass(2, False),
         ),
         schedule=(
             ("open", {}),
@@ -393,7 +403,7 @@ CASES: Dict[int, CaseParams] = {
         kappa=4,
         nu1_max=2,
         nu2_max=2,
-        classes=(CongruenceClass("0mod4", True, 1),),
+        classes=(CongruenceClass(1, True),),
         schedule=(
             ("open", {}),
             ("a1_two_reps", {"n": 49}),
@@ -414,7 +424,7 @@ CASES: Dict[int, CaseParams] = {
         kappa=12,
         nu1_max=4,
         nu2_max=4,
-        classes=(CongruenceClass("0mod4", False, 1),),
+        classes=(CongruenceClass(1, False),),
         schedule=(
             ("open", {}),
             ("a1_two_reps", {"n": 50}),
@@ -440,47 +450,38 @@ def k_bound(case: CaseParams, t: int) -> int:
     return case.kappa * w_factor(t) + case.s_shift
 
 
-def bound_a1_two_reps(n: int, kappa: int, nu: int) -> int:
-    """a_1 bound when at least two of u in [0, n] have their target value
-    represented: two represented values at most kappa n + nu apart force
-    the smallest coefficient under that gap.  Raises ValueError for
-    n < 1."""
-    if n < 1:
-        raise ValueError(f"the two-representations bound needs n >= 1, got {n}")
-    return kappa * n + nu
+def bound_a1_two_reps(case: CaseParams, window: int) -> int:
+    """a_1 bound when at least two u in [0, window] have their target value
+    represented: two represented values at most case.reach(window) apart
+    force the smallest coefficient under that gap.  Raises ValueError for
+    window < 1."""
+    if window < 1:
+        raise ValueError(f"the two-representations bound needs a window "
+                         f">= 1, got {window}")
+    return case.reach(window)
 
 
-def bound_a1_from_eta(
-    n: int, e: int, N: int, delta: int, kappa: int, nu: int, c_min: int
-) -> int:
+def bound_a1_from_eta(case: CaseParams, n: int, e: int, N: int) -> int:
     """a_1 bound from the window count e = eta(n, s) > 8 N^3: then
-    a_1 (N^2 c + 2N) is at most delta (kappa (n-1) + nu), evaluated at
-    c = c_min (larger c only tightens it)."""
+    a_1 (N^2 c + 2N) is at most delta reach(n - 1), delta the case's
+    largest, evaluated at c = C_MIN (larger c only tightens it)."""
     if e <= 8 * N**3:
         raise LemmaViolation(
             f"eta at n = {n} is {e} <= 8N^3 = {8 * N ** 3}: window too thin"
         )
-    return delta * (kappa * (n - 1) + nu) // (N * N * c_min + 2 * N)
+    return case.delta_max * case.reach(n - 1) // (N * N * C_MIN + 2 * N)
 
 
-def bound_a2_from_eta(
-    n: int,
-    e: int,
-    N: int,
-    delta: int,
-    kappa: int,
-    nu: int,
-    c_min: int,
-    tight_window: bool = False,
-) -> int:
+def bound_a2_from_eta(case: CaseParams, n: int, e: int, N: int,
+                      tight_window: bool = False) -> int:
     """a_2 bound from the N-option ladder argument, given the window count
     e = eta(n, s).
 
-    Standard form: e > 2N and N^2 c + 2N > delta (kappa (n-1) + nu) give
-    a_2 <= kappa (n-1) + nu.  With tight_window the count of represented
-    values is pushed into the smallest window still holding 2N + 1 of
-    them -- top = 2N + (n - e) -- which sharpens the bound to
-    kappa * top + nu under the same c-side condition.
+    Standard form: e > 2N and N^2 c + 2N > delta reach(n - 1) give
+    a_2 <= reach(n - 1), delta the case's largest.  With tight_window the
+    count of represented values is pushed into the smallest window still
+    holding 2N + 1 of them -- top = 2N + (n - e) -- which sharpens the
+    bound to reach(top) under the same c-side condition, at c = C_MIN.
     """
     if tight_window:
         window = 2 * N + (n - e)
@@ -490,11 +491,11 @@ def bound_a2_from_eta(
         if e <= 2 * N:
             raise LemmaViolation(f"eta at n = {n} is {e} <= 2N = {2 * N}")
         window = n - 1
-    bound = kappa * window + nu
-    if N * N * c_min + 2 * N <= delta * bound:
+    bound = case.reach(window)
+    if N * N * C_MIN + 2 * N <= case.delta_max * bound:
         raise LemmaViolation(
-            f"ladder needs N^2 c + 2N > delta * bound at c = {c_min}: "
-            f"{N * N * c_min + 2 * N} <= {delta * bound}"
+            f"ladder needs N^2 c + 2N > delta * bound at c = {C_MIN}: "
+            f"{N * N * C_MIN + 2 * N} <= {case.delta_max * bound}"
         )
     return bound
 
@@ -532,16 +533,16 @@ def t_bound_step(
     return ineq_index, spec.t0 - 1
 
 
-def case4_step3_check(c_candidate: int, eta_60_9: int) -> bool:
+def case4_step3_check(case: CaseParams, c_candidate: int, eta_60_9: int) -> bool:
     """Replay of the bespoke conductor argument closing case 4 at t <= 9.
 
-    At conductor c the chain reads: (1) 2c + 2 > 12*59 + 4 confines y_1 and
+    At conductor c the chain reads: (1) 2c + 2 > reach(59) confines y_1 and
     y_2 to three rungs each over the window u <= 59; (2) eta(60, 9) = 19
     represented values exceed the 3*3*2 = 18 slots available if y_3 had
     only two rungs, so some representation has y_3 >= c + alpha_3, giving
-    a_3 (c + 2 alpha_3) <= 12*59 + 4; (3) that cap divided by c + 2 drops
+    a_3 (c + 2 alpha_3) <= reach(59); (3) that cap divided by c + 2 drops
     below 2, forcing a_3 = 1 and hence a_1 = a_2 = a_3 = 1; (4) all nine
-    u <= 8 represented then put some c + 2 alpha_j <= 12*8 + 4, impossible
+    u <= 8 represented then put some c + 2 alpha_j <= reach(8), impossible
     once c + 2 exceeds it.  Returns True when every link fires (the
     candidate c is contradictory).  Each link is monotone in c, so the set
     of contradictory c is an upward-closed ray.
@@ -549,12 +550,11 @@ def case4_step3_check(c_candidate: int, eta_60_9: int) -> bool:
     Link (2) does not depend on c: the caller computes eta(60, 9) once and
     passes it as `eta_60_9`.
     """
-    nu2_max = 4
-    cap = 12 * 59 + nu2_max  # 712
+    cap = case.reach(59)  # 712
     forces_ladder = 2 * c_candidate + 2 > cap
     counting = eta_60_9 > 2 * 3 * 3
     forces_unit_a3 = cap // (c_candidate + 2) < 2
-    final = c_candidate + 2 > 12 * 8 + nu2_max
+    final = c_candidate + 2 > case.reach(8)
     return forces_ladder and counting and forces_unit_a3 and final
 
 
@@ -571,6 +571,11 @@ def m_bound_from_c(cls: CongruenceClass, c_bound: int) -> int:
 
 # ---------------------------------------------------------------------------
 # the replay
+
+
+# the bound each tightening step lowers, by the step's name in the log
+_BOUND_OF_STEP = {"t": "t_bound", "k": "k_cofactor", "a1": "a1_bound",
+                  "a2": "a2_bound"}
 
 
 @dataclass
@@ -590,9 +595,9 @@ class BoundState:
     m_bounds: Dict[str, int] = field(default_factory=dict)
     log: List[dict] = field(default_factory=list)
 
-    def tighten(self, attr: str, value: int, step: str, lemma: str,
-                inputs: dict) -> None:
-        """Lower the bound `attr` to value and log the step."""
+    def tighten(self, step: str, value: int, lemma: str, inputs: dict) -> None:
+        """Lower the bound that `step` names to value and log the step."""
+        attr = _BOUND_OF_STEP[step]
         old = getattr(self, attr)
         assert old is None or value <= old, (attr, old, value)
         setattr(self, attr, value)
@@ -615,6 +620,34 @@ class BoundState:
             "log": self.log,
         }
 
+    def transcript(self) -> List[str]:
+        """The log as text: one line per step, then the case's result."""
+        case = CASES[self.case_id]
+        lines = [f"case {self.case_id}: {case.description}"]
+        for entry in self.log:
+            step, value = entry["step"], entry["value"]
+            detail = ", ".join(f"{k}={v}" for k, v in entry["inputs"].items())
+            why = f"   [{entry['lemma']}: {detail}]"
+            if step == "hypothesis":
+                lines.append(f"  standing hypothesis: c >= {value}")
+            elif step in _BOUND_OF_STEP:  # t, k, a1, a2
+                bound = f"p1^2 * {value}" if step == "k" else value
+                lines.append(f"  {step} <= {bound}{why}")
+            elif step.startswith("c["):
+                lines.append(f"  c <= {value} for {step[2:-1]}{why}")
+            elif step.startswith("m-raw"):
+                lines.append(f"  m <= {value} before congruence refinement"
+                             f"   [{detail}]")
+            else:
+                lines.append(f"  m <= {value} in class {step[2:-1]}")
+        bounds = [(self.m_bounds[cls.label], cls.label) for cls in case.classes]
+        if len(bounds) == 1:  # single-class cases end with the bare bound
+            summary = f"m <= {bounds[0][0]}"
+        else:
+            summary = ", ".join(f"m <= {m} ({label})" for m, label in bounds)
+        lines.append(f"result: {summary}")
+        return lines
+
 
 def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState:
     """Run one case's derivation; optionally diff it against a recorded log.
@@ -636,10 +669,9 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
             clause, t = t_bound_step(case, a1, a2, power)
             _require(s is None or t < s,
                      f"clause {clause} gives t <= {t}, not below t <= {s}")
-            st.tighten("t_bound", t, "t", f"product-clause-{clause}",
+            st.tighten("t", t, f"product-clause-{clause}",
                        {"clause": clause, "product_cap": a1 * a2})
-            st.tighten("k_cofactor", k_bound(case, t), "k", "k-closed-form",
-                       {"t": t})
+            st.tighten("k", k_bound(case, t), "k-closed-form", {"t": t})
             continue
 
         _require(s is not None, f"{op} comes before any bound on t")
@@ -649,56 +681,43 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
         if op == "a1_two_reps":
             _require(e >= 2, "two-representations argument needs two hits")
             window = n - e + 1  # every length-window slice holds >= 2
-            val = bound_a1_two_reps(window, case.kappa, case.nu2_max)
-            st.tighten("a1_bound", val, "a1", "two-reps",
+            st.tighten("a1", bound_a1_two_reps(case, window), "two-reps",
                        {"n": n, "s": s, "eta": e, "window": window})
         elif op == "a1_eta":
-            val = bound_a1_from_eta(
-                n, e, 1, case.delta_max, case.kappa, case.nu2_max, C_MIN
-            )
-            st.tighten("a1_bound", val, "a1", "eta-floor",
+            st.tighten("a1", bound_a1_from_eta(case, n, e, 1), "eta-floor",
                        {"n": n, "s": s, "eta": e, "N": 1, "delta": case.delta_max})
         elif op == "a2_eta":
             N = kw["N"]
             tight = kw.get("tight_window", False)
-            val = bound_a2_from_eta(n, e, N, case.delta_max, case.kappa,
-                                    case.nu2_max, C_MIN, tight_window=tight)
-            st.tighten("a2_bound", val, "a2", "ladder-count" if tight else "ladder",
+            val = bound_a2_from_eta(case, n, e, N, tight_window=tight)
+            st.tighten("a2", val, "ladder-count" if tight else "ladder",
                        {"n": n, "s": s, "eta": e, "N": N, "delta": case.delta_max})
         elif op == "c_eta":
-            # a_1 (c + 2) <= delta (kappa (n-1) + nu) with a_1 >= 1 caps c
-            # at delta (kappa (n-1) + nu) - 2, separately per delta.
+            # a_1 (c + 2) <= delta reach(n - 1) with a_1 >= 1 caps c at
+            # delta reach(n - 1) - 2, separately per delta.
             _require(e > 8, f"eta({n},{s}) = {e} <= 8")
             for cls in case.classes:
-                cb = cls.delta * (case.kappa * (n - 1) + case.nu2_max) - 2
+                cb = cls.delta * case.reach(n - 1) - 2
                 st.c_bounds[cls.delta] = cb
-                st.record(
-                    f"c[delta={cls.delta}]",
-                    "eta-floor-solved-for-c",
-                    {"n": n, "s": s, "eta": e, "delta": cls.delta},
-                    cb,
-                )
+                st.record(f"c[delta={cls.delta}]", "eta-floor-solved-for-c",
+                          {"n": n, "s": s, "eta": e, "delta": cls.delta}, cb)
         elif op == "c_case4":
             _require((n, s) == (60, 9),
                      f"the case 4 conductor step reads eta(60, 9), got "
                      f"eta({n}, {s})")
             first_true = next(
-                c for c in range(C_MIN, 10**4) if case4_step3_check(c, e)
+                c for c in range(C_MIN, 10**4) if case4_step3_check(case, c, e)
             )
             # each link is monotone in c; spot-check far out
-            _require(not case4_step3_check(first_true - 1, e)
-                     and case4_step3_check(10**6, e),
+            _require(not case4_step3_check(case, first_true - 1, e)
+                     and case4_step3_check(case, 10**6, e),
                      f"contradictory conductors are not the ray c >= "
                      f"{first_true}")
             cb = first_true - 1
             (cls,) = case.classes
             st.c_bounds[cls.delta] = cb
-            st.record(
-                "c[delta=1]",
-                "three-rung-contradiction",
-                {"n": n, "s": s, "eta": e},
-                cb,
-            )
+            st.record(f"c[delta={cls.delta}]", "three-rung-contradiction",
+                      {"n": n, "s": s, "eta": e}, cb)
         else:  # pragma: no cover - schedule is fixed above
             raise AssertionError(f"unknown op {op}")
 

@@ -135,10 +135,6 @@ class ShiftedForm:
                              f"conductor {c}")
 
     @property
-    def rank(self) -> int:
-        return len(self.coeffs)
-
-    @property
     def normalized(self) -> bool:
         c = self.conductor
         if c == 1:
@@ -185,12 +181,6 @@ class ShiftedForm:
         for vals in per:
             sums = {s + v for s in sums for v in vals if s + v <= bound}
         return sorted(sums)
-
-    def __str__(self):
-        c = self.conductor
-        terms = " + ".join(f"{a}({c}x+{al})^2"
-                           for a, al in zip(self.coeffs, self.shifts))
-        return f"[{terms}]"
 
 
 def form_to_shifted(f: MGonalForm) -> ShiftedForm:

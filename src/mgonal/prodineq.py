@@ -136,8 +136,12 @@ def certify_all_t(index: int) -> Tuple[Fraction, int, bool]:
 
 
 def min_slack(index: int, t_hi: int) -> Fraction:
-    """Smallest lhs/rhs over t in [t0, t_hi] (> 1 iff the clause holds)."""
+    """Smallest lhs/rhs over t in [t0, t_hi] (> 1 iff the clause holds).
+    Raises ValueError for t_hi < t0."""
     spec = CLAUSES[index]
+    if t_hi < spec.t0:
+        raise ValueError(f"clause {index}: t_hi = {t_hi} is below the "
+                         f"threshold t0 = {spec.t0}")
     return min(Fraction(*verify_inequality(index, t)[:2])
                for t in range(spec.t0, t_hi + 1))
 

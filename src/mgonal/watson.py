@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .localrep import is_stable
-from .numth import multiplicative_order, ord_p, prime_divisors
+from .numth import _check_prime, multiplicative_order, ord_p, prime_divisors
 from .polygonal import ShiftedForm
 
 
@@ -138,10 +138,11 @@ def coset_watson_step(g: ShiftedForm, p: int,
     coordinates and p^j alpha_i (= alpha_i mod c) elsewhere, with
     j the multiplicative order of p mod c, then everything is reduced
     into the normalized window.  Conductor and primitivity are preserved.
-    Raises ValueError when p divides the conductor or the lattice is not
-    ternary and primitive.
+    Raises ValueError unless p is a prime, or when p divides the conductor
+    or the lattice is not ternary and primitive.
     """
     c = g.conductor
+    _check_prime(p)
     if c % p == 0:
         raise ValueError(f"prime {p} divides the conductor {c}")
     _check_primitive_ternary(g.coeffs)
@@ -167,20 +168,19 @@ def stabilize(g: ShiftedForm,
     The least unstable prime is stepped each round (the result does not
     depend on the order, which the tests assert).  Terminates because
     every step strictly decreases the total valuation sum_p sum_i
-    ord_p(a_i) over the eligible primes; the bound is asserted.  Output coefficients are re-sorted ascending with
-    their shifts carried along.  Raises ValueError unless the lattice is
-    ternary and primitive.
+    ord_p(a_i) over the eligible primes; the bound is asserted.  Output
+    coefficients are re-sorted ascending with their shifts carried along.
+    Raises ValueError unless the lattice is ternary and primitive.
     """
     _check_primitive_ternary(g.coeffs)
     cur = normalize_shifts(g)
     budget = sum(ord_p(a, p)
                  for p in prime_divisors(math.prod(cur.coeffs))
-                 for a in cur.coeffs) if math.prod(cur.coeffs) > 1 else 0
+                 for a in cur.coeffs)
     steps = 0
     while True:
-        disc = math.prod(cur.coeffs)
-        unstable = [p for p in prime_divisors(disc)
-                    if disc > 1 and cur.conductor % p != 0
+        unstable = [p for p in prime_divisors(math.prod(cur.coeffs))
+                    if cur.conductor % p != 0
                     and not is_stable(cur.coeffs, p)]
         if not unstable:
             break

@@ -427,6 +427,27 @@ def test_stabilize_logs_steps(capsys):
     assert payload["output"]["coeffs"] == sorted(payload["output"]["coeffs"])
 
 
+def test_watson_step_text_and_json(capsys):
+    """One step at p = 2 on <1,2,4> with c = 5: the unit entry 1 is scaled
+    by 4, then 2^1 divides out; its shift moves by 2^(j-1) = 8 = 3 (mod 5),
+    normalized to 2, and the others by 2^j = 1 (mod 5)."""
+    argv = ("watson", "--conductor", "5", "--coeffs", "1,2,4", "--p", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "input:  conductor 5, coeffs [1, 2, 4], shifts [1, 1, 1]",
+        "step:   p=2, q=2, scale s=1, order j=4",
+        "output: conductor 5, coeffs [2, 1, 2], shifts [2, 1, 1]",
+        f"# mgonal {cli.__version__}"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"command":"watson","input":{"coeffs":[1,2,4],"conductor":5,'
+        '"shifts":[1,1,1]},"j":4,"output":{"coeffs":[2,1,2],"conductor":5,'
+        '"shifts":[2,1,1]},"p":2,"q":2,"s":1,"tool":"mgonal",'
+        f'"version":"{cli.__version__}"}}\n')
+
+
 def test_regcheck_scan_out_file(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     code, out, _ = run(capsys, "regcheck", "scan", "--m", "3",

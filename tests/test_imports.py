@@ -1,10 +1,10 @@
 """Static checks over the package's modules: every name a module imports
 is used in it, no module keeps a hand-rolled cache, the package keeps
 exactly one lru_cache, only the reference oracles raise ModulusTooLarge,
-every public function has a caller in the package or is named as an
-oracle, a certificate or awaiting a caller, one check tests primality
-for the package, and every assert left is named as an internal
-invariant."""
+every public function, method and property has a caller in the package
+or is named as an oracle, a certificate, awaiting a caller or a test
+reference, one check tests primality for the package, and every assert
+left is named as an internal invariant."""
 
 import argparse
 import ast
@@ -174,6 +174,60 @@ def _uncalled(module: str, sources: dict):
     return [fn for fn in public if fn not in called]
 
 
+def _attribute_references(source: str):
+    """(owner, name, inside) for each attribute reference `x.name` of the
+    source: owner is the class x holds when that is known -- `self` (the
+    first parameter of a method) or a parameter annotated with a class
+    name -- and None otherwise; inside is the `Class.method` holding the
+    reference, or None.  References on a module bound by `import` (such as
+    np.minimum) are left out."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    found = []
+
+    def visit(node, cls, inside, types):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None, {})
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = child.args.posonlyargs + child.args.args
+                inner = {**types, **{a.arg: a.annotation.id for a in params
+                                     + child.args.kwonlyargs
+                                     if isinstance(a.annotation, ast.Name)}}
+                if cls and inside is None and params:  # a method's self
+                    inner[params[0].arg] = cls
+                visit(child, cls, inside or cls and f"{cls}.{child.name}", inner)
+                continue
+            if isinstance(child, ast.Attribute):
+                receiver = getattr(child.value, "id", None)
+                if receiver not in modules:
+                    found.append((types.get(receiver), child.attr, inside))
+            visit(child, cls, inside, types)
+
+    visit(tree, None, None, {})
+    return found
+
+
+def _unreferenced_members(module: str, sources: dict):
+    """`Class.name` of each public method and property of the classes of
+    sources[module] that no attribute reference in the sources can reach,
+    a reference inside the member itself aside: a reference reaches the
+    members of that name of its owner class, or of every class when its
+    owner is not known."""
+    members = [(cls.name, fn.name) for cls in ast.parse(sources[module]).body
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    refs = [ref for source in sources.values()
+            for ref in _attribute_references(source)]
+    return [f"{cls}.{name}" for cls, name in members
+            if not any(attr == name and owner in (None, cls)
+                       and inside != f"{cls}.{name}"
+                       for owner, attr, inside in refs)]
+
+
 # The public functions that no code in the package calls, by reason.
 # Independent references the tests hold the engines to:
 ORACLES = ["localrep.represents_reference_fft", "localrep.stable_value_set_check",
@@ -186,15 +240,21 @@ CERTIFICATES = ["density.exception_count_check", "density.psi_prime_power",
 # command call them (ROADMAP items 1 and 4):
 AWAITING_A_CALLER = ["pipeline.find_nu", "pipeline.find_v",
                      "regcheck.candidate_scan"]
+# Methods only the tests call, to compare shifted forms by their values:
+TEST_REFERENCES = ["polygonal.ShiftedForm.minimum", "polygonal.ShiftedForm.value",
+                   "polygonal.ShiftedForm.values_upto"]
 
 
 def test_no_dead_public_api():
     """Every public function of every module has a caller in the package,
-    or is named above."""
+    and every public method and property of its classes a reference, or
+    is named above."""
     sources = {path.stem: path.read_text() for path in MODULES}
     found = [f"{module}.{fn}" for module in sources
-             for fn in _uncalled(module, sources)]
-    assert sorted(found) == sorted(ORACLES + CERTIFICATES + AWAITING_A_CALLER)
+             for fn in (_uncalled(module, sources)
+                        + _unreferenced_members(module, sources))]
+    assert sorted(found) == sorted(ORACLES + CERTIFICATES + AWAITING_A_CALLER
+                                   + TEST_REFERENCES)
 
 
 def test_uncalled_function_is_reported():
@@ -202,6 +262,28 @@ def test_uncalled_function_is_reported():
                       "def _private(): pass\n",
                "app": "import lib\n\ndef main():\n    return lib.used()\n"}
     assert _uncalled("lib", sources) == ["dead"]
+
+
+def test_unreferenced_member_is_reported():
+    """A member reached only from inside itself, a name shared with a
+    member of another class, and a numpy function of the same name do not
+    keep a member alive; `self`, an annotation and an unknown receiver
+    do."""
+    sources = {
+        "lib": ("import numpy as np\n\n"
+                "class Form:\n"
+                "    @property\n    def rank(self):\n        return 3\n\n"
+                "    def value(self, xs):\n        return self.value(xs[1:])\n\n"
+                "    def minimum(self):\n        return np.minimum(1, 2)\n\n"
+                "    def size(self):\n        return self.width\n\n"
+                "    @property\n    def width(self):\n        return 1\n\n"
+                "    def _hidden(self):\n        pass\n\n"
+                "class Other:\n    def value(self, xs):\n        return 0\n\n"
+                "    @property\n    def rank(self):\n        return 2\n"),
+        "app": ("def main(f: Other, g):\n"
+                "    return f.value(()) + f.rank + g.size()\n")}
+    assert _unreferenced_members("lib", sources) == [
+        "Form.rank", "Form.value", "Form.minimum"]
 
 
 def _referrers(source: str, module: str, name: str):

@@ -747,6 +747,22 @@ def test_locally_represented_many_edges():
     for ns in ([2**62], [-2**62], [2**70]):
         with pytest.raises(ValueError):
             locally_represented_many(f, ns)
+    # targets are not truncated, parsed or wrapped into int64 on either
+    # array entry point: a float, a string and a uint64 past 2^63 raise
+    sq = MGonalForm(4, (1, 1, 1))
+    for ns, match in (([7.9], "dtype float64"), (["3"], "dtype <U1"),
+                      (np.array([2**63 + 7], dtype=np.uint64), "int64"),
+                      ([2**70], "int64")):
+        for call in (lambda: locally_represented_many(sq, ns),
+                     lambda: represents_over_zp_many((1, 1, 1), ns, 2)):
+            with pytest.raises(ValueError, match=match):
+                call()
+    # numpy integers of any width, and uint64 below 2^63, are answered
+    for ns in (np.array([7, 29], dtype=np.uint64), np.array([7, 29], dtype=np.int8),
+               [np.int16(7), 29]):
+        assert locally_represented_many(sq, ns).tolist() == [False, True]
+        assert represents_over_zp_many((1, 1, 1), ns, 2).tolist() == [False, True]
+    assert represents_over_zp_many((1, 1, 1), [], 2).shape == (0,)
     # at m = 4 (d = 0) no overflow check bounds the entries, and an entry
     # past int64 keeps its exact labels
     huge, ns = MGonalForm(4, (1, 1, 2**70)), [5, 7, 2**60]
@@ -989,11 +1005,16 @@ def test_numpy_integers_are_accepted_at_the_entry_points():
 
 def test_shifted_and_plain_validation_raise_under_optimize():
     """A zero shift, a negative shift sharing a factor with c, a p that is
-    not a prime (on both sides of p | c) and a zero entry raise ValueError,
-    also when asserts are stripped; at c = 1 any shifts are accepted."""
+    not a prime (on both sides of p | c, in the exponents and in a descent
+    step) and a zero entry raise ValueError, also when asserts are stripped;
+    at c = 1 any shifts are accepted.  (hensel_exponent and
+    conservative_exponent used to return 1 and 3 at p = 4 and 6, and the
+    descent step divided by p = 0.)"""
     script = (
-        "from mgonal.localrep import represents_over_zp, shifted_represents_over_zp\n"
+        "from mgonal.localrep import (conservative_exponent, hensel_exponent,\n"
+        "                             represents_over_zp, shifted_represents_over_zp)\n"
         "from mgonal.polygonal import ShiftedForm\n"
+        "from mgonal.watson import coset_watson_step\n"
         "print(ShiftedForm(1, (1, 2, 3), (0, -4, 6)).shifts)\n"
         "g, h = ShiftedForm(36, (1, 2, 3), (1, 5, 7)), ShiftedForm(5, (1, 2, 3), (1, 2, 3))\n"
         "for call in (lambda: ShiftedForm(6, (1, 2, 3), (1, 0, 5)),\n"
@@ -1003,7 +1024,11 @@ def test_shifted_and_plain_validation_raise_under_optimize():
         "             lambda: shifted_represents_over_zp(h, 7, 4),\n"
         "             lambda: shifted_represents_over_zp(g, 7, 9),\n"
         "             lambda: shifted_represents_over_zp(h, 7, 9),\n"
-        "             lambda: represents_over_zp((1, 0, 3), 5, 3)):\n"
+        "             lambda: represents_over_zp((1, 0, 3), 5, 3),\n"
+        "             lambda: hensel_exponent((1, 1, 1), 5, 4),\n"
+        "             lambda: conservative_exponent((1, 1, 1), 5, 6),\n"
+        "             lambda: coset_watson_step(ShiftedForm(7, (1, 1, 25), (1, 1, 1)), 0),\n"
+        "             lambda: coset_watson_step(ShiftedForm(7, (1, 1, 25), (1, 1, 1)), 1)):\n"
         "    try:\n"
         "        print(call())\n"
         "    except ValueError as exc:\n"
@@ -1021,4 +1046,8 @@ def test_shifted_and_plain_validation_raise_under_optimize():
         "p must be a prime, got 4",
         "p must be a prime, got 9",
         "p must be a prime, got 9",
-        "coefficients must be a nonempty list of nonzero integers, got (1, 0, 3)"]
+        "coefficients must be a nonempty list of nonzero integers, got (1, 0, 3)",
+        "p must be a prime, got 4",
+        "p must be a prime, got 6",
+        "p must be a prime, got 0",
+        "p must be a prime, got 1"]

@@ -11,7 +11,6 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgonal import cli
 from mgonal.density import eta
 from mgonal.localrep import represents_over_zp
 from mgonal.pipeline import (
@@ -58,6 +57,8 @@ def test_find_nu_sums_of_squares():
     # 4n + 0 hits 28 = 4 * 7, which three squares miss, so nu = 0 fails
     assert find_nu((1, 1, 1), u=1, l=0) == 1
     assert find_nu((1, 1, 2), u=1, l=1) == 0
+    # the class 2 mod 4: every 2 * odd is a sum of three squares over Z_2
+    assert find_nu((1, 1, 1), u=1, l=2) == 0
 
 
 def test_find_nu_mod_twelve():
@@ -66,6 +67,11 @@ def test_find_nu_mod_twelve():
     for n in range(40):
         assert represents_over_zp((1, 1, 1), 12 * n + 1, 2)
         assert represents_over_zp((1, 1, 1), 12 * n + 1, 3)
+    # 12 n + 6 is 2 mod 4 and 0 mod 3, covered at 2 and at 3
+    assert find_nu((1, 1, 1), u=1, l=6, also_3=True) == 0
+    # 12 n + 0 is covered at 2 but not at 3: x^2 + y^2 + 3z^2 misses 6
+    # over Z_3, so nu = 0 fails there, and nu = 1 is covered at both
+    assert find_nu((1, 1, 3), u=1, l=0, also_3=True) == 1
 
 
 def test_find_nu_rejects_unstable():
@@ -75,7 +81,7 @@ def test_find_nu_rejects_unstable():
 
 def test_lemma_and_bound_helpers_raise_under_optimize():
     """An even u, a lattice that is not 2-stable, a c bound below every m of
-    the class and a window n < 1 raise ValueError, and a tight window that
+    the class and a window below 1 raise ValueError, and a tight window that
     does not shrink raises LemmaViolation, also when asserts are stripped
     (under -O they used to return 1, 1, 2, 0 and 30)."""
     script = (
@@ -83,9 +89,9 @@ def test_lemma_and_bound_helpers_raise_under_optimize():
         "for call in (lambda: find_nu((1, 1, 1), 2, 0),\n"
         "             lambda: find_nu((1, 1, 4), 1, 0),\n"
         "             lambda: find_nu((1, 1, 1), 3, 0, also_3=True),\n"
-        "             lambda: m_bound_from_c(CongruenceClass('odd', True, 4), 0),\n"
-        "             lambda: bound_a1_two_reps(0, 1, 0),\n"
-        "             lambda: bound_a2_from_eta(5, 4, 3, 1, 4, 2, 36,\n"
+        "             lambda: m_bound_from_c(CongruenceClass(4, True), 0),\n"
+        "             lambda: bound_a1_two_reps(CASES[1], 0),\n"
+        "             lambda: bound_a2_from_eta(CASES[3], 5, 4, 3,\n"
         "                                       tight_window=True)):\n"
         "    try:\n"
         "        print('returned', call())\n"
@@ -100,7 +106,7 @@ def test_lemma_and_bound_helpers_raise_under_optimize():
         "ValueError: nu-selection needs a 2-stable lattice, got (1, 1, 4)",
         "ValueError: u must be prime to 6, got 3",
         "ValueError: no m >= 3 in class odd,2mod3 has c <= 0",
-        "ValueError: the two-representations bound needs n >= 1, got 0",
+        "ValueError: the two-representations bound needs a window >= 1, got 0",
         "LemmaViolation: tight window 7 is wider than n - 1 = 4"]
 
 
@@ -111,7 +117,7 @@ def test_case_records_reject_bad_fields_under_optimize():
     script = (
         "from mgonal.pipeline import CongruenceClass\n"
         "from mgonal.watson import WatsonStep\n"
-        "for call in (lambda: CongruenceClass('odd', True, 3),\n"
+        "for call in (lambda: CongruenceClass(3, True),\n"
         "             lambda: WatsonStep(p=3, q=3, s=3, j=1)):\n"
         "    try:\n"
         "        print('returned', call())\n"
@@ -122,8 +128,7 @@ def test_case_records_reject_bad_fields_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "ValueError: delta is 4, 2, 1 for the classes odd, 2mod4, 0mod4, "
-        "got 'odd' with delta 3",
+        "ValueError: delta is 4, 2 or 1 (m odd, 2 mod 4, 0 mod 4), got 3",
         "ValueError: need s in (1, 2), got s = 3"]
 
 
@@ -249,30 +254,31 @@ def test_k_bound_cofactors():
 
 
 def test_bound_a1_formulas():
-    assert bound_a1_two_reps(45, 1, 0) == 45
-    assert bound_a1_from_eta(25, eta(25, 6), 1, 4, 1, 0, 36) == 2
-    assert bound_a1_from_eta(30, eta(30, 7), 1, 4, 3, 1, 36) == 9
-    assert bound_a1_from_eta(30, eta(30, 7), 1, 1, 4, 2, 36) == 3
+    assert bound_a1_two_reps(CASES[1], 45) == 45
+    assert bound_a1_from_eta(CASES[1], 25, eta(25, 6), 1) == 2
+    assert bound_a1_from_eta(CASES[2], 30, eta(30, 7), 1) == 9
+    assert bound_a1_from_eta(CASES[3], 30, eta(30, 7), 1) == 3
 
 
 def test_bound_a1_needs_thick_window():
     with pytest.raises(LemmaViolation):
-        bound_a1_from_eta(10, eta(10, 1), 1, 4, 1, 0, 36)
+        bound_a1_from_eta(CASES[1], 10, eta(10, 1), 1)
 
 
 def test_bound_a2_formulas():
-    assert bound_a2_from_eta(50, eta(50, 15), 3, 4, 1, 0, 36) == 49
-    assert bound_a2_from_eta(19, eta(19, 6), 2, 4, 1, 0, 36) == 18
-    assert bound_a2_from_eta(102, eta(102, 17), 8, 4, 3, 1, 36) == 304
-    assert bound_a2_from_eta(25, eta(25, 7), 2, 1, 4, 2, 36,
+    assert bound_a2_from_eta(CASES[1], 50, eta(50, 15), 3) == 49
+    assert bound_a2_from_eta(CASES[1], 19, eta(19, 6), 2) == 18
+    assert bound_a2_from_eta(CASES[2], 102, eta(102, 17), 8) == 304
+    assert bound_a2_from_eta(CASES[3], 25, eta(25, 7), 2,
                              tight_window=True) == 90
 
 
 def test_bound_a2_guards():
-    with pytest.raises(LemmaViolation):
-        bound_a2_from_eta(10, eta(10, 1), 4, 4, 1, 0, 36)  # eta too small
-    with pytest.raises(LemmaViolation):
-        bound_a2_from_eta(50, eta(50, 15), 3, 4, 1, 0, 1)  # c side fails
+    with pytest.raises(LemmaViolation, match="<= 2N"):
+        bound_a2_from_eta(CASES[1], 10, eta(10, 1), 4)  # eta too small
+    # one rung: N^2 c + 2N = 38 <= delta * bound = 4 * 49 at c = 36
+    with pytest.raises(LemmaViolation, match="38 <= 196"):
+        bound_a2_from_eta(CASES[1], 50, eta(50, 15), 1)  # c side fails
 
 
 def test_t_bound_step_matches_clauses():
@@ -331,7 +337,7 @@ def test_replay_checks_raise_under_optimize():
         "    lambda: patched('eta', lambda n, s: 8, lambda: replay_case(\n"
         "        case(1, one[0], ('c_eta', {'n': 20})))),\n"
         "    lambda: replay_case(case(4, *four[:4], ('c_case4', {'n': 61}))),\n"
-        "    lambda: patched('case4_step3_check', lambda c, e: True,\n"
+        "    lambda: patched('case4_step3_check', lambda case, c, e: True,\n"
         "                    lambda: replay_case(CASES[4])),\n"
         "    lambda: replay_case(dataclasses.replace(CASES[4], nu1_max=3)),\n"
         "]\n"
@@ -359,15 +365,17 @@ def test_replay_checks_raise_under_optimize():
 
 
 def test_case4_conductor_ray():
-    e = eta(60, 9)
-    assert not case4_step3_check(355, e)
-    assert case4_step3_check(356, e)
-    assert case4_step3_check(10**6, e)
-    first = next(c for c in range(1, 400) if case4_step3_check(c, e))
+    case, e = CASES[4], eta(60, 9)
+    # the cap over u <= 59 and the last link's reach over u <= 8
+    assert case.reach(59) == 712 and case.reach(8) == 100
+    assert not case4_step3_check(case, 355, e)
+    assert case4_step3_check(case, 356, e)
+    assert case4_step3_check(case, 10**6, e)
+    first = next(c for c in range(1, 400) if case4_step3_check(case, c, e))
     assert first == 356
-    assert all(case4_step3_check(c, e) for c in range(356, 500))
+    assert all(case4_step3_check(case, c, e) for c in range(356, 500))
     # 18 represented values fit the 3*3*2 slots: no contradiction at any c
-    assert not case4_step3_check(10**6, 2 * 3 * 3)
+    assert not case4_step3_check(case, 10**6, 2 * 3 * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +383,18 @@ def test_case4_conductor_ray():
 
 
 def test_m_bound_from_c_per_family():
-    assert m_bound_from_c(CongruenceClass("odd", True, 4), 74) == 35
-    assert m_bound_from_c(CongruenceClass("2mod4", True, 2), 36) == 38
-    assert m_bound_from_c(CongruenceClass("odd", False, 4), 290) == 147
-    assert m_bound_from_c(CongruenceClass("2mod4", False, 2), 144) == 142
-    assert m_bound_from_c(CongruenceClass("0mod4", True, 1), 96) == 188
-    assert m_bound_from_c(CongruenceClass("0mod4", False, 1), 355) == 712
+    assert m_bound_from_c(CongruenceClass(4, True), 74) == 35
+    assert m_bound_from_c(CongruenceClass(2, True), 36) == 38
+    assert m_bound_from_c(CongruenceClass(4, False), 290) == 147
+    assert m_bound_from_c(CongruenceClass(2, False), 144) == 142
+    assert m_bound_from_c(CongruenceClass(1, True), 96) == 188
+    assert m_bound_from_c(CongruenceClass(1, False), 355) == 712
 
 
-@given(st.sampled_from([("odd", 4), ("2mod4", 2), ("0mod4", 1)]),
-       st.booleans(), st.integers(min_value=36, max_value=3000))
-def test_m_bound_membership_and_maximality(tag_delta, three, c_bound):
-    tag, delta = tag_delta
-    cls = CongruenceClass(tag, three, delta)
+@given(st.sampled_from([4, 2, 1]), st.booleans(),
+       st.integers(min_value=36, max_value=3000))
+def test_m_bound_membership_and_maximality(delta, three, c_bound):
+    cls = CongruenceClass(delta, three)
     m = m_bound_from_c(cls, c_bound)
     assert cls.contains(m)
     # maximal: no larger member of the class keeps c <= c_bound
@@ -433,11 +440,23 @@ def test_replay_bytes_are_pinned():
     log = json.dumps({str(c): st.as_dict() for c, st in states.items()},
                      sort_keys=True, separators=(",", ":"))
     text = "\n".join(line for c in (1, 2, 3, 4)
-                     for line in cli._transcript(states[c]))
+                     for line in states[c].transcript())
     assert hashlib.sha256(log.encode()).hexdigest() == (
         "61438a6c26e56675eaf213c4cd218096c079aef92852cebb5e34ac53bf5fbae1")
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "522d8b107ee530660d13309cf76b9fb9d84faa63b0f50a95caa1c8fb209def4f")
+
+
+def test_table1_is_the_replays_eta_windows():
+    """table1.json lists the (n, s, eta) of every distinct eta window the
+    four schedules read, and no other."""
+    table = json.loads((resources.files("mgonal") / "data"
+                        / "table1.json").read_text())["entries"]
+    windows = {(e["inputs"]["n"], e["inputs"]["s"], e["inputs"]["eta"])
+               for state in replay_all().values() for e in state.log
+               if "eta" in e["inputs"]}
+    assert len(table) == 16
+    assert sorted(map(tuple, table)) == sorted(windows)
 
 
 def test_theorem_bounds():

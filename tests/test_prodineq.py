@@ -136,12 +136,18 @@ def test_prime_table_agrees_with_sympy():
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_induction_step_rejects_t_max_below_threshold(flags):
-    """t_max < t0 raises ValueError, also when asserts are stripped (under
-    -O it used to return True)."""
-    script = ("from mgonal.prodineq import verify_induction_step\n"
-              "try:\n    print(verify_induction_step(1, 3))\n"
-              "except ValueError as exc:\n    print(exc)\n")
+    """t_max < t0 in the induction step and t_hi < t0 in the slack raise
+    ValueError, also when asserts are stripped (under -O the induction
+    step used to return True; the slack raised "min() arg is an empty
+    sequence")."""
+    script = ("from mgonal.prodineq import min_slack, verify_induction_step\n"
+              "for call in (lambda: verify_induction_step(1, 3),\n"
+              "             lambda: min_slack(1, 5)):\n"
+              "    try:\n        print(call())\n"
+              "    except ValueError as exc:\n        print(exc)\n")
     proc = subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "clause 1: t_max = 3 is below the threshold t0 = 16\n"
+    assert proc.stdout.splitlines() == [
+        "clause 1: t_max = 3 is below the threshold t0 = 16",
+        "clause 1: t_hi = 5 is below the threshold t0 = 16"]
