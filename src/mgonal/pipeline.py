@@ -1,5 +1,5 @@
-"""Constructive local lemmas and the mechanical replay of the four-case
-bound derivation for ternary shifted forms.
+"""The mechanical replay of the four-case bound derivation for ternary
+shifted forms.
 
 Setting: a ternary shifted form sum a_i (c x_i + alpha_i)^2 with conductor
 c >= 36, coefficients a_1 <= a_2 <= a_3, and T = {p_1 < ... < p_t} the odd
@@ -27,24 +27,11 @@ of the correction terms, `CaseParams.nu1_max` and `nu2_max`, are fixed
 inputs of each case, not derived here (ROADMAP.md, item 5, plans a
 certificate for them).
 
-The constructive lemmas behind the derivation are also implemented here.
-`replay_case` calls none of them; the tests check each one:
-
-  * find_nu: pick nu so that u(4n+nu)+l (or u(12n+nu)+l) is represented
-    over Z_2 (and Z_3) for every n >= 0.  Unit squares in Z_2 are exactly
-    1 + 8 Z_2, so whether 2^e * w (w odd) is represented depends only on
-    (e, w mod 8); a residue class mod 4 therefore decomposes into finitely
-    many such fingerprints, and the deep ords reduce to e in {2,3} because
-    4 * Q(L) is contained in Q(L).  The check below tests exactly those
-    fingerprints, making the "for every n" quantifier finite.
-  * find_v: at an anisotropic prime p (lattice of shape <1,-Delta> with an
-    extra <p eps> entry), construct v with 0 < v < p^2 such that uv + A_2
-    escapes the binary sublattice while uv + min stays represented, both
-    values having ord at most 1.  Three branches, depending on which
-    coefficient p divides.
-  * find_coprime_shift: the smallest n with gcd(un + v, p_1...p_s) = 1,
-    which always lands below W(s + 1) = (s+4) 2^{s-2} when s >= 2, the
-    W(t) of the k-bound.
+Of the constructive lemmas behind the derivation, only
+`find_coprime_shift` is implemented here; `replay_case` does not call it,
+the tests check it.  It finds the smallest n with
+gcd(un + v, p_1...p_s) = 1, which always lands below
+W(s + 1) = (s+4) 2^{s-2} when s >= 2, the W(t) of the k-bound.
 """
 
 from __future__ import annotations
@@ -54,9 +41,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .density import eta
-from .localrep import (_lattice_key, _order_and_class, _stable_pair, is_stable,
-                       represents_over_zp)
-from .numth import _check_prime, ord_p
+from .numth import _check_prime
 from .polygonal import delta_of
 from .prodineq import CLAUSES, certify_all_t, verify_inequality, w_factor
 
@@ -78,176 +63,6 @@ def _require(holds: bool, message: str) -> None:
     assert would vanish under python -O)."""
     if not holds:
         raise LemmaViolation(message)
-
-
-# ---------------------------------------------------------------------------
-# nu-selection over Z_2 (and Z_3)
-
-
-def _coset_covered_z2(coeffs, w: int) -> bool:
-    """Is the whole class w + 4 Z_2 inside the value set of L over Z_2?
-
-    Odd w: every element is a unit congruent to w or w+4 mod 8, and units
-    in a fixed class mod 8 differ by unit squares, so two checks suffice.
-    w = 2 mod 4: elements are 2 * unit; four checks.  w = 0 mod 4: besides
-    0 (always represented) the elements are 2^e * unit with e >= 2, and
-    e >= 4 reduces to e - 2 via 4 Q(L) <= Q(L), leaving the eight
-    fingerprints e in {2,3} x units mod 8.
-    """
-    w %= 4
-    rep = lambda n: bool(represents_over_zp(coeffs, n, 2))
-    if w % 2:
-        return rep(w) and rep(w + 4)
-    if w == 2:
-        return all(rep(2 * odd) for odd in (1, 3, 5, 7))
-    return all(rep((1 << e) * odd) for e in (2, 3) for odd in (1, 3, 5, 7))
-
-
-def _coset_covered_z3(coeffs, w: int) -> bool:
-    """Same coverage question for w + 3 Z_3 over Z_3.
-
-    Unit squares in Z_3 are 1 + 3 Z_3, so units in a fixed class mod 3 form
-    one orbit; class 0 reduces to the four fingerprints 3*{1,2}, 9*{1,2}.
-    """
-    w %= 3
-    rep = lambda n: bool(represents_over_zp(coeffs, n, 3))
-    if w:
-        return rep(w)
-    return all(rep(s * u) for s in (3, 9) for u in (1, 2))
-
-
-def find_nu(coeffs: Sequence[int], u: int, l: int, also_3: bool = False) -> int:
-    """Smallest nu with u(4n+nu)+l (also_3: u(12n+nu)+l) represented over
-    Z_2 (and Z_3) for every integer n >= 0.
-
-    The progression's closure in Z_2 is the full class (u nu + l) + 4 Z_2
-    (resp. + 3 Z_3 at 3), so representability for every n is equivalent to
-    coverage of that class, decided by the fingerprint checks above.  The
-    first eight progression members are re-tested directly as a guard.
-    Raises ValueError unless u is prime to 2 (also_3: to 6) and the lattice
-    is 2-stable (also_3: and 3-stable).
-    """
-    coeffs = tuple(coeffs)
-    primes = (2, 3) if also_3 else (2,)
-    if any(u % q == 0 for q in primes):
-        raise ValueError(f"u must be prime to {6 if also_3 else 2}, got {u}")
-    for q in primes:
-        if not is_stable(coeffs, q):
-            raise ValueError(f"nu-selection needs a {q}-stable lattice, "
-                             f"got {coeffs}")
-    mult = 12 if also_3 else 4
-    for nu in range(5 if also_3 else 3):
-        w = u * nu + l
-        if not _coset_covered_z2(coeffs, w):
-            continue
-        if also_3 and not _coset_covered_z3(coeffs, w):
-            continue
-        for n in range(8):  # direct spot check of the first members
-            val = u * (mult * n + nu) + l
-            for q in primes:
-                _require(represents_over_zp(coeffs, val, q),
-                         f"nu = {nu} leaves {val} unrepresented over Z_{q}")
-        return nu
-    raise LemmaViolation(
-        f"no nu in 0..{4 if also_3 else 2} covers u={u}, l={l} for {coeffs}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# v-construction at an anisotropic prime
-
-
-def _anisotropic_shape(a: Sequence[int], p: int) -> int:
-    """Index of the ord-1 entry if <a_1,a_2,a_3> = <1,-Delta> perp <p eps>
-    at p (unimodular binary anisotropic, one entry of ord exactly 1);
-    ValueError otherwise."""
-    (e1, i1), (e2, i2), (e3, _) = _lattice_key(a, p)
-    if (e1, e2, e3) != (0, 0, 1):
-        raise ValueError(
-            f"lattice {tuple(a)} at p={p} is not unimodular-rank-2 with a "
-            f"single ord-1 entry (orders {(e1, e2, e3)})"
-        )
-    if _stable_pair(i1, i2, p):
-        raise ValueError(
-            f"binary part of {tuple(a)} is isotropic at p={p}; the "
-            "construction needs -u1*u2 to be a nonsquare"
-        )
-    return next(i for i, x in enumerate(a) if x % p == 0)
-
-
-def find_v(p: int, u: int, a: Sequence[int], alpha: Sequence[int]) -> int:
-    """Construct 0 < v < p^2 with, writing A2 = a1 al1^2 + a2 al2^2 and
-    m0 = A2 + a3 al3^2:
-
-      (i)   0 < v < p^2;
-      (ii)  u v + A2 is NOT represented by <a1,a2> over Z_p;
-      (iii) u v + m0 IS represented by <a1,a2,a3> over Z_p;
-      (iv)  ord_p of both values is at most 1.
-
-    Requires p >= 5 and the anisotropic shape <1,-Delta> perp <p eps>.
-    Branches on which coefficient p divides; each branch pins u v mod p or
-    mod p^2 so that the target lands in the excluded square class of the
-    binary part.  All four clauses are re-verified through the local
-    engine before returning.  Raises ValueError unless p is a prime >= 5,
-    a and alpha have three entries and u is a positive p-unit.
-    """
-    a = tuple(a)
-    alpha = tuple(alpha)
-    _check_prime(p, 5)
-    if len(a) != 3 or len(alpha) != 3:
-        raise ValueError(f"find_v needs three coefficients and three shifts, "
-                         f"got {a} and {alpha}")
-    if u <= 0 or u % p == 0:
-        raise ValueError(f"find_v needs a positive unit u at {p}, got {u}")
-    deep = _anisotropic_shape(a, p)
-    a1, a2, a3 = a
-    al1, al2, al3 = alpha
-    A2 = a1 * al1 * al1 + a2 * al2 * al2
-    m0 = A2 + a3 * al3 * al3
-
-    if deep == 2:
-        if al3 % p == 0:
-            # p | a3 and p | alpha3: aim u v + A2 = a3 (mod p^2), an ord-1
-            # value in the class the binary part misses.
-            target = a3 % (p * p)
-        else:
-            # p | a3, alpha3 a unit: pick a square t != alpha3^2 mod p and
-            # aim at a3 (t - alpha3^2), again ord exactly 1.
-            t = next(
-                t
-                for t in range(1, p)
-                if t % p != (al3 * al3) % p and _order_and_class(t, p)[1] == 0
-            )
-            target = a3 * (t - al3 * al3) % (p * p)
-        v = (target - A2) * pow(u, -1, p * p) % (p * p)
-    else:
-        # p divides a1 or a2; the other of the pair is a unit.
-        unit_class = _order_and_class(a2 if deep == 0 else a1, p)[1]
-        # a' is a unit in the square class the pair <a1,a2> cannot take,
-        # kept away from -a3 alpha3^2 so that clause (iii) sees a unit.
-        aprime = next(
-            x
-            for x in range(1, p)
-            if x % p != (-a3 * al3 * al3) % p
-            and _order_and_class(x, p)[1] != unit_class
-        )
-        v = (aprime - A2) * pow(u, -1, p) % p
-
-    failures = []
-    if not 0 < v < p * p:
-        failures.append(f"(i) v={v} outside (0, {p * p})")
-    if represents_over_zp((a1, a2), u * v + A2, p):
-        failures.append(f"(ii) {u * v + A2} represented by <{a1},{a2}>")
-    if not represents_over_zp(a, u * v + m0, p):
-        failures.append(f"(iii) {u * v + m0} not represented by {a}")
-    if max(ord_p(u * v + A2, p), ord_p(u * v + m0, p)) > 1:
-        failures.append("(iv) ord_p of a target exceeds 1")
-    if failures:
-        raise LemmaViolation(
-            f"v-construction failed at p={p}, u={u}, a={a}, alpha={alpha}: "
-            + "; ".join(failures)
-        )
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +133,12 @@ class CongruenceClass:
         return 2 * c_bound // self.delta + 2
 
 
+# the schedule's ops, each with the keys `replay_case` reads from its entry
+_KEYS_OF_OP = {"open": (), "tighten_t": (), "a1_two_reps": ("n",),
+               "a1_eta": ("n",), "a2_eta": ("n", "N"), "c_eta": ("n",),
+               "c_case4": ("n",)}
+
+
 @dataclass(frozen=True)
 class CaseParams:
     """Fixed data of one of the four congruence cases of the derivation."""
@@ -334,6 +155,14 @@ class CaseParams:
         if self.case_id not in (1, 2, 3, 4) or self.kappa not in (1, 3, 4, 12):
             raise ValueError(f"need case 1..4 and kappa in (1, 3, 4, 12), got "
                              f"case {self.case_id}, kappa {self.kappa}")
+        for op, kw in self.schedule:
+            if op not in _KEYS_OF_OP:
+                raise ValueError(f"schedule entry {(op, kw)} has an unknown "
+                                 f"op; the ops are {', '.join(_KEYS_OF_OP)}")
+            missing = [key for key in _KEYS_OF_OP[op] if key not in kw]
+            if missing:
+                raise ValueError(f"schedule entry {(op, kw)} lacks "
+                                 f"{', '.join(missing)}")
 
     @property
     def delta_max(self) -> int:
@@ -533,26 +362,32 @@ def t_bound_step(
     return ineq_index, spec.t0 - 1
 
 
-def case4_step3_check(case: CaseParams, c_candidate: int, eta_60_9: int) -> bool:
-    """Replay of the bespoke conductor argument closing case 4 at t <= 9.
+def case4_step3_check(case: CaseParams, n: int, c_candidate: int,
+                      e: int) -> bool:
+    """Replay of the bespoke conductor argument closing case 4 at t <= 9,
+    over the window u <= n - 1 with e = eta(n, 9).
 
-    At conductor c the chain reads: (1) 2c + 2 > reach(59) confines y_1 and
-    y_2 to three rungs each over the window u <= 59; (2) eta(60, 9) = 19
-    represented values exceed the 3*3*2 = 18 slots available if y_3 had
-    only two rungs, so some representation has y_3 >= c + alpha_3, giving
-    a_3 (c + 2 alpha_3) <= reach(59); (3) that cap divided by c + 2 drops
-    below 2, forcing a_3 = 1 and hence a_1 = a_2 = a_3 = 1; (4) all nine
-    u <= 8 represented then put some c + 2 alpha_j <= reach(8), impossible
-    once c + 2 exceeds it.  Returns True when every link fires (the
-    candidate c is contradictory).  Each link is monotone in c, so the set
-    of contradictory c is an upward-closed ray.
+    At conductor c the chain reads: (1) 2c + 2 > reach(n - 1) confines y_1
+    and y_2 to three rungs each over the window; (2) e represented values
+    exceed the 3*3*2 = 18 slots available if y_3 had only two rungs, so
+    some representation has y_3 >= c + alpha_3, giving
+    a_3 (c + 2 alpha_3) <= reach(n - 1); (3) that cap divided by c + 2
+    drops below 2, forcing a_3 = 1 and hence a_1 = a_2 = a_3 = 1; (4) all
+    nine u <= 8 represented then put some c + 2 alpha_j <= reach(8),
+    impossible once c + 2 exceeds it.  Returns True when every link fires
+    (the candidate c is contradictory).  Each link is monotone in c, so
+    the set of contradictory c is an upward-closed ray.  The slot count
+    and link (4) are the paper's for its window n = 60, which the replay
+    checks.
 
-    Link (2) does not depend on c: the caller computes eta(60, 9) once and
-    passes it as `eta_60_9`.
+    Link (2) does not depend on c: the caller computes e once.  Raises
+    ValueError for a conductor below 1.
     """
-    cap = case.reach(59)  # 712
+    if c_candidate < 1:
+        raise ValueError(f"a conductor is at least 1, got {c_candidate}")
+    cap = case.reach(n - 1)  # 712 at n = 60
     forces_ladder = 2 * c_candidate + 2 > cap
-    counting = eta_60_9 > 2 * 3 * 3
+    counting = e > 2 * 3 * 3
     forces_unit_a3 = cap // (c_candidate + 2) < 2
     final = c_candidate + 2 > case.reach(8)
     return forces_ladder and counting and forces_unit_a3 and final
@@ -701,16 +536,17 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
                 st.c_bounds[cls.delta] = cb
                 st.record(f"c[delta={cls.delta}]", "eta-floor-solved-for-c",
                           {"n": n, "s": s, "eta": e, "delta": cls.delta}, cb)
-        elif op == "c_case4":
+        else:  # c_case4, the last op CaseParams admits
             _require((n, s) == (60, 9),
                      f"the case 4 conductor step reads eta(60, 9), got "
                      f"eta({n}, {s})")
             first_true = next(
-                c for c in range(C_MIN, 10**4) if case4_step3_check(case, c, e)
+                c for c in range(C_MIN, 10**4)
+                if case4_step3_check(case, n, c, e)
             )
             # each link is monotone in c; spot-check far out
-            _require(not case4_step3_check(case, first_true - 1, e)
-                     and case4_step3_check(case, 10**6, e),
+            _require(not case4_step3_check(case, n, first_true - 1, e)
+                     and case4_step3_check(case, n, 10**6, e),
                      f"contradictory conductors are not the ray c >= "
                      f"{first_true}")
             cb = first_true - 1
@@ -718,8 +554,6 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
             st.c_bounds[cls.delta] = cb
             st.record(f"c[delta={cls.delta}]", "three-rung-contradiction",
                       {"n": n, "s": s, "eta": e}, cb)
-        else:  # pragma: no cover - schedule is fixed above
-            raise AssertionError(f"unknown op {op}")
 
     for cls in case.classes:
         cb = st.c_bounds[cls.delta]

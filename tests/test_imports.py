@@ -159,18 +159,32 @@ def test_modulus_raiser_is_reported():
     assert _modulus_raisers(source) == ["table", "many", "again"]
 
 
+def _imported_modules(tree):
+    """The names that `import` statements of the tree bind to modules."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names}
+
+
 def _uncalled(module: str, sources: dict):
     """Public top-level functions of sources[module] that no code in the
-    sources calls by name, a call inside the function itself aside."""
+    sources calls by name, bare or on a module bound by `import` (a method
+    call of the same name does not count), a call inside the function
+    itself aside."""
     public = [node.name for node in ast.parse(sources[module]).body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
     called = set()
     for name, source in sources.items():
-        for top in ast.parse(source).body:
+        tree = ast.parse(source)
+        modules = _imported_modules(tree)
+        for top in tree.body:
             own = getattr(top, "name", None) if name == module else None
-            called |= {getattr(node.func, "attr", getattr(node.func, "id", None))
-                       for node in ast.walk(top)
-                       if isinstance(node, ast.Call)} - {own}
+            funcs = [node.func for node in ast.walk(top)
+                     if isinstance(node, ast.Call)]
+            called |= {func.id if isinstance(func, ast.Name) else func.attr
+                       for func in funcs if isinstance(func, ast.Name)
+                       or isinstance(func, ast.Attribute)
+                       and getattr(func.value, "id", None) in modules} - {own}
     return [fn for fn in public if fn not in called]
 
 
@@ -182,9 +196,7 @@ def _attribute_references(source: str):
     reference, or None.  References on a module bound by `import` (such as
     np.minimum) are left out."""
     tree = ast.parse(source)
-    modules = {alias.asname or alias.name.split(".")[0]
-               for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names}
+    modules = _imported_modules(tree)
     found = []
 
     def visit(node, cls, inside, types):
@@ -236,10 +248,9 @@ ORACLES = ["localrep.represents_reference_fft", "localrep.stable_value_set_check
 CERTIFICATES = ["density.exception_count_check", "density.psi_prime_power",
                 "pipeline.find_coprime_shift", "prodineq.check_implications",
                 "prodineq.min_slack"]
-# Lemma code and the census entry point, until the replay and the census
-# command call them (ROADMAP items 1 and 4):
-AWAITING_A_CALLER = ["pipeline.find_nu", "pipeline.find_v",
-                     "regcheck.candidate_scan"]
+# The census entry point, until the census command calls it (ROADMAP
+# item 1):
+AWAITING_A_CALLER = ["regcheck.candidate_scan"]
 # Methods only the tests call, to compare shifted forms by their values:
 TEST_REFERENCES = ["polygonal.ShiftedForm.minimum", "polygonal.ShiftedForm.value",
                    "polygonal.ShiftedForm.values_upto"]
@@ -258,10 +269,13 @@ def test_no_dead_public_api():
 
 
 def test_uncalled_function_is_reported():
+    """A call from inside the function itself and a method call of the
+    same name do not keep a function alive; a call on its module does."""
     sources = {"lib": "def used(): pass\n\ndef dead(n):\n    return dead(n - 1)\n\n"
-                      "def _private(): pass\n",
-               "app": "import lib\n\ndef main():\n    return lib.used()\n"}
-    assert _uncalled("lib", sources) == ["dead"]
+                      "def record(entry): pass\n\ndef _private(): pass\n",
+               "app": "import lib\n\ndef main(st):\n    st.record(1)\n"
+                      "    return lib.used()\n"}
+    assert _uncalled("lib", sources) == ["dead", "record"]
 
 
 def test_unreferenced_member_is_reported():

@@ -54,23 +54,32 @@ CORPUS = {
 
 def test_engine_matches_fft_reference():
     """The structured decision equals plain witness existence mod p^K for
-    K at the lifting threshold (where existence is exact)."""
-    for p, triples in CORPUS.items():
-        for coeffs in triples:
-            for n in range(1, 120):
-                got = bool(represents_over_zp(coeffs, n, p))
-                K = hensel_exponent(coeffs, n, p)
-                want = represents_reference_fft(coeffs, n, p, K)
-                assert got == want, (coeffs, n, p)
+    K at the lifting threshold (where existence is exact), on the corpus
+    and on the targets 12 n + nu (nu < 5) that choose nu over Z_2 and Z_3."""
+    queries = [(p, coeffs, range(1, 120))
+               for p, triples in CORPUS.items() for coeffs in triples]
+    twelve = [12 * n + nu for n in range(40) for nu in range(5)]
+    queries += [(p, coeffs, twelve)
+                for p in (2, 3) for coeffs in ((1, 1, 1), (1, 1, 3))]
+    for p, coeffs, targets in queries:
+        for n in targets:
+            got = bool(represents_over_zp(coeffs, n, p))
+            K = hensel_exponent(coeffs, n, p)
+            want = represents_reference_fft(coeffs, n, p, K)
+            assert got == want, (coeffs, n, p)
 
 
 def test_engine_matches_grid_search():
     """Where the full grid is feasible, the exhaustive lifting-criterion
-    search agrees as well."""
-    for p, triples in {2: [(1, 1, 1), (1, 1, 2), (1, 2, 2)],
-                       3: [(1, 1, 1), (1, 1, 3), (1, 2, 3)],
-                       5: [(1, 2, 5), (1, 1, 2)]}.items():
-        for coeffs in triples:
+    search agrees as well, on ternary lattices and on the binary lattices
+    <1,2>, <1,4> and <1,5>, which miss values over Z_5, Z_7 and Z_11 in
+    turn."""
+    binary = [(1, 2), (1, 4), (1, 5)]
+    for p, lattices in {2: [(1, 1, 1), (1, 1, 2), (1, 2, 2)],
+                        3: [(1, 1, 1), (1, 1, 3), (1, 2, 3)],
+                        5: [(1, 2, 5), (1, 1, 2), *binary],
+                        7: binary, 11: binary}.items():
+        for coeffs in lattices:
             for n in range(1, 40):
                 K = hensel_exponent(coeffs, n, p)
                 try:

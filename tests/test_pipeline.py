@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgonal.density import eta
-from mgonal.localrep import represents_over_zp
 from mgonal.pipeline import (
     CASES,
     CongruenceClass,
@@ -23,8 +22,6 @@ from mgonal.pipeline import (
     bound_a2_from_eta,
     case4_step3_check,
     find_coprime_shift,
-    find_nu,
-    find_v,
     k_bound,
     m_bound_from_c,
     replay_all,
@@ -50,47 +47,20 @@ def _golden():
 
 
 # ---------------------------------------------------------------------------
-# nu selection
-
-
-def test_find_nu_sums_of_squares():
-    # 4n + 0 hits 28 = 4 * 7, which three squares miss, so nu = 0 fails
-    assert find_nu((1, 1, 1), u=1, l=0) == 1
-    assert find_nu((1, 1, 2), u=1, l=1) == 0
-    # the class 2 mod 4: every 2 * odd is a sum of three squares over Z_2
-    assert find_nu((1, 1, 1), u=1, l=2) == 0
-
-
-def test_find_nu_mod_twelve():
-    nu = find_nu((1, 1, 1), u=1, l=0, also_3=True)
-    assert nu == 1
-    for n in range(40):
-        assert represents_over_zp((1, 1, 1), 12 * n + 1, 2)
-        assert represents_over_zp((1, 1, 1), 12 * n + 1, 3)
-    # 12 n + 6 is 2 mod 4 and 0 mod 3, covered at 2 and at 3
-    assert find_nu((1, 1, 1), u=1, l=6, also_3=True) == 0
-    # 12 n + 0 is covered at 2 but not at 3: x^2 + y^2 + 3z^2 misses 6
-    # over Z_3, so nu = 0 fails there, and nu = 1 is covered at both
-    assert find_nu((1, 1, 3), u=1, l=0, also_3=True) == 1
-
-
-def test_find_nu_rejects_unstable():
-    with pytest.raises(ValueError, match="2-stable"):
-        find_nu((1, 4, 16), u=1, l=0)  # unimodular rank 1 at 2
+# input checks
 
 
 def test_lemma_and_bound_helpers_raise_under_optimize():
-    """An even u, a lattice that is not 2-stable, a c bound below every m of
-    the class and a window below 1 raise ValueError, and a tight window that
-    does not shrink raises LemmaViolation, also when asserts are stripped
-    (under -O they used to return 1, 1, 2, 0 and 30)."""
+    """A c bound below every m of the class, a window below 1 and a
+    conductor below 1 raise ValueError, and a tight window that does not
+    shrink raises LemmaViolation, also when asserts are stripped (under -O
+    the first two and the last used to return 2, 0 and 30; the conductor
+    used to end in ZeroDivisionError)."""
     script = (
         "from mgonal.pipeline import *\n"
-        "for call in (lambda: find_nu((1, 1, 1), 2, 0),\n"
-        "             lambda: find_nu((1, 1, 4), 1, 0),\n"
-        "             lambda: find_nu((1, 1, 1), 3, 0, also_3=True),\n"
-        "             lambda: m_bound_from_c(CongruenceClass(4, True), 0),\n"
+        "for call in (lambda: m_bound_from_c(CongruenceClass(4, True), 0),\n"
         "             lambda: bound_a1_two_reps(CASES[1], 0),\n"
+        "             lambda: case4_step3_check(CASES[4], 60, -2, 19),\n"
         "             lambda: bound_a2_from_eta(CASES[3], 5, 4, 3,\n"
         "                                       tight_window=True)):\n"
         "    try:\n"
@@ -102,23 +72,30 @@ def test_lemma_and_bound_helpers_raise_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "ValueError: u must be prime to 2, got 2",
-        "ValueError: nu-selection needs a 2-stable lattice, got (1, 1, 4)",
-        "ValueError: u must be prime to 6, got 3",
         "ValueError: no m >= 3 in class odd,2mod3 has c <= 0",
         "ValueError: the two-representations bound needs a window >= 1, got 0",
+        "ValueError: a conductor is at least 1, got -2",
         "LemmaViolation: tight window 7 is wider than n - 1 = 4"]
 
 
 def test_case_records_reject_bad_fields_under_optimize():
-    """A congruence class with the wrong delta and a descent step at p = 3
-    with q = s = 3 raise ValueError, also when asserts are stripped (under
-    -O the class used to be built, and m_bound_from_c of it returned 65)."""
+    """A congruence class with the wrong delta, a descent step at p = 3
+    with q = s = 3, and a case whose schedule has an unknown op or lacks a
+    key its op reads raise ValueError, also when asserts are stripped
+    (under -O the class used to be built, and m_bound_from_c of it
+    returned 65; the cases used to be built, and replaying them ended in
+    AssertionError or KeyError)."""
     script = (
-        "from mgonal.pipeline import CongruenceClass\n"
+        "import dataclasses\n"
+        "from mgonal.pipeline import CASES, CongruenceClass\n"
         "from mgonal.watson import WatsonStep\n"
+        "def case(*schedule):\n"
+        "    return dataclasses.replace(CASES[1], schedule=schedule)\n"
         "for call in (lambda: CongruenceClass(3, True),\n"
-        "             lambda: WatsonStep(p=3, q=3, s=3, j=1)):\n"
+        "             lambda: WatsonStep(p=3, q=3, s=3, j=1),\n"
+        "             lambda: case(('bogus', {'n': 5})),\n"
+        "             lambda: case(('a1_eta', {})),\n"
+        "             lambda: case(('a2_eta', {'n': 50}))):\n"
         "    try:\n"
         "        print('returned', call())\n"
         "    except ValueError as exc:\n"
@@ -129,68 +106,12 @@ def test_case_records_reject_bad_fields_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "ValueError: delta is 4, 2 or 1 (m odd, 2 mod 4, 0 mod 4), got 3",
-        "ValueError: need s in (1, 2), got s = 3"]
-
-
-# ---------------------------------------------------------------------------
-# v construction
-
-
-def test_find_v_worked_examples():
-    assert find_v(5, 1, (1, 2, 5), (1, 1, 1)) == 12
-    assert find_v(5, 2, (1, 2, 10), (1, 1, 1)) == 1
-    assert find_v(5, 1, (1, 2, 5), (1, 1, 5)) == 2
-    assert find_v(5, 1, (1, 5, 2), (1, 1, 1)) == 1
-    assert find_v(5, 1, (5, 1, 2), (1, 1, 1)) == 1
-    assert find_v(7, 1, (1, 4, 7), (1, 1, 2)) == 23
-
-
-def test_find_v_clauses_hold():
-    for p, u, a, alpha in [
-        (5, 1, (1, 2, 5), (1, 1, 1)),
-        (5, 2, (1, 2, 10), (1, 1, 1)),
-        (5, 1, (1, 2, 5), (1, 1, 5)),
-        (7, 1, (1, 4, 7), (1, 1, 2)),
-        (11, 3, (1, 5, 11), (1, 1, 1)),
-    ]:
-        v = find_v(p, u, a, alpha)
-        A2 = a[0] * alpha[0] ** 2 + a[1] * alpha[1] ** 2
-        m0 = A2 + a[2] * alpha[2] ** 2
-        assert 0 < v < p * p
-        assert not represents_over_zp((a[0], a[1]), u * v + A2, p)
-        assert represents_over_zp(a, u * v + m0, p)
-
-
-def test_find_v_rejects_isotropic_binary():
-    # -1*3 = -3 is a square mod 7, so <1,3> is isotropic at 7
-    with pytest.raises(ValueError):
-        find_v(7, 1, (1, 3, 7), (1, 1, 2))
-
-
-def test_find_v_rejects_bad_input_under_optimize():
-    """p below 5 or composite, a wrong length and a u that is not a positive
-    p-unit raise ValueError naming the input, also when asserts are
-    stripped."""
-    script = (
-        "from mgonal.pipeline import find_v\n"
-        "for args in ((3, 1, (1, 2, 3), (1, 1, 1)), (25, 1, (1, 2, 5), (1, 1, 1)),\n"
-        "             (5, 1, (1, 2), (1, 1, 1)), (5, 1, (1, 2, 5), (1, 1)),\n"
-        "             (5, 0, (1, 2, 5), (1, 1, 1)), (5, 10, (1, 2, 5), (1, 1, 1))):\n"
-        "    try:\n"
-        "        print(find_v(*args))\n"
-        "    except ValueError as exc:\n"
-        "        print(exc)\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "p must be a prime >= 5, got 3",
-        "p must be a prime >= 5, got 25",
-        "find_v needs three coefficients and three shifts, got (1, 2) and (1, 1, 1)",
-        "find_v needs three coefficients and three shifts, got (1, 2, 5) and (1, 1)",
-        "find_v needs a positive unit u at 5, got 0",
-        "find_v needs a positive unit u at 5, got 10"]
+        "ValueError: need s in (1, 2), got s = 3",
+        "ValueError: schedule entry ('bogus', {'n': 5}) has an unknown op; "
+        "the ops are open, tighten_t, a1_two_reps, a1_eta, a2_eta, c_eta, "
+        "c_case4",
+        "ValueError: schedule entry ('a1_eta', {}) lacks n",
+        "ValueError: schedule entry ('a2_eta', {'n': 50}) lacks N"]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +258,7 @@ def test_replay_checks_raise_under_optimize():
         "    lambda: patched('eta', lambda n, s: 8, lambda: replay_case(\n"
         "        case(1, one[0], ('c_eta', {'n': 20})))),\n"
         "    lambda: replay_case(case(4, *four[:4], ('c_case4', {'n': 61}))),\n"
-        "    lambda: patched('case4_step3_check', lambda case, c, e: True,\n"
+        "    lambda: patched('case4_step3_check', lambda case, n, c, e: True,\n"
         "                    lambda: replay_case(CASES[4])),\n"
         "    lambda: replay_case(dataclasses.replace(CASES[4], nu1_max=3)),\n"
         "]\n"
@@ -368,14 +289,23 @@ def test_case4_conductor_ray():
     case, e = CASES[4], eta(60, 9)
     # the cap over u <= 59 and the last link's reach over u <= 8
     assert case.reach(59) == 712 and case.reach(8) == 100
-    assert not case4_step3_check(case, 355, e)
-    assert case4_step3_check(case, 356, e)
-    assert case4_step3_check(case, 10**6, e)
-    first = next(c for c in range(1, 400) if case4_step3_check(case, c, e))
-    assert first == 356
-    assert all(case4_step3_check(case, c, e) for c in range(356, 500))
+    assert not case4_step3_check(case, 60, 355, e)
+    assert case4_step3_check(case, 60, 356, e)
+    assert case4_step3_check(case, 60, 10**6, e)
+
+    def first(n):
+        return next(c for c in range(1, 400)
+                    if case4_step3_check(case, n, c, e))
+
+    assert first(60) == 356
+    assert all(case4_step3_check(case, 60, c, e) for c in range(356, 500))
+    # the cap is reach(n - 1) of the step's window: reach(60) = 724
+    assert first(61) == 362
     # 18 represented values fit the 3*3*2 slots: no contradiction at any c
-    assert not case4_step3_check(case, 10**6, 2 * 3 * 3)
+    assert not case4_step3_check(case, 60, 10**6, 2 * 3 * 3)
+    for c in (0, -2):  # at c = -2 the third link would divide by c + 2 = 0
+        with pytest.raises(ValueError, match="conductor is at least 1"):
+            case4_step3_check(case, 60, c, e)
 
 
 # ---------------------------------------------------------------------------
