@@ -22,7 +22,16 @@ __version__ = "0.1.0"
 from .polygonal import MGonalForm, ShiftedForm, polygonal_number, constants
 from .localrep import represents_over_zp, locally_represented
 from .density import psi, eta
-from .regcheck import regularity_scan
+
+
+def __getattr__(name):
+    # `regcheck` builds numpy arrays at import; it loads on first use of
+    # `regularity_scan`, so importing the package does not load numpy
+    if name == "regularity_scan":
+        from .regcheck import regularity_scan
+        return regularity_scan
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

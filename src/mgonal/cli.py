@@ -14,6 +14,10 @@ command's own parser; help, version, a missing or unknown command and an
 argument the command does not take fall to the top-level parser, so their
 output and exit codes are argparse's as ever.  The golden files are read
 once, at import, and parsed into a fresh object on every call.
+
+`regcheck`, which builds numpy arrays, is imported by the commands that
+scan (`regcheck scan`, `examples`) inside their handlers.  The other
+commands, and `localrep` short of its witness search, run without numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .numth import is_prime
 from .pipeline import CASES, ReplayMismatch, replay_all, replay_case
 from .polygonal import MGonalForm, ShiftedForm
 from .prodineq import CLAUSES, certify_all_t, verify_induction_step, verify_inequality
-from .regcheck import candidate_note, regularity_scan
 from .watson import coset_watson_step, stabilize
 
 # Largest prime a --p option takes: `numth.is_prime` is trial division up to
@@ -281,6 +284,8 @@ def _open_out(path: str, mode: str):
 
 
 def _cmd_regcheck(args) -> int:
+    from .regcheck import candidate_note, regularity_scan
+
     form = MGonalForm(args.m, tuple(sorted(args.coeffs)))
     if args.out:
         # an unwritable path fails before the scan; appending keeps an

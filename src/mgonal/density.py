@@ -37,8 +37,6 @@ import math
 from itertools import islice
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from .localrep import is_stable, represents_over_zp_many
 from .numth import _check_prime, primes
 
@@ -141,6 +139,8 @@ def exception_count_check(p: int, s: int, coeffs: Sequence[int], u: int,
     p-stable (the bound says nothing about unstable lattices) and u
     coprime to p.
     """
+    import numpy as np
+
     _check_prime(p, 3)
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")

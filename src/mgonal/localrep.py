@@ -35,8 +35,9 @@ multiset of the labels (e_i, c_i) of its entries: scaling an entry by a
 unit square permutes the solutions and keeps the units.
 
 So the value set is one bitmask T[k] over the unit classes per order k,
-the descriptor that `_value_set` builds once per (p, key) by summing the
-coordinates' classes in closed form (rule and proof in its docstring).
+the descriptor, a tuple of ints, that `_value_set` builds once per
+(p, key) by summing the coordinates' classes in closed form (rule and
+proof in its docstring).
 Write V[k] for the classes of S_1 u ... u S_r at order k and K = max M_i.
 Every S_i is all or nothing at orders >= M_i, so V[k] is one constant for
 k >= K; and T[k] = V[k] | T[k - 2].  Hence T[K + 2] = T[K] and
@@ -51,13 +52,14 @@ A scalar query is one private helper, `_verdict`, which both
 `represents_over_zp` and `shifted_represents_over_zp` (at p not dividing
 c) call: one pass over the entries gives their labels, the key and the sum
 of their orders (`_key_and_depth`; the sum gives the conservative
-exponent), and the verdict is the label of n and one `item` lookup in the
-cached descriptor, a Python int.  It builds no verdict object;
+exponent), and the verdict is the label of n and one lookup in the
+cached descriptor, a tuple of Python ints.  It builds no verdict object;
 `represents_over_zp` wraps its pair in a `LocalVerdict`.
 
 Scans ask the same question for many targets at once: `_descriptor_table`
 makes the verdicts of an array of targets one numpy gather from the
-descriptors, without a Python call per target.
+descriptors, without a Python call per target.  numpy is imported inside
+the functions that build arrays, so the scalar path never loads it.
 
 A shifted form sum a_i (c x_i + alpha_i)^2 needs no descriptor at a prime
 p | c: each alpha_i is a p-unit (the shifts are coprime to c), so
@@ -97,11 +99,12 @@ import functools
 import math
 from itertools import chain
 from operator import index, mul
-from typing import List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .numth import _check_prime, ord_p, prime_divisors
+
+if TYPE_CHECKING:  # for the annotations; the array functions import it
+    import numpy as np
 
 # Largest indicator array the FFT oracle writes (p^K entries).
 _FFT_LIMIT = 2 ** 22
@@ -199,6 +202,8 @@ def _stable_pair(i1: int, i2: int, p: int) -> bool:
 
 def _coord_indicator(a: int, p: int, M: int) -> np.ndarray:
     """0/1 array ind[r] = 1 iff r = a x^2 (mod p^M) for some x in Z_p."""
+    import numpy as np
+
     mod = p ** M
     if mod > _FFT_LIMIT:
         raise ModulusTooLarge(f"p^M = {p}^{M} exceeds the FFT limit")
@@ -212,6 +217,8 @@ def _convolve_presence(ind1: np.ndarray, ind2: np.ndarray) -> np.ndarray:
     """Circular convolution of two 0/1 arrays, squashed back to 0/1.
     Raises FloatingPointError when a count is not within 0.25 of an
     integer."""
+    import numpy as np
+
     mod = len(ind1)
     raw = np.fft.irfft(np.fft.rfft(ind1) * np.fft.rfft(ind2), n=mod)
     counts = np.rint(raw)
@@ -316,6 +323,8 @@ def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     At larger p the same division gives the unit parts, and their classes
     come from Euler's criterion.  N mod P is read as N - N // P * P, which
     numpy computes faster than `%` on int64."""
+    import numpy as np
+
     if p == 2:
         k = np.frexp(N & -N)[1] - 1  # N & -N is 2^k, or -2^63 for N = -2^63
         return k, N >> k + 1 & 3  # the unit part is 2 i + 1 (mod 8)
@@ -355,13 +364,13 @@ def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _value_set(p: int, lattice_key: Tuple) -> np.ndarray:
-    """The descriptor of the lattice key: T[k] for k < K + 2, K =
-    2 ord_p(2 a) + 1 of the deepest entry a, is the bitmask of the class
-    indices c (`_order_and_class`) such that the lattice represents the
-    elements p^k u, u a unit of class c; T[k] = T[k - 2] for larger k
-    (period argument in the module docstring).  Read-only, since the cache
-    hands the same array to every caller.
+def _value_set(p: int, lattice_key: Tuple) -> Tuple[int, ...]:
+    """The descriptor of the lattice key, a tuple of ints: T[k] for
+    k < K + 2, K = 2 ord_p(2 a) + 1 of the deepest entry a, is the bitmask
+    of the class indices c (`_order_and_class`) such that the lattice
+    represents the elements p^k u, u a unit of class c; T[k] = T[k - 2] for
+    larger k (period argument in the module docstring).  A tuple, so the
+    cache can hand the same descriptor to every caller.
 
     T is folded from the pivot sets S_i, the values Q(x) with x_i a unit,
     which are found in closed form.  S_i is closed under multiplication by
@@ -423,9 +432,7 @@ def _value_set(p: int, lattice_key: Tuple) -> np.ndarray:
             V[M:] = [every] * (K + 2 - M)
     for k in range(2, K + 2):  # T[k] = V[k] | T[k - 2]
         V[k] |= V[k - 2]
-    T = np.array(V, dtype=np.int64)
-    T.flags.writeable = False
-    return T
+    return tuple(V)
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +468,7 @@ def _verdict(coeffs: Sequence[int], n: int, p: int) -> Tuple[bool, int]:
     wn, c = _order_and_class(n, p)
     T = _value_set(p, key)
     top = len(T) - 2  # T has period 2 from this order on
-    return T.item(min(wn, top + (wn - top) % 2)) >> c & 1 == 1, wn + K
+    return T[min(wn, top + (wn - top) % 2)] >> c & 1 == 1, wn + K
 
 
 def represents_over_zp(coeffs: Sequence[int], n: int, p: int,
@@ -496,6 +503,8 @@ def represents_mod_search(coeffs: Sequence[int], n: int, p: int,
     lifting criterion.  Sound for every K; complete for K >= hensel_exponent
     (the default conservative K qualifies).  Only for small search boxes.
     """
+    import numpy as np
+
     coeffs = tuple(coeffs)
     if K is None:
         K = conservative_exponent(coeffs, n, p)
@@ -743,6 +752,8 @@ def _int64_targets(ns) -> np.ndarray:
     (strings), and for values outside int64: an object dtype, which a list
     of Python ints gets only past int64, or uint64 values from 2^63.  Reads
     the dtype only, and the maximum of a uint64 array."""
+    import numpy as np
+
     ns = np.asarray(ns)
     if not ns.size:
         return ns.astype(np.int64)
@@ -754,7 +765,7 @@ def _int64_targets(ns) -> np.ndarray:
     return ns.astype(np.int64, copy=False)
 
 
-def _descriptor_table(Ts: Sequence[np.ndarray], N: np.ndarray,
+def _descriptor_table(Ts: Sequence[Tuple[int, ...]], N: np.ndarray,
                       p: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """The descriptors Ts (`_value_set`) as one flat bit table, and the
     place of each target of the int64 array N in it: (bits, at, S), at of
@@ -765,6 +776,8 @@ def _descriptor_table(Ts: Sequence[np.ndarray], N: np.ndarray,
     along its period 2 up to the deepest target's order L - 1, and a last
     bit, set, says that N = 0 is.  A target of label (k, i) has place
     k W + i, and N = 0 place L W."""
+    import numpy as np
+
     W = 4 if p == 2 else 2  # unit square classes
     zeros = np.flatnonzero(N == 0)  # labelled as 1, then given the last bit
     N1 = N.ravel().copy()
@@ -822,6 +835,8 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     Raises ValueError for targets that are not integers within int64 and
     when some N does not fit in int64.
     """
+    import numpy as np
+
     from .polygonal import _check_coefficients, constants
 
     k = constants(m)

@@ -114,15 +114,22 @@ def prime_divisors(n: int) -> List[int]:
 
 def multiplicative_order(a: int, m: int) -> int:
     """Least j >= 1 with a^j = 1 mod m.  Raises ValueError unless m >= 2
-    and gcd(a, m) = 1, the cases where no such j exists or m is no modulus."""
+    and gcd(a, m) = 1, the cases where no such j exists or m is no modulus.
+
+    The order divides phi(m) (Euler), so it is phi(m) with each prime q
+    divided out for as long as a^(j / q) = 1 still holds: a q-power above
+    the order's leaves a multiple of the order, one at it does not.  Two
+    factorizations by trial division, of m and of phi(m), instead of a
+    walk through the powers of a."""
     if m < 2:
         raise ValueError(f"multiplicative_order needs a modulus m >= 2, got {m}")
     if math.gcd(a, m) != 1:
         raise ValueError(f"multiplicative_order needs a coprime to m, got "
                          f"a = {a}, m = {m}")
-    j, x = 1, a % m
-    while x != 1:
-        x = x * a % m
-        j += 1
-        assert j <= m, "order search overran the modulus"
+    j = m
+    for p in prime_divisors(m):
+        j = j // p * (p - 1)
+    for q in prime_divisors(j):
+        while j % q == 0 and pow(a, j // q, m) == 1:
+            j //= q
     return j

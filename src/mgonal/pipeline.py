@@ -19,10 +19,11 @@ alternates three moves:
 The bounds are recomputed from the eta table, the product-inequality
 clauses and the bound lemmas; the golden log shipped under data/ is used
 only to cross-check the derivation, never as an input to it.  A case's
-schedule records only the paper's free choices: each eta window n, each
-ladder size N and `tight_window`.  The replay derives the rest: every
-window's s is the running bound on t, and every product clause is the
-one `CLAUSES` row that fits the case and the running a_1 a_2.  The maxima
+schedule, a tuple of `Step` records, holds only the paper's free choices:
+each eta window n, each ladder size N and `tight_window`.  The replay
+derives the rest: every window's s is the running bound on t, and every
+product clause is the one `CLAUSES` row that fits the case and the
+running a_1 a_2.  The maxima
 of the correction terms, `CaseParams.nu1_max` and `nu2_max`, are fixed
 inputs of each case, not derived here (ROADMAP.md, item 5, plans a
 certificate for them).
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .density import eta
 from .numth import _check_prime
@@ -133,7 +134,18 @@ class CongruenceClass:
         return 2 * c_bound // self.delta + 2
 
 
-# the schedule's ops, each with the keys `replay_case` reads from its entry
+class Step(NamedTuple):
+    """One entry of a case's schedule: the op and the paper's choices it
+    reads, the eta window n, the ladder size N and `tight_window`.  A
+    record, so a schedule checked when its case is built stays as checked."""
+
+    op: str
+    n: Optional[int] = None
+    N: Optional[int] = None
+    tight_window: bool = False
+
+
+# the schedule's ops, each with the fields `replay_case` reads from its step
 _KEYS_OF_OP = {"open": (), "tighten_t": (), "a1_two_reps": ("n",),
                "a1_eta": ("n",), "a2_eta": ("n", "N"), "c_eta": ("n",),
                "c_case4": ("n",)}
@@ -149,19 +161,22 @@ class CaseParams:
     nu1_max: int
     nu2_max: int
     classes: Tuple[CongruenceClass, ...]
-    schedule: Tuple[Tuple[str, dict], ...]
+    schedule: Tuple[Step, ...]
 
     def __post_init__(self):
         if self.case_id not in (1, 2, 3, 4) or self.kappa not in (1, 3, 4, 12):
             raise ValueError(f"need case 1..4 and kappa in (1, 3, 4, 12), got "
                              f"case {self.case_id}, kappa {self.kappa}")
-        for op, kw in self.schedule:
-            if op not in _KEYS_OF_OP:
-                raise ValueError(f"schedule entry {(op, kw)} has an unknown "
+        for step in self.schedule:
+            if not isinstance(step, Step):
+                raise ValueError(f"schedule entry {step!r} is not a Step")
+            if step.op not in _KEYS_OF_OP:
+                raise ValueError(f"schedule entry {step} has an unknown "
                                  f"op; the ops are {', '.join(_KEYS_OF_OP)}")
-            missing = [key for key in _KEYS_OF_OP[op] if key not in kw]
+            missing = [key for key in _KEYS_OF_OP[step.op]
+                       if getattr(step, key) is None]
             if missing:
-                raise ValueError(f"schedule entry {(op, kw)} lacks "
+                raise ValueError(f"schedule entry {step} lacks "
                                  f"{', '.join(missing)}")
 
     @property
@@ -192,14 +207,14 @@ CASES: Dict[int, CaseParams] = {
             CongruenceClass(2, True),
         ),
         schedule=(
-            ("open", {}),
-            ("a1_two_reps", {"n": 49}),
-            ("a2_eta", {"n": 50, "N": 3}),
-            ("tighten_t", {}),
-            ("a1_eta", {"n": 25}),
-            ("a2_eta", {"n": 19, "N": 2}),
-            ("tighten_t", {}),
-            ("c_eta", {"n": 20}),
+            Step("open"),
+            Step("a1_two_reps", n=49),
+            Step("a2_eta", n=50, N=3),
+            Step("tighten_t"),
+            Step("a1_eta", n=25),
+            Step("a2_eta", n=19, N=2),
+            Step("tighten_t"),
+            Step("c_eta", n=20),
         ),
     ),
     2: CaseParams(
@@ -213,17 +228,17 @@ CASES: Dict[int, CaseParams] = {
             CongruenceClass(2, False),
         ),
         schedule=(
-            ("open", {}),
-            ("a1_two_reps", {"n": 49}),
-            ("a2_eta", {"n": 102, "N": 8}),
-            ("tighten_t", {}),
-            ("a1_two_reps", {"n": 17}),
-            ("a2_eta", {"n": 48, "N": 6}),
-            ("tighten_t", {}),
-            ("a1_eta", {"n": 30}),
-            ("a2_eta", {"n": 30, "N": 4}),
-            ("tighten_t", {}),
-            ("c_eta", {"n": 25}),
+            Step("open"),
+            Step("a1_two_reps", n=49),
+            Step("a2_eta", n=102, N=8),
+            Step("tighten_t"),
+            Step("a1_two_reps", n=17),
+            Step("a2_eta", n=48, N=6),
+            Step("tighten_t"),
+            Step("a1_eta", n=30),
+            Step("a2_eta", n=30, N=4),
+            Step("tighten_t"),
+            Step("c_eta", n=25),
         ),
     ),
     3: CaseParams(
@@ -234,17 +249,17 @@ CASES: Dict[int, CaseParams] = {
         nu2_max=2,
         classes=(CongruenceClass(1, True),),
         schedule=(
-            ("open", {}),
-            ("a1_two_reps", {"n": 49}),
-            ("a2_eta", {"n": 74, "N": 3}),
-            ("tighten_t", {}),
-            ("a1_two_reps", {"n": 17}),
-            ("a2_eta", {"n": 28, "N": 3}),
-            ("tighten_t", {}),
-            ("a1_eta", {"n": 30}),
-            ("a2_eta", {"n": 25, "N": 2, "tight_window": True}),
-            ("tighten_t", {}),
-            ("c_eta", {"n": 25}),
+            Step("open"),
+            Step("a1_two_reps", n=49),
+            Step("a2_eta", n=74, N=3),
+            Step("tighten_t"),
+            Step("a1_two_reps", n=17),
+            Step("a2_eta", n=28, N=3),
+            Step("tighten_t"),
+            Step("a1_eta", n=30),
+            Step("a2_eta", n=25, N=2, tight_window=True),
+            Step("tighten_t"),
+            Step("c_eta", n=25),
         ),
     ),
     4: CaseParams(
@@ -255,11 +270,11 @@ CASES: Dict[int, CaseParams] = {
         nu2_max=4,
         classes=(CongruenceClass(1, False),),
         schedule=(
-            ("open", {}),
-            ("a1_two_reps", {"n": 50}),
-            ("a2_eta", {"n": 125, "N": 9}),
-            ("tighten_t", {}),
-            ("c_case4", {"n": 60}),
+            Step("open"),
+            Step("a1_two_reps", n=50),
+            Step("a2_eta", n=125, N=9),
+            Step("tighten_t"),
+            Step("c_case4", n=60),
         ),
     ),
 }
@@ -493,7 +508,8 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
     """
     st = BoundState(case_id=case.case_id)
     st.record("hypothesis", "standing-assumption", {"c_min": C_MIN}, C_MIN)
-    for op, kw in case.schedule:
+    for step in case.schedule:
+        op = step.op
         # Window counts use s = current bound on t: one psi subtraction
         # per anisotropic prime.
         s = st.t_bound
@@ -510,7 +526,7 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
             continue
 
         _require(s is not None, f"{op} comes before any bound on t")
-        n = kw["n"]
+        n = step.n
         e = eta(n, s)
 
         if op == "a1_two_reps":
@@ -522,8 +538,7 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
             st.tighten("a1", bound_a1_from_eta(case, n, e, 1), "eta-floor",
                        {"n": n, "s": s, "eta": e, "N": 1, "delta": case.delta_max})
         elif op == "a2_eta":
-            N = kw["N"]
-            tight = kw.get("tight_window", False)
+            N, tight = step.N, step.tight_window
             val = bound_a2_from_eta(case, n, e, N, tight_window=tight)
             st.tighten("a2", val, "ladder-count" if tight else "ladder",
                        {"n": n, "s": s, "eta": e, "N": N, "delta": case.delta_max})

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import mgonal.cli as cli
+import mgonal.regcheck as regcheck
 
 
 def run(capsys, *argv):
@@ -215,6 +216,28 @@ def test_verify_commands_stdout_is_pinned(capsys):
         outs.append(out)
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
         "52ff0b07d55120b231c8d9c75732a5666163b908fb1e792ffecbacd47bdf29d8")
+
+
+def test_array_free_commands_do_not_import_numpy():
+    """A fresh process that imports mgonal.cli and runs VERIFY_ARGVS and a
+    watson step in-process never loads numpy: only the commands that build
+    arrays (regcheck scan, examples, a localrep witness search) import it.
+    numpy was most of the start-up of every mgonal process."""
+    argvs = VERIFY_ARGVS + [["watson", "--conductor", "12", "--coeffs",
+                             "1,5,25", "--p", "5"]]
+    script = ("import contextlib, io, json, sys\n"
+              "import mgonal.cli as cli\n"
+              "loaded = ['numpy' in sys.modules]\n"
+              f"for argv in json.loads({json.dumps(argvs)!r}):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = cli.main(argv)\n"
+              "    assert code == 0, (argv, code)\n"
+              "    loaded.append('numpy' in sys.modules)\n"
+              "print(loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[False] * (len(argvs) + 1)}\n"
 
 
 def _outcome(capsys, call):
@@ -463,7 +486,7 @@ def test_regcheck_scan_checks_out_before_scanning(capsys, monkeypatch, tmp_path)
     def scan(form, bound):
         raise AssertionError("scanned before checking --out")
 
-    monkeypatch.setattr(cli, "regularity_scan", scan)
+    monkeypatch.setattr(regcheck, "regularity_scan", scan)
     path = tmp_path / "missing-dir" / "r.json"
     code, out, err = run(capsys, "regcheck", "scan", "--m", "3", "--coeffs",
                          "1,1,1", "--bound", "2000000", "--out", str(path))

@@ -360,7 +360,6 @@ def _asserts(source: str, module: str):
 # of an input raises ValueError and a proof step's check LemmaViolation.
 INVARIANTS = [
     "localrep.represents_over_zp",  # a complete search finds a witness
-    "numth.multiplicative_order",
     "pipeline.BoundState.tighten",
     "polygonal.constants", "polygonal.constants", "polygonal.form_to_shifted",
     "polygonal.polygonal_number",

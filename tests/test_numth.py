@@ -172,9 +172,12 @@ def test_unit_class_rep_distinguishes():
     assert len(reps2) == 4
 
 
-@given(st.sampled_from([3, 5, 7, 9, 11, 13, 25, 27, 49]),
+@given(st.sampled_from([3, 5, 7, 9, 11, 13, 25, 27, 49,
+                        2 ** 26 + 15, 2 ** 31 - 1]),
        st.integers(min_value=2, max_value=100))
 def test_multiplicative_order_matches_sympy(m, a):
+    # orders at 2^26 + 15 and 2^31 - 1 reach 6.7 * 10^7 and 2.1 * 10^9,
+    # out of reach of a walk through the powers of a
     if math.gcd(a, m) != 1:
         return
     assert multiplicative_order(a, m) == sympy.n_order(a, m)

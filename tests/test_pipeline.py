@@ -80,26 +80,36 @@ def test_lemma_and_bound_helpers_raise_under_optimize():
 
 def test_case_records_reject_bad_fields_under_optimize():
     """A congruence class with the wrong delta, a descent step at p = 3
-    with q = s = 3, and a case whose schedule has an unknown op or lacks a
-    key its op reads raise ValueError, also when asserts are stripped
-    (under -O the class used to be built, and m_bound_from_c of it
-    returned 65; the cases used to be built, and replaying them ended in
-    AssertionError or KeyError)."""
+    with q = s = 3, and a case whose schedule has an unknown op, lacks a
+    field its op reads or holds an entry that is no `Step` raise
+    ValueError, also when asserts are stripped (under -O the class used to
+    be built, and m_bound_from_c of it returned 65; the cases used to be
+    built, and replaying them ended in AssertionError or KeyError).  A
+    built schedule cannot be edited: popping n from a step of a copied
+    case used to end its replay in KeyError and edit CASES[1] as well."""
     script = (
-        "import dataclasses\n"
-        "from mgonal.pipeline import CASES, CongruenceClass\n"
+        "import copy, dataclasses\n"
+        "from mgonal.pipeline import CASES, CongruenceClass, Step, replay_case\n"
         "from mgonal.watson import WatsonStep\n"
+        "before = copy.deepcopy(CASES)\n"
         "def case(*schedule):\n"
         "    return dataclasses.replace(CASES[1], schedule=schedule)\n"
+        "def popped():\n"
+        "    copied = dataclasses.replace(CASES[1], schedule=CASES[1].schedule)\n"
+        "    copied.schedule[1][1].pop('n')\n"
+        "    return replay_case(copied)\n"
         "for call in (lambda: CongruenceClass(3, True),\n"
         "             lambda: WatsonStep(p=3, q=3, s=3, j=1),\n"
-        "             lambda: case(('bogus', {'n': 5})),\n"
-        "             lambda: case(('a1_eta', {})),\n"
-        "             lambda: case(('a2_eta', {'n': 50}))):\n"
+        "             lambda: case(Step('bogus', n=5)),\n"
+        "             lambda: case(Step('a1_eta')),\n"
+        "             lambda: case(Step('a2_eta', n=50)),\n"
+        "             lambda: case(('a1_eta', {'n': 25})),\n"
+        "             popped):\n"
         "    try:\n"
         "        print('returned', call())\n"
-        "    except ValueError as exc:\n"
-        "        print('ValueError:', exc)\n"
+        "    except (ValueError, AttributeError) as exc:\n"
+        "        print(f'{type(exc).__name__}: {exc}')\n"
+        "print('CASES unchanged:', CASES == before)\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, timeout=60)
@@ -107,11 +117,16 @@ def test_case_records_reject_bad_fields_under_optimize():
     assert proc.stdout.splitlines() == [
         "ValueError: delta is 4, 2 or 1 (m odd, 2 mod 4, 0 mod 4), got 3",
         "ValueError: need s in (1, 2), got s = 3",
-        "ValueError: schedule entry ('bogus', {'n': 5}) has an unknown op; "
-        "the ops are open, tighten_t, a1_two_reps, a1_eta, a2_eta, c_eta, "
-        "c_case4",
-        "ValueError: schedule entry ('a1_eta', {}) lacks n",
-        "ValueError: schedule entry ('a2_eta', {'n': 50}) lacks N"]
+        "ValueError: schedule entry Step(op='bogus', n=5, N=None, "
+        "tight_window=False) has an unknown op; the ops are open, tighten_t, "
+        "a1_two_reps, a1_eta, a2_eta, c_eta, c_case4",
+        "ValueError: schedule entry Step(op='a1_eta', n=None, N=None, "
+        "tight_window=False) lacks n",
+        "ValueError: schedule entry Step(op='a2_eta', n=50, N=None, "
+        "tight_window=False) lacks N",
+        "ValueError: schedule entry ('a1_eta', {'n': 25}) is not a Step",
+        "AttributeError: 'int' object has no attribute 'pop'",
+        "CASES unchanged: True"]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +246,8 @@ def test_replay_checks_raise_under_optimize():
     script = (
         "import dataclasses\n"
         "from mgonal import pipeline\n"
-        "from mgonal.pipeline import CASES, LemmaViolation, replay_case, t_bound_step\n"
+        "from mgonal.pipeline import (CASES, LemmaViolation, Step, replay_case,\n"
+        "                             t_bound_step)\n"
         "one, four = CASES[1].schedule, CASES[4].schedule\n"
         "def case(cid, *schedule):\n"
         "    return dataclasses.replace(CASES[cid], schedule=schedule)\n"
@@ -256,8 +272,8 @@ def test_replay_checks_raise_under_optimize():
         "    lambda: replay_case(case(1, *one[1:])),\n"
         "    lambda: patched('eta', lambda n, s: 1, lambda: replay_case(CASES[1])),\n"
         "    lambda: patched('eta', lambda n, s: 8, lambda: replay_case(\n"
-        "        case(1, one[0], ('c_eta', {'n': 20})))),\n"
-        "    lambda: replay_case(case(4, *four[:4], ('c_case4', {'n': 61}))),\n"
+        "        case(1, one[0], Step('c_eta', n=20)))),\n"
+        "    lambda: replay_case(case(4, *four[:4], Step('c_case4', n=61))),\n"
         "    lambda: patched('case4_step3_check', lambda case, n, c, e: True,\n"
         "                    lambda: replay_case(CASES[4])),\n"
         "    lambda: replay_case(dataclasses.replace(CASES[4], nu1_max=3)),\n"
