@@ -8,6 +8,9 @@ the golden files shipped under data/ and exits 1 on any mismatch; usage
 errors exit 2 (argparse's convention), and so do inputs the computation
 rejects (`ValueError`) and an `--out` file that cannot be opened, with a
 one-line message; `regcheck scan` reports such a file before it scans.
+Each option whose cost grows with its value has a stated limit, and
+argument parsing refuses a value above it with a message naming it
+(`_at_most`), before anything is computed.
 
 The parser is built once, at import.  A command's arguments are parsed by that
 command's own parser; help, version, a missing or unknown command and an
@@ -44,6 +47,25 @@ from .watson import coset_watson_step, stabilize
 # sqrt(p), which takes minutes on primes near 10^18.  The local engine
 # itself has no limit on p.
 _P_LIMIT = 2 ** 22
+# The largest value of each option whose cost grows with it (`_at_most`),
+# so that every accepted input answers within about two seconds (2-core
+# Xeon VM, Python 3.11).
+# psi and eta evaluate psi_p at the primes p <= sqrt(n) and at `count` (or
+# s) primes above: 0.3 s at n = 2^32 and count 10^4, 1.6 s at 10^5.
+_N_LIMIT = 2 ** 32
+_COUNT_LIMIT = 10 ** 4
+# ineq multiplies out r_lower ... r_t: about 3,400 digits at t = 1000, and
+# Python refuses to print an int of more than 4,300.
+_T_LIMIT = 1000
+# watson and stabilize factor the conductor, phi of it and each coefficient
+# by trial division up to its square root (--conductor and --coeffs).
+_DESCENT_LIMIT = 2 ** 32
+# regcheck scan factors 2 c lcm(a_i), c = m - 2 or (m - 2) / 2, by trial
+# division, which runs up to its second largest prime (--m and --coeffs);
+# a scan and `examples --eureka` build arrays of bound + 1 entries: 1.7 s
+# and 210 MB at 2^21 for the slowest form.
+_SCAN_LIMIT = 2 ** 16
+_BOUND_LIMIT = 2 ** 21
 
 # The golden files' directory, and the text of each file in it, read once.
 _DATA = resources.files("mgonal") / "data"
@@ -97,6 +119,20 @@ def _parse_ints(text: str) -> tuple:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
+
+
+def _at_most(parse, limit: int):
+    """An argparse type: the value of `parse`, or of each integer it
+    returns in a tuple, refused above `limit` with a message naming it.  It
+    keeps the name of `parse`, which argparse's "invalid int value" reads."""
+    def bounded(text: str):
+        value = parse(text)
+        if max(value if isinstance(value, tuple) else (value,)) > limit:
+            raise argparse.ArgumentTypeError(
+                f"values above {limit} are not supported, got {text!r}")
+        return value
+    bounded.__name__ = parse.__name__
+    return bounded
 
 
 def _prime(text: str) -> int:
@@ -385,17 +421,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--verify", action="store_true",
                            help="diff against the in-repo golden values; exit 1 on mismatch")
 
+    n_type = _at_most(int, _N_LIMIT)
+    count_type = _at_most(int, _COUNT_LIMIT)
     p = sub.add_parser("psi", help="local exception-count bound psi_p(n)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=n_type, required=True)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--p", type=_prime)
-    which.add_argument("--count", type=int, help="emit the largest `count` psi values")
+    which.add_argument("--count", type=count_type,
+                       help="emit the largest `count` psi values")
     common(p, tabular=True, verify=True)
     p.set_defaults(func=_cmd_psi)
 
     p = sub.add_parser("eta", help="guaranteed represented count eta(n, s)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--n", type=n_type, required=True)
+    p.add_argument("--s", type=count_type, required=True)
     common(p, tabular=True)
     p.set_defaults(func=_cmd_eta)
 
@@ -406,14 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ineq", help="prime-product inequality clauses")
     p.add_argument("--clause", type=int, choices=sorted(CLAUSES), required=True)
     which = p.add_mutually_exclusive_group()
-    which.add_argument("--t", type=int)
-    which.add_argument("--t-max", type=int, dest="t_max")
+    which.add_argument("--t", type=_at_most(int, _T_LIMIT))
+    which.add_argument("--t-max", type=_at_most(int, _T_LIMIT), dest="t_max")
     common(p, tabular=True, verify=True)
     p.set_defaults(func=_cmd_ineq)
 
     def shifted_args(p, need_p=False):
-        p.add_argument("--conductor", type=int, required=True)
-        p.add_argument("--coeffs", type=_parse_ints, required=True)
+        p.add_argument("--conductor", type=_at_most(int, _DESCENT_LIMIT),
+                       required=True)
+        p.add_argument("--coeffs", type=_at_most(_parse_ints, _DESCENT_LIMIT),
+                       required=True)
         p.add_argument("--shifts", type=_parse_ints)
         if need_p:
             p.add_argument("--p", type=_prime, required=True)
@@ -439,9 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regcheck", help="local-vs-global regularity scan")
     p.add_argument("action", choices=("scan",))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--coeffs", type=_parse_ints, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--m", type=_at_most(int, _SCAN_LIMIT), required=True)
+    p.add_argument("--coeffs", type=_at_most(_parse_ints, _SCAN_LIMIT),
+                   required=True)
+    p.add_argument("--bound", type=_at_most(int, _BOUND_LIMIT), required=True)
     p.add_argument("--out")
     common(p)
     p.set_defaults(func=_cmd_regcheck)
@@ -452,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_theorem)
 
     p = sub.add_parser("examples", help="the motivating local/global examples")
-    p.add_argument("--eureka", type=int,
+    p.add_argument("--eureka", type=_at_most(int, _BOUND_LIMIT),
                    help="also check universality of three triangular numbers up to N")
     common(p)
     p.set_defaults(func=_cmd_examples)

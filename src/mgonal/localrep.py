@@ -81,10 +81,11 @@ hyperbolic plane and represents all of Z_p.  Below rank 3 this fails
 array arithmetic over all rows at once: per prime, the targets are labelled
 once per distinct sum a_i (at an odd p below 2^12 from a table of the
 labels of the residues mod a power of p, built per call), the descriptors
-are fetched once per distinct lattice key, and the verdicts of every row
-are one flat gather from their `_descriptor_table` (details in its
-docstring).  `locally_represented_many` is the one-row case, and the
-scalar `locally_represented` its one-element case.
+are fetched once per distinct lattice key, and the verdicts of the rows
+that p can exclude are one flat gather from their `_descriptor_table`,
+through the array of those rows' indices (details in its docstring).
+`locally_represented_many` is the one-row case, and the scalar
+`locally_represented` its one-element case.
 
 A literal reference procedure (`represents_mod_search`: grid search mod p^K
 plus the lifting criterion (*), following the count of the search space) and
@@ -162,24 +163,16 @@ def _key_and_depth(coeffs: Sequence[int], p: int) -> Tuple[Tuple, int]:
     """The lattice key of the entries (their sorted labels,
     `_order_and_class`) and the sum of their orders, read in one pass over
     the entries, each taken through `operator.index` (a numpy integer
-    becomes a Python int).  At p = 2 the labels come from the same bit
-    arithmetic as `_order_and_class`, written inline.  Raises ValueError
-    on an empty sequence or a zero entry."""
+    becomes a Python int).  Raises ValueError on an empty sequence or a
+    zero entry."""
     if not coeffs or 0 in coeffs:
         raise ValueError(f"coefficients must be a nonempty list of nonzero "
                          f"integers, got {tuple(coeffs)}")
     labels, depth = [], 0
-    if p == 2:
-        for a in coeffs:
-            a = index(a)
-            e = (a & -a).bit_length() - 1
-            labels.append((e, (a >> e) % 8 >> 1))
-            depth += e
-    else:
-        for a in coeffs:
-            label = _order_and_class(index(a), p)
-            labels.append(label)
-            depth += label[0]
+    for a in coeffs:
+        label = _order_and_class(index(a), p)
+        labels.append(label)
+        depth += label[0]
     labels.sort()
     return tuple(labels), depth
 
@@ -634,7 +627,7 @@ def stable_value_set_check(coeffs: Sequence[int], p: int, gamma: int) -> bool:
         if not is_anisotropic_ternary(coeffs, 2):
             return True
         eps = 3 * (2 * i1 + 1) * (2 * i2 + 1) * (2 * i3 + 1) % 8
-        return not (g_ord % 2 == 0 and g_class == (eps + 4) % 8 >> 1)
+        return not (g_ord % 2 == 0 and g_class == _order_and_class(eps + 4, 2)[1])
     if e3 == 0 or _stable_pair(i1, i2, p):
         return True  # hyperbolic plane inside: value set is all of Z_p
     return not (g_ord % 2 == 1 and g_class == i1 ^ i2 ^ i3 ^ (p % 4 == 3))
@@ -690,12 +683,18 @@ def is_anisotropic_ternary(coeffs: Sequence[int], p: int) -> bool:
 
 def progression_exponent(c: int, p: int) -> int:
     """e with { (c x + alpha)^2 : x in Z_p } = alpha^2 + p^e Z_p for any
-    alpha coprime to c, where p | c.  For odd p, e = ord_p(c); for p = 2,
-    e = ord_2(c) + 2 when c = 2 (mod 4) and ord_2(c) + 1 when 4 | c.
+    alpha coprime to c, where p | c (`_progression_exponent`).
     Raises ValueError unless p is a prime dividing c."""
     _check_prime(p)
     if c % p:
         raise ValueError(f"progression_exponent needs p | c, got c = {c}, p = {p}")
+    return _progression_exponent(c, p)
+
+
+def _progression_exponent(c: int, p: int) -> int:
+    """`progression_exponent` for a prime p | c that the caller has checked:
+    e = ord_p c at odd p; at 2, ord_2 c + 2 when c = 2 (mod 4), else
+    ord_2 c + 1."""
     w = ord_p(c, p)
     if p != 2:
         return w
@@ -704,26 +703,19 @@ def progression_exponent(c: int, p: int) -> int:
 
 def _shifted_congruence(g, p: int) -> Tuple[int, int]:
     """(mod, base) with: sum a_i (c x_i + alpha_i)^2 = N is solvable over
-    Z_p iff N = base (mod mod), for a prime p | c.
+    Z_p iff N = base (mod mod), for a prime p | c that the caller has
+    checked.
 
     Each alpha_i is a p-unit (`ShiftedForm` requires gcd(alpha_i, c) = 1),
     so {(c x + alpha_i)^2 : x in Z_p} = alpha_i^2 + p^e Z_p with
     e = `progression_exponent(c, p)`, and coordinate i sweeps
     a_i alpha_i^2 + p^(e + ord_p a_i) Z_p.  The sum of these balls is
-    base + p^(e + min ord_p a_i) Z_p with base = sum a_i alpha_i^2.
-
-    The caller has checked p, so mod is built by dividing in place: p^e
-    from c as in `progression_exponent`, then p^(min ord_p a_i) from
-    gcd(a_i), whose order at p is the least of theirs (the entries of a
-    `ShiftedForm` are positive, so the gcd is nonzero).
+    base + p^(e + min ord_p a_i) Z_p with base = sum a_i alpha_i^2, and
+    min ord_p a_i is the order of gcd(a_i) (the entries of a `ShiftedForm`
+    are positive, so the gcd is nonzero).
     """
-    c, a, mod = g.conductor // p, math.gcd(*g.coeffs), p
-    while c % p == 0:
-        c, mod = c // p, mod * p
-    if p == 2:  # e = ord_2 c + 2 when c = 2 (mod 4), else ord_2 c + 1
-        mod <<= 2 if mod == 2 else 1
-    while a % p == 0:
-        a, mod = a // p, mod * p
+    mod = p ** (_progression_exponent(g.conductor, p)
+                + ord_p(math.gcd(*g.coeffs), p))
     return mod, sum(map(mul, g.coeffs, map(mul, g.shifts, g.shifts))) % mod
 
 
@@ -830,8 +822,10 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     lattice key.  Each distinct key is decoded by divmod(code - 1, W) and
     its `_value_set` read once.  `_descriptor_table` stacks the descriptors
     as one bit table with S bits per key and gives each target its place,
-    the same in every key, so each row's verdicts are one flat gather from
-    the table, at its targets' places plus S times its key's index.
+    the same in every key, so the verdicts are one flat gather from the
+    table: each row that p can exclude (an entry divisible by p, or
+    p = 2), picked by its index, reads its targets' places plus S times
+    its key's index.
     Raises ValueError for targets that are not integers within int64 and
     when some N does not fit in int64.
     """
@@ -881,8 +875,6 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
         # all entries p-units: universal at odd p (see above); p divides
         # some entry, so some row is left
         need = np.flatnonzero((code[:, -1] > W) | (p == 2))
-        if need.size == len(rows):
-            need = slice(None)  # every row, read without a copy
         # a row's sorted codes stand for its lattice key
         ids = {}
         key_id = np.array([ids.setdefault(tuple(row), len(ids))

@@ -174,12 +174,12 @@ def stabilize(g: ShiftedForm,
     """
     _check_primitive_ternary(g.coeffs)
     cur = normalize_shifts(g)
-    budget = sum(ord_p(a, p)
-                 for p in prime_divisors(math.prod(cur.coeffs))
-                 for a in cur.coeffs)
+    # a step at p scales entries by powers of p, so no prime joins these
+    primes = sorted({p for a in cur.coeffs for p in prime_divisors(a)})
+    budget = sum(ord_p(a, p) for p in primes for a in cur.coeffs)
     steps = 0
     while True:
-        unstable = [p for p in prime_divisors(math.prod(cur.coeffs))
+        unstable = [p for p in primes
                     if cur.conductor % p != 0
                     and not is_stable(cur.coeffs, p)]
         if not unstable:
