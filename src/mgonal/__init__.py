@@ -15,22 +15,34 @@ P_m(x) = ((m-2)x^2 - (m-4)x)/2 is the x-th generalized m-gonal number
   finiteness bounds for regular ternary m-gonal forms (`pipeline`),
 * global representation scans and regularity checks (`regcheck`),
 * a command line interface (`cli`).
+
+Importing the package loads none of these modules.  Each name of
+`__all__` is looked up in the module that defines it on first use
+(PEP 562), so a process compiles only the layers it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .polygonal import MGonalForm, ShiftedForm, polygonal_number, constants
-from .localrep import represents_over_zp, locally_represented
-from .density import psi, eta
+# the module that defines each exported name
+_EXPORTS = {
+    "MGonalForm": "polygonal",
+    "ShiftedForm": "polygonal",
+    "polygonal_number": "polygonal",
+    "constants": "polygonal",
+    "represents_over_zp": "localrep",
+    "locally_represented": "localrep",
+    "psi": "density",
+    "eta": "density",
+    "regularity_scan": "regcheck",
+}
 
 
 def __getattr__(name):
-    # `regcheck` builds numpy arrays at import; it loads on first use of
-    # `regularity_scan`, so importing the package does not load numpy
-    if name == "regularity_scan":
-        from .regcheck import regularity_scan
-        return regularity_scan
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
 
 
 __all__ = [

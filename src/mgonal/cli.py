@@ -18,9 +18,11 @@ argument the command does not take fall to the top-level parser, so their
 output and exit codes are argparse's as ever.  The golden files are read
 once, at import, and parsed into a fresh object on every call.
 
-`regcheck`, which builds numpy arrays, is imported by the commands that
-scan (`regcheck scan`, `examples`) inside their handlers.  The other
-commands, and `localrep` short of its witness search, run without numpy.
+At import the module loads, besides the standard library, only `numth`
+(the --p check) and `prodineq` (the --clause choices).  Each handler
+imports the layers it runs, so a process compiles no other layer, and only
+the commands that scan (`regcheck scan`, `examples`) and a `localrep`
+witness search load numpy.
 """
 
 from __future__ import annotations
@@ -32,16 +34,14 @@ import json
 import os
 import sys
 from importlib import resources
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import __version__
-from .density import eta, psi, psi_values_desc
-from .localrep import represents_over_zp, shifted_represents_over_zp
 from .numth import is_prime
-from .pipeline import CASES, ReplayMismatch, replay_all, replay_case
-from .polygonal import MGonalForm, ShiftedForm
-from .prodineq import CLAUSES, certify_all_t, verify_induction_step, verify_inequality
-from .watson import coset_watson_step, stabilize
+from .prodineq import CLAUSES
+
+if TYPE_CHECKING:  # for the annotations; the handlers import it
+    from .polygonal import ShiftedForm
 
 # Largest prime a --p option takes: `numth.is_prime` is trial division up to
 # sqrt(p), which takes minutes on primes near 10^18.  The local engine
@@ -153,6 +153,8 @@ def _prime(text: str) -> int:
 
 
 def _cmd_psi(args) -> int:
+    from .density import psi, psi_values_desc
+
     if args.p is not None:
         value = str(psi(args.p, args.n))
         payload = {"p": args.p, "n": args.n, "psi": value}
@@ -177,6 +179,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_eta(args) -> int:
+    from .density import eta
+
     value = eta(args.n, args.s)
     payload = {"n": args.n, "s": args.s, "eta": value}
     _emit(args, payload, [str(value)],
@@ -185,6 +189,8 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .density import eta
+
     golden = _golden("table1.json")
     entries = [(n, s) for n, s, _ in golden["entries"]]
     computed = [[n, s, eta(n, s)] for n, s in entries]
@@ -205,6 +211,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_ineq(args) -> int:
+    from .prodineq import certify_all_t, verify_induction_step, verify_inequality
+
     spec = CLAUSES[args.clause]
     if args.t_max is not None:
         if args.t_max < spec.t0:
@@ -247,6 +255,8 @@ def _cmd_ineq(args) -> int:
 
 
 def _shifted_from_args(args) -> ShiftedForm:
+    from .polygonal import ShiftedForm
+
     if args.shifts is not None:
         shifts = args.shifts
     else:
@@ -271,6 +281,8 @@ def _descent_lines(g: ShiftedForm, log, out: ShiftedForm) -> List[str]:
 
 
 def _cmd_watson(args) -> int:
+    from .watson import coset_watson_step
+
     g, log = _shifted_from_args(args), []
     out = coset_watson_step(g, args.p, log=log)
     (step,) = log  # vars of a WatsonStep: its fields p, q, s, j
@@ -280,6 +292,8 @@ def _cmd_watson(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
+    from .watson import stabilize
+
     g, log = _shifted_from_args(args), []
     out = stabilize(g, log=log)
     payload = {"input": _form_dict(g), "steps": [vars(w) for w in log],
@@ -289,6 +303,8 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_localrep(args) -> int:
+    from .localrep import represents_over_zp, shifted_represents_over_zp
+
     if args.shifts is not None and args.conductor is None:
         raise ValueError("--shifts needs --conductor")
     if args.conductor is not None:
@@ -320,6 +336,7 @@ def _open_out(path: str, mode: str):
 
 
 def _cmd_regcheck(args) -> int:
+    from .polygonal import MGonalForm
     from .regcheck import candidate_note, regularity_scan
 
     form = MGonalForm(args.m, tuple(sorted(args.coeffs)))
@@ -353,13 +370,17 @@ def _cmd_regcheck(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
+    from .pipeline import CASES, ReplayMismatch, replay_all, replay_case
+
     golden = _golden("theorem.json") if args.verify else None
-    if args.case is not None:
-        expected = golden["cases"][str(args.case)] if golden else None
-        state = replay_case(CASES[args.case], expected)
-        states = {args.case: state}
-    else:
-        states = replay_all(golden["cases"] if golden else None)
+    try:
+        if args.case is not None:
+            expected = golden["cases"][str(args.case)] if golden else None
+            states = {args.case: replay_case(CASES[args.case], expected)}
+        else:
+            states = replay_all(golden["cases"] if golden else None)
+    except ReplayMismatch as exc:
+        raise VerificationFailure(str(exc)) from exc
     if args.verify:
         bounds = {}
         for st in states.values():
@@ -520,7 +541,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (VerificationFailure, ReplayMismatch) as exc:
+    except VerificationFailure as exc:
         print(f"verification failed:\n{exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

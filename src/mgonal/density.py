@@ -35,9 +35,9 @@ and integers.
 
 import math
 from itertools import islice
+from operator import index
 from typing import List, Sequence, Tuple
 
-from .localrep import is_stable, represents_over_zp_many
 from .numth import _check_prime, primes
 
 
@@ -49,6 +49,7 @@ def _prime_power_bound(p: int, s: int) -> int:
 
 def psi_prime_power(p: int, s: int) -> int:
     """The exception-count bound for the window [1, p^s]."""
+    p, s = index(p), index(s)
     _check_prime(p, 5)
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
@@ -61,6 +62,7 @@ def psi(p: int, n: int) -> int:
     With n = b_e ... b_1 b_0 in base p:  sum_s b_s psi_p(p^s), plus 1 when
     b_0 != 0.  For n < p this is 1.
     """
+    p, n = index(p), index(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_prime(p, 5)
@@ -106,6 +108,7 @@ def psi_values_desc(n: int, count: int) -> List[int]:
     enumeration stops at n and pads with 1s — the result is independent of
     any larger cutoff.
     """
+    n, count = index(n), index(count)
     if n < 1 or count < 1:
         raise ValueError(f"need n >= 1 and count >= 1, got n = {n}, count = {count}")
     vals = _psi_top(n, count)
@@ -124,6 +127,7 @@ def eta(n: int, s: int) -> int:
     is.  Each of the s - #{5 <= p <= n} primes beyond n contributes psi = 1
     and is counted, not listed.
     """
+    n, s = index(n), index(s)
     if n < 1 or s < 1:
         raise ValueError(f"need n >= 1 and s >= 1, got n = {n}, s = {s}")
     vals = _psi_top(n, s)
@@ -140,6 +144,8 @@ def exception_count_check(p: int, s: int, coeffs: Sequence[int], u: int,
     coprime to p.
     """
     import numpy as np
+
+    from .localrep import is_stable, represents_over_zp_many
 
     _check_prime(p, 3)
     if s < 1:

@@ -779,8 +779,8 @@ def _descriptor_table(Ts: Sequence[Tuple[int, ...]], N: np.ndarray,
     lens = np.array([len(T) for T in Ts])
     L = max(int(lens.max()), int(kk.max(initial=-1)) + 1)
     ts = np.arange(L) - lens.reshape(-1, 1)
-    D = np.concatenate(Ts)[np.cumsum(lens).reshape(-1, 1)
-                           + np.minimum(ts, (ts & 1) - 2)]
+    flat = np.fromiter(chain.from_iterable(Ts), np.int64)
+    D = flat[np.cumsum(lens).reshape(-1, 1) + np.minimum(ts, (ts & 1) - 2)]
     S = L * W + 1
     bits = np.ones((len(Ts), S), dtype=bool)
     bits[:, :-1] = (D[:, :, None] >> np.arange(W) & 1).reshape(len(Ts), -1)

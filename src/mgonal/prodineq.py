@@ -26,6 +26,7 @@ certifies the induction step for every u >= t0 at once (the primes r_{u+1}
 only grow).  No floating point is used anywhere in this module.
 """
 
+import operator
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -70,15 +71,26 @@ def w_factor(t: int) -> int:
     return (t + 3) << (t - 3)
 
 
-def rhs(index: int, t: int) -> int:
-    spec = CLAUSES[index]
+def _clause(index: int) -> IneqSpec:
+    """The clause numbered `index`; the one lookup of a clause number."""
+    spec = CLAUSES.get(operator.index(index))
+    if spec is None:
+        raise ValueError(f"clause must be one of 1..13, got {index}")
+    return spec
+
+
+def _rhs(spec: IneqSpec, t: int) -> int:
     core = spec.a * w_factor(t) + spec.b
     assert core > 0
     return spec.const * core ** spec.k
 
 
+def rhs(index: int, t: int) -> int:
+    return _rhs(_clause(index), t)
+
+
 def lhs(index: int, t: int) -> int:
-    spec = CLAUSES[index]
+    spec = _clause(index)
     if t < spec.lower:
         raise ValueError(f"clause {index}: t = {t} is below the product's "
                          f"lower index {spec.lower} (empty prime product)")
@@ -104,13 +116,13 @@ def verify_induction_step(index: int, t_max: int) -> bool:
     RHS > 0, so each ratio check is the integer comparison
     RHS(u+1) < r_{u+1} RHS(u).  Raises ValueError for t_max < t0.
     """
-    spec = CLAUSES[index]
+    spec = _clause(index)
     if t_max < spec.t0:
         raise ValueError(f"clause {index}: t_max = {t_max} is below the "
                          f"threshold t0 = {spec.t0}")
-    prev = rhs(index, spec.t0)
+    prev = _rhs(spec, spec.t0)
     for u in range(spec.t0, t_max):
-        nxt = rhs(index, u + 1)
+        nxt = _rhs(spec, u + 1)
         if nxt >= RS.r(u + 1) * prev:
             return False
         prev = nxt
@@ -126,7 +138,7 @@ def certify_all_t(index: int) -> Tuple[Fraction, int, bool]:
     (num / den)^k for the integers num = hi core0 - b (hi - lo) and
     den = lo core0, so the check is num^k < r_{t0+1} den^k.
     """
-    spec = CLAUSES[index]
+    spec = _clause(index)
     hi, lo = 2 * (spec.t0 + 4), spec.t0 + 3
     core0 = spec.a * w_factor(spec.t0) + spec.b
     num, den = hi * core0 - spec.b * (hi - lo), lo * core0
@@ -138,7 +150,7 @@ def certify_all_t(index: int) -> Tuple[Fraction, int, bool]:
 def min_slack(index: int, t_hi: int) -> Fraction:
     """Smallest lhs/rhs over t in [t0, t_hi] (> 1 iff the clause holds).
     Raises ValueError for t_hi < t0."""
-    spec = CLAUSES[index]
+    spec = _clause(index)
     if t_hi < spec.t0:
         raise ValueError(f"clause {index}: t_hi = {t_hi} is below the "
                          f"threshold t0 = {spec.t0}")

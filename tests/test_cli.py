@@ -110,9 +110,11 @@ def test_ineq_verify_checks_only_its_clause(capsys, monkeypatch):
 def test_ineq_verify_reuses_the_printed_row(capsys, monkeypatch, extra, calls):
     """--verify evaluates the clause at the golden t0 once: a printed row
     at t0 serves the check."""
+    import mgonal.prodineq as prodineq
+
     seen = []
-    inner = cli.verify_inequality
-    monkeypatch.setattr(cli, "verify_inequality",
+    inner = prodineq.verify_inequality
+    monkeypatch.setattr(prodineq, "verify_inequality",
                         lambda k, t: seen.append(t) or inner(k, t))
     code, _, _ = run(capsys, "ineq", "--clause", "1", "--verify", *extra)
     assert code == 0 and len(seen) == calls and seen.count(16) == 1
@@ -173,7 +175,7 @@ def test_replay_mismatch_exits_one(capsys, monkeypatch):
     def boom(expected=None):
         raise pipeline.ReplayMismatch("synthetic divergence")
 
-    monkeypatch.setattr(cli, "replay_all", boom)
+    monkeypatch.setattr(pipeline, "replay_all", boom)
     code, _, err = run(capsys, "theorem", "--verify")
     assert code == 1
     assert "divergence" in err
@@ -222,22 +224,37 @@ def test_array_free_commands_do_not_import_numpy():
     """A fresh process that imports mgonal.cli and runs VERIFY_ARGVS and a
     watson step in-process never loads numpy: only the commands that build
     arrays (regcheck scan, examples, a localrep witness search) import it.
-    numpy was most of the start-up of every mgonal process."""
+    numpy was most of the start-up of every mgonal process.  The layers are
+    pinned too: importing the cli loads `numth` and `prodineq` only, and
+    each command adds the layers it runs, which every process compiles
+    anew when no bytecode is cached."""
     argvs = VERIFY_ARGVS + [["watson", "--conductor", "12", "--coeffs",
                              "1,5,25", "--p", "5"]]
     script = ("import contextlib, io, json, sys\n"
+              "seen = set()\n"
+              "def loaded(step):\n"
+              "    new = {m for m in sys.modules if m.split('.')[0] == 'mgonal'}\n"
+              "    new -= seen\n"
+              "    seen.update(new)\n"
+              "    return [step, 'numpy' in sys.modules, sorted(new)]\n"
               "import mgonal.cli as cli\n"
-              "loaded = ['numpy' in sys.modules]\n"
+              "steps = [loaded('import')]\n"
               f"for argv in json.loads({json.dumps(argvs)!r}):\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        code = cli.main(argv)\n"
               "    assert code == 0, (argv, code)\n"
-              "    loaded.append('numpy' in sys.modules)\n"
-              "print(loaded)\n")
+              "    steps.append(loaded(argv[0]))\n"
+              "print(json.dumps(steps))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{[False] * (len(argvs) + 1)}\n"
+    steps = json.loads(proc.stdout)
+    assert len(steps) == len(argvs) + 1
+    assert not any(numpy for _, numpy, _ in steps)
+    assert [(step, new) for step, _, new in steps if new] == [
+        ("import", ["mgonal", "mgonal.cli", "mgonal.numth", "mgonal.prodineq"]),
+        ("theorem", ["mgonal.density", "mgonal.pipeline", "mgonal.polygonal"]),
+        ("stabilize", ["mgonal.localrep", "mgonal.watson"])]
 
 
 def _outcome(capsys, call):

@@ -161,6 +161,20 @@ def test_psi_rejects_bad_primes():
             bad()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: psi(5, 10.5), lambda: psi(5.0, 10),
+    lambda: psi_prime_power(5, 2.0), lambda: psi_prime_power(5.0, 2),
+    lambda: psi_values_desc(48.0, 3), lambda: psi_values_desc(48, 3.0),
+    lambda: eta(10.5, 2), lambda: eta(10, 2.5),
+], ids=["psi-n", "psi-p", "psi_prime_power-s", "psi_prime_power-p",
+        "psi_values_desc-n", "psi_values_desc-count", "eta-n", "eta-s"])
+def test_float_arguments_are_refused(call):
+    """A float is not taken for an integer: it does not come back as a
+    float count or end in an unrelated error."""
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
 def test_exception_count_check_small():
     """The counting lemma on a couple of concrete stable lattices, with the
     brute-forced exception count returned for inspection."""

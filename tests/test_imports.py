@@ -4,10 +4,13 @@ exactly one lru_cache, only the reference oracles raise ModulusTooLarge,
 every public function, method and property has a caller in the package
 or is named as an oracle, a certificate, awaiting a caller or a test
 reference, one check tests primality for the package, and every assert
-left is named as an internal invariant."""
+left is named as an internal invariant.  Also the package's exports,
+which load their modules on first use."""
 
 import argparse
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,31 @@ import mgonal
 from mgonal.cli import _prime
 
 MODULES = sorted(Path(mgonal.__file__).parent.glob("*.py"))
+
+
+def test_package_exports_are_the_defining_modules_objects():
+    for name in set(mgonal.__all__) - {"__version__"}:
+        obj = getattr(mgonal, name)
+        assert obj.__module__.startswith("mgonal."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    star = {}
+    exec("from mgonal import *", star)
+    assert set(star) - {"__builtins__"} == set(mgonal.__all__)
+    assert all(star[name] is getattr(mgonal, name) for name in mgonal.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+        mgonal.bogus
+
+
+def test_from_package_import_gives_an_unloaded_submodule():
+    """`from mgonal import localrep` in a fresh process, where the package
+    has no such attribute yet, still imports the submodule."""
+    script = ("import sys\n"
+              "from mgonal import localrep\n"
+              "print(localrep is sys.modules['mgonal.localrep'])\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def _unused_imports(source: str):
@@ -363,7 +391,7 @@ INVARIANTS = [
     "pipeline.BoundState.tighten",
     "polygonal.constants", "polygonal.constants", "polygonal.form_to_shifted",
     "polygonal.polygonal_number",
-    "prodineq.check_implications", "prodineq.rhs",
+    "prodineq.check_implications", "prodineq._rhs",
     "regcheck.represents_globally",  # the witness takes the value
     *["regcheck.first_sense_examples"] * 5,  # the worked example's facts
     "watson._norm_shift", "watson.coset_watson_step", "watson.stabilize",

@@ -129,6 +129,23 @@ def test_rejects_empty_product():
         w_factor(2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: verify_inequality(0, 10), lambda: certify_all_t(99),
+    lambda: verify_induction_step(14, 20), lambda: lhs(-1, 16),
+    lambda: rhs(14, 16), lambda: min_slack(0, 20),
+], ids=["verify_inequality", "certify_all_t", "verify_induction_step", "lhs",
+        "rhs", "min_slack"])
+def test_unknown_clause_is_refused(call):
+    with pytest.raises(ValueError, match=r"clause must be one of 1\.\.13"):
+        call()
+
+
+def test_clause_number_must_be_an_integer():
+    """A float is not taken for the clause of the same value."""
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        lhs(1.0, 16)
+
+
 def test_prime_table_agrees_with_sympy():
     assert [RS.r(i) for i in range(1, 30)] == [sympy.prime(i + 2)
                                                for i in range(1, 30)]
