@@ -269,36 +269,35 @@ def _form_dict(g: ShiftedForm) -> dict:
             "shifts": list(g.shifts)}
 
 
-def _descent_lines(g: ShiftedForm, log, out: ShiftedForm) -> List[str]:
+def _descent_lines(g: ShiftedForm, steps, out: ShiftedForm) -> List[str]:
     """A descent as text: its input form, one line per step, its output."""
     def form(h):
         return (f"conductor {h.conductor}, coeffs {list(h.coeffs)}, "
                 f"shifts {list(h.shifts)}")
     return ([f"input:  {form(g)}"]
             + [f"step:   p={w.p}, q={w.q}, scale s={w.s}, order j={w.j}"
-               for w in log]
+               for w in steps]
             + [f"output: {form(out)}"])
 
 
 def _cmd_watson(args) -> int:
     from .watson import coset_watson_step
 
-    g, log = _shifted_from_args(args), []
-    out = coset_watson_step(g, args.p, log=log)
-    (step,) = log  # vars of a WatsonStep: its fields p, q, s, j
+    g = _shifted_from_args(args)
+    out, step = coset_watson_step(g, args.p)  # vars(step): p, q, s, j
     payload = {"input": _form_dict(g), **vars(step), "output": _form_dict(out)}
-    _emit(args, payload, _descent_lines(g, log, out))
+    _emit(args, payload, _descent_lines(g, [step], out))
     return 0
 
 
 def _cmd_stabilize(args) -> int:
     from .watson import stabilize
 
-    g, log = _shifted_from_args(args), []
-    out = stabilize(g, log=log)
-    payload = {"input": _form_dict(g), "steps": [vars(w) for w in log],
+    g = _shifted_from_args(args)
+    out, steps = stabilize(g)
+    payload = {"input": _form_dict(g), "steps": [vars(w) for w in steps],
                "output": _form_dict(out)}
-    _emit(args, payload, _descent_lines(g, log, out))
+    _emit(args, payload, _descent_lines(g, steps, out))
     return 0
 
 

@@ -826,15 +826,15 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     table: each row that p can exclude (an entry divisible by p, or
     p = 2), picked by its index, reads its targets' places plus S times
     its key's index.
-    Raises ValueError for targets that are not integers within int64 and
-    when some N does not fit in int64.
+    Entries are read as Python ints, numpy rows too.  Raises ValueError for
+    targets that are not integers within int64 and when some N overflows.
     """
     import numpy as np
 
     from .polygonal import _check_coefficients, constants
 
     k = constants(m)
-    rows = [tuple(row) for row in coeff_rows]
+    rows = [tuple(map(index, row)) for row in coeff_rows]
     for row in rows:
         _check_coefficients(row)
         if len(row) < 3:

@@ -1,14 +1,16 @@
 """Exact number-theoretic primitives used across the package.
 
-Everything here is integer-exact (no floats).  The descent arguments only
-ever meet the primes >= 5 — the sequence r_1 = 5, r_2 = 7, r_3 = 11, ... —
-so `PrimeSeq` exposes 1-based indexing into that sequence, but the
-underlying cache also serves 2 and 3 for the local engines.
+Everything here is integer-exact, and a float argument raises TypeError.
+The descent arguments only ever meet the primes >= 5 — the sequence
+r_1 = 5, r_2 = 7, r_3 = 11, ... — so `PrimeSeq` exposes 1-based indexing
+into that sequence, but the underlying cache also serves 2 and 3 for the
+local engines.
 """
 
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Iterator, List
 
 
@@ -32,6 +34,7 @@ def _extend_primes() -> None:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division (intended for small n)."""
+    n = index(n)
     if n < 2:
         return False
     while _PRIMES[-1] * _PRIMES[-1] < n:
@@ -82,11 +85,11 @@ RS = PrimeSeq()
 
 def ord_p(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
+    n, p = abs(index(n)), index(p)
     if p < 2:
         raise ValueError(f"ord_p needs p >= 2, got {p}")
     if n == 0:
         raise ValueError("ord_p(0) is infinite")
-    n = abs(n)
     e = 0
     while n % p == 0:
         n //= p
@@ -96,9 +99,9 @@ def ord_p(n: int, p: int) -> int:
 
 def prime_divisors(n: int) -> List[int]:
     """Sorted prime divisors of n != 0, by trial division."""
+    n = abs(index(n))
     if n == 0:
         raise ValueError("prime_divisors(0)")
-    n = abs(n)
     out = []
     for p in primes():
         if p * p > n:

@@ -14,7 +14,7 @@ Always gcd(c, d) = 1, and 0 < d < c/2 for m >= 5, so the right-hand side is
 a sum over the arithmetic progressions c Z + d: a "shifted" diagonal form
 with conductor c and shifts alpha_i = d.  `ShiftedForm` models the general
 object (any shifts coprime to the conductor); `form_to_shifted` performs
-the translation above.
+the translation above, and `_norm_shift` is the one rule of a normal shift.
 """
 
 from __future__ import annotations
@@ -107,14 +107,25 @@ class MGonalForm:
         return f"<{terms}: {','.join(map(str, self.coeffs))}>"
 
 
+def _norm_shift(r: int, c: int) -> int:
+    """Reduce a shift mod c into the sign-normalized window.
+
+    For c >= 3 and gcd(r, c) = 1 the result lies in (0, c/2); c = 2 gives
+    1 and c = 1 gives 0.
+    """
+    r %= c
+    assert math.gcd(r, c) == 1, f"shift {r} not coprime to conductor {c}"
+    return min(r, c - r)
+
+
 @dataclass(frozen=True)
 class ShiftedForm:
     """Diagonal form sum a_i (c x_i + alpha_i)^2 on the coset c Z + alpha.
 
-    `conductor` is c >= 1; shifts are kept mod c and, when `normalized`,
-    lie in the open window (0, c/2) — every residue coprime to c has a
-    unique such representative up to sign, and (c x + alpha)^2 only sees
-    alpha up to sign and mod c.
+    `conductor` is c >= 1; shifts are `normalized` when each is its own
+    `_norm_shift` — every residue coprime to c has a unique such
+    representative up to sign, and (c x + alpha)^2 only sees alpha up to
+    sign and mod c.
     """
 
     conductor: int
@@ -136,12 +147,7 @@ class ShiftedForm:
 
     @property
     def normalized(self) -> bool:
-        c = self.conductor
-        if c == 1:
-            return all(al == 0 for al in self.shifts)
-        if c == 2:
-            return all(al == 1 for al in self.shifts)
-        return all(0 < al and 2 * al < c for al in self.shifts)
+        return all(al == _norm_shift(al, self.conductor) for al in self.shifts)
 
     def minimum(self) -> int:
         """Smallest value, = sum a_i alpha_i^2 once shifts are normalized.
@@ -186,16 +192,13 @@ class ShiftedForm:
 def form_to_shifted(f: MGonalForm) -> ShiftedForm:
     """Translate an m-gonal form into its shifted diagonal form.
 
-    For m >= 5 the shift is alpha_i = d with 0 < d < c/2 already normalized;
-    for m = 3 we get c = 2, d = -1, and the sign flip x -> -x normalizes the
-    shift to 1.  m = 4 (c = 1, d = 0) degenerates to a plain sum of squares:
-    conductor 1, shifts 0, no congruence constraint.
+    Every shift is |d|, already normal: 0 < d < c/2 for m >= 5, the sign
+    flip x -> -x turns d = -1 at m = 3 (c = 2) into 1, and m = 4 (c = 1,
+    d = 0) is a plain sum of squares.
     """
     k = constants(f.m)
-    if f.m == 4:
-        return ShiftedForm(conductor=1, coeffs=f.coeffs, shifts=(0,) * f.rank)
     alpha = abs(k.d)  # sign flip is an isometry of the coset
-    assert 0 < alpha and (2 * alpha < k.c or (k.c == 2 and alpha == 1))
+    assert alpha == _norm_shift(alpha, k.c)
     return ShiftedForm(conductor=k.c, coeffs=f.coeffs,
                        shifts=(alpha,) * f.rank)
 

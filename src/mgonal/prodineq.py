@@ -27,10 +27,12 @@ only grow).  No floating point is used anywhere in this module.
 """
 
 import operator
-from fractions import Fraction
-from typing import Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 from .numth import RS
+
+if TYPE_CHECKING:  # for the annotations; the functions import it
+    from fractions import Fraction
 
 
 class IneqSpec(NamedTuple):
@@ -129,7 +131,7 @@ def verify_induction_step(index: int, t_max: int) -> bool:
     return True
 
 
-def certify_all_t(index: int) -> Tuple[Fraction, int, bool]:
+def certify_all_t(index: int) -> Tuple["Fraction", int, bool]:
     """One exact check certifying the induction step for every u >= t0.
 
     Returns (ratio bound, r_{t0+1}, bound < r_{t0+1}); see the module
@@ -138,6 +140,8 @@ def certify_all_t(index: int) -> Tuple[Fraction, int, bool]:
     (num / den)^k for the integers num = hi core0 - b (hi - lo) and
     den = lo core0, so the check is num^k < r_{t0+1} den^k.
     """
+    from fractions import Fraction
+
     spec = _clause(index)
     hi, lo = 2 * (spec.t0 + 4), spec.t0 + 3
     core0 = spec.a * w_factor(spec.t0) + spec.b
@@ -147,9 +151,11 @@ def certify_all_t(index: int) -> Tuple[Fraction, int, bool]:
             num ** spec.k < r_next * den ** spec.k)
 
 
-def min_slack(index: int, t_hi: int) -> Fraction:
+def min_slack(index: int, t_hi: int) -> "Fraction":
     """Smallest lhs/rhs over t in [t0, t_hi] (> 1 iff the clause holds).
     Raises ValueError for t_hi < t0."""
+    from fractions import Fraction
+
     spec = _clause(index)
     if t_hi < spec.t0:
         raise ValueError(f"clause {index}: t_hi = {t_hi} is below the "

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,7 +143,8 @@ def _sumset_builder(m: int, N: int):
         return last[k][1]
 
     def represented(coeffs: Tuple[int, ...]) -> int:
-        return add(reached(tuple(coeffs[:-1])), coeffs[-1])
+        coeffs = tuple(map(index, coeffs))  # a numpy entry would wrap
+        return add(reached(coeffs[:-1]), coeffs[-1])
 
     return represented
 

@@ -31,7 +31,8 @@ alpha = p^j alpha mod c.  Hence, coordinatewise,
 for suitable integer x, which gives the defining inclusion
 p^s * (new value set) <= (old value set), with the conductor unchanged.
 Shifts are reduced mod c and sign-normalized into the window (0, c/2)
-afterwards; (c x + alpha)^2 only sees alpha up to sign and mod c.
+afterwards (`polygonal._norm_shift`); (c x + alpha)^2 only sees alpha up
+to sign and mod c.
 
 A warning from the construction: for p != +-1 mod c the stepped coset is
 not of the shape (c x - d)^2 that polygonal forms produce, so stepped
@@ -41,11 +42,11 @@ compared purely through their value sets.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .localrep import is_stable
 from .numth import _check_prime, multiplicative_order, ord_p, prime_divisors
-from .polygonal import ShiftedForm
+from .polygonal import ShiftedForm, _norm_shift
 
 
 @dataclass(frozen=True)
@@ -107,17 +108,6 @@ def lambda_step(coeffs: Sequence[int], p: int
 # --------------------------------------------------------------------------
 # the same step on shifted forms (cosets of cZ)
 
-def _norm_shift(r: int, c: int) -> int:
-    """Reduce a shift mod c into the sign-normalized window.
-
-    For c >= 3 and gcd(r, c) = 1 the result lies in (0, c/2); c = 2 gives
-    1 and c = 1 gives 0.
-    """
-    r %= c
-    assert math.gcd(r, c) == 1, f"shift {r} not coprime to conductor {c}"
-    return min(r, c - r)
-
-
 def normalize_shifts(g: ShiftedForm) -> ShiftedForm:
     """Sign-flip and reduce every shift mod c into (0, c/2).
 
@@ -129,9 +119,10 @@ def normalize_shifts(g: ShiftedForm) -> ShiftedForm:
                        shifts=tuple(_norm_shift(al, c) for al in g.shifts))
 
 
-def coset_watson_step(g: ShiftedForm, p: int,
-                      log: Optional[List[WatsonStep]] = None) -> ShiftedForm:
-    """One descent step on a shifted form whose lattice is p-unstable.
+def coset_watson_step(g: ShiftedForm, p: int
+                      ) -> Tuple[ShiftedForm, WatsonStep]:
+    """One descent step on a shifted form whose lattice is p-unstable:
+    (stepped form, the step's record).
 
     Requires p coprime to the conductor.  The lattice part undergoes
     lambda_step; shift alpha_i becomes p^{j-1} alpha_i on the rescaled
@@ -150,20 +141,16 @@ def coset_watson_step(g: ShiftedForm, p: int,
     j = 1 if c == 1 else multiplicative_order(p, c)
 
     # the unit coordinates are the rescaled ones
-    shifts = tuple(
-        _norm_shift(pow(p, j - 1 if a % p else j, c) * al if c > 1 else 0, c)
-        for a, al in zip(g.coeffs, g.shifts))
+    shifts = tuple(_norm_shift(pow(p, j - 1 if a % p else j, c) * al, c)
+                   for a, al in zip(g.coeffs, g.shifts))
     out = ShiftedForm(conductor=c, coeffs=stepped, shifts=shifts)
     assert math.gcd(*out.coeffs) == 1
-    if log is not None:
-        log.append(WatsonStep(p=p, q=q, s=s, j=j))
-    return out
+    return out, WatsonStep(p=p, q=q, s=s, j=j)
 
 
-def stabilize(g: ShiftedForm,
-              log: Optional[List[WatsonStep]] = None) -> ShiftedForm:
+def stabilize(g: ShiftedForm) -> Tuple[ShiftedForm, Tuple[WatsonStep, ...]]:
     """Apply coset descent steps until the lattice is p-stable for every
-    prime p away from the conductor.
+    prime p away from the conductor: (stable form, the steps' records).
 
     The least unstable prime is stepped each round (the result does not
     depend on the order, which the tests assert).  Terminates because
@@ -177,17 +164,15 @@ def stabilize(g: ShiftedForm,
     # a step at p scales entries by powers of p, so no prime joins these
     primes = sorted({p for a in cur.coeffs for p in prime_divisors(a)})
     budget = sum(ord_p(a, p) for p in primes for a in cur.coeffs)
-    steps = 0
+    steps = []
     while True:
         unstable = [p for p in primes
                     if cur.conductor % p != 0
                     and not is_stable(cur.coeffs, p)]
         if not unstable:
             break
-        cur = coset_watson_step(cur, min(unstable), log=log)
-        steps += 1
-        assert steps <= budget, "descent failed to make progress"
-    order = sorted(range(3), key=lambda i: (cur.coeffs[i], cur.shifts[i]))
-    return ShiftedForm(conductor=cur.conductor,
-                       coeffs=tuple(cur.coeffs[i] for i in order),
-                       shifts=tuple(cur.shifts[i] for i in order))
+        cur, step = coset_watson_step(cur, min(unstable))
+        steps.append(step)
+        assert len(steps) <= budget, "descent failed to make progress"
+    coeffs, shifts = zip(*sorted(zip(cur.coeffs, cur.shifts)))
+    return ShiftedForm(cur.conductor, coeffs, shifts), tuple(steps)

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -227,7 +229,9 @@ def test_array_free_commands_do_not_import_numpy():
     numpy was most of the start-up of every mgonal process.  The layers are
     pinned too: importing the cli loads `numth` and `prodineq` only, and
     each command adds the layers it runs, which every process compiles
-    anew when no bytecode is cached."""
+    anew when no bytecode is cached.  Nor does the import load `fractions`
+    (with `decimal` and `numbers`), which only two `prodineq` functions
+    use."""
     argvs = VERIFY_ARGVS + [["watson", "--conductor", "12", "--coeffs",
                              "1,5,25", "--p", "5"]]
     script = ("import contextlib, io, json, sys\n"
@@ -239,16 +243,18 @@ def test_array_free_commands_do_not_import_numpy():
               "    return [step, 'numpy' in sys.modules, sorted(new)]\n"
               "import mgonal.cli as cli\n"
               "steps = [loaded('import')]\n"
+              "fractions = 'fractions' in sys.modules\n"
               f"for argv in json.loads({json.dumps(argvs)!r}):\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        code = cli.main(argv)\n"
               "    assert code == 0, (argv, code)\n"
               "    steps.append(loaded(argv[0]))\n"
-              "print(json.dumps(steps))\n")
+              "print(json.dumps([fractions, steps]))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout)
+    fractions, steps = json.loads(proc.stdout)
+    assert not fractions
     assert len(steps) == len(argvs) + 1
     assert not any(numpy for _, numpy, _ in steps)
     assert [(step, new) for step, _, new in steps if new] == [
@@ -486,6 +492,55 @@ def test_watson_step_text_and_json(capsys):
         '"shifts":[1,1,1]},"j":4,"output":{"coeffs":[2,1,2],"conductor":5,'
         '"shifts":[2,1,1]},"p":2,"q":2,"s":1,"tool":"mgonal",'
         f'"version":"{cli.__version__}"}}\n')
+
+
+def _descent_argvs(seed=30, calls=1200):
+    """Seeded `watson` and `stabilize` argv: conductors 1, 2 and up to 30,
+    shifts in [-c, 2c] or left to the default, coefficients built from
+    small primes so that descents take steps, text and JSON, and refused
+    inputs (conductor 0, a prime dividing the conductor, a non-prime or
+    stable p, a shift sharing a factor with c, an imprimitive or rank-2
+    lattice, csv)."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(calls):
+        c = rng.choice((0, 1, 1, 1, 2, 2, 2) + tuple(range(3, 31)))
+        rank = 3 if rng.random() < 0.95 else 2
+        coeffs = [math.prod(rng.choice((2, 3, 3, 5, 5, 7))
+                            for _ in range(rng.randint(0, 4)))
+                  for _ in range(rank)]
+        if rng.random() < 0.8:
+            coeffs[0] = 1
+        argv = ["watson" if i % 2 else "stabilize", "--conductor", str(c),
+                "--coeffs", ",".join(map(str, coeffs))]
+        if rng.random() < 0.7:
+            shifts = [rng.randint(-c, 2 * c) for _ in range(rank)]
+            if rng.random() < 0.9:  # else a shift may share a factor with c
+                shifts = [al if math.gcd(al, c) == 1 else 1 for al in shifts]
+            argv.append("--shifts=" + ",".join(map(str, shifts)))
+        if i % 2:
+            primes = [q for q in (2, 3, 5, 7) if any(a % q == 0 for a in coeffs)]
+            p = rng.choice(primes) if primes and rng.random() < 0.85 else (
+                rng.choice((2, 3, 11, 4, 1)))
+            argv += ["--p", str(p)]
+        argv += rng.choice((["--format", "json"], ["--format", "text"], [])
+                           * 6 + (["--format", "csv"],))
+        out.append(argv)
+    return out
+
+
+def test_descent_bytes_are_pinned(capsys):
+    """Exit code, stdout and stderr of every `_descent_argvs` argv, as one
+    sha256: the descent's records and normal forms, byte for byte."""
+    digest = hashlib.sha256()
+    codes = set()
+    for argv in _descent_argvs():
+        code, out, err = _outcome(capsys, lambda: cli.main(argv))
+        codes.add(code if isinstance(code, int) else code[1])
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert codes == {0, 2}
+    assert digest.hexdigest() == (
+        "61c92ebba36507efdd4a0db814335fb9ea29e757dd1951222437b30aec02eaf5")
 
 
 def test_regcheck_scan_out_file(capsys, tmp_path):

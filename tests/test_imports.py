@@ -34,6 +34,17 @@ def test_package_exports_are_the_defining_modules_objects():
         mgonal.bogus
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
+def test_version_is_stated_alike_in_pyproject_and_package():
+    """Every CLI output carries `__version__`; the distribution's version in
+    pyproject.toml must be the same."""
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == mgonal.__version__
+
+
 def test_from_package_import_gives_an_unloaded_submodule():
     """`from mgonal import localrep` in a fresh process, where the package
     has no such attribute yet, still imports the submodule."""
@@ -390,11 +401,11 @@ INVARIANTS = [
     "localrep.represents_over_zp",  # a complete search finds a witness
     "pipeline.BoundState.tighten",
     "polygonal.constants", "polygonal.constants", "polygonal.form_to_shifted",
-    "polygonal.polygonal_number",
+    "polygonal.polygonal_number", "polygonal._norm_shift",
     "prodineq.check_implications", "prodineq._rhs",
     "regcheck.represents_globally",  # the witness takes the value
     *["regcheck.first_sense_examples"] * 5,  # the worked example's facts
-    "watson._norm_shift", "watson.coset_watson_step", "watson.stabilize",
+    "watson.coset_watson_step", "watson.stabilize",
 ]
 
 

@@ -38,7 +38,7 @@ from mgonal.localrep import (
     stable_value_set_check,
 )
 from mgonal.numth import is_prime, ord_p, prime_divisors
-from mgonal.regcheck import candidate_scan
+from mgonal.regcheck import candidate_scan, regularity_scan
 from mgonal.polygonal import MGonalForm, ShiftedForm, form_to_shifted, shifted_target
 
 # a corpus mixing unit, once-divisible and deeply divisible entries
@@ -808,6 +808,30 @@ def test_locally_represented_rows_match_one_row_calls(m):
         f = MGonalForm(m, row)
         assert flags.tolist() == [_local_oracle(f, int(n)) for n in ns], row
     assert locally_represented_rows(m, [], ns).shape == (0, len(ns))
+
+
+def test_numpy_rows_give_the_verdicts_of_list_rows():
+    """Rows passed as a numpy array are read as Python ints: int64 entries
+    give the verdicts of the same rows as lists, an object array keeps an
+    entry past int64 exact at m = 4, and int64 entries whose sum passes
+    2^63 meet the overflow check instead of a wrapped sum.  A scan of a
+    form with numpy coefficients reports what the list form does."""
+    rows = [row for row in BATCH_ROWS if len(row) == 3]
+    ns = np.arange(-10, 301)
+    for m in (3, 4, 8, 13):
+        assert (locally_represented_rows(m, np.array(rows), ns)
+                == locally_represented_rows(m, rows, ns)).all(), m
+    huge = [(1, 1, 2**70), (1, 2, 2**64)]
+    got = locally_represented_rows(4, np.array(huge, dtype=object), ns)
+    assert (got == locally_represented_rows(4, huge, ns)).all()
+    assert got[:, 10:50].tolist() == [
+        [_local_oracle(MGonalForm(4, row), n) for n in range(40)] for row in huge]
+    with pytest.raises(ValueError, match="overflows int64"):
+        locally_represented_rows(5, np.array([[1, 2**62, 2**62]]), [1])
+    scans = [regularity_scan(MGonalForm(8, coeffs), 300)
+             for coeffs in (tuple(np.array([1, 2, 3])), (1, 2, 3))]
+    assert len({(r.verdict, r.counterexamples, r.locally_count)
+                for r in scans}) == 1
 
 
 def test_low_rank_forms_are_rejected_under_optimize():

@@ -11,9 +11,11 @@ import sympy
 from hypothesis import given, strategies as st
 
 from mgonal.localrep import (_SQUARE_TABLE_LIMIT, _lattice_key, _order_and_class,
-                             _orders_and_classes)
+                             _orders_and_classes, hensel_exponent,
+                             progression_exponent)
 from mgonal.numth import (
     RS,
+    _check_prime,
     is_prime,
     multiplicative_order,
     ord_p,
@@ -236,3 +238,20 @@ def test_preconditions_raise_named_errors_under_optimize():
         "PrimeSeq is 1-based, got r(-1)",
         "minimum needs normalized shifts, got (9, 9, 9); apply "
         "normalize_shifts first"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_prime(7.5),
+    lambda: _check_prime(7.5),
+    lambda: hensel_exponent((1, 2, 3), 5, 7.5),
+    lambda: progression_exponent(15, 5.0),
+    lambda: prime_divisors(10.0),
+    lambda: ord_p(2.5, 2),
+    lambda: ord_p(12, 2.0),
+], ids=["is_prime", "check_prime", "hensel_exponent", "progression_exponent",
+        "prime_divisors", "ord_p-n", "ord_p-p"])
+def test_float_arguments_are_refused(call):
+    """A float is no integer: 7.5 passed as a prime, and prime_divisors(10.0)
+    gave [2, 5.0]."""
+    with pytest.raises(TypeError):
+        call()

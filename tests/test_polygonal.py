@@ -93,6 +93,19 @@ def test_form_to_shifted_shapes():
     assert g7.minimum() == sum(a * al * al for a, al in zip(g7.coeffs, g7.shifts))
 
 
+def test_normalized_is_the_window():
+    """A shift is normal exactly in its window: 0 at c = 1, 1 at c = 2 and
+    0 < alpha < c/2 for c >= 3, on every shift coprime to c with
+    |alpha| <= 2 c + 1, c <= 40."""
+    pairs = [(c, al) for c in range(1, 41) for al in range(-2 * c - 1, 2 * c + 2)
+             if math.gcd(al, c) == 1]
+    assert len(pairs) == 2041
+    for c, al in pairs:
+        window = (al == 0 if c == 1 else al == 1 if c == 2
+                  else 0 < al and 2 * al < c)
+        assert ShiftedForm(c, (1,), (al,)).normalized == window, (c, al)
+
+
 def test_mgonal_form_validation():
     # ValueError, not assert: under python -O a zero coefficient made a
     # regularity scan loop forever

@@ -92,12 +92,10 @@ def test_coset_step_requires_coprime_prime():
 
 
 def test_coset_step_shift_bookkeeping():
-    """One step at p: conductor kept, primitivity kept, the step log carries
-    j = order of p mod c, and the shifts move by p^(j-1) / p^j."""
+    """One step at p: conductor kept, primitivity kept, the step's record
+    carries j = order of p mod c, and the shifts move by p^(j-1) / p^j."""
     g = ShiftedForm(conductor=5, coeffs=(1, 2, 4), shifts=(1, 1, 1))
-    log = []
-    out = coset_watson_step(g, 2, log=log)
-    (step,) = log
+    out, step = coset_watson_step(g, 2)
     assert isinstance(step, WatsonStep)
     assert out.conductor == 5
     assert step.p == 2 and step.j == multiplicative_order(2, 5) == 4
@@ -115,9 +113,8 @@ def test_coset_step_value_inclusion():
     ]
     bound = 2500
     for g, p in cases:
-        log = []
-        out = coset_watson_step(g, p, log=log)
-        s = log[0].s
+        out, step = coset_watson_step(g, p)
+        s = step.s
         small = set(out.values_upto(bound // p**s))
         big = set(g.values_upto(bound))
         assert {p**s * v for v in small} <= big, (g, p)
@@ -130,7 +127,7 @@ def test_stabilize_reaches_stability():
         ShiftedForm(conductor=1, coeffs=(1, 8, 32), shifts=(0, 0, 0)),
         ShiftedForm(conductor=6, coeffs=(1, 25, 35), shifts=(1, 1, 1)),
     ]:
-        out = stabilize(g)
+        out, _ = stabilize(g)
         disc = math.prod(out.coeffs)
         for p in prime_divisors(disc):
             if out.conductor % p:
@@ -147,7 +144,7 @@ def _stabilize_max_first(g):
                     if cur.conductor % p and not is_stable(cur.coeffs, p)]
         if not unstable:
             break
-        cur = coset_watson_step(cur, max(unstable))
+        cur, _ = coset_watson_step(cur, max(unstable))
     order = sorted(range(3), key=lambda i: (cur.coeffs[i], cur.shifts[i]))
     return ShiftedForm(conductor=cur.conductor,
                        coeffs=tuple(cur.coeffs[i] for i in order),
@@ -158,16 +155,16 @@ def test_stabilize_idempotent_and_order_free():
     # <1, 9, 49> is unstable at both 3 and 7, so the two orders differ
     for coeffs in ((1, 9, 27), (1, 9, 49)):
         g = ShiftedForm(conductor=5, coeffs=coeffs, shifts=(1, 1, 1))
-        a = stabilize(g)
-        assert _stabilize_max_first(g) == a
-        assert stabilize(a) == a
+        a, steps = stabilize(g)
+        assert steps and _stabilize_max_first(g) == a
+        assert stabilize(a) == (a, ())
 
 
 def test_stabilize_keeps_local_solubility_of_targets():
     """Descent is used to pass to a stable form while tracking targets; at
     the very least the stepped forms keep representing the minimum."""
     g = ShiftedForm(conductor=5, coeffs=(1, 9, 27), shifts=(1, 1, 1))
-    out = stabilize(g)
+    out, _ = stabilize(g)
     assert out.normalized
     assert min(out.values_upto(out.minimum())) == out.minimum()
 
