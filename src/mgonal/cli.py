@@ -67,8 +67,9 @@ _DESCENT_LIMIT = 2 ** 32
 _SCAN_LIMIT = 2 ** 16
 _BOUND_LIMIT = 2 ** 21
 
-# The golden files' directory, and the text of each file in it, read once.
-_DATA = resources.files("mgonal") / "data"
+# The golden files' directory of this package, under whatever name it was
+# imported, and the text of each file in it, read once.
+_DATA = resources.files(__package__) / "data"
 _GOLDEN_TEXT = {f.name: f.read_text() for f in _DATA.iterdir()
                 if f.name.endswith(".json")}
 

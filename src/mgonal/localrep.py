@@ -80,12 +80,13 @@ hyperbolic plane and represents all of Z_p.  Below rank 3 this fails
 (<1,1> misses 77 over Z_7), so lower ranks raise ValueError.  The batch is
 array arithmetic over all rows at once: per prime, the targets are labelled
 once per distinct sum a_i (at an odd p below 2^12 from a table of the
-labels of the residues mod a power of p, built per call), the descriptors
-are fetched once per distinct lattice key, and the verdicts of the rows
-that p can exclude are one flat gather from their `_descriptor_table`,
-through the array of those rows' indices (details in its docstring).
-`locally_represented_many` is the one-row case, and the scalar
-`locally_represented` its one-element case.
+labels of the residues mod a power of p, built per call; at larger p by
+Euler's criterion once per distinct residue), the descriptors are fetched
+once per distinct lattice key, and the verdicts of the rows that p can
+exclude are one flat gather from their `_descriptor_table`, through the
+array of those rows' indices (details in its docstring).
+It is the one m-gonal batch entry: the scalar `locally_represented` is
+its one-row, one-target case.
 
 A literal reference procedure (`represents_mod_search`: grid search mod p^K
 plus the lifting criterion (*), following the count of the search space) and
@@ -292,9 +293,8 @@ def _add_coordinate(acc: List[int], zero: bool, e: int, i: int,
     return out, out_zero
 
 
-# The residue table of `_orders_and_classes` takes at least O(p) steps to
-# build, Euler's criterion about 2 log2 p passes over the array: from
-# about here on, the criterion costs less on arrays of a hundred targets.
+# The residue table of `_orders_and_classes` takes O(p) steps and memory
+# to build; from here on the labels come from Euler's criterion instead.
 _SQUARE_TABLE_LIMIT = 2 ** 12
 
 
@@ -313,9 +313,10 @@ def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     tc[p::p] = tc[1:P/p] + 2, done J - 1 times, gives the multiples of p
     one order more than their quotients.  Only the targets = 0 (mod P) are
     divided further, and the class of their unit part u is tc[u mod P].
-    At larger p the same division gives the unit parts, and their classes
-    come from Euler's criterion.  N mod P is read as N - N // P * P, which
-    numpy computes faster than `%` on int64."""
+    At larger p the same division gives the unit parts mod p, and their
+    classes come from Euler's criterion in Python ints, one `pow` per
+    distinct residue.  N mod P is read as N - N // P * P, which numpy
+    computes faster than `%` on int64."""
     import numpy as np
 
     if p == 2:
@@ -344,16 +345,10 @@ def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     k = np.zeros_like(N)
     k[deep] = kd
     r[deep] = u % p
-    # Euler's criterion by square and multiply; past 2^31.5 a product of
-    # two residues leaves int64, so the entries become Python integers
-    base = r if p * p < 2 ** 63 else r.astype(object)
-    power, e = np.ones_like(base), (p - 1) // 2
-    while e:
-        if e & 1:
-            power = power * base % p
-        base = base * base % p
-        e >>= 1
-    return k, (power != 1).astype(np.int64)
+    vals, at = np.unique(r, return_inverse=True)  # Euler once per residue
+    e = (p - 1) // 2
+    return k, np.array([pow(x, e, p) != 1 for x in vals.tolist()],
+                       dtype=np.int64)[at]
 
 
 @functools.lru_cache(maxsize=None)
@@ -652,30 +647,24 @@ def hilbert_symbol(a: int, b: int, p: int) -> int:
     return -1 if e % 2 else 1
 
 
-def hasse_invariant(coeffs: Sequence[int], p: int) -> int:
-    """prod_{i<j} (a_i, a_j)_p."""
-    eps = 1
-    for i in range(len(coeffs)):
-        for j in range(i + 1, len(coeffs)):
-            eps *= hilbert_symbol(coeffs[i], coeffs[j], p)
-    return eps
-
-
 def is_anisotropic_ternary(coeffs: Sequence[int], p: int) -> bool:
     """No nontrivial zero of a_1 x^2 + a_2 y^2 + a_3 z^2 over Q_p.
 
     Closed form: a ternary form of determinant d is isotropic over Q_p iff
-    its Hasse invariant equals (-1, -d)_p.  (Equivalently, by the
-    primitive-zero characterization, iff for some i the complementary
-    binary form represents -a_i over Z_p; the tests check the two agree.)
+    its Hasse invariant (a_1, a_2)_p (a_1, a_3)_p (a_2, a_3)_p equals
+    (-1, -d)_p.  (Equivalently, by the primitive-zero characterization,
+    iff for some i the complementary binary form represents -a_i over
+    Z_p; the tests check the two agree.)
     Raises ValueError unless there are three nonzero entries and p is a
     prime.
     """
     coeffs = tuple(coeffs)
     if len(coeffs) != 3 or 0 in coeffs:
         raise ValueError(f"anisotropy needs three nonzero entries, got {coeffs}")
-    d = coeffs[0] * coeffs[1] * coeffs[2]
-    return hasse_invariant(coeffs, p) != hilbert_symbol(-1, -d, p)
+    a1, a2, a3 = coeffs
+    hasse = (hilbert_symbol(a1, a2, p) * hilbert_symbol(a1, a3, p)
+             * hilbert_symbol(a2, a3, p))
+    return hasse != hilbert_symbol(-1, -a1 * a2 * a3, p)
 
 
 # --------------------------------------------------------------------------
@@ -887,12 +876,7 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     return ok
 
 
-def locally_represented_many(f, ns) -> np.ndarray:
-    """Boolean array: is n represented by the m-gonal form f over R and over
-    every Z_p, per n in ns?  The one-row case of `locally_represented_rows`."""
-    return locally_represented_rows(f.m, [f.coeffs], ns)[0]
-
-
 def locally_represented(f, n: int) -> bool:
-    """Scalar form of `locally_represented_many`."""
-    return bool(locally_represented_many(f, [n])[0])
+    """Is n represented by the m-gonal form f over R and over every Z_p?
+    The one-row, one-target case of `locally_represented_rows`."""
+    return bool(locally_represented_rows(f.m, [f.coeffs], [n])[0, 0])

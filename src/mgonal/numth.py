@@ -2,9 +2,8 @@
 
 Everything here is integer-exact, and a float argument raises TypeError.
 The descent arguments only ever meet the primes >= 5 — the sequence
-r_1 = 5, r_2 = 7, r_3 = 11, ... — so `PrimeSeq` exposes 1-based indexing
-into that sequence, but the underlying cache also serves 2 and 3 for the
-local engines.
+r_1 = 5, r_2 = 7, r_3 = 11, ... — so `_prime_from_5(i)` gives r_i, 1-based,
+from the one prime table, which also serves 2 and 3 for the local engines.
 """
 
 from __future__ import annotations
@@ -65,22 +64,13 @@ def primes() -> Iterator[int]:
         i += 1
 
 
-class PrimeSeq:
-    """The primes >= 5 with 1-based indexing: r(1) = 5, r(2) = 7, r(3) = 11.
-
-    Instances share the module-wide prime cache, so they are cheap and can
-    be handed around freely.
-    """
-
-    def r(self, i: int) -> int:
-        if i < 1:
-            raise ValueError(f"PrimeSeq is 1-based, got r({i})")
-        while i + 1 >= len(_PRIMES):
-            _extend_primes()
-        return _PRIMES[i + 1]  # skip 2 and 3
-
-
-RS = PrimeSeq()
+def _prime_from_5(i: int) -> int:
+    """r_i, the i-th prime >= 5, 1-based: r_1 = 5, r_2 = 7, r_3 = 11."""
+    if i < 1:
+        raise ValueError(f"r_i is 1-based, got r({i})")
+    while i + 1 >= len(_PRIMES):
+        _extend_primes()
+    return _PRIMES[i + 1]  # skip 2 and 3
 
 
 def ord_p(n: int, p: int) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import List, Tuple
 
 
@@ -84,12 +85,16 @@ def constants(m: int) -> MGonalConstants:
 
 @dataclass(frozen=True)
 class MGonalForm:
-    """Diagonal m-gonal form sum a_i P_m(x_i), coefficients ascending."""
+    """Diagonal m-gonal form sum a_i P_m(x_i), coefficients ascending.  m
+    and a tuple of the coefficients are kept as Python ints, read through
+    `operator.index`: a float raises TypeError."""
 
     m: int
     coeffs: Tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "m", index(self.m))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         _check_index(self.m)
         _check_coefficients(self.coeffs)
 

@@ -29,7 +29,7 @@ only grow).  No floating point is used anywhere in this module.
 import operator
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
-from .numth import RS
+from .numth import _prime_from_5
 
 if TYPE_CHECKING:  # for the annotations; the functions import it
     from fractions import Fraction
@@ -98,7 +98,7 @@ def lhs(index: int, t: int) -> int:
                          f"lower index {spec.lower} (empty prime product)")
     out = 1
     for i in range(spec.lower, t + 1):
-        out *= RS.r(i)
+        out *= _prime_from_5(i)
     return out
 
 
@@ -125,7 +125,7 @@ def verify_induction_step(index: int, t_max: int) -> bool:
     prev = _rhs(spec, spec.t0)
     for u in range(spec.t0, t_max):
         nxt = _rhs(spec, u + 1)
-        if nxt >= RS.r(u + 1) * prev:
+        if nxt >= _prime_from_5(u + 1) * prev:
             return False
         prev = nxt
     return True
@@ -146,7 +146,7 @@ def certify_all_t(index: int) -> Tuple["Fraction", int, bool]:
     hi, lo = 2 * (spec.t0 + 4), spec.t0 + 3
     core0 = spec.a * w_factor(spec.t0) + spec.b
     num, den = hi * core0 - spec.b * (hi - lo), lo * core0
-    r_next = RS.r(spec.t0 + 1)
+    r_next = _prime_from_5(spec.t0 + 1)
     return (Fraction(num, den) ** spec.k, r_next,
             num ** spec.k < r_next * den ** spec.k)
 

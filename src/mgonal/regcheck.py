@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import index
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,8 +108,8 @@ def represents_globally(f: MGonalForm, n: int) -> Optional[Tuple[int, ...]]:
 
 def _sumset_builder(m: int, N: int):
     """represented(coeffs) -> the bitset of [0, N] with bit n set when
-    sum a_i P_m(x_i) = n has a solution over Z, for any coefficient row at
-    this m.
+    sum a_i P_m(x_i) = n has a solution over Z, for any coefficient row of
+    Python ints at this m (`MGonalForm` keeps its coefficients so).
 
     The generalized m-gonal numbers <= N are computed once.  A sumset is a
     Python integer used as a bitset, so adding a coordinate is one shift
@@ -143,7 +142,6 @@ def _sumset_builder(m: int, N: int):
         return last[k][1]
 
     def represented(coeffs: Tuple[int, ...]) -> int:
-        coeffs = tuple(map(index, coeffs))  # a numpy entry would wrap
         return add(reached(coeffs[:-1]), coeffs[-1])
 
     return represented

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -305,6 +306,28 @@ def test_golden_files_are_read_once_and_handed_out_fresh(capsys, monkeypatch,
     assert first == second and first is not second
     first["base_cases"][0]["lhs"] += 1
     assert second != first and second == cli._golden("ineq_base.json")
+
+
+def test_a_copy_imported_under_another_name_reads_its_own_golden_files(
+        tmp_path):
+    """Two trees of the package loaded side by side, one under another
+    name, each read the golden files of their own tree."""
+    copy = tmp_path / "mgonal_copy"
+    shutil.copytree(os.path.dirname(cli.__file__), copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    psi = json.loads((copy / "data" / "psi48.json").read_text())
+    psi["values"][0] += 1
+    (copy / "data" / "psi48.json").write_text(json.dumps(psi))
+    script = ("import json, sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import mgonal.cli, mgonal_copy.cli\n"
+              "print(json.dumps([mgonal.cli._golden('psi48.json'),\n"
+              "                  mgonal_copy.cli._golden('psi48.json')]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    own, copied = json.loads(proc.stdout)
+    assert own == cli._golden("psi48.json") and copied == psi != own
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

@@ -27,7 +27,6 @@ from mgonal.localrep import (
     is_anisotropic_ternary,
     is_stable,
     locally_represented,
-    locally_represented_many,
     locally_represented_rows,
     progression_exponent,
     represents_mod_search,
@@ -727,60 +726,77 @@ def _local_oracle(f, n):
     N = shifted_target(f, n)
     if N < 0:
         return False
-    relevant = prime_divisors(2 * 3 * g.conductor * math.prod(f.coeffs))
+    # the primes of the lcm are those of the product, whose square root
+    # trial division would reach past an entry near 2^32
+    relevant = prime_divisors(2 * 3 * g.conductor * math.lcm(*f.coeffs))
     return all(shifted_represents_over_zp(g, N, p) for p in relevant)
+
+
+# Rows with entries past the residue table, whose target labels at 4099
+# and 65521 come from Euler's criterion; at m = 4 also 2^32 + 15 =
+# 4294967311, a prime past 2^31.5.  The targets add multiples of the
+# primes, of order 1 and 2 at them.
+BIG_ROWS = [(1, 4099, 4099), (1, 2, 4099), (3, 65521, 65521),
+            (1, 4099, 65521)]
+BIG_ROWS_4 = [(1, 4294967311, 4294967311)]
+BIG_NS = [q ** j * k for q in (4099, 65521) for j in (1, 2)
+          for k in (1, 2, 3, 5)] + [4294967311 * k for k in (1, 2, 3, 5)]
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 13, 29])
 def test_locally_represented_many_matches_per_prime_oracle(m):
-    ns = range(-10, 601)
-    for coeffs in CENSUS_TRIPLES:
+    """One-row calls of the batch give the verdicts written out one prime
+    and one target at a time, on the census triples and on BIG_ROWS."""
+    ns = list(range(-10, 601))
+    big = BIG_ROWS + (BIG_ROWS_4 if m == 4 else [])
+    for coeffs in CENSUS_TRIPLES + big:
         f = MGonalForm(m, coeffs)
-        got = locally_represented_many(f, ns)
+        targets = ns + (BIG_NS if coeffs in big else [])
+        (got,) = locally_represented_rows(m, [coeffs], targets)
         assert got.dtype == np.bool_
-        assert got.tolist() == [_local_oracle(f, n) for n in ns], coeffs
+        assert got.tolist() == [_local_oracle(f, n) for n in targets], coeffs
 
 
 def test_locally_represented_many_edges():
-    f = MGonalForm(5, (1, 2, 3))
-    empty = locally_represented_many(f, [])
-    assert empty.dtype == np.bool_ and empty.shape == (0,)
+    """Edge cases of one-row batch calls."""
+    empty = locally_represented_rows(5, [(1, 2, 3)], [])
+    assert empty.dtype == np.bool_ and empty.shape == (1, 0)
     # negative shifted targets fail over R; (1,3,27) at -3 has target 7
-    assert locally_represented_many(MGonalForm(3, (1, 1, 1)),
-                                    [-3, -1, 0]).tolist() == [False, False, True]
-    assert locally_represented_many(MGonalForm(3, (1, 3, 27)), [-3]).tolist() == [True]
+    assert locally_represented_rows(3, [(1, 1, 1)], [-3, -1, 0]).tolist() == [
+        [False, False, True]]
+    assert locally_represented_rows(3, [(1, 3, 27)], [-3]).tolist() == [[True]]
     # m = 4: the shifted target is n itself, and 0 is represented
-    assert locally_represented_many(MGonalForm(4, (1, 1, 1)),
-                                    [0, 7, 28, 29]).tolist() == [True, False, False, True]
+    assert locally_represented_rows(4, [(1, 1, 1)], [0, 7, 28, 29]).tolist() == [
+        [True, False, False, True]]
     assert locally_represented(MGonalForm(4, (1, 1, 1)), 0)
     for ns in ([2**62], [-2**62], [2**70]):
         with pytest.raises(ValueError):
-            locally_represented_many(f, ns)
+            locally_represented_rows(5, [(1, 2, 3)], ns)
     # targets are not truncated, parsed or wrapped into int64 on either
     # array entry point: a float, a string and a uint64 past 2^63 raise
-    sq = MGonalForm(4, (1, 1, 1))
     for ns, match in (([7.9], "dtype float64"), (["3"], "dtype <U1"),
                       (np.array([2**63 + 7], dtype=np.uint64), "int64"),
                       ([2**70], "int64")):
-        for call in (lambda: locally_represented_many(sq, ns),
+        for call in (lambda: locally_represented_rows(4, [(1, 1, 1)], ns),
                      lambda: represents_over_zp_many((1, 1, 1), ns, 2)):
             with pytest.raises(ValueError, match=match):
                 call()
     # numpy integers of any width, and uint64 below 2^63, are answered
     for ns in (np.array([7, 29], dtype=np.uint64), np.array([7, 29], dtype=np.int8),
                [np.int16(7), 29]):
-        assert locally_represented_many(sq, ns).tolist() == [False, True]
+        assert locally_represented_rows(4, [(1, 1, 1)], ns).tolist() == [
+            [False, True]]
         assert represents_over_zp_many((1, 1, 1), ns, 2).tolist() == [False, True]
     assert represents_over_zp_many((1, 1, 1), [], 2).shape == (0,)
     # at m = 4 (d = 0) no overflow check bounds the entries, and an entry
     # past int64 keeps its exact labels
     huge, ns = MGonalForm(4, (1, 1, 2**70)), [5, 7, 2**60]
-    assert locally_represented_many(huge, ns).tolist() == [
+    assert locally_represented_rows(4, [huge.coeffs], ns)[0].tolist() == [
         _local_oracle(huge, n) for n in ns] == [True, False, True]
     # at p = 2 the congruence modulus 2^(3 + 61) is past int64: only
     # N = base = 3 * 2^61 (n = 0) solves it among int64 targets
-    deep = MGonalForm(3, (2**61,) * 3)
-    assert locally_represented_many(deep, [0, 1, 2**40]).tolist() == [True, False, False]
+    assert locally_represented_rows(3, [(2**61,) * 3], [0, 1, 2**40]).tolist() == [
+        [True, False, False]]
 
 
 # Census rows plus rank-4 rows in the same call, rows sharing sum a_i
@@ -837,13 +853,13 @@ def test_numpy_rows_give_the_verdicts_of_list_rows():
 def test_low_rank_forms_are_rejected_under_optimize():
     """Below rank 3 a form with p-unit entries need not be universal at p:
     <1,1> misses 77 over Z_7, a prime that 2 c prod(a_i) does not hold.
-    So rank 1 and 2 raise ValueError naming the rank, on both entry points
-    and with asserts stripped."""
+    So rank 1 and 2 raise ValueError naming the rank, on the scalar and
+    the batch entry point and with asserts stripped."""
     assert not represents_over_zp((1, 1), 77, 7)
     script = (
-        "from mgonal.localrep import locally_represented_many, locally_represented_rows\n"
+        "from mgonal.localrep import locally_represented, locally_represented_rows\n"
         "from mgonal.polygonal import MGonalForm\n"
-        "for call in (lambda: locally_represented_many(MGonalForm(4, (1, 1)), [77]),\n"
+        "for call in (lambda: locally_represented(MGonalForm(4, (1, 1)), 77),\n"
         "             lambda: locally_represented_rows(4, [(1, 1, 1), (2,)], [5])):\n"
         "    try:\n"
         "        call()\n"

@@ -14,8 +14,8 @@ from mgonal.localrep import (_SQUARE_TABLE_LIMIT, _lattice_key, _order_and_class
                              _orders_and_classes, hensel_exponent,
                              progression_exponent)
 from mgonal.numth import (
-    RS,
     _check_prime,
+    _prime_from_5,
     is_prime,
     multiplicative_order,
     ord_p,
@@ -42,7 +42,7 @@ def test_is_prime_matches_sympy(n):
 def test_prime_seq_indexing():
     # r_i is the i-th prime >= 5: r_1 = 5, r_2 = 7, ...
     for i in range(1, 60):
-        assert RS.r(i) == sympy.prime(i + 2)
+        assert _prime_from_5(i) == sympy.prime(i + 2)
 
 
 def test_ord_p_rejects_p_below_two():
@@ -214,15 +214,15 @@ def test_bad_arguments_raise_named_errors_under_optimize():
 
 def test_preconditions_raise_named_errors_under_optimize():
     """With asserts stripped, a short coordinate vector gave an m-gonal
-    value, RS.r(0) and RS.r(-1) gave 3 and 2, and the minimum of
+    value, r(0) and r(-1) of the primes >= 5 gave 3 and 2, and the minimum of
     unnormalized shifts was 243 where the least value is 3.  Each raises
     ValueError naming the input."""
     script = (
-        "from mgonal.numth import RS\n"
+        "from mgonal.numth import _prime_from_5\n"
         "from mgonal.polygonal import MGonalForm, ShiftedForm\n"
         "for call in (lambda: MGonalForm(5, (1, 2, 3)).value((1,)),\n"
-        "             lambda: RS.r(0),\n"
-        "             lambda: RS.r(-1),\n"
+        "             lambda: _prime_from_5(0),\n"
+        "             lambda: _prime_from_5(-1),\n"
         "             lambda: ShiftedForm(10, (1, 1, 1), (9, 9, 9)).minimum()):\n"
         "    try:\n"
         "        print(call())\n"
@@ -234,8 +234,8 @@ def test_preconditions_raise_named_errors_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "need 3 coordinates, got (1,)",
-        "PrimeSeq is 1-based, got r(0)",
-        "PrimeSeq is 1-based, got r(-1)",
+        "r_i is 1-based, got r(0)",
+        "r_i is 1-based, got r(-1)",
         "minimum needs normalized shifts, got (9, 9, 9); apply "
         "normalize_shifts first"]
 

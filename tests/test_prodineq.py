@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from mgonal.numth import RS
+from mgonal.numth import _prime_from_5
 from mgonal.prodineq import (
     CLAUSES,
     IMPLICATIONS,
@@ -76,7 +76,7 @@ def test_integer_induction_step_matches_rational_ratio():
     # RHS(u+1) < r_{u+1} RHS(u) in integers against the ratio as a Fraction
     for index, spec in CLAUSES.items():
         for u in range(spec.t0, spec.t0 + 41):
-            want = all(Fraction(rhs(index, v + 1), rhs(index, v)) < RS.r(v + 1)
+            want = all(Fraction(rhs(index, v + 1), rhs(index, v)) < _prime_from_5(v + 1)
                        for v in range(spec.t0, u + 1))
             assert verify_induction_step(index, u + 1) == want, (index, u)
 
@@ -147,8 +147,8 @@ def test_clause_number_must_be_an_integer():
 
 
 def test_prime_table_agrees_with_sympy():
-    assert [RS.r(i) for i in range(1, 30)] == [sympy.prime(i + 2)
-                                               for i in range(1, 30)]
+    assert [_prime_from_5(i) for i in range(1, 30)] == [
+        sympy.prime(i + 2) for i in range(1, 30)]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])

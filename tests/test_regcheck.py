@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from mgonal.localrep import locally_represented, locally_represented_many
+from mgonal.localrep import locally_represented, locally_represented_rows
 from mgonal.polygonal import MGonalForm, polygonal_number
 from mgonal.regcheck import (
     _BLOCK_TARGETS,
@@ -224,7 +224,7 @@ def test_batched_scan_matches_form_by_form_loop(m):
     loop, reports = [], []
     for row in rows:
         f = MGonalForm(m, row)
-        local = locally_represented_many(f, np.arange(2001))
+        (local,) = locally_represented_rows(f.m, [f.coeffs], np.arange(2001))
         missed = local & ~represented_set(f, 2000)
         loop.append((row, _bitset(local), _bitset(missed)))
         report = regularity_scan(f, 2000)
@@ -249,6 +249,22 @@ def test_batched_sumsets_match_pointwise_search():
             assert represented(row) == sum(
                 1 << n for n in range(41)
                 if represents_globally(f, n) is not None), (m, row)
+
+
+def test_mgonal_form_keeps_exact_python_ints():
+    """A float m or coefficient raised only deep in a scan, and numpy
+    coefficients stayed np.int64 in a scan report, which json could not
+    write.  The form reads both through operator.index."""
+    for m, coeffs in ((8, (1.0, 2.0, 3.5)), (8.0, (1, 2, 3)), (8, (1, 2, 3.0))):
+        with pytest.raises(TypeError):
+            MGonalForm(m, coeffs)
+    f = MGonalForm(np.int64(8), tuple(np.array([1, 2, 3])))
+    assert f == MGonalForm(8, [1, 2, 3]) == MGonalForm(8, (1, 2, 3))
+    assert [type(x) for x in (f.m, *f.coeffs)] == [int] * 4
+    assert str(f) == "<1*P8 + 2*P8 + 3*P8: 1,2,3>"
+    report = regularity_scan(f, 20).as_dict()
+    assert json.dumps(report) == json.dumps(
+        regularity_scan(MGonalForm(8, (1, 2, 3)), 20).as_dict())
 
 
 def test_coefficient_past_int64_is_a_named_error():
