@@ -156,14 +156,6 @@ def _prime(text: str) -> int:
 def _cmd_psi(args) -> int:
     from .density import psi, psi_values_desc
 
-    if args.p is not None:
-        value = str(psi(args.p, args.n))
-        payload = {"p": args.p, "n": args.n, "psi": value}
-        _emit(args, payload, [value],
-              rows=[[args.p, args.n, value]], header=["p", "n", "psi"])
-        return 0
-    values = psi_values_desc(args.n, args.count)
-    strs = [str(v) for v in values]
     if args.verify:
         golden = _golden("psi48.json")
         got = [str(v) for v in psi_values_desc(golden["n"], golden["count"])]
@@ -172,6 +164,14 @@ def _cmd_psi(args) -> int:
             raise VerificationFailure(
                 f"psi top-{golden['count']} at n={golden['n']}: computed {got}, golden {want}"
             )
+    if args.p is not None:
+        value = str(psi(args.p, args.n))
+        payload = {"p": args.p, "n": args.n, "psi": value}
+        _emit(args, payload, [value],
+              rows=[[args.p, args.n, value]], header=["p", "n", "psi"])
+        return 0
+    values = psi_values_desc(args.n, args.count)
+    strs = [str(v) for v in values]
     payload = {"n": args.n, "count": args.count, "values": strs}
     _emit(args, payload, [", ".join(strs)],
           rows=[[args.n, i + 1, s] for i, s in enumerate(strs)],

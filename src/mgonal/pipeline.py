@@ -6,26 +6,23 @@ c >= 36, coefficients a_1 <= a_2 <= a_3, and T = {p_1 < ... < p_t} the odd
 primes prime to 2c at which the lattice <a_1,a_2,a_3> is anisotropic.  All
 p_i >= 5, so p_i >= r_i (the i-th prime >= 5).  Each congruence case of m
 fixes kappa (the step of the arithmetic progression of represented targets)
-and the largest correction terms nu_1, nu_2; the derivation then
-alternates three moves:
-
-  * eta-window counts bound a_1 (two-representations argument) and a_2
-    (N-option ladder argument);
-  * a product inequality r_l ... r_t > a_1 a_2 * (k-bound shape) turns the
-    pair of coefficient bounds into a smaller bound on t;
-  * once t is small, one more eta window bounds a_1 (c + 2) and hence c,
-    and inverting c(m) per congruence class bounds m.
+and the largest correction terms nu_1, nu_2.  Every case's derivation
+has one shape: a cubic product clause opens with a bound on t; each
+`Round` bounds a_1 and a_2 over two eta windows, and the product
+inequality r_l ... r_t > a_1 a_2 * (k-bound shape) lowers t; then a
+closing eta window bounds a_1 (c + 2) and hence c (case 4 closes with
+its three-rung argument), and inverting c(m) per congruence class
+bounds m.
 
 The bounds are recomputed from the eta table, the product-inequality
 clauses and the bound lemmas; the golden log shipped under data/ is used
-only to cross-check the derivation, never as an input to it.  A case's
-schedule, a tuple of `Step` records, holds only the paper's free choices:
-each eta window n, each ladder size N and `tight_window`.  The replay
-derives the rest: every window's s is the running bound on t, and every
-product clause is the one `CLAUSES` row that fits the case and the
-running a_1 a_2.  The maxima
-of the correction terms, `CaseParams.nu1_max` and `nu2_max`, are fixed
-inputs of each case, not derived here (ROADMAP.md, item 5, plans a
+only to cross-check the derivation, never as an input to it.  A case
+holds only the paper's free choices: each round's windows n, ladder
+size N and flags, and the closing window.  The replay derives the rest:
+every window's s is the running bound on t, and every product clause is
+the one `CLAUSES` row that fits the case and the running a_1 a_2.  The
+maxima of the correction terms, `CaseParams.nu1_max` and `nu2_max`, are
+fixed inputs of each case, not derived here (ROADMAP.md, item 5, plans a
 certificate for them).
 
 Of the constructive lemmas behind the derivation, only
@@ -39,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .density import eta
 from .numth import _check_prime
@@ -134,26 +131,25 @@ class CongruenceClass:
         return 2 * c_bound // self.delta + 2
 
 
-class Step(NamedTuple):
-    """One entry of a case's schedule: the op and the paper's choices it
-    reads, the eta window n, the ladder size N and `tight_window`.  A
-    record, so a schedule checked when its case is built stays as checked."""
+@dataclass(frozen=True)
+class Round:
+    """One round of a case's derivation: bound a_1 over the eta window
+    a1_n, by the eta floor or else by two representations, bound a_2 over
+    the window a2_n by the N-rung ladder (`tight_window` as in
+    `bound_a2_from_eta`), then lower t by the product clause of the two."""
 
-    op: str
-    n: Optional[int] = None
-    N: Optional[int] = None
+    a1_n: int
+    a2_n: int
+    N: int
+    a1_eta_floor: bool = False
     tight_window: bool = False
-
-
-# the schedule's ops, each with the fields `replay_case` reads from its step
-_KEYS_OF_OP = {"open": (), "tighten_t": (), "a1_two_reps": ("n",),
-               "a1_eta": ("n",), "a2_eta": ("n", "N"), "c_eta": ("n",),
-               "c_case4": ("n",)}
 
 
 @dataclass(frozen=True)
 class CaseParams:
-    """Fixed data of one of the four congruence cases of the derivation."""
+    """Fixed data of one of the four congruence cases of the derivation:
+    its rounds and the eta window close_n of its conductor step, the eta
+    floor or, with three_rung_close, case 4's three-rung argument."""
 
     case_id: int
     description: str
@@ -161,23 +157,21 @@ class CaseParams:
     nu1_max: int
     nu2_max: int
     classes: Tuple[CongruenceClass, ...]
-    schedule: Tuple[Step, ...]
+    rounds: Tuple[Round, ...]
+    close_n: int
+    three_rung_close: bool = False
 
     def __post_init__(self):
         if self.case_id not in (1, 2, 3, 4) or self.kappa not in (1, 3, 4, 12):
             raise ValueError(f"need case 1..4 and kappa in (1, 3, 4, 12), got "
                              f"case {self.case_id}, kappa {self.kappa}")
-        for step in self.schedule:
-            if not isinstance(step, Step):
-                raise ValueError(f"schedule entry {step!r} is not a Step")
-            if step.op not in _KEYS_OF_OP:
-                raise ValueError(f"schedule entry {step} has an unknown "
-                                 f"op; the ops are {', '.join(_KEYS_OF_OP)}")
-            missing = [key for key in _KEYS_OF_OP[step.op]
-                       if getattr(step, key) is None]
-            if missing:
-                raise ValueError(f"schedule entry {step} lacks "
-                                 f"{', '.join(missing)}")
+        for rnd in self.rounds:
+            if not isinstance(rnd, Round):
+                raise ValueError(f"round {rnd!r} is not a Round")
+            if None in (rnd.a1_n, rnd.a2_n, rnd.N):
+                raise ValueError(f"{rnd} lacks a window or N")
+        if self.close_n is None:
+            raise ValueError(f"case {self.case_id} lacks its closing window")
 
     @property
     def delta_max(self) -> int:
@@ -206,16 +200,11 @@ CASES: Dict[int, CaseParams] = {
             CongruenceClass(4, True),
             CongruenceClass(2, True),
         ),
-        schedule=(
-            Step("open"),
-            Step("a1_two_reps", n=49),
-            Step("a2_eta", n=50, N=3),
-            Step("tighten_t"),
-            Step("a1_eta", n=25),
-            Step("a2_eta", n=19, N=2),
-            Step("tighten_t"),
-            Step("c_eta", n=20),
+        rounds=(
+            Round(49, 50, N=3),
+            Round(25, 19, N=2, a1_eta_floor=True),
         ),
+        close_n=20,
     ),
     2: CaseParams(
         case_id=2,
@@ -227,19 +216,12 @@ CASES: Dict[int, CaseParams] = {
             CongruenceClass(4, False),
             CongruenceClass(2, False),
         ),
-        schedule=(
-            Step("open"),
-            Step("a1_two_reps", n=49),
-            Step("a2_eta", n=102, N=8),
-            Step("tighten_t"),
-            Step("a1_two_reps", n=17),
-            Step("a2_eta", n=48, N=6),
-            Step("tighten_t"),
-            Step("a1_eta", n=30),
-            Step("a2_eta", n=30, N=4),
-            Step("tighten_t"),
-            Step("c_eta", n=25),
+        rounds=(
+            Round(49, 102, N=8),
+            Round(17, 48, N=6),
+            Round(30, 30, N=4, a1_eta_floor=True),
         ),
+        close_n=25,
     ),
     3: CaseParams(
         case_id=3,
@@ -248,19 +230,12 @@ CASES: Dict[int, CaseParams] = {
         nu1_max=2,
         nu2_max=2,
         classes=(CongruenceClass(1, True),),
-        schedule=(
-            Step("open"),
-            Step("a1_two_reps", n=49),
-            Step("a2_eta", n=74, N=3),
-            Step("tighten_t"),
-            Step("a1_two_reps", n=17),
-            Step("a2_eta", n=28, N=3),
-            Step("tighten_t"),
-            Step("a1_eta", n=30),
-            Step("a2_eta", n=25, N=2, tight_window=True),
-            Step("tighten_t"),
-            Step("c_eta", n=25),
+        rounds=(
+            Round(49, 74, N=3),
+            Round(17, 28, N=3),
+            Round(30, 25, N=2, a1_eta_floor=True, tight_window=True),
         ),
+        close_n=25,
     ),
     4: CaseParams(
         case_id=4,
@@ -269,13 +244,9 @@ CASES: Dict[int, CaseParams] = {
         nu1_max=4,
         nu2_max=4,
         classes=(CongruenceClass(1, False),),
-        schedule=(
-            Step("open"),
-            Step("a1_two_reps", n=50),
-            Step("a2_eta", n=125, N=9),
-            Step("tighten_t"),
-            Step("c_case4", n=60),
-        ),
+        rounds=(Round(50, 125, N=9),),
+        close_n=60,
+        three_rung_close=True,
     ),
 }
 
@@ -305,15 +276,18 @@ def bound_a1_two_reps(case: CaseParams, window: int) -> int:
     return case.reach(window)
 
 
-def bound_a1_from_eta(case: CaseParams, n: int, e: int, N: int) -> int:
-    """a_1 bound from the window count e = eta(n, s) > 8 N^3: then
-    a_1 (N^2 c + 2N) is at most delta reach(n - 1), delta the case's
+def eta_floor_cap(case: CaseParams, delta: int, n: int, s: int, e: int) -> int:
+    """The eta floor: a window count e = eta(n, s) > 8 gives
+    a_1 (c + 2) <= delta reach(n - 1).  Returns that right-hand side;
+    e <= 8 raises LemmaViolation."""
+    _require(e > 8, f"eta({n},{s}) = {e} <= 8")
+    return delta * case.reach(n - 1)
+
+
+def bound_a1_from_eta(case: CaseParams, n: int, s: int, e: int) -> int:
+    """a_1 bound from the eta floor of e = eta(n, s), delta the case's
     largest, evaluated at c = C_MIN (larger c only tightens it)."""
-    if e <= 8 * N**3:
-        raise LemmaViolation(
-            f"eta at n = {n} is {e} <= 8N^3 = {8 * N ** 3}: window too thin"
-        )
-    return case.delta_max * case.reach(n - 1) // (N * N * C_MIN + 2 * N)
+    return eta_floor_cap(case, case.delta_max, n, s, e) // (C_MIN + 2)
 
 
 def bound_a2_from_eta(case: CaseParams, n: int, e: int, N: int,
@@ -508,67 +482,63 @@ def replay_case(case: CaseParams, expected: Optional[dict] = None) -> BoundState
     """
     st = BoundState(case_id=case.case_id)
     st.record("hypothesis", "standing-assumption", {"c_min": C_MIN}, C_MIN)
-    for step in case.schedule:
-        op = step.op
-        # Window counts use s = current bound on t: one psi subtraction
-        # per anisotropic prime.
-        s = st.t_bound
-        if op in ("open", "tighten_t"):
-            # the opening clauses are cubic, with a_1 = a_2 = 1
-            a1, a2, power = ((1, 1, 3) if op == "open"
-                             else (st.a1_bound, st.a2_bound, 1))
-            clause, t = t_bound_step(case, a1, a2, power)
-            _require(s is None or t < s,
-                     f"clause {clause} gives t <= {t}, not below t <= {s}")
-            st.tighten("t", t, f"product-clause-{clause}",
-                       {"clause": clause, "product_cap": a1 * a2})
-            st.tighten("k", k_bound(case, t), "k-closed-form", {"t": t})
-            continue
 
-        _require(s is not None, f"{op} comes before any bound on t")
-        n = step.n
+    def lower_t(a1: int, a2: int, power: int) -> None:
+        clause, t = t_bound_step(case, a1, a2, power)
+        _require(st.t_bound is None or t < st.t_bound,
+                 f"clause {clause} gives t <= {t}, not below t <= {st.t_bound}")
+        st.tighten("t", t, f"product-clause-{clause}",
+                   {"clause": clause, "product_cap": a1 * a2})
+        st.tighten("k", k_bound(case, t), "k-closed-form", {"t": t})
+
+    lower_t(1, 1, 3)  # the opening clauses are cubic, with a_1 = a_2 = 1
+    # Window counts use s = current bound on t: one psi subtraction per
+    # anisotropic prime.
+    for rnd in case.rounds:
+        s, n = st.t_bound, rnd.a1_n
         e = eta(n, s)
-
-        if op == "a1_two_reps":
+        if rnd.a1_eta_floor:
+            st.tighten("a1", bound_a1_from_eta(case, n, s, e), "eta-floor",
+                       {"n": n, "s": s, "eta": e, "N": 1, "delta": case.delta_max})
+        else:
             _require(e >= 2, "two-representations argument needs two hits")
             window = n - e + 1  # every length-window slice holds >= 2
             st.tighten("a1", bound_a1_two_reps(case, window), "two-reps",
                        {"n": n, "s": s, "eta": e, "window": window})
-        elif op == "a1_eta":
-            st.tighten("a1", bound_a1_from_eta(case, n, e, 1), "eta-floor",
-                       {"n": n, "s": s, "eta": e, "N": 1, "delta": case.delta_max})
-        elif op == "a2_eta":
-            N, tight = step.N, step.tight_window
-            val = bound_a2_from_eta(case, n, e, N, tight_window=tight)
-            st.tighten("a2", val, "ladder-count" if tight else "ladder",
-                       {"n": n, "s": s, "eta": e, "N": N, "delta": case.delta_max})
-        elif op == "c_eta":
-            # a_1 (c + 2) <= delta reach(n - 1) with a_1 >= 1 caps c at
-            # delta reach(n - 1) - 2, separately per delta.
-            _require(e > 8, f"eta({n},{s}) = {e} <= 8")
-            for cls in case.classes:
-                cb = cls.delta * case.reach(n - 1) - 2
-                st.c_bounds[cls.delta] = cb
-                st.record(f"c[delta={cls.delta}]", "eta-floor-solved-for-c",
-                          {"n": n, "s": s, "eta": e, "delta": cls.delta}, cb)
-        else:  # c_case4, the last op CaseParams admits
-            _require((n, s) == (60, 9),
-                     f"the case 4 conductor step reads eta(60, 9), got "
-                     f"eta({n}, {s})")
-            first_true = next(
-                c for c in range(C_MIN, 10**4)
-                if case4_step3_check(case, n, c, e)
-            )
-            # each link is monotone in c; spot-check far out
-            _require(not case4_step3_check(case, n, first_true - 1, e)
-                     and case4_step3_check(case, n, 10**6, e),
-                     f"contradictory conductors are not the ray c >= "
-                     f"{first_true}")
-            cb = first_true - 1
-            (cls,) = case.classes
+        n, N = rnd.a2_n, rnd.N
+        e = eta(n, s)
+        val = bound_a2_from_eta(case, n, e, N, tight_window=rnd.tight_window)
+        st.tighten("a2", val, "ladder-count" if rnd.tight_window else "ladder",
+                   {"n": n, "s": s, "eta": e, "N": N, "delta": case.delta_max})
+        lower_t(st.a1_bound, st.a2_bound, 1)
+
+    s, n = st.t_bound, case.close_n
+    e = eta(n, s)
+    if not case.three_rung_close:
+        # a_1 >= 1 caps c at delta reach(n - 1) - 2, separately per delta
+        for cls in case.classes:
+            cb = eta_floor_cap(case, cls.delta, n, s, e) - 2
             st.c_bounds[cls.delta] = cb
-            st.record(f"c[delta={cls.delta}]", "three-rung-contradiction",
-                      {"n": n, "s": s, "eta": e}, cb)
+            st.record(f"c[delta={cls.delta}]", "eta-floor-solved-for-c",
+                      {"n": n, "s": s, "eta": e, "delta": cls.delta}, cb)
+    else:
+        _require((n, s) == (60, 9),
+                 f"the case 4 conductor step reads eta(60, 9), got "
+                 f"eta({n}, {s})")
+        first_true = next(
+            c for c in range(C_MIN, 10**4)
+            if case4_step3_check(case, n, c, e)
+        )
+        # each link is monotone in c; spot-check far out
+        _require(not case4_step3_check(case, n, first_true - 1, e)
+                 and case4_step3_check(case, n, 10**6, e),
+                 f"contradictory conductors are not the ray c >= "
+                 f"{first_true}")
+        cb = first_true - 1
+        (cls,) = case.classes
+        st.c_bounds[cls.delta] = cb
+        st.record(f"c[delta={cls.delta}]", "three-rung-contradiction",
+                  {"n": n, "s": s, "eta": e}, cb)
 
     for cls in case.classes:
         cb = st.c_bounds[cls.delta]

@@ -245,7 +245,8 @@ def test_criterion_09_modulus_stability():
     # the sweep over all 22100 ascending triples with entries <= 50 and
     # all n <= 200 reduces to one representative per profile class, each
     # checked at its Hensel exponent K and again at K + 2, against the
-    # recursion engine's verdict.
+    # recursion engine's verdict.  A coordinate's indicator depends only
+    # on (a, p, K), so each is built once per prime.
     t0 = time.perf_counter()
     n_max, a_max = 200, 50
     triples = list(
@@ -253,6 +254,13 @@ def test_criterion_09_modulus_stability():
     combos = 0
     classes = 0
     for p in (2, 3, 5, 7):
+        indicators = {}
+
+        def indicator(a, KK):
+            if (a, KK) not in indicators:
+                indicators[a, KK] = _coord_indicator(a, p, KK)
+            return indicators[a, KK]
+
         reps = {}
         for coeffs in triples:
             reps.setdefault(_lattice_key(coeffs, p), coeffs)
@@ -264,10 +272,9 @@ def test_criterion_09_modulus_stability():
             K = cap + max(ord_p(a, p) for a in rep) + 2 * ord_p(2, p) + 1
             arrays = {}
             for KK in (K, K + 2):
-                acc = _coord_indicator(rep[0], p, KK)
+                acc = indicator(rep[0], KK)
                 for a in rep[1:]:
-                    acc = _convolve_presence(
-                        acc, _coord_indicator(a, p, KK))
+                    acc = _convolve_presence(acc, indicator(a, KK))
                 arrays[KK] = acc
             for n in range(n_max + 1):
                 at_k = bool(arrays[K][n % p ** K] > 0.5)

@@ -172,6 +172,24 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert err.strip()
 
 
+@pytest.mark.parametrize("which", [["--count", "8"], ["--p", "5"]],
+                         ids=["count", "p"])
+def test_psi_verify_reads_the_golden_file_in_both_forms(capsys, monkeypatch,
+                                                        which):
+    """`psi --verify` checks psi48.json whether it prints the top values or
+    one psi_p (the --p form used to return before the check and exit 0),
+    and on success prints what the same command prints without --verify."""
+    argv = ["psi", "--n", "48", *which]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--verify") == (0, plain, "")
+    golden = cli._golden("psi48.json")
+    golden["values"][0] = 999
+    monkeypatch.setitem(cli._GOLDEN_TEXT, "psi48.json", json.dumps(golden))
+    code, out, err = run(capsys, *argv, "--verify")
+    assert code == 1 and out == "" and "golden" in err
+
+
 def test_replay_mismatch_exits_one(capsys, monkeypatch):
     import mgonal.pipeline as pipeline
 

@@ -21,6 +21,7 @@ from mgonal.pipeline import (
     bound_a1_two_reps,
     bound_a2_from_eta,
     case4_step3_check,
+    eta_floor_cap,
     find_coprime_shift,
     k_bound,
     m_bound_from_c,
@@ -29,6 +30,7 @@ from mgonal.pipeline import (
     t_bound_step,
     theorem_bounds,
 )
+from mgonal.polygonal import constants
 from mgonal.prodineq import CLAUSES
 
 BOUNDS = {
@@ -80,31 +82,32 @@ def test_lemma_and_bound_helpers_raise_under_optimize():
 
 def test_case_records_reject_bad_fields_under_optimize():
     """A congruence class with the wrong delta, a descent step at p = 3
-    with q = s = 3, and a case whose schedule has an unknown op, lacks a
-    field its op reads or holds an entry that is no `Step` raise
+    with q = s = 3, a round without a window or N, a case with an entry
+    that is no `Round` and a case without its closing window raise
     ValueError, also when asserts are stripped (under -O the class used to
     be built, and m_bound_from_c of it returned 65; the cases used to be
     built, and replaying them ended in AssertionError or KeyError).  A
-    built schedule cannot be edited: popping n from a step of a copied
-    case used to end its replay in KeyError and edit CASES[1] as well."""
+    built round cannot be edited, so a copied case shares its rounds with
+    CASES[1] safely (when schedule steps were dicts, popping n from one
+    ended the replay in KeyError and edited CASES[1] as well)."""
     script = (
         "import copy, dataclasses\n"
-        "from mgonal.pipeline import CASES, CongruenceClass, Step, replay_case\n"
+        "from mgonal.pipeline import CASES, CongruenceClass, Round\n"
         "from mgonal.watson import WatsonStep\n"
         "before = copy.deepcopy(CASES)\n"
-        "def case(*schedule):\n"
-        "    return dataclasses.replace(CASES[1], schedule=schedule)\n"
-        "def popped():\n"
-        "    copied = dataclasses.replace(CASES[1], schedule=CASES[1].schedule)\n"
-        "    copied.schedule[1][1].pop('n')\n"
-        "    return replay_case(copied)\n"
+        "def case(*rounds, close_n=20):\n"
+        "    return dataclasses.replace(CASES[1], rounds=rounds, close_n=close_n)\n"
+        "def edited():\n"
+        "    copied = dataclasses.replace(CASES[1], rounds=CASES[1].rounds)\n"
+        "    copied.rounds[0].a1_n = 5\n"
         "for call in (lambda: CongruenceClass(3, True),\n"
         "             lambda: WatsonStep(p=3, q=3, s=3, j=1),\n"
-        "             lambda: case(Step('bogus', n=5)),\n"
-        "             lambda: case(Step('a1_eta')),\n"
-        "             lambda: case(Step('a2_eta', n=50)),\n"
+        "             lambda: case(Round(None, 50, N=3)),\n"
+        "             lambda: case(Round(49, None, N=3)),\n"
+        "             lambda: case(Round(49, 50, N=None)),\n"
         "             lambda: case(('a1_eta', {'n': 25})),\n"
-        "             popped):\n"
+        "             lambda: case(*CASES[1].rounds, close_n=None),\n"
+        "             edited):\n"
         "    try:\n"
         "        print('returned', call())\n"
         "    except (ValueError, AttributeError) as exc:\n"
@@ -117,15 +120,15 @@ def test_case_records_reject_bad_fields_under_optimize():
     assert proc.stdout.splitlines() == [
         "ValueError: delta is 4, 2 or 1 (m odd, 2 mod 4, 0 mod 4), got 3",
         "ValueError: need s in (1, 2), got s = 3",
-        "ValueError: schedule entry Step(op='bogus', n=5, N=None, "
-        "tight_window=False) has an unknown op; the ops are open, tighten_t, "
-        "a1_two_reps, a1_eta, a2_eta, c_eta, c_case4",
-        "ValueError: schedule entry Step(op='a1_eta', n=None, N=None, "
-        "tight_window=False) lacks n",
-        "ValueError: schedule entry Step(op='a2_eta', n=50, N=None, "
-        "tight_window=False) lacks N",
-        "ValueError: schedule entry ('a1_eta', {'n': 25}) is not a Step",
-        "AttributeError: 'int' object has no attribute 'pop'",
+        "ValueError: Round(a1_n=None, a2_n=50, N=3, a1_eta_floor=False, "
+        "tight_window=False) lacks a window or N",
+        "ValueError: Round(a1_n=49, a2_n=None, N=3, a1_eta_floor=False, "
+        "tight_window=False) lacks a window or N",
+        "ValueError: Round(a1_n=49, a2_n=50, N=None, a1_eta_floor=False, "
+        "tight_window=False) lacks a window or N",
+        "ValueError: round ('a1_eta', {'n': 25}) is not a Round",
+        "ValueError: case 1 lacks its closing window",
+        "FrozenInstanceError: cannot assign to field 'a1_n'",
         "CASES unchanged: True"]
 
 
@@ -191,14 +194,16 @@ def test_k_bound_cofactors():
 
 def test_bound_a1_formulas():
     assert bound_a1_two_reps(CASES[1], 45) == 45
-    assert bound_a1_from_eta(CASES[1], 25, eta(25, 6), 1) == 2
-    assert bound_a1_from_eta(CASES[2], 30, eta(30, 7), 1) == 9
-    assert bound_a1_from_eta(CASES[3], 30, eta(30, 7), 1) == 3
+    assert bound_a1_from_eta(CASES[1], 25, 6, eta(25, 6)) == 2
+    assert bound_a1_from_eta(CASES[2], 30, 7, eta(30, 7)) == 9
+    assert bound_a1_from_eta(CASES[3], 30, 7, eta(30, 7)) == 3
+    # the same eta floor, solved for c at a_1 = 1, closes case 1
+    assert eta_floor_cap(CASES[1], 4, 20, 4, eta(20, 4)) - 2 == 74
 
 
 def test_bound_a1_needs_thick_window():
-    with pytest.raises(LemmaViolation):
-        bound_a1_from_eta(CASES[1], 10, eta(10, 1), 1)
+    with pytest.raises(LemmaViolation, match=r"eta\(10,1\) = \d <= 8"):
+        bound_a1_from_eta(CASES[1], 10, 1, eta(10, 1))
 
 
 def test_bound_a2_formulas():
@@ -238,19 +243,16 @@ def test_replay_checks_raise_under_optimize():
     """Every proof-step check of t_bound_step and replay_case raises
     LemmaViolation, also when asserts are stripped: no clause of the case's
     shape, power and constant, a failed base case, induction or sharpness,
-    a clause that does not tighten t, an eta window before any t bound,
-    too few eta hits for the two-representations and conductor steps, the
-    case 4 conductor step off its window or off its ray, and case 4 with
-    nu_1 <= 3, whose k-bound shape no clause has.  (Under -O a shape
-    mismatch used to return t <= 8.)"""
+    a clause that does not tighten t (a second round whose a_1 and a_2
+    bounds repeat the first round's), too few eta hits for the
+    two-representations and conductor steps, the case 4 conductor step off
+    its window or off its ray, and case 4 with nu_1 <= 3, whose k-bound
+    shape no clause has.  (Under -O a shape mismatch used to return
+    t <= 8.)"""
     script = (
         "import dataclasses\n"
         "from mgonal import pipeline\n"
-        "from mgonal.pipeline import (CASES, LemmaViolation, Step, replay_case,\n"
-        "                             t_bound_step)\n"
-        "one, four = CASES[1].schedule, CASES[4].schedule\n"
-        "def case(cid, *schedule):\n"
-        "    return dataclasses.replace(CASES[cid], schedule=schedule)\n"
+        "from mgonal.pipeline import CASES, LemmaViolation, replay_case, t_bound_step\n"
         "def patched(name, fake, call):\n"
         "    saved = getattr(pipeline, name)\n"
         "    setattr(pipeline, name, fake)\n"
@@ -268,12 +270,13 @@ def test_replay_checks_raise_under_optimize():
         "                    lambda: t_bound_step(CASES[1], 1, 1, 3)),\n"
         "    lambda: patched('verify_inequality', lambda i, t: (0, 0, True),\n"
         "                    lambda: t_bound_step(CASES[1], 1, 1, 3)),\n"
-        "    lambda: replay_case(case(1, *one[:4], one[3])),\n"
-        "    lambda: replay_case(case(1, *one[1:])),\n"
+        "    lambda: patched('bound_a1_from_eta', lambda case, n, s, e: 45,\n"
+        "        lambda: patched('bound_a2_from_eta', lambda *args, **kw: 49,\n"
+        "                        lambda: replay_case(CASES[1]))),\n"
         "    lambda: patched('eta', lambda n, s: 1, lambda: replay_case(CASES[1])),\n"
         "    lambda: patched('eta', lambda n, s: 8, lambda: replay_case(\n"
-        "        case(1, one[0], Step('c_eta', n=20)))),\n"
-        "    lambda: replay_case(case(4, *four[:4], Step('c_case4', n=61))),\n"
+        "        dataclasses.replace(CASES[1], rounds=()))),\n"
+        "    lambda: replay_case(dataclasses.replace(CASES[4], close_n=61)),\n"
         "    lambda: patched('case4_step3_check', lambda case, n, c, e: True,\n"
         "                    lambda: replay_case(CASES[4])),\n"
         "    lambda: replay_case(dataclasses.replace(CASES[4], nu1_max=3)),\n"
@@ -291,8 +294,8 @@ def test_replay_checks_raise_under_optimize():
             "shape (1, 0), power 3 and constant 2 * 1",
             "shape (1, 0), power 1 and constant 45 * 50",
             "fails at its own base case", "ratio induction not certified",
-            "already holds at t0 - 1", "clause 2 gives t <= 6, not below",
-            "a1_two_reps comes before any bound on t",
+            "already holds at t0 - 1",
+            "clause 2 gives t <= 6, not below t <= 6",
             "needs two hits", "eta(20,15) = 8 <= 8", "got eta(61, 9)",
             "not the ray", "case 4's k-bound shape (12, -8), power 3"]
     lines = proc.stdout.splitlines()
@@ -335,6 +338,19 @@ def test_m_bound_from_c_per_family():
     assert m_bound_from_c(CongruenceClass(2, False), 144) == 142
     assert m_bound_from_c(CongruenceClass(1, True), 96) == 188
     assert m_bound_from_c(CongruenceClass(1, False), 355) == 712
+
+
+def test_classes_invert_the_conductor_of_polygonal_constants():
+    """c = delta (m - 2) / 2 is stated in `polygonal.constants` and
+    inverted by `CongruenceClass`: for every m, exactly one class of the
+    four cases holds m, with the delta of m, and inverting c(m) gives m."""
+    for m in range(3, 5001):
+        const = constants(m)
+        (cls,) = [cls for case in CASES.values() for cls in case.classes
+                  if cls.contains(m)]
+        assert cls.delta == const.delta, m
+        assert cls.invert_c(const.c) == m
+        assert m_bound_from_c(cls, const.c) == m
 
 
 @given(st.sampled_from([4, 2, 1]), st.booleans(),
