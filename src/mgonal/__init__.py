@@ -37,6 +37,7 @@ _EXPORTS = {
     "eta": "density",
     "regularity_scan": "regcheck",
 }
+__all__ = ["__version__", *_EXPORTS]
 
 
 def __getattr__(name):
@@ -44,16 +45,3 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
 
-
-__all__ = [
-    "__version__",
-    "MGonalForm",
-    "ShiftedForm",
-    "polygonal_number",
-    "constants",
-    "represents_over_zp",
-    "locally_represented",
-    "psi",
-    "eta",
-    "regularity_scan",
-]

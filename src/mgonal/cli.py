@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -94,24 +93,16 @@ def _emit(args, payload: dict, text_lines: Sequence[str], rows=None, header=None
     JSON embeds the version as a field; text and CSV close with a comment
     line carrying it, keeping the value lines clean for pipes.
     """
-    fmt = args.format
-    if fmt == "json":
-        body = dict(payload)
-        body["tool"] = "mgonal"
-        body["version"] = __version__
-        body["command"] = args.command
-        sys.stdout.write(_canonical(body))
+    if args.format == "json":
+        sys.stdout.write(_canonical({**payload, "tool": "mgonal",
+                                     "version": __version__,
+                                     "command": args.command}))
         return
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
-        print(f"# mgonal {__version__}")
-        return
-    for line in text_lines:
-        print(line)
+    if args.format == "csv":
+        csv.writer(sys.stdout).writerows([header, *rows])
+    else:
+        for line in text_lines:
+            print(line)
     print(f"# mgonal {__version__}")
 
 

@@ -63,7 +63,7 @@ the functions that build arrays, so the scalar path never loads it.
 
 A shifted form sum a_i (c x_i + alpha_i)^2 needs no descriptor at a prime
 p | c: each alpha_i is a p-unit (the shifts are coprime to c), so
-(c x + alpha_i)^2 sweeps alpha_i^2 + p^e Z_p, e = `progression_exponent`,
+(c x + alpha_i)^2 sweeps alpha_i^2 + p^e Z_p, e = `_progression_exponent`,
 and the sum of the coordinates' balls gives the exact congruence
 
     N is represented  <=>  N = sum a_i alpha_i^2 (mod p^(e + min ord_p a_i))
@@ -298,15 +298,15 @@ def _add_coordinate(acc: List[int], zero: bool, e: int, i: int,
 _SQUARE_TABLE_LIMIT = 2 ** 12
 
 
-def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """`_order_and_class` per entry of a nonzero int64 array, as the arrays
-    (ord_p N, class index).
+def _orders_and_classes(N: np.ndarray, p: int) -> np.ndarray:
+    """`_order_and_class` per entry of a nonzero int64 array, as one array
+    of places k W + i (`_descriptor_table`), W = 4 at p = 2 and 2 at odd p.
 
     At p = 2 the order is read off the lowest set bit and the class off the
     next two bits of the unit part.  At an odd p < `_SQUARE_TABLE_LIMIT` =
-    2^12 the labels are read from a residue table: for P = p^J, the largest
+    2^12 the places are read from a residue table: for P = p^J, the largest
     power of p at most 2^12 and at most the number of targets (at least p),
-    tc[r] = 2 ord_p r + i holds the label of every nonzero residue r mod
+    tc[r] = 2 ord_p r + i holds the place of every nonzero residue r mod
     P, since the order of N is below J exactly when N mod P != 0, and then
     N mod P fixes it and the unit part mod p.  The table starts as the
     classes of the residues mod p, repeated; the strided copy
@@ -321,7 +321,7 @@ def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
 
     if p == 2:
         k = np.frexp(N & -N)[1] - 1  # N & -N is 2^k, or -2^63 for N = -2^63
-        return k, N >> k + 1 & 3  # the unit part is 2 i + 1 (mod 8)
+        return 4 * k + (N >> k + 1 & 3)  # the unit part is 2 i + 1 (mod 8)
     J, P = 1, p  # P = p past the table limit: no table
     while P * p <= min(_SQUARE_TABLE_LIMIT, N.size):
         J, P = J + 1, P * p
@@ -339,16 +339,16 @@ def _orders_and_classes(N: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
         tc = np.tile(squares, P // p)
         for _ in range(J - 1):
             tc[p::p] = tc[1:P // p] + 2
-        label = tc[r]
-        label[deep] = 2 * kd + tc[u % P]
-        return label >> 1, label & 1
+        place = tc[r]
+        place[deep] = 2 * kd + tc[u % P]
+        return place
     k = np.zeros_like(N)
     k[deep] = kd
     r[deep] = u % p
     vals, at = np.unique(r, return_inverse=True)  # Euler once per residue
     e = (p - 1) // 2
-    return k, np.array([pow(x, e, p) != 1 for x in vals.tolist()],
-                       dtype=np.int64)[at]
+    return 2 * k + np.array([pow(x, e, p) != 1 for x in vals.tolist()],
+                            dtype=np.int64)[at]
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,16 +429,18 @@ def _value_set(p: int, lattice_key: Tuple) -> Tuple[int, ...]:
 def hensel_exponent(coeffs: Sequence[int], n: int, p: int) -> int:
     """Smallest K this module guarantees: a witness mod p^K exists iff n is
     represented, and every witness then has a liftable coordinate.  Raises
-    ValueError unless p is a prime."""
+    ValueError unless p is a prime, and as the lattice key does."""
     _check_prime(p)
     wn = 0 if n == 0 else ord_p(n, p)
-    return wn + max(ord_p(a, p) for a in coeffs) + 2 * ord_p(2, p) + 1
+    # the key is sorted: its last label is the deepest entry's
+    return wn + _lattice_key(coeffs, p)[-1][0] + 2 * ord_p(2, p) + 1
 
 def conservative_exponent(coeffs: Sequence[int], n: int, p: int) -> int:
     """The simpler, larger exponent used by the reference search:
     ord_p(n) + 2 ord_p(2 prod a_i) + 3.  Always >= hensel_exponent.
-    Raises ValueError unless p is a prime."""
+    Raises ValueError unless p is a prime, and as the lattice key does."""
     _check_prime(p)
+    _lattice_key(coeffs, p)  # raises on no entries or a zero entry
     wn = 0 if n == 0 else ord_p(n, p)
     prod = 2 * math.prod(abs(a) for a in coeffs)
     return wn + 2 * ord_p(prod, p) + 3
@@ -670,18 +672,9 @@ def is_anisotropic_ternary(coeffs: Sequence[int], p: int) -> bool:
 # --------------------------------------------------------------------------
 # shifted forms: local representation with the congruence constraint
 
-def progression_exponent(c: int, p: int) -> int:
-    """e with { (c x + alpha)^2 : x in Z_p } = alpha^2 + p^e Z_p for any
-    alpha coprime to c, where p | c (`_progression_exponent`).
-    Raises ValueError unless p is a prime dividing c."""
-    _check_prime(p)
-    if c % p:
-        raise ValueError(f"progression_exponent needs p | c, got c = {c}, p = {p}")
-    return _progression_exponent(c, p)
-
-
 def _progression_exponent(c: int, p: int) -> int:
-    """`progression_exponent` for a prime p | c that the caller has checked:
+    """e with { (c x + alpha)^2 : x in Z_p } = alpha^2 + p^e Z_p for any
+    alpha coprime to c, at a prime p | c that the caller has checked:
     e = ord_p c at odd p; at 2, ord_2 c + 2 when c = 2 (mod 4), else
     ord_2 c + 1."""
     w = ord_p(c, p)
@@ -697,7 +690,7 @@ def _shifted_congruence(g, p: int) -> Tuple[int, int]:
 
     Each alpha_i is a p-unit (`ShiftedForm` requires gcd(alpha_i, c) = 1),
     so {(c x + alpha_i)^2 : x in Z_p} = alpha_i^2 + p^e Z_p with
-    e = `progression_exponent(c, p)`, and coordinate i sweeps
+    e = `_progression_exponent(c, p)`, and coordinate i sweeps
     a_i alpha_i^2 + p^(e + ord_p a_i) Z_p.  The sum of these balls is
     base + p^(e + min ord_p a_i) Z_p with base = sum a_i alpha_i^2, and
     min ord_p a_i is the order of gcd(a_i) (the entries of a `ShiftedForm`
@@ -763,17 +756,16 @@ def _descriptor_table(Ts: Sequence[Tuple[int, ...]], N: np.ndarray,
     zeros = np.flatnonzero(N == 0)  # labelled as 1, then given the last bit
     N1 = N.ravel().copy()
     N1[zeros] = 1
-    kk, cc = _orders_and_classes(N1, p)
+    at = _orders_and_classes(N1, p)
     # with t = k - len(T), T[k] is the entry min(t, t % 2 - 2) from the end
     lens = np.array([len(T) for T in Ts])
-    L = max(int(lens.max()), int(kk.max(initial=-1)) + 1)
+    L = max(int(lens.max()), int(at.max(initial=-1)) // W + 1)
     ts = np.arange(L) - lens.reshape(-1, 1)
     flat = np.fromiter(chain.from_iterable(Ts), np.int64)
     D = flat[np.cumsum(lens).reshape(-1, 1) + np.minimum(ts, (ts & 1) - 2)]
     S = L * W + 1
     bits = np.ones((len(Ts), S), dtype=bool)
     bits[:, :-1] = (D[:, :, None] >> np.arange(W) & 1).reshape(len(Ts), -1)
-    at = kk * W + cc
     at[zeros] = L * W
     return bits.ravel(), at.reshape(N.shape), S
 
@@ -806,15 +798,15 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     alpha = |d|, so N - sum a_i alpha^2 = mu n and the
     `_shifted_congruence` of a row reads mu n = 0 (mod p^(e + min ord_p
     a_i)): one test per distinct min ord_p a_i.  At other p each label
-    (e, i) of an entry is coded as e W + 1 + i, W the number of unit
-    classes, and 0 pads a shorter row; a row's sorted codes are its
-    lattice key.  Each distinct key is decoded by divmod(code - 1, W) and
-    its `_value_set` read once.  `_descriptor_table` stacks the descriptors
-    as one bit table with S bits per key and gives each target its place,
-    the same in every key, so the verdicts are one flat gather from the
-    table: each row that p can exclude (an entry divisible by p, or
-    p = 2), picked by its index, reads its targets' places plus S times
-    its key's index.
+    (e, i) of an entry is coded as its place e W + i, W the number of unit
+    classes, as `_orders_and_classes` codes the targets, and -1 pads a
+    shorter row; a row's sorted places are its lattice key.  Each distinct
+    key is decoded by divmod(place, W) and its `_value_set` read once.
+    `_descriptor_table` stacks the descriptors as one bit table with S bits
+    per key and gives each target its place, the same in every key, so the
+    verdicts are one flat gather from the table: each row that p can
+    exclude (an entry divisible by p, or p = 2), picked by its index, reads
+    its targets' places plus S times its key's index.
     Entries are read as Python ints, numpy rows too.  Raises ValueError for
     targets that are not integers within int64 and when some N overflows.
     """
@@ -849,27 +841,28 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     padded = chain.from_iterable(row + (0,) * (width - len(row)) for row in rows)
     idx = np.fromiter(map(col.__getitem__, padded), np.intp).reshape(-1, width)
     for p in prime_divisors(2 * k.c * math.lcm(*vals)):
-        e, cls = np.array([_order_and_class(a, p) for a in vals]).T
+        W = 4 if p == 2 else 2  # unit square classes
+        place = np.array([e * W + i for e, i in
+                          (_order_and_class(a, p) for a in vals)])
         if k.c % p == 0:
-            depth = np.append(e.max(), e)[idx].min(axis=1)
+            depth = np.append(place.max(), place)[idx].min(axis=1) // W
             # a set: np.unique imports numpy.ma on its first call
             for v in sorted(set(depth.tolist())):
-                mod = p ** (progression_exponent(k.c, p) + v)
+                mod = p ** (_progression_exponent(k.c, p) + v)
                 # |mu n| < 2^63 <= mod leaves n = 0 as the only solution
                 hit = ns == 0 if mod >= 2 ** 63 else k.mu * ns % mod == 0
                 ok[depth == v] &= hit
             continue
-        W = 4 if p == 2 else 2  # unit square classes
-        code = np.sort(np.append(0, e * W + cls + 1)[idx], axis=1)
+        code = np.sort(np.append(-1, place)[idx], axis=1)
         # all entries p-units: universal at odd p (see above); p divides
         # some entry, so some row is left
-        need = np.flatnonzero((code[:, -1] > W) | (p == 2))
-        # a row's sorted codes stand for its lattice key
+        need = np.flatnonzero((code[:, -1] >= W) | (p == 2))
+        # a row's sorted places stand for its lattice key
         ids = {}
         key_id = np.array([ids.setdefault(tuple(row), len(ids))
                            for row in code[need].tolist()])
-        label = [divmod(c - 1, W) for c in range(int(code.max()) + 1)]
-        Ts = [_value_set(p, tuple([label[c] for c in row if c])) for row in ids]
+        Ts = [_value_set(p, tuple([divmod(c, W) for c in row if c >= 0]))
+              for row in ids]
         bits, at, S = _descriptor_table(Ts, N, p)
         # one flat gather: row i reads descriptor key_id[i] at its targets
         ok[need] &= bits.take(at[off[need]] + (key_id * S).reshape(-1, 1))

@@ -241,6 +241,57 @@ def test_verify_commands_stdout_is_pinned(capsys):
         "52ff0b07d55120b231c8d9c75732a5666163b908fb1e792ffecbacd47bdf29d8")
 
 
+# every (command, format) pair the parser accepts, and the lines that vary:
+# a localrep witness, a refused witness box, the --conductor form, --eureka
+EVERY_FORMAT_ARGVS = [
+    ["psi", "--n", "48", "--p", "7"],
+    ["psi", "--n", "48", "--count", "8", "--format", "json"],
+    ["psi", "--n", "48", "--p", "5", "--format", "json"],
+    ["psi", "--n", "48", "--count", "8", "--format", "csv"],
+    ["psi", "--n", "48", "--p", "5", "--format", "csv"],
+    *[["eta", "--n", "60", "--s", "9", "--format", f]
+      for f in ("text", "json", "csv")],
+    *[["table1", "--format", f] for f in ("text", "json", "csv")],
+    *[["ineq", "--clause", "5", "--t-max", "11", "--format", f]
+      for f in ("text", "json", "csv")],
+    ["ineq", "--clause", "2", "--t", "40", "--format", "csv"],
+    *[["watson", "--conductor", "5", "--coeffs", "1,2,4", "--p", "2",
+       "--format", f] for f in ("text", "json")],
+    *[["stabilize", "--conductor", "5", "--coeffs", "1,9,25", "--format", f]
+      for f in ("text", "json")],
+    *[["localrep", "--coeffs", coeffs, "--n", n, "--p", p, *extra,
+       "--format", f]
+      for coeffs, n, p, extra in [("1,1,2", "6", "2", []),
+                                  ("1,1,2", "14", "2", []),
+                                  ("1,1,2401", "16807", "7", []),
+                                  ("1,1,1", "3", "2", ["--conductor", "6"])]
+      for f in ("text", "json")],
+    *[["regcheck", "scan", "--m", "8", "--coeffs", "1,2,3", "--bound", "300",
+       "--format", f] for f in ("text", "json")],
+    *[["theorem", "--case", "4", "--format", f] for f in ("text", "json")],
+    ["examples"],
+    ["examples", "--eureka", "100"],
+    ["examples", "--eureka", "100", "--format", "json"],
+]
+
+
+def test_every_command_stdout_is_pinned(capsys):
+    """The stdout of EVERY_FORMAT_ARGVS, byte for byte, as one sha256; the
+    list names each format of each command's parser."""
+    accepted = {(name, f) for name, sub in cli._COMMANDS.items()
+                for a in sub._actions if a.dest == "format" for f in a.choices}
+    assert {(argv[0], argv[argv.index("--format") + 1]
+             if "--format" in argv else "text")
+            for argv in EVERY_FORMAT_ARGVS} == accepted
+    digest = hashlib.sha256()
+    for argv in EVERY_FORMAT_ARGVS:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "dba5ea5745d918be69db0bba82cef1e285f641fe6d28143a79d1cc8987718954")
+
+
 def test_array_free_commands_do_not_import_numpy():
     """A fresh process that imports mgonal.cli and runs VERIFY_ARGVS and a
     watson step in-process never loads numpy: only the commands that build

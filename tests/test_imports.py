@@ -68,11 +68,6 @@ def _unused_imports(source: str):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:  # re-exports listed in __all__
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
 
@@ -85,6 +80,10 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int\n"
     assert _unused_imports(source) == [(1, "field")]
+    # a listing in __all__ is no use: the package re-exports nothing it
+    # imports
+    source = "from math import gcd, lcm\n\n__all__ = ['gcd', 'lcm']\nx = lcm(2, 3)\n"
+    assert _unused_imports(source) == [(1, "gcd")]
 
 
 def _dict_caches(source: str):

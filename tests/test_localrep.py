@@ -6,6 +6,7 @@ identities and the engine."""
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from mgonal.localrep import (
     _coord_indicator,
     _lattice_key,
     _near_sums_odd,
+    _progression_exponent,
     _value_set,
     conservative_exponent,
     hensel_exponent,
@@ -28,7 +30,6 @@ from mgonal.localrep import (
     is_stable,
     locally_represented,
     locally_represented_rows,
-    progression_exponent,
     represents_mod_search,
     represents_over_zp,
     represents_over_zp_many,
@@ -299,7 +300,7 @@ def test_progression_exponent_brute():
     """{(cx+alpha)^2 mod p^K} is exactly {alpha^2 + p^e t mod p^K}."""
     for c, p in [(2, 2), (4, 2), (6, 2), (6, 3), (10, 2), (10, 5), (12, 2),
                  (12, 3), (18, 3)]:
-        e = progression_exponent(c, p)
+        e = _progression_exponent(c, p)
         K = e + 3
         mod = p**K
         for alpha in [a for a in range(1, c) if _coprime(a, c)][:2]:
@@ -338,7 +339,7 @@ def test_shifted_rep_at_conductor_closed_form():
         (ShiftedForm(conductor=12, coeffs=(2, 3, 8), shifts=(1, 5, 7)), 3),
     ]
     for g, p in cases:
-        e = progression_exponent(g.conductor, p)
+        e = _progression_exponent(g.conductor, p)
         gexp = e + min(ord_p(a, p) for a in g.coeffs)
         m0 = sum(a * al * al for a, al in zip(g.coeffs, g.shifts))
         for N in range(0, 3 * p**gexp):
@@ -678,23 +679,32 @@ def test_coefficients_are_rejected_by_name_under_optimize():
     assert lines[1].endswith("got (1, 0, 3)") and lines[3].endswith("got (1, 0, 3)")
 
 
+@pytest.mark.parametrize("call", [
+    conservative_exponent, hensel_exponent, represents_mod_search,
+    represents_reference_fft, represents_over_zp, represents_over_zp_many],
+    ids=lambda f: f.__name__)
+@pytest.mark.parametrize("coeffs", [(), (1, 0, 3)], ids=["empty", "zero"])
+def test_exponents_refuse_what_the_lattice_key_refuses(call, coeffs):
+    """No entries or a zero entry raise the lattice key's ValueError from
+    both exponents and from the oracles that default to one: on no entries
+    conservative_exponent used to return 5, hensel_exponent to fail in
+    max() and the search with an IndexError, and a zero entry reached
+    ord_p(0)."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"nonempty list of nonzero integers, got {coeffs}")):
+        call(coeffs, 5, 2)
+
+
 def test_anisotropy_and_hilbert_symbol_reject_bad_input_under_optimize():
-    """A wrong rank, a zero entry, a p that is zero or composite or a p
-    not dividing the conductor raises ValueError naming the input, also
-    when asserts are stripped (the progression exponent used to raise
-    ZeroDivisionError at p = 0 and return 1 at p = 4, c = 8)."""
+    """A wrong rank, a zero entry or a composite p raises ValueError
+    naming the input, also when asserts are stripped."""
     script = (
-        "from mgonal.localrep import (hilbert_symbol, is_anisotropic_ternary,\n"
-        "                             progression_exponent)\n"
+        "from mgonal.localrep import hilbert_symbol, is_anisotropic_ternary\n"
         "for call in (lambda: is_anisotropic_ternary((1, 1), 3),\n"
         "             lambda: is_anisotropic_ternary((1, 0, 2), 3),\n"
         "             lambda: is_anisotropic_ternary((1, 1, 1), 9),\n"
         "             lambda: hilbert_symbol(0, 3, 5),\n"
-        "             lambda: hilbert_symbol(2, 3, 9),\n"
-        "             lambda: progression_exponent(5, 2),\n"
-        "             lambda: progression_exponent(7, 3),\n"
-        "             lambda: progression_exponent(6, 0),\n"
-        "             lambda: progression_exponent(8, 4)):\n"
+        "             lambda: hilbert_symbol(2, 3, 9)):\n"
         "    try:\n"
         "        print(call())\n"
         "    except ValueError as exc:\n"
@@ -708,11 +718,7 @@ def test_anisotropy_and_hilbert_symbol_reject_bad_input_under_optimize():
         "anisotropy needs three nonzero entries, got (1, 0, 2)",
         "p must be a prime, got 9",
         "the Hilbert symbol needs nonzero a, b, got 0, 3",
-        "p must be a prime, got 9",
-        "progression_exponent needs p | c, got c = 5, p = 2",
-        "progression_exponent needs p | c, got c = 7, p = 3",
-        "p must be a prime, got 0",
-        "p must be a prime, got 4"]
+        "p must be a prime, got 9"]
 
 
 # primitive ascending triples with a_3 <= 5, as in a census
@@ -974,7 +980,7 @@ def test_shifted_rep_of_non_primitive_forms():
     for g, p in cases:
         depth = min(ord_p(a, p) for a in g.coeffs)
         assert depth >= 1
-        mod = p ** (progression_exponent(g.conductor, p) + depth + 1)
+        mod = p ** (_progression_exponent(g.conductor, p) + depth + 1)
         want = _enumerated_residues(g, mod)
         assert 0 < want.sum() < mod
         for N in range(-mod, 2 * mod):
@@ -1013,7 +1019,7 @@ def test_scalar_array_and_shifted_paths_agree_off_the_corpus(p):
         rng.shuffle(depths)
         g = ShiftedForm(c, tuple(abs(rng.choice(units)) * p ** e for e in depths),
                         shifts)
-        mod = p ** (progression_exponent(c, p) + 1)
+        mod = p ** (_progression_exponent(c, p) + 1)
         want = _enumerated_residues(g, mod)
         ns = [rng.randrange(-3 * mod, 3 * mod) for _ in range(20)]
         assert [shifted_represents_over_zp(g, n, p) for n in ns] == \

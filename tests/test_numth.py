@@ -11,8 +11,8 @@ import sympy
 from hypothesis import given, strategies as st
 
 from mgonal.localrep import (_SQUARE_TABLE_LIMIT, _lattice_key, _order_and_class,
-                             _orders_and_classes, hensel_exponent,
-                             progression_exponent)
+                             _orders_and_classes, _progression_exponent,
+                             hensel_exponent)
 from mgonal.numth import (
     _check_prime,
     _prime_from_5,
@@ -82,8 +82,8 @@ def test_order_and_class_matches_sympy(u, k, p):
         assert 2 * i + 1 == unit % 8
     else:
         assert i == (not sympy.is_quad_residue(unit, p))
-    ks, cs = _orders_and_classes(np.array([a], dtype=np.int64), p)
-    assert (int(ks[0]), int(cs[0])) == (e, i)
+    (place,) = _orders_and_classes(np.array([a], dtype=np.int64), p).tolist()
+    assert divmod(place, 4 if p == 2 else 2) == (e, i)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 709, 4194301])  # 2^22 - 3
@@ -127,7 +127,8 @@ def test_order_and_class_rejects_zero_and_p_below_two(flags):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 61, 4093,  # residue table
                                4099, 65537, 4294967311])  # Euler
 def test_orders_and_classes_match_the_scalar_label(p):
-    """The array labels equal `_order_and_class` entry by entry, for arrays
+    """The array places k W + i, W = 4 unit classes at 2 and 2 at odd p,
+    decode to `_order_and_class` entry by entry, for arrays
     large enough to get the largest residue table mod P = p^J <= 2^12
     and for short ones, which get smaller tables (down to P = p): p^k u of
     either sign for every order k that fits in int64, so the orders J - 1,
@@ -146,11 +147,12 @@ def test_orders_and_classes_match_the_scalar_label(p):
         ord_p(a, p) for a in entries}
     want = [_order_and_class(a, p) for a in entries]
     N = np.array(entries, dtype=np.int64)
+    W = 4 if p == 2 else 2
     for size in (len(N), 700, 40, 1):
         got = []
         for lo in range(0, len(N) if size > 1 else 300, size):
-            ks, cs = _orders_and_classes(N[lo:lo + size], p)
-            got += zip(ks.tolist(), cs.tolist())
+            got += [divmod(place, W) for place in
+                    _orders_and_classes(N[lo:lo + size], p).tolist()]
         assert got == want[:len(got)], size
 
 
@@ -244,7 +246,7 @@ def test_preconditions_raise_named_errors_under_optimize():
     lambda: is_prime(7.5),
     lambda: _check_prime(7.5),
     lambda: hensel_exponent((1, 2, 3), 5, 7.5),
-    lambda: progression_exponent(15, 5.0),
+    lambda: _progression_exponent(15, 5.0),
     lambda: prime_divisors(10.0),
     lambda: ord_p(2.5, 2),
     lambda: ord_p(12, 2.0),

@@ -175,7 +175,7 @@ def test_census_op_reads_each_prime_once(m, monkeypatch):
     """A census op (29 rows x 501 n, one block) reads the orders and classes
     of its targets at most once per prime, makes no per-group engine call
     and builds no lattice key from coefficients: each key is decoded from
-    the sorted integer codes of its labels."""
+    the sorted places of its labels."""
     import mgonal.localrep as localrep
 
     primes, groups, keys = [], [], []
