@@ -21,8 +21,8 @@ once, at import, and parsed into a fresh object on every call.
 At import the module loads, besides the standard library, only `numth`
 (the --p check) and `prodineq` (the --clause choices).  Each handler
 imports the layers it runs, so a process compiles no other layer, and only
-the commands that scan (`regcheck scan`, `examples`) and a `localrep`
-witness search load numpy.
+`examples --eureka` and a `localrep` witness search, which build arrays,
+load numpy.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ _T_LIMIT = 1000
 _DESCENT_LIMIT = 2 ** 32
 # regcheck scan factors 2 c lcm(a_i), c = m - 2 or (m - 2) / 2, by trial
 # division, which runs up to its second largest prime (--m and --coeffs);
-# a scan and `examples --eureka` build arrays of bound + 1 entries: 1.7 s
-# and 210 MB at 2^21 for the slowest form.
+# a scan builds bitsets of bound + 1 bits and `examples --eureka` one array
+# of bound + 1 entries: at 2^21, at most 0.5 s and 90 MB per process on
+# the forms measured.
 _SCAN_LIMIT = 2 ** 16
 _BOUND_LIMIT = 2 ** 21
 

@@ -56,10 +56,17 @@ exponent), and the verdict is the label of n and one lookup in the
 cached descriptor, a tuple of Python ints.  It builds no verdict object;
 `represents_over_zp` wraps its pair in a `LocalVerdict`.
 
-Scans ask the same question for many targets at once: `_descriptor_table`
-makes the verdicts of an array of targets one numpy gather from the
-descriptors, without a Python call per target.  numpy is imported inside
-the functions that build arrays, so the scalar path never loads it.
+Scans ask the same question for many targets at once.  An m-gonal scan
+asks it for a range of n, and `locally_represented_bits` answers with one
+Python-int bitset per form.  A form's targets then run through an
+arithmetic progression, so at a prime p not dividing the conductor the
+targets of one label (k, c) are a union of residue classes: one periodic
+bitset, shifted per form (`_exclusions`).  `locally_represented_rows`
+takes any targets as an int64 array; `_descriptor_table` makes their
+verdicts one numpy gather from the descriptors, without a Python call per
+target.  It is the reference the tests hold the bitsets to.  numpy is
+imported inside the functions that build arrays, so neither the scalar
+path nor a range scan loads it.
 
 A shifted form sum a_i (c x_i + alpha_i)^2 needs no descriptor at a prime
 p | c: each alpha_i is a p-unit (the shifts are coprime to c), so
@@ -70,23 +77,26 @@ and the sum of the coordinates' balls gives the exact congruence
 
 (`_shifted_congruence`).
 
-`locally_represented_rows` combines the two for a batch of m-gonal forms
-of one m (a census decides all its coefficient triples at once), over the
-primes p | 2 c prod(a_i).  No other prime needs a test when the rank is at
+The two batch entries combine the two for the m-gonal forms of one m (a
+census decides all its coefficient triples at once), over the primes
+p | 2 c prod(a_i).  No other prime needs a test when the rank is at
 least 3: at an odd p not dividing c prod(a_i), z = c x + alpha is a
 bijection of Z_p, every entry is a p-unit, and a unimodular lattice of
 rank >= 3 at odd p is isotropic (Chevalley-Warning), hence splits a
 hyperbolic plane and represents all of Z_p.  Below rank 3 this fails
-(<1,1> misses 77 over Z_7), so lower ranks raise ValueError.  The batch is
-array arithmetic over all rows at once: per prime, the targets are labelled
-once per distinct sum a_i (at an odd p below 2^12 from a table of the
-labels of the residues mod a power of p, built per call; at larger p by
-Euler's criterion once per distinct residue), the descriptors are fetched
-once per distinct lattice key, and the verdicts of the rows that p can
-exclude are one flat gather from their `_descriptor_table`, through the
-array of those rows' indices (details in its docstring).
-It is the one m-gonal batch entry: the scalar `locally_represented` is
-its one-row, one-target case.
+(<1,1> misses 77 over Z_7), so lower ranks raise ValueError.  Per prime,
+the range entry reads each lattice key's descriptor once, and only at
+the places it misses, and labels the few deep targets of each offset
+once (details in `_exclusions`).  The array batch is
+array arithmetic over all rows at once: per prime, the targets are
+labelled once per distinct sum a_i (at an odd p below 2^12 from a table
+of the labels of the residues mod a power of p, built per call; at
+larger p by Euler's criterion once per distinct residue), the
+descriptors are fetched once per distinct lattice key, and the verdicts
+of the rows that p can exclude are one flat gather from their
+`_descriptor_table`, through the array of those rows' indices (details
+in its docstring).  The scalar `locally_represented` is the one-row,
+one-target case of the range entry.
 
 A literal reference procedure (`represents_mod_search`: grid search mod p^K
 plus the lifting criterion (*), following the count of the search space) and
@@ -809,6 +819,9 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     its targets' places plus S times its key's index.
     Entries are read as Python ints, numpy rows too.  Raises ValueError for
     targets that are not integers within int64 and when some N overflows.
+    A scan asks for a range of n, which `locally_represented_bits`
+    answers without arrays; this batch takes any targets and is the
+    reference the tests hold that entry to.
     """
     import numpy as np
 
@@ -869,7 +882,167 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     return ok
 
 
+# --------------------------------------------------------------------------
+# range verdicts as bitsets
+
+def _periodic(pattern: int, period: int, width: int) -> int:
+    """The bits of `pattern`, all below `period`, repeated with that period
+    and cut to `width` bits."""
+    while period < width:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << width) - 1)
+
+
+def _exclusions(p: int, mu: int, width: int):
+    """excluded(key, off) -> the bitset of the j in [0, width) whose target
+    t = mu j + off the lattice key misses at p, for a prime p not dividing
+    mu.  Made once per prime of a call, and shared by its rows.
+
+    Mod P = p^(k + rho), rho = 3 at p = 2 and 1 at odd p, t has the label
+    (k, i) iff mu j + off = p^k r for a unit r mod p^rho of class i, so
+    the j of one label are a union of classes mod P.  Below `top`, the
+    least order whose P passes the window, every such P divides one
+    `period`, so a descriptor's missing places at those orders are one
+    periodic bitset: built once per descriptor for off = 0, and shifted
+    right by off mu^-1 mod `period` for each offset.  From `top` on, at
+    most p^rho targets per offset have p^top | t; they are listed and
+    labelled exactly (`_order_and_class`) once per offset.  The missing
+    places come from the key's descriptor, read along its period 2, and a
+    place is looked at only where the descriptor misses a class; t = 0 is
+    always represented.  Rows with equal descriptors and offsets share
+    one answer."""
+    rho, every = (3, 15) if p == 2 else (1, 3)
+    top = 0
+    while p ** (top + rho) <= width:
+        top += 1
+    period, step = p ** (top + rho - 1) if top else 1, p ** top
+    inv = pow(mu, -1, p ** (top + rho))
+    full = (1 << width) - 1
+    units, classes, reads, deep, done = {}, {}, {}, {}, {}
+
+    def class_bits(k: int, i: int) -> int:
+        """The j of label (k, i) for off = 0, over one `period`."""
+        if (k, i) in classes:
+            return classes[k, i]
+        if i not in units:  # the units mod p^rho of class i
+            squares = {x * x % p for x in range(1, p // 2 + 1)}
+            units[i] = ([2 * i + 1] if p == 2 else
+                        [r for r in range(1, p) if (r in squares) != i])
+        P, q = p ** (k + rho), p ** k
+        place = bytearray(P // 8 + 1)
+        for r in units[i]:
+            j = inv * q * r % P
+            place[j >> 3] |= 1 << (j & 7)
+        classes[k, i] = _periodic(int.from_bytes(place, "little"), P, period)
+        return classes[k, i]
+
+    def read(T: Tuple[int, ...]):
+        """(missed, at, last, beyond) of a descriptor T: its missing
+        places below `top` as one periodic bitset over width + period,
+        T per order up to where its period 2 has begun (from `last` on)
+        and past `top`, and whether it misses a class past `top`."""
+        last = len(T) - 2  # T has period 2 from this order on
+        at = [T[k] if k < len(T) else T[last + (k - last) % 2]
+              for k in range(max(top, last) + 2)]
+        missed = 0
+        for k in range(top):
+            for i in _BITS[every & ~at[k]]:
+                missed |= class_bits(k, i)
+        return (_periodic(missed, period, width + period) if missed else 0,
+                at, last, any(T_k != every for T_k in at[top:]))
+
+    def excluded(key: Tuple, off: int) -> int:
+        T = _value_set(p, key)
+        if (T, off) in done:
+            return done[T, off]
+        if T not in reads:
+            reads[T] = read(T)
+        missed, at, last, beyond = reads[T]
+        out = missed >> off * inv % period & full
+        if beyond:
+            if off not in deep:
+                deep[off] = [(j, *_order_and_class(mu * j + off, p))
+                             for j in range(-off * inv % step, width, step)
+                             if mu * j + off]
+            for j, k, i in deep[off]:
+                if not at[min(k, last + (k - last) % 2)] >> i & 1:
+                    out |= 1 << j
+        done[T, off] = out
+        return out
+
+    return excluded
+
+
+def locally_represented_bits(m: int, coeff_rows: Sequence[Sequence[int]],
+                             lo: int, hi: int) -> List[int]:
+    """One bitset per coefficient row: bit j is set when n = lo + j,
+    lo <= n <= hi, is represented by the m-gonal form of that row over R
+    and over every Z_p -- the verdicts of `locally_represented_rows` on
+    the range, with no array.
+
+    Row i's target is N = mu j + off_i, off_i = d^2 sum a_i + mu lo.
+    Over R, N >= 0 is a run of the high bits.  At p | c the shift is
+    alpha = |d|, so the `_shifted_congruence` of a row reads mu n = 0
+    (mod p^(e + v)), e = `_progression_exponent(c, p)` and
+    v = ord_p gcd(row).  p^e exactly divides mu for every m: at odd p,
+    e = ord_p c = ord_p mu; at 2, delta = 4 gives e = 3 = ord_2 mu, and
+    delta = 2 forces ord_2 c >= 2, so e = ord_2 c + 1 = ord_2 mu.  So the
+    congruence reads p^v | n: a progression, and no constraint on a row
+    that p does not divide whole.  At other p, mu is a p-unit, and the
+    rows that p can exclude (an entry divisible by p, or p = 2) read
+    `_exclusions`, made once per prime.  Entries are read as Python
+    ints, numpy rows too.  Raises ValueError for a row of rank below 3
+    and when some N overflows int64, as the array entry does."""
+    from .polygonal import _check_coefficients, constants
+
+    k = constants(m)
+    rows = [tuple(map(index, row)) for row in coeff_rows]
+    for row in rows:
+        _check_coefficients(row)
+        if len(row) < 3:
+            raise ValueError(f"local verdicts need rank >= 3, got rank "
+                             f"{len(row)} in {row}")
+    lo, hi = index(lo), index(hi)
+    width = hi - lo + 1
+    if not rows or width < 1:
+        return [0] * len(rows)
+    sums = [sum(row) for row in rows]
+    d2, mu = k.d * k.d, k.mu
+    if mu * max(-lo, hi) + d2 * max(sums) >= 2 ** 63:
+        raise ValueError("shifted target mu n + d^2 sum a_i overflows int64")
+    full = (1 << width) - 1
+    offs = [d2 * s + mu * lo for s in sums]
+    # N >= 0 from j = ceil(-off / mu) on
+    out = [full >> j << j for j in (min(width, max(0, -(off // mu)))
+                                     for off in offs)]
+    vals = sorted({a for row in rows for a in row})
+    primes = prime_divisors(2 * k.c * math.lcm(*vals))
+    divisors = {a: [p for p in primes if a % p == 0] for a in vals}
+    hit = {p: [] for p in primes}  # the rows with an entry p divides
+    for i, row in enumerate(rows):
+        for p in set(chain.from_iterable(map(divisors.__getitem__, row))):
+            hit[p].append(i)
+    for p in primes:
+        if k.c % p == 0:
+            for i in hit[p]:
+                g = math.gcd(*rows[i])
+                if g % p == 0:  # p divides the whole row
+                    q = p ** ord_p(g, p)
+                    j = -lo % q  # the first n = lo + j that q divides
+                    out[i] &= _periodic(1 << j, q, width) if j < width else 0
+            continue
+        need = range(len(rows)) if p == 2 else hit[p]
+        labels = {a: _order_and_class(a, p)
+                  for a in {a for i in need for a in rows[i]}}
+        excluded = _exclusions(p, mu, width)
+        for i in need:
+            key = tuple(sorted(map(labels.__getitem__, rows[i])))
+            out[i] &= ~excluded(key, offs[i])
+    return out
+
+
 def locally_represented(f, n: int) -> bool:
     """Is n represented by the m-gonal form f over R and over every Z_p?
-    The one-row, one-target case of `locally_represented_rows`."""
-    return bool(locally_represented_rows(f.m, [f.coeffs], [n])[0, 0])
+    The one-row, one-target case of `locally_represented_bits`."""
+    return locally_represented_bits(f.m, [f.coeffs], n, n)[0] == 1

@@ -11,11 +11,12 @@ one m together (`_scan_rows`), and `regularity_scan` is the one-row case.
 Both sides of a scan are Python-integer bitsets over [0, N], bit n set
 when n is represented.  The global side computes the generalized m-gonal
 numbers <= N once and shares each (a_1, a_2) pair sumset across every
-a_3; the local side makes one `locally_represented_rows` call per block of
-at most `_BLOCK_TARGETS` targets and packs its verdicts into one bitset
-per row.  A row is then compared by integer AND/NOT: every n of every row
-is still checked for soundness, and a report, with its counterexamples
-decoded from the bitset, is built only for the rows a caller keeps.
+a_3; the local side makes one `locally_represented_bits` call per block of
+at most `_BLOCK_TARGETS` targets, which gives one bitset per row.  No
+scan builds an array, so a scan process does not load numpy.  A row is
+then compared by integer AND/NOT: every n of every row is still checked
+for soundness, and a report, with its counterexamples decoded from the
+bitset, is built only for the rows a caller keeps.
 
 The module also packages the two small motivating examples: the quaternary
 triangular form with coefficients (1,1,3,6), which represents -1 over every
@@ -29,18 +30,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
-import numpy as np
-
-from .localrep import locally_represented, locally_represented_rows
+from .localrep import locally_represented, locally_represented_bits
 from .numth import prime_divisors
 from .polygonal import MGonalForm, polygonal_number, shifted_target
 
-# Most targets (rows times n) one block of a batched scan holds: its local
-# verdicts take several int64 arrays of this size.
+if TYPE_CHECKING:  # for the annotations; `_unpack` imports it
+    import numpy as np
+
+# Most targets (rows times n) one block of a batched scan holds: the bits
+# of its rows' local verdicts, and of the class bitsets and exclusions
+# that the local engine keeps per prime for the block.
 _BLOCK_TARGETS = 2 ** 18
+# The binary digits '0' and '1' as the bytes 0 and 1 (`_report`).
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,8 @@ def _sumset_builder(m: int, N: int):
 
 def _unpack(bits: int, N: int) -> np.ndarray:
     """The bitset of [0, N] as bool[N + 1]."""
+    import numpy as np
+
     packed = np.frombuffer(bits.to_bytes(N // 8 + 1, "little"), dtype=np.uint8)
     return np.unpackbits(packed, count=N + 1, bitorder="little").view(bool)
 
@@ -170,26 +179,22 @@ def _scan_rows(m: int, coeff_rows: Sequence[Tuple[int, ...]],
 
     The rows are scanned in blocks of at most `_BLOCK_TARGETS` targets
     (rows times N + 1, at least one row per block): each block makes one
-    `locally_represented_rows` call, which also checks every row, and
-    packs its verdicts into one bitset per row; the global sumsets share
-    pair sumsets across the whole call.  Soundness -- everything globally
-    represented must be locally represented -- is asserted on every row
-    and every n, before the row is yielded; the error names the first
-    violating row in row order and its first n.  Rows are yielded as
-    bitsets, not reports: a caller builds a `RegularityReport` (`_report`)
-    only for the rows it keeps.
+    `locally_represented_bits` call, which also checks every row and
+    gives one bitset per row; the global sumsets share pair sumsets
+    across the whole call.  Soundness -- everything globally represented
+    must be locally represented -- is asserted on every row and every n,
+    before the row is yielded; the error names the first violating row in
+    row order and its first n.  Rows are yielded as bitsets, not reports:
+    a caller builds a `RegularityReport` (`_report`) only for the rows it
+    keeps.
     """
     if N < 1:
         raise ValueError(f"scan bound N must be >= 1, got {N}")
     represented = _sumset_builder(m, N)
-    ns = np.arange(N + 1)
     step = max(1, _BLOCK_TARGETS // (N + 1))
     for lo in range(0, len(coeff_rows), step):
         block = coeff_rows[lo:lo + step]
-        packed = np.packbits(locally_represented_rows(m, block, ns), axis=1,
-                             bitorder="little")
-        for row, local in zip(block, packed):
-            local = int.from_bytes(local.tobytes(), "little")
+        for row, local in zip(block, locally_represented_bits(m, block, 0, N)):
             glob = represented(row)
             unsound = glob & ~local
             if unsound:
@@ -202,8 +207,12 @@ def _scan_rows(m: int, coeff_rows: Sequence[Tuple[int, ...]],
 
 
 def _report(f: MGonalForm, N: int, local: int, missed: int) -> RegularityReport:
-    """The report of one row of `_scan_rows`."""
-    counterexamples = tuple(np.flatnonzero(_unpack(missed, N)).tolist())
+    """The report of one row of `_scan_rows`.  The counterexamples are the
+    set bits of `missed`, lowest first: its binary digits, reversed so
+    that bit n sits at index n and turned into the bytes 0 and 1, select
+    them in `itertools.compress`, with no Python step per n."""
+    digits = bin(missed)[:1:-1].encode().translate(_BIT_BYTES)
+    counterexamples = tuple(compress(range(len(digits)), digits))
     if counterexamples:
         verdict = f"not-regular(witness n={counterexamples[0]})"
     else:

@@ -293,17 +293,20 @@ def test_every_command_stdout_is_pinned(capsys):
 
 
 def test_array_free_commands_do_not_import_numpy():
-    """A fresh process that imports mgonal.cli and runs VERIFY_ARGVS and a
-    watson step in-process never loads numpy: only the commands that build
-    arrays (regcheck scan, examples, a localrep witness search) import it.
-    numpy was most of the start-up of every mgonal process.  The layers are
-    pinned too: importing the cli loads `numth` and `prodineq` only, and
-    each command adds the layers it runs, which every process compiles
-    anew when no bytecode is cached.  Nor does the import load `fractions`
-    (with `decimal` and `numbers`), which only two `prodineq` functions
-    use."""
+    """A fresh process that imports mgonal.cli and runs VERIFY_ARGVS, a
+    watson step, a regcheck scan and `examples` in-process never loads
+    numpy: only the commands that build arrays (`examples --eureka`, a
+    localrep witness search) import it.  numpy was most of the start-up of
+    every mgonal process; a scan's local and global sides are bitsets.
+    The layers are pinned too: importing the cli loads `numth` and
+    `prodineq` only, and each command adds the layers it runs, which every
+    process compiles anew when no bytecode is cached.  Nor does the import
+    load `fractions` (with `decimal` and `numbers`), which only two
+    `prodineq` functions use."""
     argvs = VERIFY_ARGVS + [["watson", "--conductor", "12", "--coeffs",
-                             "1,5,25", "--p", "5"]]
+                             "1,5,25", "--p", "5"],
+                            ["regcheck", "scan", "--m", "8", "--coeffs",
+                             "1,2,3", "--bound", "2000"], ["examples"]]
     script = ("import contextlib, io, json, sys\n"
               "seen = set()\n"
               "def loaded(step):\n"
@@ -330,7 +333,8 @@ def test_array_free_commands_do_not_import_numpy():
     assert [(step, new) for step, _, new in steps if new] == [
         ("import", ["mgonal", "mgonal.cli", "mgonal.numth", "mgonal.prodineq"]),
         ("theorem", ["mgonal.density", "mgonal.pipeline", "mgonal.polygonal"]),
-        ("stabilize", ["mgonal.localrep", "mgonal.watson"])]
+        ("stabilize", ["mgonal.localrep", "mgonal.watson"]),
+        ("regcheck", ["mgonal.regcheck"])]
 
 
 def _outcome(capsys, call):

@@ -279,9 +279,11 @@ def _unreferenced_members(module: str, sources: dict):
 
 
 # The public functions that no code in the package calls, by reason.
-# Independent references the tests hold the engines to:
-ORACLES = ["localrep.represents_reference_fft", "localrep.stable_value_set_check",
-           "polygonal.form_to_shifted", "regcheck.represents_globally"]
+# Independent references the tests hold the engines to (the array batch
+# `locally_represented_rows` is the reference of the range bitsets):
+ORACLES = ["localrep.locally_represented_rows", "localrep.represents_reference_fft",
+           "localrep.stable_value_set_check", "polygonal.form_to_shifted",
+           "regcheck.represents_globally"]
 # Checks of the paper's claims that the acceptance tests run as such:
 CERTIFICATES = ["density.exception_count_check", "density.psi_prime_power",
                 "pipeline.find_coprime_shift", "prodineq.check_implications",

@@ -29,6 +29,7 @@ from mgonal.localrep import (
     is_anisotropic_ternary,
     is_stable,
     locally_represented,
+    locally_represented_bits,
     locally_represented_rows,
     represents_mod_search,
     represents_over_zp,
@@ -854,6 +855,44 @@ def test_numpy_rows_give_the_verdicts_of_list_rows():
              for coeffs in (tuple(np.array([1, 2, 3])), (1, 2, 3))]
     assert len({(r.verdict, r.counterexamples, r.locally_count)
                 for r in scans}) == 1
+
+
+def _seeded_rows(rng):
+    """Rows of rank 3 to 5 with entries 2^a 3^b 5^c times a unit, made
+    primitive, each also scaled by a common factor."""
+    rows = []
+    for rank in (3, 3, 3, 3, 4, 4, 5):
+        row = [2 ** rng.randrange(5) * 3 ** rng.randrange(4) * 5 ** rng.randrange(3)
+               * rng.choice((1, 1, 7, 11, 13)) for _ in range(rank)]
+        g = math.gcd(*row)
+        row, h = sorted(a // g for a in row), rng.choice((2, 3, 4, 8, 9, 27))
+        rows += [tuple(row), tuple(a * h for a in row)]
+    return rows
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 13, 45, 100, 711, 712, 1000])
+def test_range_bitsets_match_the_array_batch(m):
+    """locally_represented_bits gives, bit for bit, the verdicts of the
+    array batch locally_represented_rows on the same range: seeded
+    primitive and imprimitive rows of rank 3 to 5, the census triples and
+    entries 4099 and 65521, primes past every window, and at m = 4 (no
+    overflow check on the entries) entries past int64; single n, negative
+    lo and widths up to 3000."""
+    rng = random.Random(m)
+    rows = (_seeded_rows(rng) + CENSUS_TRIPLES
+            + [(1, 2, 4099), (1, 4099, 4099), (3, 65521, 65521)]
+            + ([(1, 1, 2**70), (1, 2, 2**64)] if m == 4 else []))
+    ranges = [(0, 0), (-3, -3), (7, 7), (0, 1), (0, 2), (-40, 40),
+              (123, 777), (0, 3000)]
+    ranges += [(lo, lo + rng.randrange(3000)) for lo in
+               (rng.randrange(-60, 0), rng.randrange(500))]
+    for lo, hi in ranges:
+        flags = locally_represented_rows(m, rows, np.arange(lo, hi + 1))
+        want = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                               "little") for row in flags]
+        assert locally_represented_bits(m, rows, lo, hi) == want, (lo, hi)
+    assert locally_represented_bits(m, [], 0, 10) == []
+    assert locally_represented_bits(m, rows, 5, 4) == [0] * len(rows)
 
 
 def test_low_rank_forms_are_rejected_under_optimize():

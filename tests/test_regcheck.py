@@ -89,9 +89,9 @@ def _primitive_triples(cap):
 def test_scan_reports_first_soundness_violation(monkeypatch):
     import mgonal.regcheck as regcheck
 
-    monkeypatch.setattr(regcheck, "locally_represented_rows",
-                        lambda m, rows, ns: np.tile(np.asarray(ns) < 5,
-                                                    (len(rows), 1)))
+    # n = lo + j < 5 for the scan's lo = 0
+    monkeypatch.setattr(regcheck, "locally_represented_bits",
+                        lambda m, rows, lo, hi: [0b11111] * len(rows))
     with pytest.raises(AssertionError,
                        match="represents 5 globally but fails a local test"):
         regcheck.regularity_scan(MGonalForm(3, (1, 1, 1)), 20)
@@ -105,14 +105,12 @@ def test_batch_names_the_first_violating_form(monkeypatch):
 
     rows = _primitive_triples(4)
 
-    def fake(m, block, ns):
-        flags = np.ones((len(block), len(ns)), dtype=bool)
-        for i, row in enumerate(block):
-            if row in (rows[3], rows[7]):
-                flags[i] = np.asarray(ns) < 5
-        return flags
+    def fake(m, block, lo, hi):
+        # every n = lo + j, or n < 5 for the scan's lo = 0
+        return [0b11111 if row in (rows[3], rows[7]) else (1 << hi - lo + 1) - 1
+                for row in block]
 
-    monkeypatch.setattr(regcheck, "locally_represented_rows", fake)
+    monkeypatch.setattr(regcheck, "locally_represented_bits", fake)
     form = MGonalForm(5, rows[3])
     n = 5 + int(np.flatnonzero(represented_set(form, 40)[5:])[0])
     with pytest.raises(AssertionError) as exc:
@@ -131,14 +129,13 @@ def test_soundness_is_checked_past_a_rows_first_counterexample(monkeypatch):
     form = MGonalForm(8, bad)
     assert regularity_scan(form, N).counterexamples[0] == 9
     assert represented_set(form, N)[N]
-    real = regcheck.locally_represented_rows
+    real = regcheck.locally_represented_bits
 
-    def fake(m, block, ns):
-        flags = real(m, block, ns)
-        flags[[tuple(row) == bad for row in block], -1] = False
-        return flags
+    def fake(m, block, lo, hi):
+        return [local & ~(1 << hi - lo) if tuple(row) == bad else local
+                for row, local in zip(block, real(m, block, lo, hi))]
 
-    monkeypatch.setattr(regcheck, "locally_represented_rows", fake)
+    monkeypatch.setattr(regcheck, "locally_represented_bits", fake)
     with pytest.raises(AssertionError) as exc:
         regcheck.candidate_scan(8, 5, N)
     assert str(exc.value) == (f"soundness violation: {form} represents {N} "
@@ -172,23 +169,26 @@ def test_census_checks_each_row_once_and_builds_forms_for_survivors(
 
 @pytest.mark.parametrize("m", [8, 13, 711])
 def test_census_op_reads_each_prime_once(m, monkeypatch):
-    """A census op (29 rows x 501 n, one block) reads the orders and classes
-    of its targets at most once per prime, makes no per-group engine call
-    and builds no lattice key from coefficients: each key is decoded from
-    the sorted places of its labels."""
+    """A census op (29 rows x 501 n, one block) builds the class bitsets
+    of its targets at most once per prime (`_exclusions`), labels no
+    target array, makes no per-group engine call and builds no lattice
+    key from coefficients: each key is sorted from the labels of the
+    entries."""
     import mgonal.localrep as localrep
 
-    primes, groups, keys = [], [], []
-    orders, many = localrep._orders_and_classes, localrep.represents_over_zp_many
-    key = localrep._lattice_key
+    primes, arrays, groups, keys = [], [], [], []
+    exclusions, orders = localrep._exclusions, localrep._orders_and_classes
+    many, key = localrep.represents_over_zp_many, localrep._lattice_key
+    monkeypatch.setattr(localrep, "_exclusions",
+                        lambda p, *args: primes.append(p) or exclusions(p, *args))
     monkeypatch.setattr(localrep, "_orders_and_classes",
-                        lambda N, p: primes.append(p) or orders(N, p))
+                        lambda N, p: arrays.append(p) or orders(N, p))
     monkeypatch.setattr(localrep, "represents_over_zp_many",
                         lambda *args: groups.append(args[0]) or many(*args))
     monkeypatch.setattr(localrep, "_lattice_key",
                         lambda *args: keys.append(args) or key(*args))
     candidate_scan(m, 5, 500)
-    assert groups == [] and keys == []
+    assert arrays == [] and groups == [] and keys == []
     assert primes and len(primes) == len(set(primes)), primes
 
 
@@ -339,6 +339,22 @@ def test_census_survivors_are_pinned():
                  for m in [3, 8] + list(range(5, 47))}
     blob = json.dumps(sorted(survivors.items())).encode()
     assert hashlib.sha256(blob).hexdigest()[:16] == "034ef86053cb7c9f"
+
+
+def test_scan_verdicts_are_pinned():
+    """Every (row, local, missed) bitset that _scan_rows yields at N = 600
+    for the cap-6 primitive triples and a few imprimitive rows, over m of
+    every congruence class of the conductor and the large prime c of
+    m = 711, hashed: a change of local engine keeps each bit."""
+    rows = _primitive_triples(6) + [(2, 2, 2), (2, 4, 6), (3, 3, 6),
+                                    (3, 6, 9), (4, 4, 8), (5, 10, 25),
+                                    (8, 8, 16), (9, 9, 27)]
+    digest = hashlib.sha256()
+    for m in (3, 4, 5, 6, 7, 8, 9, 12, 13, 44, 45, 711):
+        for row, local, missed in _scan_rows(m, rows, 600):
+            digest.update(json.dumps([m, row, local, missed]).encode())
+    assert digest.hexdigest() == (
+        "8ce622aff4d9de86ed00000b2c0659de6e79f2b21d4e39c2a785ec27e88883cf")
 
 
 def test_case_bounds_and_notes():
