@@ -141,12 +141,13 @@ def exception_count_check(p: int, s: int, coeffs: Sequence[int], u: int,
     Counts n in [1, p^s] with u n + v not represented by <coeffs> over Z_p
     and compares with the parity-dependent bound.  The lattice must be
     p-stable (the bound says nothing about unstable lattices) and u
-    coprime to p.
+    coprime to p.  The targets run through a progression, so the count is
+    the size of the range engine's exclusion bitset (`_exclusions`) over
+    the window n - 1 = 0, ..., p^s - 1.
     """
-    import numpy as np
+    from .localrep import _exclusions, _lattice_key, is_stable
 
-    from .localrep import is_stable, represents_over_zp_many
-
+    p, s, u, v = index(p), index(s), index(u), index(v)
     _check_prime(p, 3)
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
@@ -156,7 +157,6 @@ def exception_count_check(p: int, s: int, coeffs: Sequence[int], u: int,
         raise ValueError(f"<{','.join(map(str, coeffs))}> is not {p}-stable")
     if abs(u) * p ** s + abs(v) >= 2 ** 63:
         raise ValueError("targets u n + v overflow int64")
-    targets = u * np.arange(1, p ** s + 1, dtype=np.int64) + v
-    count = int(np.count_nonzero(~represents_over_zp_many(coeffs, targets, p)))
+    count = _exclusions(p, u, p ** s)(_lattice_key(coeffs, p), u + v).bit_count()
     bound = _prime_power_bound(p, s)
     return count, bound, count <= bound

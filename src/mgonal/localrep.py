@@ -62,9 +62,8 @@ Python-int bitset per form.  A form's targets then run through an
 arithmetic progression, so at a prime p not dividing the conductor the
 targets of one label (k, c) are a union of residue classes: one periodic
 bitset, shifted per form (`_exclusions`).  `locally_represented_rows`
-takes any targets as an int64 array; `_descriptor_table` makes their
-verdicts one numpy gather from the descriptors, without a Python call per
-target.  It is the reference the tests hold the bitsets to.  numpy is
+is the reference the tests hold the bitsets to: the literal definition,
+one form, prime and target at a time, into a numpy bool array.  numpy is
 imported inside the functions that build arrays, so neither the scalar
 path nor a range scan loads it.
 
@@ -77,7 +76,7 @@ and the sum of the coordinates' balls gives the exact congruence
 
 (`_shifted_congruence`).
 
-The two batch entries combine the two for the m-gonal forms of one m (a
+The range entry combines the two for the m-gonal forms of one m (a
 census decides all its coefficient triples at once), over the primes
 p | 2 c prod(a_i).  No other prime needs a test when the rank is at
 least 3: at an odd p not dividing c prod(a_i), z = c x + alpha is a
@@ -87,16 +86,8 @@ hyperbolic plane and represents all of Z_p.  Below rank 3 this fails
 (<1,1> misses 77 over Z_7), so lower ranks raise ValueError.  Per prime,
 the range entry reads each lattice key's descriptor once, and only at
 the places it misses, and labels the few deep targets of each offset
-once (details in `_exclusions`).  The array batch is
-array arithmetic over all rows at once: per prime, the targets are
-labelled once per distinct sum a_i (at an odd p below 2^12 from a table
-of the labels of the residues mod a power of p, built per call; at
-larger p by Euler's criterion once per distinct residue), the
-descriptors are fetched once per distinct lattice key, and the verdicts
-of the rows that p can exclude are one flat gather from their
-`_descriptor_table`, through the array of those rows' indices (details
-in its docstring).  The scalar `locally_represented` is the one-row,
-one-target case of the range entry.
+once (details in `_exclusions`).  The scalar `locally_represented` is
+the one-row, one-target case of the range entry.
 
 A literal reference procedure (`represents_mod_search`: grid search mod p^K
 plus the lifting criterion (*), following the count of the search space) and
@@ -301,64 +292,6 @@ def _add_coordinate(acc: List[int], zero: bool, e: int, i: int,
         out[tail:] = [(1 << len(near[0])) - 1] * (M - tail)  # every class
         out_zero = True
     return out, out_zero
-
-
-# The residue table of `_orders_and_classes` takes O(p) steps and memory
-# to build; from here on the labels come from Euler's criterion instead.
-_SQUARE_TABLE_LIMIT = 2 ** 12
-
-
-def _orders_and_classes(N: np.ndarray, p: int) -> np.ndarray:
-    """`_order_and_class` per entry of a nonzero int64 array, as one array
-    of places k W + i (`_descriptor_table`), W = 4 at p = 2 and 2 at odd p.
-
-    At p = 2 the order is read off the lowest set bit and the class off the
-    next two bits of the unit part.  At an odd p < `_SQUARE_TABLE_LIMIT` =
-    2^12 the places are read from a residue table: for P = p^J, the largest
-    power of p at most 2^12 and at most the number of targets (at least p),
-    tc[r] = 2 ord_p r + i holds the place of every nonzero residue r mod
-    P, since the order of N is below J exactly when N mod P != 0, and then
-    N mod P fixes it and the unit part mod p.  The table starts as the
-    classes of the residues mod p, repeated; the strided copy
-    tc[p::p] = tc[1:P/p] + 2, done J - 1 times, gives the multiples of p
-    one order more than their quotients.  Only the targets = 0 (mod P) are
-    divided further, and the class of their unit part u is tc[u mod P].
-    At larger p the same division gives the unit parts mod p, and their
-    classes come from Euler's criterion in Python ints, one `pow` per
-    distinct residue.  N mod P is read as N - N // P * P, which numpy
-    computes faster than `%` on int64."""
-    import numpy as np
-
-    if p == 2:
-        k = np.frexp(N & -N)[1] - 1  # N & -N is 2^k, or -2^63 for N = -2^63
-        return 4 * k + (N >> k + 1 & 3)  # the unit part is 2 i + 1 (mod 8)
-    J, P = 1, p  # P = p past the table limit: no table
-    while P * p <= min(_SQUARE_TABLE_LIMIT, N.size):
-        J, P = J + 1, P * p
-    r = N - N // P * P
-    deep = np.flatnonzero(r == 0)  # ord_p N >= J
-    u, kd = N[deep] // P, np.full(deep.size, J)
-    more = np.flatnonzero(u % p == 0)
-    while more.size:
-        u[more] //= p
-        kd[more] += 1
-        more = more[u[more] % p == 0]
-    if p < _SQUARE_TABLE_LIMIT:
-        squares = np.ones(p, dtype=np.int64)  # the class index per residue
-        squares[np.arange(1, p) ** 2 % p] = 0
-        tc = np.tile(squares, P // p)
-        for _ in range(J - 1):
-            tc[p::p] = tc[1:P // p] + 2
-        place = tc[r]
-        place[deep] = 2 * kd + tc[u % P]
-        return place
-    k = np.zeros_like(N)
-    k[deep] = kd
-    r[deep] = u % p
-    vals, at = np.unique(r, return_inverse=True)  # Euler once per residue
-    e = (p - 1) // 2
-    return 2 * k + np.array([pow(x, e, p) != 1 for x in vals.tolist()],
-                            dtype=np.int64)[at]
 
 
 @functools.lru_cache(maxsize=None)
@@ -749,48 +682,6 @@ def _int64_targets(ns) -> np.ndarray:
     return ns.astype(np.int64, copy=False)
 
 
-def _descriptor_table(Ts: Sequence[Tuple[int, ...]], N: np.ndarray,
-                      p: int) -> Tuple[np.ndarray, np.ndarray, int]:
-    """The descriptors Ts (`_value_set`) as one flat bit table, and the
-    place of each target of the int64 array N in it: (bits, at, S), at of
-    the shape of N, with bits[j S + at] the verdict of Ts[j] on a target.
-
-    With W unit classes, each descriptor gets S = L W + 1 bits: bit k W + i
-    says whether the class (k, i) is represented, the descriptor extended
-    along its period 2 up to the deepest target's order L - 1, and a last
-    bit, set, says that N = 0 is.  A target of label (k, i) has place
-    k W + i, and N = 0 place L W."""
-    import numpy as np
-
-    W = 4 if p == 2 else 2  # unit square classes
-    zeros = np.flatnonzero(N == 0)  # labelled as 1, then given the last bit
-    N1 = N.ravel().copy()
-    N1[zeros] = 1
-    at = _orders_and_classes(N1, p)
-    # with t = k - len(T), T[k] is the entry min(t, t % 2 - 2) from the end
-    lens = np.array([len(T) for T in Ts])
-    L = max(int(lens.max()), int(at.max(initial=-1)) // W + 1)
-    ts = np.arange(L) - lens.reshape(-1, 1)
-    flat = np.fromiter(chain.from_iterable(Ts), np.int64)
-    D = flat[np.cumsum(lens).reshape(-1, 1) + np.minimum(ts, (ts & 1) - 2)]
-    S = L * W + 1
-    bits = np.ones((len(Ts), S), dtype=bool)
-    bits[:, :-1] = (D[:, :, None] >> np.arange(W) & 1).reshape(len(Ts), -1)
-    at[zeros] = L * W
-    return bits.ravel(), at.reshape(N.shape), S
-
-
-def represents_over_zp_many(coeffs: Sequence[int], Ns, p: int) -> np.ndarray:
-    """Boolean array: does <a_1,...,a_k> represent N over Z_p, per N in Ns?
-    The one-key case of `_descriptor_table`: the verdicts are the lattice
-    descriptor's bits at the targets' places."""
-    p = index(p)
-    _check_prime(p)
-    T = _value_set(p, _lattice_key(tuple(coeffs), p))
-    bits, at, _ = _descriptor_table([T], _int64_targets(Ns), p)
-    return bits.take(at)
-
-
 def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
                              ns) -> np.ndarray:
     """Boolean array ok[i, j]: is ns[j] represented by the m-gonal form with
@@ -802,83 +693,53 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     at rank >= 3 (proof in the module docstring), so a row of lower rank
     raises ValueError; rows of different ranks may share a call.
 
-    Rows with equal sum a_i have equal targets, so each prime computes
-    `_orders_and_classes` once, over the distinct targets (from a residue
-    table at odd p < 2^12, see there).  At p | c the shift is
-    alpha = |d|, so N - sum a_i alpha^2 = mu n and the
-    `_shifted_congruence` of a row reads mu n = 0 (mod p^(e + min ord_p
-    a_i)): one test per distinct min ord_p a_i.  At other p each label
-    (e, i) of an entry is coded as its place e W + i, W the number of unit
-    classes, as `_orders_and_classes` codes the targets, and -1 pads a
-    shorter row; a row's sorted places are its lattice key.  Each distinct
-    key is decoded by divmod(place, W) and its `_value_set` read once.
-    `_descriptor_table` stacks the descriptors as one bit table with S bits
-    per key and gives each target its place, the same in every key, so the
-    verdicts are one flat gather from the table: each row that p can
-    exclude (an entry divisible by p, or p = 2), picked by its index, reads
-    its targets' places plus S times its key's index.
-    Entries are read as Python ints, numpy rows too.  Raises ValueError for
-    targets that are not integers within int64 and when some N overflows.
-    A scan asks for a range of n, which `locally_represented_bits`
-    answers without arrays; this batch takes any targets and is the
-    reference the tests hold that entry to.
+    The literal definition, row by row, prime by prime and target by
+    target: at p | c the `_shifted_congruence` of the row's shifted form,
+    at other p the label of each target read in the row's descriptor along
+    its period 2, as `_verdict` reads it.  It is the reference the tests
+    hold `locally_represented_bits` to, and calls nothing of that engine.
+    Entries are read as Python ints, numpy rows too.  Raises ValueError
+    for targets that are not integers within int64 and when some N
+    overflows int64.
     """
     import numpy as np
 
-    from .polygonal import _check_coefficients, constants
+    from .polygonal import MGonalForm, constants, form_to_shifted
 
     k = constants(m)
-    rows = [tuple(map(index, row)) for row in coeff_rows]
-    for row in rows:
-        _check_coefficients(row)
-        if len(row) < 3:
+    forms = [MGonalForm(m, row) for row in coeff_rows]
+    for f in forms:
+        if f.rank < 3:
             raise ValueError(f"local verdicts need rank >= 3, got rank "
-                             f"{len(row)} in {row}")
+                             f"{f.rank} in {f.coeffs}")
     ns = _int64_targets(ns)
-    if not rows or not ns.size:
-        return np.zeros((len(rows), ns.size), dtype=bool)
-    sums = [sum(row) for row in rows]
+    ok = np.zeros((len(forms), ns.size), dtype=bool)
+    if not forms or not ns.size:
+        return ok
     d2 = k.d * k.d
-    if k.mu * max(-int(ns.min()), int(ns.max())) + d2 * max(sums) >= 2 ** 63:
+    if (k.mu * max(-int(ns.min()), int(ns.max()))
+            + d2 * max(sum(f.coeffs) for f in forms) >= 2 ** 63):
         raise ValueError("shifted target mu n + d^2 sum a_i overflows int64")
-    offsets = sorted({d2 * s for s in sums})
-    where = {s: i for i, s in enumerate(offsets)}
-    off = np.array([where[d2 * s] for s in sums])
-    # one row per distinct offset d^2 sum a_i
-    N = k.mu * ns + np.array(offsets, dtype=np.int64).reshape(-1, 1)
-    ok = (N >= 0)[off]
-    # the entries as 1 + their index into the distinct values; 0 pads
-    vals = sorted({a for row in rows for a in row})
-    col = {a: i for i, a in enumerate([0] + vals)}
-    width = max(map(len, rows))
-    padded = chain.from_iterable(row + (0,) * (width - len(row)) for row in rows)
-    idx = np.fromiter(map(col.__getitem__, padded), np.intp).reshape(-1, width)
-    for p in prime_divisors(2 * k.c * math.lcm(*vals)):
-        W = 4 if p == 2 else 2  # unit square classes
-        place = np.array([e * W + i for e, i in
-                          (_order_and_class(a, p) for a in vals)])
-        if k.c % p == 0:
-            depth = np.append(place.max(), place)[idx].min(axis=1) // W
-            # a set: np.unique imports numpy.ma on its first call
-            for v in sorted(set(depth.tolist())):
-                mod = p ** (_progression_exponent(k.c, p) + v)
-                # |mu n| < 2^63 <= mod leaves n = 0 as the only solution
-                hit = ns == 0 if mod >= 2 ** 63 else k.mu * ns % mod == 0
-                ok[depth == v] &= hit
-            continue
-        code = np.sort(np.append(-1, place)[idx], axis=1)
-        # all entries p-units: universal at odd p (see above); p divides
-        # some entry, so some row is left
-        need = np.flatnonzero((code[:, -1] >= W) | (p == 2))
-        # a row's sorted places stand for its lattice key
-        ids = {}
-        key_id = np.array([ids.setdefault(tuple(row), len(ids))
-                           for row in code[need].tolist()])
-        Ts = [_value_set(p, tuple([divmod(c, W) for c in row if c >= 0]))
-              for row in ids]
-        bits, at, S = _descriptor_table(Ts, N, p)
-        # one flat gather: row i reads descriptor key_id[i] at its targets
-        ok[need] &= bits.take(at[off[need]] + (key_id * S).reshape(-1, 1))
+    targets = ns.tolist()
+    for i, f in enumerate(forms):
+        off = d2 * sum(f.coeffs)
+        Ns = [k.mu * n + off for n in targets]
+        flags = [N >= 0 for N in Ns]
+        for p in prime_divisors(2 * k.c * math.lcm(*f.coeffs)):
+            if k.c % p == 0:
+                mod, base = _shifted_congruence(form_to_shifted(f), p)
+                flags = [flag and (N - base) % mod == 0
+                         for flag, N in zip(flags, Ns)]
+                continue
+            T = _value_set(p, _lattice_key(f.coeffs, p))
+            if T.count(15 if p == 2 else 3) == len(T):
+                continue  # every class at every order: Z_p is covered
+            top = len(T) - 2  # T has period 2 from this order on
+            for j, N in enumerate(Ns):
+                if flags[j] and N:
+                    wn, c = _order_and_class(N, p)
+                    flags[j] = T[min(wn, top + (wn - top) % 2)] >> c & 1 == 1
+        ok[i] = flags
     return ok
 
 

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from mgonal import density
+from mgonal.localrep import is_stable, represents_over_zp
 from mgonal.density import (
     eta,
     exception_count_check,
@@ -166,8 +167,11 @@ def test_psi_rejects_bad_primes():
     lambda: psi_prime_power(5, 2.0), lambda: psi_prime_power(5.0, 2),
     lambda: psi_values_desc(48.0, 3), lambda: psi_values_desc(48, 3.0),
     lambda: eta(10.5, 2), lambda: eta(10, 2.5),
+    lambda: exception_count_check(5, 1.0, (1, 2, 5), 1, 0),
+    lambda: exception_count_check(5, 1, (1, 2, 5), 1, 0.5),
 ], ids=["psi-n", "psi-p", "psi_prime_power-s", "psi_prime_power-p",
-        "psi_values_desc-n", "psi_values_desc-count", "eta-n", "eta-s"])
+        "psi_values_desc-n", "psi_values_desc-count", "eta-n", "eta-s",
+        "exception_count_check-s", "exception_count_check-v"])
 def test_float_arguments_are_refused(call):
     """A float is not taken for an integer: it does not come back as a
     float count or end in an unrelated error."""
@@ -186,6 +190,26 @@ def test_exception_count_check_small():
         exception_count_check(5, 1, (1, 2, 25), 1, 0)  # unstable lattice
     with pytest.raises(ValueError):
         exception_count_check(5, 1, (1, 2, 5), 2**62, 0)  # targets overflow int64
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_exception_count_is_the_scalar_count(p):
+    """The count is exact: it equals the number of 1 <= n <= p^s with
+    u n + v missed by the scalar `represents_over_zp`, on the first four
+    stable lattices with one entry divisible by p, at s = 1, 2, 3, and for
+    negative u and v too."""
+    lattices = [c for c in itertools.combinations_with_replacement(
+        range(1, 3 * p), 3) if is_stable(c, p) and sum(a % p == 0 for a in c) == 1]
+    counts = []
+    for coeffs in lattices[:4]:
+        for s in (1, 2, 3):
+            for u, v in ((1, 0), (2, 1), (-1, -p), (-2, 3), (p + 1, -10**6)):
+                count, bound, ok = exception_count_check(p, s, coeffs, u, v)
+                assert count == sum(not represents_over_zp(coeffs, u * n + v, p)
+                                    for n in range(1, p ** s + 1)), (coeffs, s, u, v)
+                assert ok == (count <= bound)
+                counts.append(count)
+    assert max(counts) > 1 and min(counts) == 0
 
 
 def test_exception_count_check_rejects_bad_input_under_optimize():

@@ -279,11 +279,11 @@ def _unreferenced_members(module: str, sources: dict):
 
 
 # The public functions that no code in the package calls, by reason.
-# Independent references the tests hold the engines to (the array batch
-# `locally_represented_rows` is the reference of the range bitsets):
+# Independent references the tests hold the engines to (the literal
+# per-prime reference `locally_represented_rows` is the reference of the
+# range bitsets):
 ORACLES = ["localrep.locally_represented_rows", "localrep.represents_reference_fft",
-           "localrep.stable_value_set_check", "polygonal.form_to_shifted",
-           "regcheck.represents_globally"]
+           "localrep.stable_value_set_check", "regcheck.represents_globally"]
 # Checks of the paper's claims that the acceptance tests run as such:
 CERTIFICATES = ["density.exception_count_check", "density.psi_prime_power",
                 "pipeline.find_coprime_shift", "prodineq.check_implications",
@@ -376,9 +376,11 @@ def test_prime_referrer_is_reported():
         "lib.check", "lib.Seq", "lib.<module>"]
 
 
-def _asserts(source: str, module: str):
+def _holders(source: str, module: str, hit):
     """`module.function` (`module.Class.method`) of the innermost function
-    or class holding each assert statement, once per assert."""
+    or class holding each statement that `hit` accepts, once per
+    statement; `module` itself for module code.  A block under
+    `if TYPE_CHECKING:` never runs and is skipped."""
     found = []
 
     def visit(node, name):
@@ -387,12 +389,20 @@ def _asserts(source: str, module: str):
                                   ast.ClassDef)):
                 visit(child, f"{name}.{child.name}")
                 continue
-            if isinstance(child, ast.Assert):
+            if (isinstance(child, ast.If) and isinstance(child.test, ast.Name)
+                    and child.test.id == "TYPE_CHECKING"):
+                continue
+            if hit(child):
                 found.append(name)
             visit(child, name)
 
     visit(ast.parse(source), module)
     return found
+
+
+def _asserts(source: str, module: str):
+    """The holders (`_holders`) of each assert statement."""
+    return _holders(source, module, lambda node: isinstance(node, ast.Assert))
 
 
 # The asserts left in the package, each an internal invariant: it holds
@@ -421,3 +431,38 @@ def test_assert_is_reported():
               "class A:\n    def m(self):\n        if self:\n"
               "            assert self, 'x'\n\nassert f\n")
     assert _asserts(source, "lib") == ["lib.f", "lib.f.g", "lib.A.m", "lib"]
+
+
+def _imports_numpy(node) -> bool:
+    """Whether the statement imports numpy or one of its submodules."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "numpy")
+
+
+# The functions that import numpy when they run: the oracles, the literal
+# reference `locally_represented_rows` and its target check, and the
+# unpacking of a scan's bitsets into a report's array.  Every other path
+# (scalar queries, range scans, the certificates) runs without numpy.
+NUMPY_IMPORTERS = [
+    "localrep._coord_indicator", "localrep._convolve_presence",
+    "localrep.represents_mod_search", "localrep.locally_represented_rows",
+    "localrep._int64_targets", "regcheck._unpack",
+]
+
+
+def test_numpy_is_imported_only_where_named():
+    found = [name for path in MODULES
+             for name in _holders(path.read_text(), path.stem, _imports_numpy)]
+    assert sorted(found) == sorted(NUMPY_IMPORTERS)
+
+
+def test_numpy_import_is_reported():
+    source = ("from typing import TYPE_CHECKING\n"
+              "if TYPE_CHECKING:\n    import numpy as np\n\n"
+              "def f():\n    import numpy as np\n\n"
+              "def g():\n    from numpy.fft import rfft\n\n"
+              "def h():\n    import numbers\n    from . import numth\n\n"
+              "import numpy.linalg\n")
+    assert _holders(source, "lib", _imports_numpy) == ["lib.f", "lib.g", "lib"]

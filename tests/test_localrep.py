@@ -19,6 +19,7 @@ from mgonal.localrep import (
     ModulusTooLarge,
     _convolve_presence,
     _coord_indicator,
+    _exclusions,
     _lattice_key,
     _near_sums_odd,
     _progression_exponent,
@@ -33,13 +34,12 @@ from mgonal.localrep import (
     locally_represented_rows,
     represents_mod_search,
     represents_over_zp,
-    represents_over_zp_many,
     represents_reference_fft,
     shifted_represents_over_zp,
     stable_value_set_check,
 )
 from mgonal.numth import is_prime, ord_p, prime_divisors
-from mgonal.regcheck import candidate_scan, regularity_scan
+from mgonal.regcheck import _unpack, candidate_scan, regularity_scan
 from mgonal.polygonal import MGonalForm, ShiftedForm, form_to_shifted, shifted_target
 
 # a corpus mixing unit, once-divisible and deeply divisible entries
@@ -405,8 +405,15 @@ def _ternary_keys(p, depth):
     return list(itertools.combinations_with_replacement(entries, 3))
 
 
+def _window_verdicts(coeffs, lo, width, p):
+    """The range engine's verdicts on the targets lo, ..., lo + width - 1:
+    the complement of its exclusion bitset (`_exclusions`, mu = 1)."""
+    excluded = _exclusions(p, 1, width)(_lattice_key(coeffs, p), lo)
+    return (~_unpack(excluded, width - 1)).tolist()
+
+
 def _check_against_fft(coeffs, key, p):
-    """The descriptor's verdict at every nonzero residue r mod p^K, K >=
+    """The range engine's verdict at every nonzero residue r mod p^K, K >=
     hensel_exponent, equals the full value set of coeffs mod p^K,
     convolved by FFT.  K reaches the orders where the descriptor turns
     periodic, and stops at p^K <= 2^16."""
@@ -419,7 +426,7 @@ def _check_against_fft(coeffs, key, p):
     values = _coord_indicator(coeffs[0], p, K)
     for a in coeffs[1:]:
         values = _convolve_presence(values, _coord_indicator(a, p, K))
-    got = represents_over_zp_many(coeffs, residues, p)
+    got = np.array(_window_verdicts(coeffs, 1, p ** K - 1, p))
     assert np.array_equal(got[~deep], values[residues[~deep]] > 0.5), (p, coeffs)
 
 
@@ -480,7 +487,7 @@ def test_odd_class_sum_rule_matches_enumeration():
 
 def test_engine_makes_no_fft_call(monkeypatch):
     """With numpy's FFT disabled and a cold descriptor cache, plain,
-    batched and shifted queries and a census scan give the answers they
+    range-engine and shifted queries and a census scan give the answers they
     give with it: the engine builds its descriptors from class sums, and
     only the oracles convolve."""
     g = ShiftedForm(conductor=6, coeffs=(1, 2, 3), shifts=(1, 1, 1))
@@ -488,7 +495,7 @@ def test_engine_makes_no_fft_call(monkeypatch):
         lambda: [represents_over_zp(c, n, p).represented
                  for p in (2, 3, 5, 7) for c in ((1, 1, 1), (1, 2, p ** 3), (3, p, p * p))
                  for n in (1, 2, 3, 7, p, p ** 3, 5 * p ** 4)],
-        lambda: [represents_over_zp_many(c, range(-5, 400), p).tolist()
+        lambda: [_window_verdicts(c, n, 1, p) for n in range(-5, 400)
                  for p in (2, 3, 5) for c in ((1, 1, 1), (1, 3, 4 * p))],
         lambda: [shifted_represents_over_zp(g, N, p) for p in (2, 3, 5, 7)
                  for N in range(60)],
@@ -522,7 +529,6 @@ def test_composite_p_is_rejected_by_name():
     # raised error (not an assert) survives python -O
     g = ShiftedForm(conductor=6, coeffs=(1, 1, 1), shifts=(1, 1, 1))
     for call in (lambda: represents_over_zp((1, 1, 1), 3, 9),
-                 lambda: represents_over_zp_many((1, 1, 1), [3], 9),
                  lambda: shifted_represents_over_zp(g, 3, 6),
                  lambda: shifted_represents_over_zp(g, 3, 1),
                  lambda: represents_over_zp((1, 1, 1), 3, 1)):
@@ -576,8 +582,8 @@ def test_pivots_deeper_than_the_target_build_no_table():
     assert _value_set.cache_info().misses == 1
     assert len(_value_set(3, _lattice_key((1, 1, 3**5), 3))) == 13
     assert not represents_over_zp((1, 1, 2**30), 7, 2).represented
-    assert represents_over_zp_many((1, 1, 2**30), [7, 5, 2**40], 2).tolist() == [
-        False, True, True]
+    assert [represents_over_zp((1, 1, 2**30), n, 2).represented
+            for n in (7, 5, 2**40)] == [False, True, True]
     assert len(_value_set(2, _lattice_key((1, 1, 2**30), 2))) == 65
 
 
@@ -631,9 +637,9 @@ def test_deep_verdicts_match_fft_reference():
 
 
 def test_array_and_scalar_paths_agree_on_refusals():
-    """`represents_over_zp_many` gives the scalar verdicts on lattices
-    with a deep entry, one target at a time and in batches, and neither
-    path refuses a target."""
+    """The range engine gives the scalar verdicts on lattices with a deep
+    entry, in one-target windows and in windows of 7 around each target,
+    and neither path refuses a target."""
     # <1,1> is anisotropic at 7, so 7^5 needs the 7^4 entry: with
     # z^2 = 2 (mod 7^6), 49^2 + 98^2 + 7^4 z^2 = 7^4 (5 + z^2) = 7^5
     # (mod 7^10), and 7^10 is the Hensel modulus
@@ -645,27 +651,28 @@ def test_array_and_scalar_paths_agree_on_refusals():
     assert sum(a * x * x for a, x in zip((1, 1, 7**4), witness)) % 7**10 == 7**5
     # (*): the coordinate z is a unit and 2 ord_7(2 * 7^4) + 1 <= 10
     assert z % 7 and 2 * ord_p(2 * 7**4, 7) + 1 <= 10
-    assert represents_over_zp_many((1, 1, 7**4), [7**4, 1, 7, 7**5], 7).tolist() == [
-        True, True, False, True]
+    assert [_window_verdicts((1, 1, 7**4), n, 1, 7)[0]
+            for n in (7**4, 1, 7, 7**5)] == [True, True, False, True]
     seen = set()
     for p, coeffs, target in _deep_lattices(60, 18):
         ns = [target() for _ in range(20)]
         scalar = [represents_over_zp(coeffs, n, p).represented for n in ns]
-        assert [represents_over_zp_many(coeffs, [n], p)[0] for n in ns] == scalar
-        assert represents_over_zp_many(coeffs, ns, p).tolist() == scalar
+        assert [_window_verdicts(coeffs, n, 1, p)[0] for n in ns] == scalar
+        for n in ns:
+            assert _window_verdicts(coeffs, n - 3, 7, p) == [
+                represents_over_zp(coeffs, t, p).represented
+                for t in range(n - 3, n + 4)], (p, coeffs, n)
         seen |= set(scalar)
     assert seen == {True, False}
 
 
 def test_coefficients_are_rejected_by_name_under_optimize():
-    """Empty and zero coefficients raise ValueError naming them, on both
-    paths, also when asserts are stripped."""
+    """Empty and zero coefficients raise ValueError naming them, also
+    when asserts are stripped."""
     script = (
-        "from mgonal.localrep import represents_over_zp, represents_over_zp_many\n"
+        "from mgonal.localrep import represents_over_zp\n"
         "for call in (lambda: represents_over_zp((), 5, 2),\n"
-        "             lambda: represents_over_zp((1, 0, 3), 5, 2),\n"
-        "             lambda: represents_over_zp_many((), [5], 2),\n"
-        "             lambda: represents_over_zp_many((1, 0, 3), [5], 2)):\n"
+        "             lambda: represents_over_zp((1, 0, 3), 5, 2)):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError as exc:\n"
@@ -675,14 +682,14 @@ def test_coefficients_are_rejected_by_name_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
-    assert lines[0].endswith("got ()") and lines[2].endswith("got ()")
-    assert lines[1].endswith("got (1, 0, 3)") and lines[3].endswith("got (1, 0, 3)")
+    assert len(lines) == 2
+    assert lines[0].endswith("got ()")
+    assert lines[1].endswith("got (1, 0, 3)")
 
 
 @pytest.mark.parametrize("call", [
     conservative_exponent, hensel_exponent, represents_mod_search,
-    represents_reference_fft, represents_over_zp, represents_over_zp_many],
+    represents_reference_fft, represents_over_zp],
     ids=lambda f: f.__name__)
 @pytest.mark.parametrize("coeffs", [(), (1, 0, 3)], ids=["empty", "zero"])
 def test_exponents_refuse_what_the_lattice_key_refuses(call, coeffs):
@@ -739,8 +746,7 @@ def _local_oracle(f, n):
     return all(shifted_represents_over_zp(g, N, p) for p in relevant)
 
 
-# Rows with entries past the residue table, whose target labels at 4099
-# and 65521 come from Euler's criterion; at m = 4 also 2^32 + 15 =
+# Rows with large prime entries 4099 and 65521; at m = 4 also 2^32 + 15 =
 # 4294967311, a prime past 2^31.5.  The targets add multiples of the
 # primes, of order 1 and 2 at them.
 BIG_ROWS = [(1, 4099, 4099), (1, 2, 4099), (3, 65521, 65521),
@@ -779,22 +785,18 @@ def test_locally_represented_many_edges():
     for ns in ([2**62], [-2**62], [2**70]):
         with pytest.raises(ValueError):
             locally_represented_rows(5, [(1, 2, 3)], ns)
-    # targets are not truncated, parsed or wrapped into int64 on either
-    # array entry point: a float, a string and a uint64 past 2^63 raise
+    # targets are not truncated, parsed or wrapped into int64: a float, a
+    # string and a uint64 past 2^63 raise
     for ns, match in (([7.9], "dtype float64"), (["3"], "dtype <U1"),
                       (np.array([2**63 + 7], dtype=np.uint64), "int64"),
                       ([2**70], "int64")):
-        for call in (lambda: locally_represented_rows(4, [(1, 1, 1)], ns),
-                     lambda: represents_over_zp_many((1, 1, 1), ns, 2)):
-            with pytest.raises(ValueError, match=match):
-                call()
+        with pytest.raises(ValueError, match=match):
+            locally_represented_rows(4, [(1, 1, 1)], ns)
     # numpy integers of any width, and uint64 below 2^63, are answered
     for ns in (np.array([7, 29], dtype=np.uint64), np.array([7, 29], dtype=np.int8),
                [np.int16(7), 29]):
         assert locally_represented_rows(4, [(1, 1, 1)], ns).tolist() == [
             [False, True]]
-        assert represents_over_zp_many((1, 1, 1), ns, 2).tolist() == [False, True]
-    assert represents_over_zp_many((1, 1, 1), [], 2).shape == (0,)
     # at m = 4 (d = 0) no overflow check bounds the entries, and an entry
     # past int64 keeps its exact labels
     huge, ns = MGonalForm(4, (1, 1, 2**70)), [5, 7, 2**60]
@@ -873,7 +875,7 @@ def _seeded_rows(rng):
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 13, 45, 100, 711, 712, 1000])
 def test_range_bitsets_match_the_array_batch(m):
     """locally_represented_bits gives, bit for bit, the verdicts of the
-    array batch locally_represented_rows on the same range: seeded
+    literal reference locally_represented_rows on the same range: seeded
     primitive and imprimitive rows of rank 3 to 5, the census triples and
     entries 4099 and 65521, primes past every window, and at m = 4 (no
     overflow check on the entries) entries past int64; single n, negative
@@ -919,17 +921,6 @@ def test_low_rank_forms_are_rejected_under_optimize():
         "local verdicts need rank >= 3, got rank 1 in (2,)"]
 
 
-def test_represents_over_zp_many_matches_scalar():
-    """Fingerprint grouping gives the scalar verdicts, zero and negative
-    targets included."""
-    for p, triples in CORPUS.items():
-        for coeffs in triples:
-            Ns = range(-60, 200)
-            got = represents_over_zp_many(coeffs, Ns, p)
-            assert got.tolist() == [bool(represents_over_zp(coeffs, N, p))
-                                    for N in Ns], (coeffs, p)
-
-
 def _enumerated_residues(g, mod):
     """Residues mod `mod` of sum a_i (c x_i + alpha_i)^2, by enumerating
     every x_i mod `mod` (a value mod `mod` depends only on x mod `mod`)."""
@@ -941,24 +932,6 @@ def _enumerated_residues(g, mod):
     want = np.zeros(mod, dtype=bool)
     want[reach] = True
     return want
-
-
-def test_represents_over_zp_many_edge_inputs():
-    """The shared table reader gives the scalar verdicts, in the targets'
-    shape, on an empty target list, all-zero targets and a 2-D target
-    array, at primes on both sides of the residue-table limit 2^12."""
-    seen = set()
-    for p in (2, 3, 4093, 4099, 65537):
-        for coeffs in ((1, 1, 1), (1, 2, p), (3, 5, p ** 3)):
-            assert represents_over_zp_many(coeffs, [], p).shape == (0,)
-            assert represents_over_zp_many(coeffs, [0] * 3, p).tolist() == [True] * 3
-            Ns = np.concatenate([np.arange(-30, 30), p * np.arange(-30, 30),
-                                 p ** 3 * np.arange(1, 13)]).reshape(-1, 4)
-            want = [[bool(represents_over_zp(coeffs, int(n), p)) for n in row]
-                    for row in Ns]
-            assert represents_over_zp_many(coeffs, Ns, p).tolist() == want
-            seen |= {v for row in want for v in row}
-    assert seen == {True, False}
 
 
 def test_witness_is_searched_once_at_the_hensel_exponent(monkeypatch):
@@ -1031,7 +1004,8 @@ def test_shifted_rep_of_non_primitive_forms():
 def test_scalar_array_and_shifted_paths_agree_off_the_corpus(p):
     """On random keys the corpus lacks (depths up to 6, entries of either
     sign), at zero, negative and deep targets p^k u: the scalar verdict is
-    the array verdict, its exponent is conservative_exponent, and the
+    the range engine's in a one-target window, its exponent is
+    conservative_exponent, and the
     shifted verdict is the plain one at p not dividing c and the
     enumerated residues at p | c."""
     rng = random.Random(2000 + p)
@@ -1042,7 +1016,7 @@ def test_scalar_array_and_shifted_paths_agree_off_the_corpus(p):
         ns = [0] + [rng.choice(units) * p ** rng.randrange(9) for _ in range(15)]
         scalar = [represents_over_zp(coeffs, n, p) for n in ns]
         assert [v.represented for v in scalar] == \
-            represents_over_zp_many(coeffs, ns, p).tolist(), (coeffs, p)
+            [_window_verdicts(coeffs, n, 1, p)[0] for n in ns], (coeffs, p)
         assert [v.modulus_exponent for v in scalar] == \
             [conservative_exponent(coeffs, n, p) for n in ns], (coeffs, p)
         positive = tuple(abs(a) for a in coeffs)
@@ -1076,8 +1050,6 @@ def test_numpy_integers_are_accepted_at_the_entry_points():
             assert represents_over_zp(coeffs, np.int64(n), p) == want
             assert represents_over_zp(i64, n, p) == want
             assert represents_over_zp(np.array(coeffs), n, np.int64(p)) == want
-            assert represents_over_zp_many(np.array(coeffs), [n], np.int64(p)).tolist() \
-                == [want.represented]
             assert is_stable(i64, np.int64(p)) == is_stable(coeffs, p)
             if is_stable(coeffs, p):
                 assert stable_value_set_check(i64, np.int64(p), np.int64(n)) \

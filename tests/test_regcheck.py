@@ -170,25 +170,19 @@ def test_census_checks_each_row_once_and_builds_forms_for_survivors(
 @pytest.mark.parametrize("m", [8, 13, 711])
 def test_census_op_reads_each_prime_once(m, monkeypatch):
     """A census op (29 rows x 501 n, one block) builds the class bitsets
-    of its targets at most once per prime (`_exclusions`), labels no
-    target array, makes no per-group engine call and builds no lattice
-    key from coefficients: each key is sorted from the labels of the
-    entries."""
+    of its targets at most once per prime (`_exclusions`) and builds no
+    lattice key from coefficients: each key is sorted from the labels of
+    the entries."""
     import mgonal.localrep as localrep
 
-    primes, arrays, groups, keys = [], [], [], []
-    exclusions, orders = localrep._exclusions, localrep._orders_and_classes
-    many, key = localrep.represents_over_zp_many, localrep._lattice_key
+    primes, keys = [], []
+    exclusions, key = localrep._exclusions, localrep._lattice_key
     monkeypatch.setattr(localrep, "_exclusions",
                         lambda p, *args: primes.append(p) or exclusions(p, *args))
-    monkeypatch.setattr(localrep, "_orders_and_classes",
-                        lambda N, p: arrays.append(p) or orders(N, p))
-    monkeypatch.setattr(localrep, "represents_over_zp_many",
-                        lambda *args: groups.append(args[0]) or many(*args))
     monkeypatch.setattr(localrep, "_lattice_key",
                         lambda *args: keys.append(args) or key(*args))
     candidate_scan(m, 5, 500)
-    assert arrays == [] and groups == [] and keys == []
+    assert keys == []
     assert primes and len(primes) == len(set(primes)), primes
 
 
