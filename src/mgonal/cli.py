@@ -21,8 +21,7 @@ once, at import, and parsed into a fresh object on every call.
 At import the module loads, besides the standard library, only `numth`
 (the --p check) and `prodineq` (the --clause choices).  Each handler
 imports the layers it runs, so a process compiles no other layer, and only
-`examples --eureka` and a `localrep` witness search, which build arrays,
-load numpy.
+a `localrep` witness search, which builds arrays, loads numpy.
 """
 
 from __future__ import annotations
@@ -61,9 +60,9 @@ _T_LIMIT = 1000
 _DESCENT_LIMIT = 2 ** 32
 # regcheck scan factors 2 c lcm(a_i), c = m - 2 or (m - 2) / 2, by trial
 # division, which runs up to its second largest prime (--m and --coeffs);
-# a scan builds bitsets of bound + 1 bits and `examples --eureka` one array
-# of bound + 1 entries: at 2^21, at most 0.5 s and 90 MB per process on
-# the forms measured.
+# a scan and `examples --eureka` build bitsets of bound + 1 bits: at 2^21,
+# at most 0.9 s and 85 MB per process on the forms measured, `examples
+# --eureka` 0.9 s and 20 MB.
 _SCAN_LIMIT = 2 ** 16
 _BOUND_LIMIT = 2 ** 21
 

@@ -155,8 +155,6 @@ def exception_count_check(p: int, s: int, coeffs: Sequence[int], u: int,
         raise ValueError(f"u = {u} must be coprime to p = {p}")
     if not is_stable(coeffs, p):
         raise ValueError(f"<{','.join(map(str, coeffs))}> is not {p}-stable")
-    if abs(u) * p ** s + abs(v) >= 2 ** 63:
-        raise ValueError("targets u n + v overflow int64")
     count = _exclusions(p, u, p ** s)(_lattice_key(coeffs, p), u + v).bit_count()
     bound = _prime_power_bound(p, s)
     return count, bound, count <= bound

@@ -839,8 +839,12 @@ def locally_represented_bits(m: int, coeff_rows: Sequence[Sequence[int]],
                              lo: int, hi: int) -> List[int]:
     """One bitset per coefficient row: bit j is set when n = lo + j,
     lo <= n <= hi, is represented by the m-gonal form of that row over R
-    and over every Z_p -- the verdicts of `locally_represented_rows` on
-    the range, with no array.
+    and over every Z_p: N >= 0 and `shifted_represents_over_zp` at every
+    p | 2 c lcm(row).  Where every |N| < 2^63 these are the verdicts of
+    the reference `locally_represented_rows`, and past that the same
+    definition holds in Python integers, with no refusal.  The cost is
+    the factorization of 2 c lcm(rows), by trial division, and bitsets
+    of hi - lo + 1 bits.
 
     Row i's target is N = mu j + off_i, off_i = d^2 sum a_i + mu lo.
     Over R, N >= 0 is a run of the high bits.  At p | c the shift is
@@ -853,8 +857,7 @@ def locally_represented_bits(m: int, coeff_rows: Sequence[Sequence[int]],
     that p does not divide whole.  At other p, mu is a p-unit, and the
     rows that p can exclude (an entry divisible by p, or p = 2) read
     `_exclusions`, made once per prime.  Entries are read as Python
-    ints, numpy rows too.  Raises ValueError for a row of rank below 3
-    and when some N overflows int64, as the array entry does."""
+    ints, numpy rows too.  Raises ValueError for a row of rank below 3."""
     from .polygonal import _check_coefficients, constants
 
     k = constants(m)
@@ -868,12 +871,9 @@ def locally_represented_bits(m: int, coeff_rows: Sequence[Sequence[int]],
     width = hi - lo + 1
     if not rows or width < 1:
         return [0] * len(rows)
-    sums = [sum(row) for row in rows]
     d2, mu = k.d * k.d, k.mu
-    if mu * max(-lo, hi) + d2 * max(sums) >= 2 ** 63:
-        raise ValueError("shifted target mu n + d^2 sum a_i overflows int64")
     full = (1 << width) - 1
-    offs = [d2 * s + mu * lo for s in sums]
+    offs = [d2 * sum(row) + mu * lo for row in rows]
     # N >= 0 from j = ceil(-off / mu) on
     out = [full >> j << j for j in (min(width, max(0, -(off // mu)))
                                      for off in offs)]

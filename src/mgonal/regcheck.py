@@ -12,9 +12,9 @@ Both sides of a scan are Python-integer bitsets over [0, N], bit n set
 when n is represented.  The global side computes the generalized m-gonal
 numbers <= N once and shares each (a_1, a_2) pair sumset across every
 a_3; the local side makes one `locally_represented_bits` call per block of
-at most `_BLOCK_TARGETS` targets, which gives one bitset per row.  No
-scan builds an array, so a scan process does not load numpy.  A row is
-then compared by integer AND/NOT: every n of every row is still checked
+at most `_BLOCK_TARGETS` targets, which gives one bitset per row.  The
+module imports no numpy: `represented_set` and `eureka_check` read the
+same bitsets, so no path here builds an array.  A row is then compared by integer AND/NOT: every n of every row is still checked
 for soundness, and a report, with its counterexamples decoded from the
 bitset, is built only for the rows a caller keeps.
 
@@ -32,15 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .localrep import locally_represented, locally_represented_bits
 from .numth import prime_divisors
 from .polygonal import MGonalForm, polygonal_number, shifted_target
-
-if TYPE_CHECKING:  # for the annotations; `_unpack` imports it
-    import numpy as np
 
 # Most targets (rows times n) one block of a batched scan holds: the bits
 # of its rows' local verdicts, and of the class bitsets and exclusions
@@ -154,20 +150,12 @@ def _sumset_builder(m: int, N: int):
     return represented
 
 
-def _unpack(bits: int, N: int) -> np.ndarray:
-    """The bitset of [0, N] as bool[N + 1]."""
-    import numpy as np
-
-    packed = np.frombuffer(bits.to_bytes(N // 8 + 1, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=N + 1, bitorder="little").view(bool)
-
-
-def represented_set(f: MGonalForm, N: int) -> np.ndarray:
-    """Boolean array r with r[n] = (f represents n), 0 <= n <= N: the
+def represented_set(f: MGonalForm, N: int) -> int:
+    """The bitset of [0, N] with bit n set when f represents n: the
     one-row case of the sumsets built by `_sumset_builder`."""
     if N < 0:
         raise ValueError(f"bound N must be >= 0, got {N}")
-    return _unpack(_sumset_builder(f.m, N)(f.coeffs), N)
+    return _sumset_builder(f.m, N)(f.coeffs)
 
 
 def _scan_rows(m: int, coeff_rows: Sequence[Tuple[int, ...]],
@@ -230,7 +218,7 @@ def regularity_scan(f: MGonalForm, N: int) -> RegularityReport:
 
 def eureka_check(N: int = 10**4) -> bool:
     """Does P_3(x) + P_3(y) + P_3(z) represent every 0 <= n <= N?"""
-    return bool(represented_set(MGonalForm(3, (1, 1, 1)), N).all())
+    return represented_set(MGonalForm(3, (1, 1, 1)), N) == (1 << N + 1) - 1
 
 
 def _fraction_is_unit_outside(x: Fraction, allowed: Tuple[int, ...]) -> bool:

@@ -181,15 +181,23 @@ def test_float_arguments_are_refused(call):
 
 def test_exception_count_check_small():
     """The counting lemma on a couple of concrete stable lattices, with the
-    brute-forced exception count returned for inspection."""
+    brute-forced exception count returned for inspection.  Targets u n + v
+    past int64 are counted exactly: the count equals the scalar one."""
     count, bound, ok = exception_count_check(5, 1, (1, 2, 5), 1, 0)
     assert ok and count <= bound
     count, bound, ok = exception_count_check(5, 2, (1, 2, 5), 2, 1)
     assert ok and bound == Fraction(5**2 + 2 * 5 + 1, 12) == 3
     with pytest.raises(ValueError):
         exception_count_check(5, 1, (1, 2, 25), 1, 0)  # unstable lattice
-    with pytest.raises(ValueError):
-        exception_count_check(5, 1, (1, 2, 5), 2**62, 0)  # targets overflow int64
+    for p, s, coeffs, u, v, want in [(5, 1, (1, 2, 5), 2**62, 0, 0),
+                                     (5, 2, (1, 2, 5), 2**62 + 2, 1, 3),
+                                     (5, 2, (1, 2, 5), 3, 2**63, 2),
+                                     (13, 2, (1, 2, 13), 10**20 + 1, -3**50, 6)]:
+        count, _, ok = exception_count_check(p, s, coeffs, u, v)
+        assert count == want == sum(
+            not represents_over_zp(coeffs, u * n + v, p)
+            for n in range(1, p ** s + 1)), (p, s, u, v)
+        assert ok
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])

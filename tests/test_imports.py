@@ -1,11 +1,12 @@
 """Static checks over the package's modules: every name a module imports
 is used in it, no module keeps a hand-rolled cache, the package keeps
 exactly one lru_cache, only the reference oracles raise ModulusTooLarge,
-every public function, method and property has a caller in the package
-or is named as an oracle, a certificate, awaiting a caller or a test
-reference, one check tests primality for the package, and every assert
-left is named as an internal invariant.  Also the package's exports,
-which load their modules on first use."""
+only the literal reference refuses a value past int64, every public
+function, method and property has a caller in the package or is named
+as an oracle, a certificate, awaiting a caller or a test reference, one
+check tests primality for the package, and every assert left is named
+as an internal invariant.  Also the package's exports, which load their
+modules on first use."""
 
 import argparse
 import ast
@@ -195,6 +196,42 @@ def test_modulus_raiser_is_reported():
               "    except ModulusTooLarge:\n        return None\n"
               "    raise ValueError('other')\n")
     assert _modulus_raisers(source) == ["table", "many", "again"]
+
+
+def _int64_refusals(source: str):
+    """Names of the functions with a raise whose message names int64: a
+    string in the raised expression, plain or part of an f-string."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any(isinstance(r, ast.Raise) and r.exc is not None
+               and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                       and "int64" in c.value for c in ast.walk(r.exc))
+               for r in ast.walk(fn)):
+            found.append(fn.name)
+    return found
+
+
+# The functions that refuse a value past int64: the literal reference's
+# array checks.  The range engine, the scans and the certificates work in
+# Python integers and answer at any size.
+INT64_REFUSALS = ["localrep._int64_targets", "localrep.locally_represented_rows"]
+
+
+def test_int64_is_refused_only_by_the_reference():
+    found = [f"{path.stem}.{name}" for path in MODULES
+             for name in _int64_refusals(path.read_text())]
+    assert sorted(found) == sorted(INT64_REFUSALS)
+
+
+def test_int64_refusal_is_reported():
+    source = ("def targets(ns):\n    raise ValueError('n does not fit in int64')\n\n"
+              "def bits(n):\n    if n >= 2 ** 63:\n"
+              "        raise OverflowError(f'{n} overflows int64')\n\n"
+              "def count(n):\n    raise ValueError(f'need n >= 1, got {n}')\n\n"
+              "def label(n):\n    return 'int64' if n < 2 ** 63 else 'int'\n")
+    assert _int64_refusals(source) == ["targets", "bits"]
 
 
 def _imported_modules(tree):
@@ -441,14 +478,14 @@ def _imports_numpy(node) -> bool:
             and (node.module or "").split(".")[0] == "numpy")
 
 
-# The functions that import numpy when they run: the oracles, the literal
-# reference `locally_represented_rows` and its target check, and the
-# unpacking of a scan's bitsets into a report's array.  Every other path
-# (scalar queries, range scans, the certificates) runs without numpy.
+# The functions that import numpy when they run: the oracles and the
+# literal reference `locally_represented_rows` with its target check.
+# Every other path (scalar queries, range scans, sumsets, the
+# certificates) runs without numpy.
 NUMPY_IMPORTERS = [
     "localrep._coord_indicator", "localrep._convolve_presence",
     "localrep.represents_mod_search", "localrep.locally_represented_rows",
-    "localrep._int64_targets", "regcheck._unpack",
+    "localrep._int64_targets",
 ]
 
 

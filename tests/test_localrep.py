@@ -39,7 +39,7 @@ from mgonal.localrep import (
     stable_value_set_check,
 )
 from mgonal.numth import is_prime, ord_p, prime_divisors
-from mgonal.regcheck import _unpack, candidate_scan, regularity_scan
+from mgonal.regcheck import candidate_scan, regularity_scan
 from mgonal.polygonal import MGonalForm, ShiftedForm, form_to_shifted, shifted_target
 
 # a corpus mixing unit, once-divisible and deeply divisible entries
@@ -407,9 +407,10 @@ def _ternary_keys(p, depth):
 
 def _window_verdicts(coeffs, lo, width, p):
     """The range engine's verdicts on the targets lo, ..., lo + width - 1:
-    the complement of its exclusion bitset (`_exclusions`, mu = 1)."""
+    the complement of its exclusion bitset (`_exclusions`, mu = 1), read
+    from its binary digits, lowest bit first."""
     excluded = _exclusions(p, 1, width)(_lattice_key(coeffs, p), lo)
-    return (~_unpack(excluded, width - 1)).tolist()
+    return [bit == "0" for bit in reversed(f"{excluded:0{width}b}")]
 
 
 def _check_against_fft(coeffs, key, p):

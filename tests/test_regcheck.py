@@ -4,14 +4,19 @@ bookkeeping around candidate regularity verdicts."""
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mgonal.localrep import locally_represented, locally_represented_rows
-from mgonal.polygonal import MGonalForm, polygonal_number
+from mgonal.localrep import (locally_represented, locally_represented_bits,
+                             locally_represented_rows,
+                             shifted_represents_over_zp)
+from mgonal.numth import prime_divisors
+from mgonal.polygonal import (MGonalForm, constants, form_to_shifted,
+                              polygonal_number, shifted_target)
 from mgonal.regcheck import (
     _BLOCK_TARGETS,
     _scan_rows,
@@ -64,11 +69,11 @@ def test_represents_globally_matches_brute_force(m, coeffs):
                                       (8, (1, 2, 3)), (8, (1, 1, 4))])
 def test_represented_set_matches_pointwise_search(m, coeffs):
     f = MGonalForm(m, coeffs)
-    flags = represented_set(f, 300)
-    assert flags.dtype == np.bool_ and flags.shape == (301,)
-    assert represented_set(f, 0).tolist() == [True]
+    bits = represented_set(f, 300)
+    assert type(bits) is int and bits >> 301 == 0
+    assert represented_set(f, 0) == 1
     for n in range(301):
-        assert bool(flags[n]) == (represents_globally(f, n) is not None)
+        assert (bits >> n & 1 == 1) == (represents_globally(f, n) is not None)
 
 
 def test_scan_matches_pointwise_verdicts():
@@ -112,7 +117,8 @@ def test_batch_names_the_first_violating_form(monkeypatch):
 
     monkeypatch.setattr(regcheck, "locally_represented_bits", fake)
     form = MGonalForm(5, rows[3])
-    n = 5 + int(np.flatnonzero(represented_set(form, 40)[5:])[0])
+    late = represented_set(form, 40) >> 5
+    n = 5 + (late & -late).bit_length() - 1
     with pytest.raises(AssertionError) as exc:
         regcheck.candidate_scan(5, 4, 40)
     assert str(exc.value) == (f"soundness violation: {form} represents {n} "
@@ -128,7 +134,7 @@ def test_soundness_is_checked_past_a_rows_first_counterexample(monkeypatch):
     N, bad = 301, (1, 2, 3)
     form = MGonalForm(8, bad)
     assert regularity_scan(form, N).counterexamples[0] == 9
-    assert represented_set(form, N)[N]
+    assert represented_set(form, N) >> N == 1
     real = regcheck.locally_represented_bits
 
     def fake(m, block, lo, hi):
@@ -211,19 +217,22 @@ def _bitset(flags) -> int:
 def test_batched_scan_matches_form_by_form_loop(m):
     """cap 12 and N = 2000 make 3 blocks of at most _BLOCK_TARGETS targets.
     Each row's bitsets equal the ones read off that form's own local and
-    global arrays, and the reports decoded from them (every row's by
-    regularity_scan, the survivors' by candidate_scan) agree."""
+    global sets (the reference's array and `represented_set`), and the
+    reports decoded from them (every row's by regularity_scan, the
+    survivors' by candidate_scan) agree."""
     rows = _primitive_triples(12)
     assert len(rows) * 2001 > 2 * _BLOCK_TARGETS
     loop, reports = [], []
     for row in rows:
         f = MGonalForm(m, row)
-        (local,) = locally_represented_rows(f.m, [f.coeffs], np.arange(2001))
+        (flags,) = locally_represented_rows(f.m, [f.coeffs], np.arange(2001))
+        local = _bitset(flags)
         missed = local & ~represented_set(f, 2000)
-        loop.append((row, _bitset(local), _bitset(missed)))
+        loop.append((row, local, missed))
         report = regularity_scan(f, 2000)
-        assert report.locally_count == local.sum()
-        assert report.counterexamples == tuple(np.flatnonzero(missed).tolist())
+        assert report.locally_count == local.bit_count()
+        assert report.counterexamples == tuple(
+            n for n in range(2001) if missed >> n & 1)
         reports.append(report)
     assert list(_scan_rows(m, rows, 2000)) == loop
     assert candidate_scan(m, 12, 2000) == [r for r in reports
@@ -261,10 +270,42 @@ def test_mgonal_form_keeps_exact_python_ints():
         regularity_scan(MGonalForm(8, (1, 2, 3)), 20).as_dict())
 
 
-def test_coefficient_past_int64_is_a_named_error():
-    # the local side names the overflow before the sumset is built
-    with pytest.raises(ValueError, match="overflows int64"):
-        regularity_scan(MGonalForm(3, (1, 1, 2**70)), 10)
+def test_local_verdicts_past_int64_match_the_scalar_definition():
+    """Past int64 the range engine answers, as the scalar definition does:
+    n is represented over R and every Z_p when N = mu n + d^2 sum a_i >= 0
+    and the shifted form represents N at every p | 2 c lcm(a_i).  Seeded
+    rows with smooth entries (their factorization is trial division) at
+    nine m, on windows of 41 n around 2^62, 2^63, 10^20, 3^50 and -2^63:
+    at least 10,000 (row, n) past 2^62.  A scan of a coefficient past
+    int64 gives a report."""
+    rng = random.Random(2 ** 63)
+    smooth = [2 ** i * 3 ** j * 5 ** k * 7 ** l for i in range(5)
+              for j in range(4) for k in range(3) for l in range(2)]
+    centres = (2 ** 62, 2 ** 63, 10 ** 20, 3 ** 50, -2 ** 63)
+    past = 0
+    for m in (3, 4, 5, 7, 8, 9, 12, 44, 711):
+        c = constants(m).c
+        rows = [tuple(sorted(rng.choice(smooth) for _ in range(3)))
+                for _ in range(14)]
+        for centre in centres:
+            lo, hi = centre - 20, centre + 20
+            bits = locally_represented_bits(m, rows, lo, hi)
+            for row, got in zip(rows, bits):
+                f = MGonalForm(m, row)
+                g = form_to_shifted(f)
+                primes = prime_divisors(2 * c * math.lcm(*row))
+                for j, n in enumerate(range(lo, hi + 1)):
+                    N = shifted_target(f, n)
+                    want = N >= 0 and all(
+                        shifted_represents_over_zp(g, N, p) for p in primes)
+                    assert got >> j & 1 == want, (m, row, n)
+                    past += n > 2 ** 62
+    assert past >= 10_000
+    f = MGonalForm(3, (1, 1, 2**70))
+    report = regularity_scan(f, 10)
+    assert report.locally_count == 11
+    assert report.counterexamples == tuple(
+        n for n in range(11) if represents_globally(f, n) is None) == (5, 8)
 
 
 @pytest.mark.parametrize("call,arg", [
