@@ -12,11 +12,12 @@ Both sides of a scan are Python-integer bitsets over [0, N], bit n set
 when n is represented.  The global side computes the generalized m-gonal
 numbers <= N once and shares each (a_1, a_2) pair sumset across every
 a_3; the local side makes one `locally_represented_bits` call per block of
-at most `_BLOCK_TARGETS` targets, which gives one bitset per row.  The
-module imports no numpy: `represented_set` and `eureka_check` read the
-same bitsets, so no path here builds an array.  A row is then compared by integer AND/NOT: every n of every row is still checked
-for soundness, and a report, with its counterexamples decoded from the
-bitset, is built only for the rows a caller keeps.
+at most `_BLOCK_TARGETS` targets, which gives one bitset per row.  A
+row is then compared by integer AND/NOT: every n of every row is still
+checked for soundness, and a report, with its counterexamples decoded
+from the bitset, is built only for the rows a caller keeps.
+`represented_set` and `eureka_check` read the same global bitsets, so
+no path here builds an array, and the module imports no numpy.
 
 The module also packages the two small motivating examples: the quaternary
 triangular form with coefficients (1,1,3,6), which represents -1 over every
