@@ -20,8 +20,9 @@ once, at import, and parsed into a fresh object on every call.
 
 At import the module loads, besides the standard library, only `numth`
 (the --p check) and `prodineq` (the --clause choices).  Each handler
-imports the layers it runs, so a process compiles no other layer, and only
-a `localrep` witness search, which builds arrays, loads numpy.
+imports the layers it runs, so a process compiles no other layer, and no
+command loads numpy: the `localrep` witness search is a loop over Python
+integers.
 """
 
 from __future__ import annotations

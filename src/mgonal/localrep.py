@@ -63,9 +63,8 @@ arithmetic progression, so at a prime p not dividing the conductor the
 targets of one label (k, c) are a union of residue classes: one periodic
 bitset, shifted per form (`_exclusions`).  `locally_represented_rows`
 is the reference the tests hold the bitsets to: the literal definition,
-one form, prime and target at a time, into a numpy bool array.  numpy is
-imported inside the functions that build arrays, so neither the scalar
-path nor a range scan loads it.
+one form, prime and target at a time, into lists of bools.  Both work in
+Python integers and answer at any size.
 
 A shifted form sum a_i (c x_i + alpha_i)^2 needs no descriptor at a prime
 p | c: each alpha_i is a p-unit (the shifts are coprime to c), so
@@ -90,23 +89,25 @@ once (details in `_exclusions`).  The scalar `locally_represented` is
 the one-row, one-target case of the range entry.
 
 A literal reference procedure (`represents_mod_search`: grid search mod p^K
-plus the lifting criterion (*), following the count of the search space) and
-a single-shot FFT reference (`represents_reference_fft`: plain witness
-existence mod p^K for K >= hensel_exponent) are kept alongside as
-independent oracles for the tests.
+plus the lifting criterion (*), which also gives the witness of
+`represents_over_zp`) and a single-shot FFT reference
+(`represents_reference_fft`: plain witness existence mod p^K for
+K >= hensel_exponent) are kept alongside as independent oracles.  Only the
+FFT oracle's two helpers import numpy, inside the functions, and only the
+tests call them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
+from itertools import chain, product
 from operator import index, mul
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .numth import _check_prime, ord_p, prime_divisors
 
-if TYPE_CHECKING:  # for the annotations; the array functions import it
+if TYPE_CHECKING:  # for the annotations; the FFT helpers import it
     import numpy as np
 
 # Largest indicator array the FFT oracle writes (p^K entries).
@@ -411,9 +412,10 @@ def represents_over_zp(coeffs: Sequence[int], n: int, p: int,
     `coeffs` is the sequence of nonzero entries a_i (negative entries
     allowed; Z_p has no signs); numpy integers are accepted throughout.
     The witness, when requested and the search box is feasible, is a vector
-    mod p^hensel_exponent passing the lifting criterion (one
-    `represents_mod_search`, complete there; a larger exponent only widens
-    a refused box); else the exponent is conservative.
+    mod p^hensel_exponent passing the lifting criterion, the first of the
+    box in lexicographic order (one `represents_mod_search`, complete
+    there, in Python integers; a larger exponent only widens a refused
+    box); else the exponent is conservative.
     """
     n, p = index(n), index(p)
     _check_prime(p)
@@ -433,12 +435,19 @@ def represents_over_zp(coeffs: Sequence[int], n: int, p: int,
 def represents_mod_search(coeffs: Sequence[int], n: int, p: int,
                           K: Optional[int] = None) -> LocalVerdict:
     """Literal reference: exhaustive grid search mod p^K with the explicit
-    lifting criterion.  Sound for every K; complete for K >= hensel_exponent
-    (the default conservative K qualifies).  Only for small search boxes.
-    """
-    import numpy as np
+    lifting criterion, some coordinate with 2 ord_p(2 a_i x_i) + 1 <= K
+    (2 a_i x_i = 0 mod p^K counts as order K).  Sound for every K; complete
+    for K >= hensel_exponent (the default conservative K qualifies).  Only
+    for boxes of at most 4 10^6 points.
 
-    coeffs = tuple(coeffs)
+    The witness is the first hit of the box in lexicographic order.  The
+    last coordinate is one table, residue a_k x^2 mod p^K -> (least x,
+    least x passing the criterion), and the other coordinates run in
+    lexicographic order: a head that passes the criterion takes the least
+    x_k, any other head the least x_k that passes it.
+    """
+    coeffs = tuple(map(index, coeffs))
+    n, p = index(n), index(p)
     if K is None:
         K = conservative_exponent(coeffs, n, p)
     if n == 0:
@@ -447,30 +456,34 @@ def represents_mod_search(coeffs: Sequence[int], n: int, p: int,
     mod = p ** K
     if mod ** len(coeffs) > 4 * 10 ** 6:
         raise ModulusTooLarge(f"grid p^(K*rank) = {p}^{K * len(coeffs)} too large")
-    grids = np.meshgrid(*[np.arange(mod, dtype=np.int64)] * len(coeffs),
-                        indexing="ij")
-    total = np.zeros_like(grids[0])
-    for a, g in zip(coeffs, grids):
-        total = (total + (int(a) % mod) * (g * g % mod)) % mod
-    ok = total == (n % mod)
-    # lifting criterion: some coordinate with 2 ord_p(2 a_i x_i) + 1 <= K
-    liftable = np.zeros_like(ok)
-    for a, g in zip(coeffs, grids):
-        t = (2 * int(a) % mod) * g % mod
-        sig = np.full(g.shape, K, dtype=np.int64)  # residue 0 -> ord >= K
-        cur = t.copy()
-        for s in range(K):
-            nz = cur % p != 0
-            sig = np.where((sig == K) & nz, s, sig)
-            cur //= p
-        liftable |= 2 * sig + 1 <= K
-    hits = ok & liftable
-    if not hits.any():
-        return LocalVerdict(p=p, represented=False, modulus_exponent=K)
-    idx = np.unravel_index(np.argmax(hits), hits.shape)
-    witness = tuple(int(g[idx]) for g in grids)
-    return LocalVerdict(p=p, represented=True, witness=witness,
-                        modulus_exponent=K)
+
+    def lifts(a: int, x: int) -> bool:
+        t, s = 2 * a * x % mod, 0
+        while t and t % p == 0:
+            t //= p
+            s += 1
+        return t != 0 and 2 * s + 1 <= K
+
+    *heads, last = coeffs
+    table = {}
+    # x and mod - x have one residue and one criterion, so the least x of
+    # each kind lies in [0, mod / 2]
+    for x in range(mod // 2 + 1):
+        entry = table.setdefault(last * x * x % mod, [x, None])
+        if entry[1] is None and lifts(last, x):
+            entry[1] = x
+    squares = [[a * x * x % mod for x in range(mod)] for a in heads]
+    lifting = [[lifts(a, x) for x in range(mod)] for a in heads]
+    for head in product(range(mod), repeat=len(heads)):
+        rest = (n - sum(sq[x] for sq, x in zip(squares, head))) % mod
+        if rest in table:
+            least, least_lifting = table[rest]
+            if not any(ok[x] for ok, x in zip(lifting, head)):
+                least = least_lifting
+            if least is not None:
+                return LocalVerdict(p=p, represented=True,
+                                    witness=(*head, least), modulus_exponent=K)
+    return LocalVerdict(p=p, represented=False, modulus_exponent=K)
 
 
 def represents_reference_fft(coeffs: Sequence[int], n: int, p: int,
@@ -661,31 +674,12 @@ def shifted_represents_over_zp(g, N: int, p: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# array verdicts
-
-def _int64_targets(ns) -> np.ndarray:
-    """The targets ns as an int64 array.  Raises ValueError for a dtype that
-    is not an integer one, which a cast would truncate (floats) or parse
-    (strings), and for values outside int64: an object dtype, which a list
-    of Python ints gets only past int64, or uint64 values from 2^63.  Reads
-    the dtype only, and the maximum of a uint64 array."""
-    import numpy as np
-
-    ns = np.asarray(ns)
-    if not ns.size:
-        return ns.astype(np.int64)
-    wraps = ns.dtype == np.uint64 and ns.max() >= np.uint64(2 ** 63)
-    if ns.dtype.kind == "O" or wraps:
-        raise ValueError("n does not fit in int64")
-    if ns.dtype.kind not in "iu":
-        raise ValueError(f"targets must be integers, got dtype {ns.dtype}")
-    return ns.astype(np.int64, copy=False)
-
+# the reference of the range verdicts
 
 def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
-                             ns) -> np.ndarray:
-    """Boolean array ok[i, j]: is ns[j] represented by the m-gonal form with
-    coefficients coeff_rows[i] over R and over every Z_p?
+                             ns: Sequence[int]) -> List[List[bool]]:
+    """ok[i][j]: is ns[j] represented by the m-gonal form with coefficients
+    coeff_rows[i] over R and over every Z_p?
 
     Via the coset translation this is: N = mu n + d^2 sum a_i >= 0 (which is
     exactly representability over R) and N is represented by the shifted
@@ -698,12 +692,9 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
     at other p the label of each target read in the row's descriptor along
     its period 2, as `_verdict` reads it.  It is the reference the tests
     hold `locally_represented_bits` to, and calls nothing of that engine.
-    Entries are read as Python ints, numpy rows too.  Raises ValueError
-    for targets that are not integers within int64 and when some N
-    overflows int64.
+    Entries and targets are read as Python ints (`operator.index`), so a
+    float or string target raises TypeError, and any size is answered.
     """
-    import numpy as np
-
     from .polygonal import MGonalForm, constants, form_to_shifted
 
     k = constants(m)
@@ -712,16 +703,10 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
         if f.rank < 3:
             raise ValueError(f"local verdicts need rank >= 3, got rank "
                              f"{f.rank} in {f.coeffs}")
-    ns = _int64_targets(ns)
-    ok = np.zeros((len(forms), ns.size), dtype=bool)
-    if not forms or not ns.size:
-        return ok
+    targets = [index(n) for n in ns]
     d2 = k.d * k.d
-    if (k.mu * max(-int(ns.min()), int(ns.max()))
-            + d2 * max(sum(f.coeffs) for f in forms) >= 2 ** 63):
-        raise ValueError("shifted target mu n + d^2 sum a_i overflows int64")
-    targets = ns.tolist()
-    for i, f in enumerate(forms):
+    ok = []
+    for f in forms:
         off = d2 * sum(f.coeffs)
         Ns = [k.mu * n + off for n in targets]
         flags = [N >= 0 for N in Ns]
@@ -739,7 +724,7 @@ def locally_represented_rows(m: int, coeff_rows: Sequence[Sequence[int]],
                 if flags[j] and N:
                     wn, c = _order_and_class(N, p)
                     flags[j] = T[min(wn, top + (wn - top) % 2)] >> c & 1 == 1
-        ok[i] = flags
+        ok.append(flags)
     return ok
 
 
@@ -840,11 +825,10 @@ def locally_represented_bits(m: int, coeff_rows: Sequence[Sequence[int]],
     """One bitset per coefficient row: bit j is set when n = lo + j,
     lo <= n <= hi, is represented by the m-gonal form of that row over R
     and over every Z_p: N >= 0 and `shifted_represents_over_zp` at every
-    p | 2 c lcm(row).  Where every |N| < 2^63 these are the verdicts of
-    the reference `locally_represented_rows`, and past that the same
-    definition holds in Python integers, with no refusal.  The cost is
-    the factorization of 2 c lcm(rows), by trial division, and bitsets
-    of hi - lo + 1 bits.
+    p | 2 c lcm(row), which the reference `locally_represented_rows`
+    writes out target by target.  Both work in Python integers and answer
+    at any size.  The cost is the factorization of 2 c lcm(rows), by
+    trial division, and bitsets of hi - lo + 1 bits.
 
     Row i's target is N = mu j + off_i, off_i = d^2 sum a_i + mu lo.
     Over R, N >= 0 is a run of the high bits.  At p | c the shift is

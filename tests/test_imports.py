@@ -38,12 +38,15 @@ def test_package_exports_are_the_defining_modules_objects():
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
 def test_version_is_stated_alike_in_pyproject_and_package():
     """Every CLI output carries `__version__`; the distribution's version in
-    pyproject.toml must be the same."""
+    pyproject.toml must be the same.  The distribution has no runtime
+    dependency: numpy serves only the FFT oracle the tests call."""
     import tomllib
 
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == mgonal.__version__
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == mgonal.__version__
+    assert project["dependencies"] == []
 
 
 def test_from_package_import_gives_an_unloaded_submodule():
@@ -213,13 +216,13 @@ def _int64_refusals(source: str):
     return found
 
 
-# The functions that refuse a value past int64: the literal reference's
-# array checks.  The range engine, the scans and the certificates work in
-# Python integers and answer at any size.
-INT64_REFUSALS = ["localrep._int64_targets", "localrep.locally_represented_rows"]
+# The functions that refuse a value past int64: none.  The engines, the
+# reference, the scans and the certificates work in Python integers and
+# answer at any size.
+INT64_REFUSALS = []
 
 
-def test_int64_is_refused_only_by_the_reference():
+def test_no_function_refuses_int64():
     found = [f"{path.stem}.{name}" for path in MODULES
              for name in _int64_refusals(path.read_text())]
     assert sorted(found) == sorted(INT64_REFUSALS)
@@ -478,15 +481,11 @@ def _imports_numpy(node) -> bool:
             and (node.module or "").split(".")[0] == "numpy")
 
 
-# The functions that import numpy when they run: the oracles and the
-# literal reference `locally_represented_rows` with its target check.
-# Every other path (scalar queries, range scans, sumsets, the
-# certificates) runs without numpy.
-NUMPY_IMPORTERS = [
-    "localrep._coord_indicator", "localrep._convolve_presence",
-    "localrep.represents_mod_search", "localrep.locally_represented_rows",
-    "localrep._int64_targets",
-]
+# The functions that import numpy when they run: the two helpers of the
+# FFT oracle, which only the tests call.  Every other path (the engines,
+# the grid search, the reference, scans, sumsets, the certificates) runs
+# without numpy.
+NUMPY_IMPORTERS = ["localrep._coord_indicator", "localrep._convolve_presence"]
 
 
 def test_numpy_is_imported_only_where_named():
