@@ -12,32 +12,33 @@ Each option whose cost grows with its value has a stated limit, and
 argument parsing refuses a value above it with a message naming it
 (`_at_most`), before anything is computed.
 
-The parser is built once, at import.  A command's arguments are parsed by that
-command's own parser; help, version, a missing or unknown command and an
-argument the command does not take fall to the top-level parser, so their
-output and exit codes are argparse's as ever.  The golden files are read
-once, at import, and parsed into a fresh object on every call.
+A process builds only the parser of the command it runs: the subparser of
+a top-level parser that has that command alone, built on first use and kept
+for the process (`_command_parser`), so its prog, usage lines and errors
+are the full parser's.  Help, version, a missing or unknown command and an
+argument the command does not take fall to the full top-level parser, so
+their output and exit codes are argparse's as ever.  The golden files are
+read once, at import, from the data/ directory next to this file (so a
+package imported from a zip archive finds none; the distribution installs
+it as files), and parsed into a fresh object on every call.
 
-At import the module loads, besides the standard library, only `numth`
-(the --p check) and `prodineq` (the --clause choices).  Each handler
-imports the layers it runs, so a process compiles no other layer, and no
-command loads numpy: the `localrep` witness search is a loop over Python
-integers.
+At import the module loads no other module of the package, nor `csv` or
+`importlib.resources`.  The parser of a command and its handler import the
+layers they run (`--p` loads `numth`, `ineq` `prodineq`), so a process
+compiles no other layer, and no command loads numpy: the `localrep`
+witness search is a loop over Python integers.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import os
 import sys
-from importlib import resources
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, List, Optional, Sequence
 
 from . import __version__
-from .numth import is_prime
-from .prodineq import CLAUSES
 
 if TYPE_CHECKING:  # for the annotations; the handlers import it
     from .polygonal import ShiftedForm
@@ -69,9 +70,16 @@ _BOUND_LIMIT = 2 ** 21
 
 # The golden files' directory of this package, under whatever name it was
 # imported, and the text of each file in it, read once.
-_DATA = resources.files(__package__) / "data"
-_GOLDEN_TEXT = {f.name: f.read_text() for f in _DATA.iterdir()
-                if f.name.endswith(".json")}
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _read(name: str) -> str:
+    with open(os.path.join(_DATA, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+_GOLDEN_TEXT = {name: _read(name) for name in os.listdir(_DATA)
+                if name.endswith(".json")}
 
 
 class VerificationFailure(Exception):
@@ -100,6 +108,8 @@ def _emit(args, payload: dict, text_lines: Sequence[str], rows=None, header=None
                                      "command": args.command}))
         return
     if args.format == "csv":
+        import csv
+
         csv.writer(sys.stdout).writerows([header, *rows])
     else:
         for line in text_lines:
@@ -129,6 +139,8 @@ def _at_most(parse, limit: int):
 
 
 def _prime(text: str) -> int:
+    from .numth import is_prime
+
     try:
         p = int(text)
     except ValueError:
@@ -204,7 +216,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_ineq(args) -> int:
-    from .prodineq import certify_all_t, verify_induction_step, verify_inequality
+    from .prodineq import (CLAUSES, certify_all_t, verify_induction_step,
+                           verify_inequality)
 
     spec = CLAUSES[args.clause]
     if args.t_max is not None:
@@ -419,13 +432,28 @@ def _cmd_examples(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every command, in the order of the help
+_COMMAND_NAMES = ("psi", "eta", "table1", "ineq", "watson", "stabilize",
+                  "localrep", "regcheck", "theorem", "examples")
+
+
+def build_parser(names: Collection[str] = _COMMAND_NAMES) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of the commands `names`, in
+    the order of _COMMAND_NAMES (every command by default)."""
     parser = argparse.ArgumentParser(
         prog="mgonal",
         description="exact computations around regular ternary m-gonal forms",
     )
     parser.add_argument("--version", action="version", version=f"mgonal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help, func):
+        """The subparser of `name`, or None when `names` leaves it out."""
+        if name not in names:
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, command=name)  # also when it parses on its own
+        return p
 
     def common(p, tabular=False, verify=False):
         formats = ("text", "json", "csv") if tabular else ("text", "json")
@@ -436,32 +464,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     n_type = _at_most(int, _N_LIMIT)
     count_type = _at_most(int, _COUNT_LIMIT)
-    p = sub.add_parser("psi", help="local exception-count bound psi_p(n)")
-    p.add_argument("--n", type=n_type, required=True)
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--p", type=_prime)
-    which.add_argument("--count", type=count_type,
-                       help="emit the largest `count` psi values")
-    common(p, tabular=True, verify=True)
-    p.set_defaults(func=_cmd_psi)
+    if p := command("psi", "local exception-count bound psi_p(n)", _cmd_psi):
+        p.add_argument("--n", type=n_type, required=True)
+        which = p.add_mutually_exclusive_group(required=True)
+        which.add_argument("--p", type=_prime)
+        which.add_argument("--count", type=count_type,
+                           help="emit the largest `count` psi values")
+        common(p, tabular=True, verify=True)
 
-    p = sub.add_parser("eta", help="guaranteed represented count eta(n, s)")
-    p.add_argument("--n", type=n_type, required=True)
-    p.add_argument("--s", type=count_type, required=True)
-    common(p, tabular=True)
-    p.set_defaults(func=_cmd_eta)
+    if p := command("eta", "guaranteed represented count eta(n, s)", _cmd_eta):
+        p.add_argument("--n", type=n_type, required=True)
+        p.add_argument("--s", type=count_type, required=True)
+        common(p, tabular=True)
 
-    p = sub.add_parser("table1", help="the full eta table used by the derivation")
-    common(p, tabular=True, verify=True)
-    p.set_defaults(func=_cmd_table1)
+    if p := command("table1", "the full eta table used by the derivation",
+                    _cmd_table1):
+        common(p, tabular=True, verify=True)
 
-    p = sub.add_parser("ineq", help="prime-product inequality clauses")
-    p.add_argument("--clause", type=int, choices=sorted(CLAUSES), required=True)
-    which = p.add_mutually_exclusive_group()
-    which.add_argument("--t", type=_at_most(int, _T_LIMIT))
-    which.add_argument("--t-max", type=_at_most(int, _T_LIMIT), dest="t_max")
-    common(p, tabular=True, verify=True)
-    p.set_defaults(func=_cmd_ineq)
+    if p := command("ineq", "prime-product inequality clauses", _cmd_ineq):
+        from .prodineq import CLAUSES
+
+        p.add_argument("--clause", type=int, choices=sorted(CLAUSES), required=True)
+        which = p.add_mutually_exclusive_group()
+        which.add_argument("--t", type=_at_most(int, _T_LIMIT))
+        which.add_argument("--t-max", type=_at_most(int, _T_LIMIT), dest="t_max")
+        common(p, tabular=True, verify=True)
 
     def shifted_args(p, need_p=False):
         p.add_argument("--conductor", type=_at_most(int, _DESCENT_LIMIT),
@@ -472,65 +499,67 @@ def build_parser() -> argparse.ArgumentParser:
         if need_p:
             p.add_argument("--p", type=_prime, required=True)
 
-    p = sub.add_parser("watson", help="one conductor-preserving descent step")
-    shifted_args(p, need_p=True)
-    common(p)
-    p.set_defaults(func=_cmd_watson)
+    if p := command("watson", "one conductor-preserving descent step", _cmd_watson):
+        shifted_args(p, need_p=True)
+        common(p)
 
-    p = sub.add_parser("stabilize", help="descend until stable at every coefficient prime")
-    shifted_args(p)
-    common(p)
-    p.set_defaults(func=_cmd_stabilize)
+    if p := command("stabilize", "descend until stable at every coefficient prime",
+                    _cmd_stabilize):
+        shifted_args(p)
+        common(p)
 
-    p = sub.add_parser("localrep", help="exact representation test over Z_p")
-    p.add_argument("--coeffs", type=_parse_ints, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--conductor", type=int)
-    p.add_argument("--shifts", type=_parse_ints)
-    common(p)
-    p.set_defaults(func=_cmd_localrep)
+    if p := command("localrep", "exact representation test over Z_p", _cmd_localrep):
+        p.add_argument("--coeffs", type=_parse_ints, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", type=_prime, required=True)
+        p.add_argument("--conductor", type=int)
+        p.add_argument("--shifts", type=_parse_ints)
+        common(p)
 
-    p = sub.add_parser("regcheck", help="local-vs-global regularity scan")
-    p.add_argument("action", choices=("scan",))
-    p.add_argument("--m", type=_at_most(int, _SCAN_LIMIT), required=True)
-    p.add_argument("--coeffs", type=_at_most(_parse_ints, _SCAN_LIMIT),
-                   required=True)
-    p.add_argument("--bound", type=_at_most(int, _BOUND_LIMIT), required=True)
-    p.add_argument("--out")
-    common(p)
-    p.set_defaults(func=_cmd_regcheck)
+    if p := command("regcheck", "local-vs-global regularity scan", _cmd_regcheck):
+        p.add_argument("action", choices=("scan",))
+        p.add_argument("--m", type=_at_most(int, _SCAN_LIMIT), required=True)
+        p.add_argument("--coeffs", type=_at_most(_parse_ints, _SCAN_LIMIT),
+                       required=True)
+        p.add_argument("--bound", type=_at_most(int, _BOUND_LIMIT), required=True)
+        p.add_argument("--out")
+        common(p)
 
-    p = sub.add_parser("theorem", help="replay the four-case bound derivation")
-    p.add_argument("--case", type=int, choices=(1, 2, 3, 4))
-    common(p, verify=True)
-    p.set_defaults(func=_cmd_theorem)
+    if p := command("theorem", "replay the four-case bound derivation", _cmd_theorem):
+        p.add_argument("--case", type=int, choices=(1, 2, 3, 4))
+        common(p, verify=True)
 
-    p = sub.add_parser("examples", help="the motivating local/global examples")
-    p.add_argument("--eureka", type=_at_most(int, _BOUND_LIMIT),
-                   help="also check universality of three triangular numbers up to N")
-    common(p)
-    p.set_defaults(func=_cmd_examples)
-
-    for name, p in sub.choices.items():
-        p.set_defaults(command=name)  # also when it parses on its own
+    if p := command("examples", "the motivating local/global examples",
+                    _cmd_examples):
+        p.add_argument("--eureka", type=_at_most(int, _BOUND_LIMIT),
+                       help="also check universality of three triangular numbers up to N")
+        common(p)
     return parser
 
 
-_PARSER = build_parser()
-# name -> the command's own parser, from the subparsers action above
-(_COMMANDS,) = [a.choices for a in _PARSER._actions
-                if isinstance(a, argparse._SubParsersAction)]
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """Name -> subparser of a parser that `build_parser` made."""
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command `name`: the one subparser of a top-level parser
+    built with that command alone, built on first use and kept for the
+    process, since in-process callers run `main` many times."""
+    return _subparsers(build_parser((name,)))[name]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the top-level parser takes whatever the command's own parser cannot
-    # (see the module docstring); each of those ends in argparse's exit
-    sub = _COMMANDS.get(argv[0]) if argv else None
-    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
+    # the full top-level parser takes whatever the command's own parser
+    # cannot (see the module docstring); each of those ends in argparse's exit
+    args, rest = (_command_parser(argv[0]).parse_known_args(argv[1:])
+                  if argv and argv[0] in _COMMAND_NAMES else (None, True))
     if rest:
-        args = _PARSER.parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except VerificationFailure as exc:

@@ -465,6 +465,12 @@ def represents_mod_search(coeffs: Sequence[int], n: int, p: int,
         return t != 0 and 2 * s + 1 <= K
 
     *heads, last = coeffs
+    if not heads:  # the table alone: its first hit, without the rest of it
+        x = next((x for x in range(mod // 2 + 1)
+                  if (last * x * x - n) % mod == 0 and lifts(last, x)), None)
+        return LocalVerdict(p=p, represented=x is not None,
+                            witness=None if x is None else (x,),
+                            modulus_exponent=K)
     table = {}
     # x and mod - x have one residue and one criterion, so the least x of
     # each kind lies in [0, mod / 2]

@@ -297,15 +297,16 @@ def candidate_scan(m: int, coeff_bound: int, N: int) -> List[RegularityReport]:
 
 
 def case_bound_for(m: int):
-    """The bound on m of the congruence class containing m, from the
-    four-case derivation, or None when m < 3 is not a polygon."""
-    from .pipeline import CASES, theorem_bounds
+    """The bound on m of the congruence class containing m, from a replay
+    of the one case of the derivation that holds that class, or None when
+    m < 3 is not a polygon."""
+    from .pipeline import CASES, replay_case
 
     if m < 3:
         return None
-    cls = next(cls for case in CASES.values() for cls in case.classes
-               if cls.contains(m))
-    return theorem_bounds()[cls.label]
+    case, cls = next((case, cls) for case in CASES.values()
+                     for cls in case.classes if cls.contains(m))
+    return replay_case(case).m_bounds[cls.label]
 
 
 def candidate_note(m: int) -> Optional[str]:

@@ -202,15 +202,6 @@ def test_replay_mismatch_exits_one(capsys, monkeypatch):
     assert "divergence" in err
 
 
-def test_main_reuses_the_parser_built_at_import(capsys, monkeypatch):
-    def boom():
-        raise AssertionError("parser rebuilt")
-
-    monkeypatch.setattr(cli, "build_parser", boom)
-    code, out, _ = run(capsys, "eta", "--n", "48", "--s", "8")
-    assert code == 0 and out.splitlines()[0] == "13"
-
-
 # every --verify command, and one stabilize, psi --p and eta
 VERIFY_ARGVS = (
     [["theorem", "--verify"], ["table1", "--verify"],
@@ -221,6 +212,26 @@ VERIFY_ARGVS = (
        ["psi", "--n", "48", "--p", "7"],
        ["eta", "--n", "60", "--s", "9", "--format", "csv"]]
 )
+
+
+def test_each_command_parser_is_built_once_per_process(capsys, monkeypatch):
+    """Two passes of VERIFY_ARGVS build the parser of each of their
+    commands once, on first use, as a top-level parser with that command
+    alone, and never the full parser."""
+    built = []
+    build = cli.build_parser
+
+    def counted(*names):
+        built.append(names)
+        return build(*names)
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._command_parser.cache_clear()
+    for _ in range(2):
+        for argv in VERIFY_ARGVS:
+            assert run(capsys, *argv)[0] == 0, argv
+    assert built == [((name,),) for name in dict.fromkeys(
+        argv[0] for argv in VERIFY_ARGVS)]
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):
@@ -278,7 +289,8 @@ EVERY_FORMAT_ARGVS = [
 def test_every_command_stdout_is_pinned(capsys):
     """The stdout of EVERY_FORMAT_ARGVS, byte for byte, as one sha256; the
     list names each format of each command's parser."""
-    accepted = {(name, f) for name, sub in cli._COMMANDS.items()
+    accepted = {(name, f)
+                for name, sub in cli._subparsers(cli.build_parser()).items()
                 for a in sub._actions if a.dest == "format" for f in a.choices}
     assert {(argv[0], argv[argv.index("--format") + 1]
              if "--format" in argv else "text")
@@ -299,11 +311,11 @@ def test_array_free_commands_do_not_import_numpy():
     of the start-up of every mgonal process; a scan's local and global
     sides and the eureka sumset are bitsets, and the witness grid search
     is a loop over Python ints.
-    The layers are pinned too: importing the cli loads `numth` and
-    `prodineq` only, and each command adds the layers it runs, which every
-    process compiles anew when no bytecode is cached.  Nor does the import
-    load `fractions` (with `decimal` and `numbers`), which only two
-    `prodineq` functions use."""
+    The layers are pinned too: importing the cli loads no layer, and each
+    command adds the layers it runs, which every process compiles anew
+    when no bytecode is cached.  Nor does the import load `fractions`
+    (with `decimal` and `numbers`), which only two `prodineq` functions
+    and `regcheck` use."""
     argvs = VERIFY_ARGVS + [["watson", "--conductor", "12", "--coeffs",
                              "1,5,25", "--p", "5"],
                             ["regcheck", "scan", "--m", "8", "--coeffs",
@@ -335,10 +347,70 @@ def test_array_free_commands_do_not_import_numpy():
     assert len(steps) == len(argvs) + 1
     assert not any(numpy for _, numpy, _ in steps)
     assert [(step, new) for step, _, new in steps if new] == [
-        ("import", ["mgonal", "mgonal.cli", "mgonal.numth", "mgonal.prodineq"]),
-        ("theorem", ["mgonal.density", "mgonal.pipeline", "mgonal.polygonal"]),
+        ("import", ["mgonal", "mgonal.cli"]),
+        ("theorem", ["mgonal.density", "mgonal.numth", "mgonal.pipeline",
+                     "mgonal.polygonal", "mgonal.prodineq"]),
         ("stabilize", ["mgonal.localrep", "mgonal.watson"]),
         ("regcheck", ["mgonal.regcheck"])]
+
+
+def test_importing_the_cli_loads_no_layer():
+    """`import mgonal.cli` in a fresh process without `site` loads no other
+    module of the package, nor `csv` or `importlib.resources`: the golden
+    files are read next to the module's file, and the layers, the
+    commands' parsers and `csv` wait for the command that uses them."""
+    script = ("import json, sys\n"
+              "import mgonal.cli\n"
+              "print(json.dumps([sorted(m for m in sys.modules\n"
+              "                         if m.split('.')[0] == 'mgonal'),\n"
+              "                  'csv' in sys.modules,\n"
+              "                  'importlib.resources' in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["mgonal", "mgonal.cli"], False, False]
+
+
+# the layers a process of each command loads
+COMMAND_LAYERS = [
+    (["eta", "--n", "48", "--s", "8"], ["density", "numth"]),
+    (["psi", "--n", "48", "--p", "7"], ["density", "numth"]),
+    (["table1", "--verify"], ["density", "numth"]),
+    (["ineq", "--clause", "5", "--verify"], ["numth", "prodineq"]),
+    (["watson", "--conductor", "5", "--coeffs", "1,2,4", "--p", "2"],
+     ["localrep", "numth", "polygonal", "watson"]),
+    (["stabilize", "--conductor", "5", "--coeffs", "1,9,25"],
+     ["localrep", "numth", "polygonal", "watson"]),
+    (["localrep", "--coeffs", "3,5,7", "--n", "10", "--p", "5"],
+     ["localrep", "numth"]),
+    (["theorem", "--verify"],
+     ["density", "numth", "pipeline", "polygonal", "prodineq"]),
+    (["examples"], ["localrep", "numth", "polygonal", "regcheck"]),
+    (["regcheck", "scan", "--m", "8", "--coeffs", "1,2,3", "--bound", "2000"],
+     ["density", "localrep", "numth", "pipeline", "polygonal", "prodineq",
+      "regcheck"]),
+]
+
+
+@pytest.mark.parametrize("argv, layers", COMMAND_LAYERS,
+                         ids=[argv[0] for argv, _ in COMMAND_LAYERS])
+def test_a_command_process_loads_only_its_layers(argv, layers):
+    """A fresh process without `site` that runs one command loads exactly
+    the layers of that command, and builds only that command's parser:
+    `build_parser` is called once, with that command alone."""
+    script = ("import contextlib, io, json, sys\n"
+              "import mgonal.cli as cli\n"
+              "built, build = [], cli.build_parser\n"
+              "cli.build_parser = lambda *a: built.append(a) or build(*a)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(sys.argv[1:])\n"
+              "print(json.dumps([code, built, sorted(\n"
+              "    m[len('mgonal.'):] for m in sys.modules\n"
+              "    if m.startswith('mgonal.') and m != 'mgonal.cli')]))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [[[argv[0]]]], layers]
 
 
 def test_every_command_runs_without_numpy(capsys):
@@ -386,10 +458,25 @@ def _outcome(capsys, call):
     ["regcheck", "scan", "--m", "3"], ["psi", "--n", "48"],
     ["eta", "--n", "48", "--s", "8", "--form", "json"],
     ["ineq", "--format", "json", "--clause", "5"],
+    # one usage error of each command
+    ["psi", "--n", "48", "--p", "5", "--count", "8"],
+    ["eta", "--n", "0x30", "--s", "8"],
+    ["table1", "--format", "xml"],
+    ["ineq", "--t", "7", "--t-max", "9"],
+    ["watson", "--conductor", "5", "--coeffs", "1,2,4"],
+    ["stabilize", "--conductor", "5", "--coeffs", "1,x,4"],
+    ["localrep", "--coeffs", "1,1,1", "--n", "3"],
+    ["regcheck", "audit", "--m", "8", "--coeffs", "1,2,3", "--bound", "9"],
+    ["theorem", "--case", "5"],
+    ["examples", "--eureka", str(2 ** 21 + 1)],
 ], ids=["none", "help", "version", "unknown-command", "command-help",
         "unrecognized-option", "version-after-command", "invalid-choice",
         "invalid-type", "missing-required", "missing-group",
-        "abbreviated-option", "options-before-required"])
+        "abbreviated-option", "options-before-required", "psi-p-and-count",
+        "eta-invalid-int", "table1-invalid-format", "ineq-t-and-t-max",
+        "watson-missing-p", "stabilize-invalid-coeffs", "localrep-missing-p",
+        "regcheck-invalid-action", "theorem-invalid-case",
+        "examples-past-limit"])
 def test_main_answers_as_the_top_level_parser(capsys, argv):
     """A command parses with its own parser; help, version and usage errors
     still come from a fresh top-level parser's code path, byte for byte."""

@@ -12,6 +12,7 @@ import signal
 import pytest
 
 import mgonal.cli as cli
+from test_cli import EVERY_FORMAT_ARGVS
 
 # a value is small with probability 0.85, so that most argv reach a
 # computation, and else an edge value: 0 and negatives, the limits of `cli`
@@ -119,7 +120,7 @@ def run_capped(capsys):
 
 def test_fuzz_covers_every_command():
     argvs = fuzz_argvs()
-    assert {a[0] for a in argvs} == set(cli._COMMANDS)
+    assert {a[0] for a in argvs} == set(cli._subparsers(cli.build_parser()))
     assert len({tuple(a) for a in argvs}) > 0.75 * CALLS
 
 
@@ -206,3 +207,52 @@ def test_inputs_past_the_limits_are_refused_by_name(run_capped, argv, option,
     assert err.splitlines()[-1].endswith(
         f"argument {option}: values above {limit} are not supported, "
         f"got {value!r}")
+
+
+def _parsed(capsys, parse):
+    """(what `parse` returns, or the code of the SystemExit it raises,
+    stdout, stderr)."""
+    try:
+        result = parse()
+    except SystemExit as exc:
+        result = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_a_command_parser_takes_an_argv_as_the_full_parser_does(capsys):
+    """`main` parses an argv with its command's own parser and hands it to
+    the full parser only when arguments are left over.  So for every argv
+    of the fuzz pool, of the limits above and of EVERY_FORMAT_ARGVS, the
+    own parser either leaves arguments over or ends as the full parser
+    does: the same namespace, or the same exit, stdout and stderr."""
+    full = cli.build_parser()
+    argvs = (fuzz_argvs() + AT_LIMIT + [a for a, _, _ in PAST_LIMIT]
+             + EVERY_FORMAT_ARGVS)
+    agreed = exits = 0
+    for argv in argvs:
+        own = _parsed(capsys, lambda: cli._command_parser(argv[0])
+                      .parse_known_args(argv[1:]))
+        result, out, err = own
+        if result[0] != "SystemExit":
+            args, rest = result
+            if rest:
+                continue
+            own = args, out, err
+        assert own == _parsed(capsys, lambda: full.parse_args(argv)), argv
+        agreed += 1
+        exits += result[0] == "SystemExit"
+    # both kinds of ending are compared, on most of the argvs
+    assert agreed > 0.9 * len(argvs) and 0.1 * agreed < exits < 0.9 * agreed
+
+
+def test_a_command_parser_formats_as_the_full_parsers_subparser():
+    """Each command's own parser has the prog, usage and help of that
+    command's subparser in the full parser, which has every command."""
+    subs = cli._subparsers(cli.build_parser())
+    assert tuple(subs) == cli._COMMAND_NAMES
+    for name, sub in subs.items():
+        own = cli._command_parser(name)
+        assert own.prog == sub.prog == f"mgonal {name}"
+        assert own.format_usage() == sub.format_usage()
+        assert own.format_help() == sub.format_help()

@@ -144,6 +144,14 @@ def test_grid_search_is_the_first_hit_of_the_full_grid():
     assert below > 1000 and 500 < found < 2000, (below, found)
 
 
+def test_rank_one_search_stops_at_its_first_hit():
+    """At rank 1 the witness is the least x <= p^K/2 that hits n mod p^K
+    and passes the criterion, returned as soon as it is found (x = 512 in
+    a box of 2^21 points); a miss scans every x."""
+    assert represents_mod_search((1,), 2**18, 2, 21) == (2, True, (512,), 21)
+    assert represents_mod_search((-32,), 9317, 11) == (11, False, None, 6)
+
+
 def test_zero_always_represented():
     assert represents_over_zp((1, 2, 3), 0, 5).represented
     assert represents_mod_search((1, 2, 3), 0, 5).witness == (0, 0, 0)
